@@ -579,11 +579,41 @@ TEST(EvalUB, UnsequencedModification) {
            mem::UBKind::UnsequencedRace);
   expectUB("int g; int main(void){ return (g = 1) + (g = 2); }",
            mem::UBKind::UnsequencedRace);
+  // A race between an outer unseq operand and one nested a level deeper.
+  expectUB("int g; int main(void){ return (g = 1) + (1 + (g = 2)); }",
+           mem::UBKind::UnsequencedRace);
+  // The footprints compare addresses, not names: a race through an alias.
+  expectUB("int g; int main(void){ int *p = &g; return (g = 1) + (*p = 2); }",
+           mem::UBKind::UnsequencedRace);
+  // Function arguments are unsequenced with each other (6.5.2.2p10).
+  expectUB("int f(int a, int b){ return a + b; }"
+           "int main(void){ int i = 0; return f(i++, i++); }",
+           mem::UBKind::UnsequencedRace);
+  // The race is only reached on the loop's second iteration, after the
+  // backward jump re-enters the body.
+  expectUB(R"(
+int g;
+int main(void) {
+  int k = 0;
+  while (k < 2) {
+    if (k == 1)
+      return (g = 1) + (g = 2);
+    k++;
+  }
+  return 0;
+}
+)",
+           mem::UBKind::UnsequencedRace);
 }
 
 TEST(EvalUB, SequencedUsesAreFine) {
   // i = i + 1 is fine; so are both operands reading.
   expectExit("int main(void){ int i = 1; i = i + 1; return i + i; }", 4);
+  // The comma and && operators are sequence points: no race.
+  expectExit("int main(void){ int i = 0; int r = (i++, i++); return r + i; }",
+             3);
+  expectExit("int main(void){ int i = 1; int r = (i++ && i++); return r + i; }",
+             4);
 }
 
 TEST(EvalUB, WriteToStringLiteral) {
