@@ -14,63 +14,280 @@ using namespace cerb::core;
 // Values
 //===----------------------------------------------------------------------===//
 
+uint32_t CapTable::intern(const mem::Capability &C) {
+  auto [It, New] = Index.try_emplace({C.Base, C.Length, C.Tag},
+                                     static_cast<uint32_t>(Caps.size() + 1));
+  if (New)
+    Caps.push_back(C);
+  return It->second;
+}
+
+const mem::Capability &CapTable::get(uint32_t Ref) const {
+  assert(Ref != 0 && Ref <= Caps.size() && "stale capability reference");
+  return Caps[Ref - 1];
+}
+
+namespace {
+thread_local CapTable *CurrentCaps = nullptr;
+} // namespace
+
+CapTable &CapTable::current() {
+  if (CurrentCaps)
+    return *CurrentCaps;
+  thread_local CapTable Fallback;
+  return Fallback;
+}
+
+CapTable::Scope::Scope(CapTable &T) : Prev(CurrentCaps) { CurrentCaps = &T; }
+CapTable::Scope::~Scope() { CurrentCaps = Prev; }
+
+Value Value::integer(const mem::IntegerValue &IV) {
+  Value V = integer(IV.V);
+  V.PK = static_cast<uint8_t>(IV.Prov.Kind);
+  V.AllocId = IV.Prov.AllocId;
+  if (IV.Cap)
+    V.CapRef = CapTable::current().intern(*IV.Cap);
+  return V;
+}
+
+Value Value::pointer(const mem::PointerValue &PV) {
+  Value V(ValueKind::Pointer);
+  V.Bits = PV.Addr;
+  if (PV.FuncSym) {
+    V.Bits |= UInt128(*PV.FuncSym) << 64;
+    V.Flags |= FnBit;
+  }
+  V.PK = static_cast<uint8_t>(PV.Prov.Kind);
+  V.AllocId = PV.Prov.AllocId;
+  if (PV.Cap)
+    V.CapRef = CapTable::current().intern(*PV.Cap);
+  return V;
+}
+
+mem::IntegerValue Value::intValue() const {
+  mem::IntegerValue IV(Bits, prov());
+  if (CapRef)
+    IV.Cap = CapTable::current().get(CapRef);
+  return IV;
+}
+
+mem::PointerValue Value::ptrWithoutCap() const {
+  mem::PointerValue PV;
+  PV.Prov = prov();
+  PV.Addr = static_cast<uint64_t>(Bits);
+  if (Flags & FnBit)
+    PV.FuncSym = static_cast<unsigned>(UInt128(Bits) >> 64);
+  return PV;
+}
+
+mem::PointerValue Value::ptrValue() const {
+  mem::PointerValue PV = ptrWithoutCap();
+  if (CapRef)
+    PV.Cap = CapTable::current().get(CapRef);
+  return PV;
+}
+
+Value Value::specified(Value Inner) {
+  assert(!Inner.isSpecified() && "Specified(Specified(...)) has no flag");
+  Inner.Flags |= SpecBit;
+  return Inner;
+}
+
+Value Value::boxed(ValueKind Kind, size_t N) {
+  size_t ElemSize = Kind == ValueKind::BytesV ? sizeof(mem::MemByte)
+                                              : sizeof(Value);
+  void *Mem = ::operator new(sizeof(Box) + N * ElemSize);
+  Value V(Kind);
+  V.B = new (Mem) Box();
+  V.B->N = static_cast<uint32_t>(N);
+  return V;
+}
+
+Value Value::aggregate(ValueKind Kind, std::vector<Value> &&Elems) {
+  Value V = boxed(Kind, Elems.size());
+  Value *Out = reinterpret_cast<Value *>(V.B + 1);
+  for (size_t I = 0; I < Elems.size(); ++I)
+    new (Out + I) Value(std::move(Elems[I]));
+  return V;
+}
+
+Value Value::tuple(std::vector<Value> Elems) {
+  return aggregate(ValueKind::Tuple, std::move(Elems));
+}
+
+Value Value::tuple(size_t N) {
+  Value V = boxed(ValueKind::Tuple, N);
+  Value *Out = reinterpret_cast<Value *>(V.B + 1);
+  for (size_t I = 0; I < N; ++I)
+    new (Out + I) Value();
+  return V;
+}
+
+Value Value::list(std::vector<Value> Elems) {
+  return aggregate(ValueKind::List, std::move(Elems));
+}
+
+Value Value::array(std::vector<Value> Elems) {
+  return aggregate(ValueKind::ArrayV, std::move(Elems));
+}
+
+Value Value::structure(unsigned Tag, std::vector<Value> Members) {
+  Value V = aggregate(ValueKind::StructV, std::move(Members));
+  V.B->Tag = Tag;
+  return V;
+}
+
+Value Value::unionValue(unsigned Tag, size_t Member, Value Elem) {
+  std::vector<Value> Elems;
+  Elems.push_back(std::move(Elem));
+  Value V = aggregate(ValueKind::UnionV, std::move(Elems));
+  V.B->Tag = Tag;
+  V.B->ActiveMember = Member;
+  return V;
+}
+
+Value Value::bytes(CType Ty, const std::vector<mem::MemByte> &Raw) {
+  Value V = boxed(ValueKind::BytesV, Raw.size());
+  V.B->Ty = std::move(Ty);
+  std::uninitialized_copy(Raw.begin(), Raw.end(),
+                          reinterpret_cast<mem::MemByte *>(V.B + 1));
+  return V;
+}
+
+std::span<const Value> Value::elems() const {
+  return {reinterpret_cast<const Value *>(B + 1), B->N};
+}
+
+std::span<Value> Value::elems() {
+  return {reinterpret_cast<Value *>(B + 1), B->N};
+}
+
+std::span<const mem::MemByte> Value::bytes() const {
+  return {reinterpret_cast<const mem::MemByte *>(B + 1), B->N};
+}
+
+void Value::copyFrom(const Value &O) {
+  K = O.K;
+  Flags = O.Flags;
+  PK = O.PK;
+  CapRef = O.CapRef;
+  AllocId = O.AllocId;
+  if (hasType()) {
+    new (&Ty) CType(O.Ty);
+  } else if (!isBoxed()) {
+    Bits = O.Bits;
+  } else {
+    size_t N = O.B->N;
+    Value V = boxed(K, N);
+    V.B->Tag = O.B->Tag;
+    V.B->ActiveMember = O.B->ActiveMember;
+    V.B->Ty = O.B->Ty;
+    if (K == ValueKind::BytesV) {
+      std::span<const mem::MemByte> Src = O.bytes();
+      std::uninitialized_copy(Src.begin(), Src.end(),
+                              reinterpret_cast<mem::MemByte *>(V.B + 1));
+    } else {
+      std::span<const Value> Src = O.elems();
+      std::uninitialized_copy(Src.begin(), Src.end(),
+                              reinterpret_cast<Value *>(V.B + 1));
+    }
+    B = V.B;
+    V.K = ValueKind::Unit; // the block now belongs to this value
+  }
+}
+
+void Value::stealFrom(Value &O) noexcept {
+  K = O.K;
+  Flags = O.Flags;
+  PK = O.PK;
+  CapRef = O.CapRef;
+  AllocId = O.AllocId;
+  if (hasType()) {
+    new (&Ty) CType(std::move(O.Ty));
+    O.Ty.~CType();
+  } else if (isBoxed()) {
+    B = O.B;
+  } else {
+    Bits = O.Bits;
+  }
+  O.K = ValueKind::Unit;
+  O.Flags = 0;
+  O.Bits = 0;
+}
+
+void Value::freeBox() {
+  if (K == ValueKind::BytesV) {
+    std::destroy_n(reinterpret_cast<mem::MemByte *>(B + 1), B->N);
+  } else {
+    std::destroy_n(reinterpret_cast<Value *>(B + 1), B->N);
+  }
+  B->~Box();
+  ::operator delete(B);
+}
+
 std::string Value::str() const {
+  if (isSpecified())
+    return "Specified(" + strInner() + ")";
+  return strInner();
+}
+
+std::string Value::strInner() const {
+  // Renderings never show capabilities, so they need no CapTable.
   switch (K) {
   case ValueKind::Unit: return "Unit";
   case ValueKind::True: return "True";
   case ValueKind::False: return "False";
-  case ValueKind::Ctype: return "'" + Cty.str() + "'";
-  case ValueKind::Integer: return IV.str();
-  case ValueKind::Pointer: return PV.str();
-  case ValueKind::Function: return fmt("cfunction#{0}", FuncSym);
-  case ValueKind::Specified:
-    return "Specified(" + Elems[0].str() + ")";
+  case ValueKind::Ctype: return "'" + Ty.str() + "'";
+  case ValueKind::Integer: return mem::IntegerValue(Bits, prov()).str();
+  case ValueKind::Pointer: return ptrWithoutCap().str();
+  case ValueKind::Function: return fmt("cfunction#{0}", funcSym());
+  case ValueKind::Specified: break; // a flag, handled by str()
   case ValueKind::Unspecified:
-    return "Unspecified('" + Cty.str() + "')";
+    return "Unspecified('" + Ty.str() + "')";
   case ValueKind::Tuple:
   case ValueKind::List: {
     std::vector<std::string> Parts;
-    for (const Value &E : Elems)
+    for (const Value &E : elems())
       Parts.push_back(E.str());
     return (K == ValueKind::Tuple ? "(" : "[") + join(Parts, ", ") +
            (K == ValueKind::Tuple ? ")" : "]");
   }
   case ValueKind::ArrayV: {
     std::vector<std::string> Parts;
-    for (const Value &E : Elems)
+    for (const Value &E : elems())
       Parts.push_back(E.str());
     return "array(" + join(Parts, ", ") + ")";
   }
   case ValueKind::StructV:
   case ValueKind::UnionV: {
     std::vector<std::string> Parts;
-    for (const Value &E : Elems)
+    for (const Value &E : elems())
       Parts.push_back(E.str());
     return fmt("({0}#{1}){2}", K == ValueKind::StructV ? "struct" : "union",
-               Tag, "{" + join(Parts, ", ") + "}");
+               tag(), "{" + join(Parts, ", ") + "}");
   }
   case ValueKind::BytesV:
-    return fmt("bytes[{0}]", Raw.size());
+    return fmt("bytes[{0}]", bytes().size());
   }
   return "?";
 }
 
 mem::MemValue core::valueToMem(const CType &Ty, const Value &V) {
-  switch (V.K) {
+  // A Specified flag is transparent here: the inner value is stored.
+  switch (V.innerKind()) {
   case ValueKind::Unspecified:
     return mem::MemValue::unspecified(Ty);
-  case ValueKind::Specified:
-    return valueToMem(Ty, V.Elems[0]);
   case ValueKind::Integer:
-    return mem::MemValue::integer(Ty, V.IV);
+    return mem::MemValue::integer(Ty, V.intValue());
   case ValueKind::Pointer:
-    return mem::MemValue::pointer(Ty, V.PV);
+    return mem::MemValue::pointer(Ty, V.ptrValue());
   case ValueKind::Function:
-    return mem::MemValue::pointer(Ty, mem::PointerValue::function(V.FuncSym));
+    return mem::MemValue::pointer(Ty,
+                                  mem::PointerValue::function(V.funcSym()));
   case ValueKind::ArrayV: {
     std::vector<mem::MemValue> Elems;
     assert(Ty.isArray() && "array value at non-array type");
-    for (const Value &E : V.Elems)
+    for (const Value &E : V.elems())
       Elems.push_back(valueToMem(Ty.element(), E));
     return mem::MemValue::array(std::move(Elems));
   }
@@ -79,15 +296,17 @@ mem::MemValue core::valueToMem(const CType &Ty, const Value &V) {
     // Member types come from the tag table via Ty; the elaboration built
     // the element values at the right types already.
     assert(Ty.isStruct() && "struct value at non-struct type");
-    for (size_t I = 0; I < V.Elems.size(); ++I)
-      Members.push_back(valueToMem(CType(), V.Elems[I]));
-    return mem::MemValue::structure(V.Tag, std::move(Members));
+    for (const Value &E : V.elems())
+      Members.push_back(valueToMem(CType(), E));
+    return mem::MemValue::structure(V.tag(), std::move(Members));
   }
   case ValueKind::UnionV:
-    return mem::MemValue::unionValue(V.Tag, V.ActiveMember,
-                                     valueToMem(CType(), V.Elems[0]));
-  case ValueKind::BytesV:
-    return mem::makeBytesValue(Ty, V.Raw);
+    return mem::MemValue::unionValue(V.tag(), V.activeMember(),
+                                     valueToMem(CType(), V.elems()[0]));
+  case ValueKind::BytesV: {
+    std::span<const mem::MemByte> Raw = V.bytes();
+    return mem::makeBytesValue(Ty, {Raw.begin(), Raw.end()});
+  }
   default:
     assert(false && "value has no memory representation");
     return mem::MemValue::unspecified(Ty);
@@ -104,35 +323,22 @@ Value core::memToValue(const mem::MemValue &MV) {
     if (MV.PV.isFunction())
       return Value::specified(Value::function(*MV.PV.FuncSym));
     return Value::specified(Value::pointer(MV.PV));
-  case mem::MemValueKind::Array: {
-    std::vector<Value> Elems;
-    for (const mem::MemValue &E : MV.Elems)
-      Elems.push_back(memToValue(E));
-    Value V;
-    V.K = ValueKind::ArrayV;
-    V.Elems = std::move(Elems);
-    return Value::specified(std::move(V));
-  }
+  case mem::MemValueKind::Array:
   case mem::MemValueKind::Struct:
   case mem::MemValueKind::Union: {
     std::vector<Value> Elems;
+    Elems.reserve(MV.Elems.size());
     for (const mem::MemValue &E : MV.Elems)
       Elems.push_back(memToValue(E));
-    Value V;
-    V.K = MV.Kind == mem::MemValueKind::Struct ? ValueKind::StructV
-                                               : ValueKind::UnionV;
-    V.Tag = MV.Tag;
-    V.ActiveMember = MV.ActiveMember;
-    V.Elems = std::move(Elems);
-    return Value::specified(std::move(V));
+    if (MV.Kind == mem::MemValueKind::Array)
+      return Value::specified(Value::array(std::move(Elems)));
+    if (MV.Kind == mem::MemValueKind::Struct)
+      return Value::specified(Value::structure(MV.Tag, std::move(Elems)));
+    return Value::specified(
+        Value::unionValue(MV.Tag, MV.ActiveMember, std::move(Elems[0])));
   }
-  case mem::MemValueKind::Bytes: {
-    Value V;
-    V.K = ValueKind::BytesV;
-    V.Cty = MV.Ty;
-    V.Raw = MV.Raw;
-    return Value::specified(std::move(V));
-  }
+  case mem::MemValueKind::Bytes:
+    return Value::specified(Value::bytes(MV.Ty, MV.Raw));
   }
   return Value::unit();
 }

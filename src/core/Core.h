@@ -24,9 +24,12 @@
 
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace cerb::core {
@@ -38,7 +41,7 @@ using ail::Symbol;
 // Values
 //===----------------------------------------------------------------------===//
 
-enum class ValueKind {
+enum class ValueKind : uint8_t {
   Unit,
   True,
   False,
@@ -46,88 +49,212 @@ enum class ValueKind {
   Integer,     ///< memory-model integer value (provenance-carrying)
   Pointer,     ///< memory-model pointer value
   Function,    ///< C function designator
-  Specified,   ///< loaded value: Specified(object value) — Elems[0]
+  Specified,   ///< loaded value: Specified(object value), see Value::inner
   Unspecified, ///< loaded value: Unspecified(ctype)
   Tuple,
   List,
   ArrayV,      ///< C array object value
-  StructV,     ///< C struct object value (Tag, member values)
-  UnionV,      ///< C union object value (Tag, ActiveMember, Elems[0])
+  StructV,     ///< C struct object value (tag, member values)
+  UnionV,      ///< C union object value (tag, active member, one value)
   BytesV,      ///< opaque aggregate byte image (whole struct/union values)
 };
 
-struct Value {
-  ValueKind K = ValueKind::Unit;
-  mem::IntegerValue IV;         // Integer
-  mem::PointerValue PV;         // Pointer
-  CType Cty;                    // Ctype / Unspecified / BytesV type
-  unsigned FuncSym = 0;         // Function
-  unsigned Tag = 0;             // StructV/UnionV
-  size_t ActiveMember = 0;      // UnionV
-  std::vector<Value> Elems;     // Tuple/List/ArrayV/StructV/Specified(1)
-  std::vector<mem::MemByte> Raw; // BytesV
+/// Out-of-line store for the CHERI capabilities that integer and pointer
+/// values carry (§4). A Value holds only a 32-bit reference into the
+/// current table, so copying a capability-carrying value is a plain copy,
+/// and values of the other models never touch a table. Equal capabilities
+/// share one entry, so a table grows with the distinct capabilities of an
+/// evaluation, not with its steps.
+class CapTable {
+public:
+  /// Returns the (nonzero) reference of \p C, adding it if new.
+  uint32_t intern(const mem::Capability &C);
+  const mem::Capability &get(uint32_t Ref) const;
 
-  static Value unit() { return Value{}; }
+  /// The table this thread's Values index: the innermost live Scope's, or
+  /// a thread-wide fallback outside every Scope.
+  static CapTable &current();
+
+  /// Makes a table current for the lifetime of the scope. The evaluator
+  /// scopes its own table around a run, so references never outlive it.
+  class Scope {
+  public:
+    explicit Scope(CapTable &T);
+    ~Scope();
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
+
+  private:
+    CapTable *Prev;
+  };
+
+private:
+  std::vector<mem::Capability> Caps;
+  std::map<std::tuple<uint64_t, uint64_t, bool>, uint32_t> Index;
+};
+
+/// A Core value in 32 bytes. Scalars (booleans, integers with provenance,
+/// pointers, function designators) and ctypes live inline; `Specified` is a
+/// flag on the wrapped value rather than a box; tuples, lists and C
+/// aggregate values live in one heap block each (deep-copied, never
+/// shared, so a value can be read from any thread); CHERI capabilities live
+/// in the current CapTable.
+class Value {
+public:
+  Value() : Bits(0) {}
+  Value(const Value &O) { copyFrom(O); }
+  Value(Value &&O) noexcept { stealFrom(O); }
+  Value &operator=(const Value &O) {
+    if (this != &O) {
+      Value Tmp(O); // O may live inside this value's own box
+      destroy();
+      stealFrom(Tmp);
+    }
+    return *this;
+  }
+  Value &operator=(Value &&O) noexcept {
+    if (this != &O) {
+      Value Tmp(std::move(O));
+      destroy();
+      stealFrom(Tmp);
+    }
+    return *this;
+  }
+  ~Value() { destroy(); }
+
+  static Value unit() { return Value(); }
   static Value boolean(bool B) {
-    Value V;
-    V.K = B ? ValueKind::True : ValueKind::False;
-    return V;
+    return Value(B ? ValueKind::True : ValueKind::False);
   }
   static Value ctype(CType Ty) {
-    Value V;
-    V.K = ValueKind::Ctype;
-    V.Cty = std::move(Ty);
+    Value V(ValueKind::Ctype);
+    new (&V.Ty) CType(std::move(Ty));
     return V;
   }
-  static Value integer(mem::IntegerValue IV) {
-    Value V;
-    V.K = ValueKind::Integer;
-    V.IV = IV;
+  static Value integer(const mem::IntegerValue &IV);
+  static Value integer(Int128 N) {
+    Value V(ValueKind::Integer);
+    V.Bits = N;
     return V;
   }
-  static Value integer(Int128 N) { return integer(mem::IntegerValue(N)); }
-  static Value pointer(mem::PointerValue PV) {
-    Value V;
-    V.K = ValueKind::Pointer;
-    V.PV = PV;
-    return V;
-  }
+  static Value pointer(const mem::PointerValue &PV);
   static Value function(unsigned Sym) {
-    Value V;
-    V.K = ValueKind::Function;
-    V.FuncSym = Sym;
+    Value V(ValueKind::Function);
+    V.Bits = Sym;
     return V;
   }
-  static Value specified(Value Inner) {
-    Value V;
-    V.K = ValueKind::Specified;
-    V.Elems.push_back(std::move(Inner));
-    return V;
-  }
+  /// Specified(Inner): sets the flag on \p Inner, which must not be
+  /// Specified itself (no Core program wraps a loaded value twice).
+  static Value specified(Value Inner);
   static Value unspecified(CType Ty) {
-    Value V;
-    V.K = ValueKind::Unspecified;
-    V.Cty = std::move(Ty);
+    Value V(ValueKind::Unspecified);
+    new (&V.Ty) CType(std::move(Ty));
     return V;
   }
-  static Value tuple(std::vector<Value> Elems) {
-    Value V;
-    V.K = ValueKind::Tuple;
-    V.Elems = std::move(Elems);
+  static Value tuple(std::vector<Value> Elems);
+  /// A tuple of \p N Units, for filling in place through elems().
+  static Value tuple(size_t N);
+  static Value list(std::vector<Value> Elems);
+  static Value array(std::vector<Value> Elems);
+  static Value structure(unsigned Tag, std::vector<Value> Members);
+  static Value unionValue(unsigned Tag, size_t Member, Value Elem);
+  static Value bytes(CType Ty, const std::vector<mem::MemByte> &Raw);
+
+  /// The kind, reporting Specified for a value with the Specified flag.
+  ValueKind kind() const {
+    return (Flags & SpecBit) ? ValueKind::Specified : K;
+  }
+  /// The kind of the value itself, ignoring a Specified flag.
+  ValueKind innerKind() const { return K; }
+  bool isTrue() const { return kind() == ValueKind::True; }
+  bool isSpecified() const { return Flags & SpecBit; }
+  /// The wrapped object value of a Specified value (a copy without the
+  /// flag); the value itself otherwise.
+  Value inner() const {
+    Value V(*this);
+    V.Flags &= ~SpecBit;
     return V;
   }
-  static Value list(std::vector<Value> Elems) {
-    Value V;
-    V.K = ValueKind::List;
-    V.Elems = std::move(Elems);
-    return V;
+  /// Drops the Specified flag in place (moving the inner value out).
+  Value &&takeInner() && {
+    Flags &= ~SpecBit;
+    return std::move(*this);
   }
 
-  bool isTrue() const { return K == ValueKind::True; }
-  bool isSpecified() const { return K == ValueKind::Specified; }
+  // Accessors for the inner kind (they look through a Specified flag).
+  /// Integer: the mathematical value.
+  Int128 num() const { return Bits; }
+  /// Integer/Pointer: the provenance.
+  mem::Provenance prov() const {
+    return mem::Provenance{static_cast<mem::ProvKind>(PK), AllocId};
+  }
+  /// Integer/Pointer: carries a CHERI capability.
+  bool hasCap() const { return CapRef != 0; }
+  mem::IntegerValue intValue() const;
+  mem::PointerValue ptrValue() const;
+  /// Function: the designated symbol id.
+  unsigned funcSym() const { return static_cast<unsigned>(Bits); }
+  /// Ctype / Unspecified / BytesV: the C type.
+  const CType &cty() const { return isBoxed() ? B->Ty : Ty; }
+  /// StructV / UnionV: the tag id.
+  unsigned tag() const { return B->Tag; }
+  /// UnionV: the active member index.
+  size_t activeMember() const { return B->ActiveMember; }
+  /// Tuple / List / ArrayV / StructV / UnionV: the element values.
+  std::span<const Value> elems() const;
+  std::span<Value> elems();
+  /// BytesV: the byte image.
+  std::span<const mem::MemByte> bytes() const;
 
   std::string str() const;
+
+private:
+  /// Header of the heap block of an aggregate; the elements (Values, or
+  /// MemBytes for BytesV) follow it in the same allocation.
+  struct alignas(16) Box {
+    uint32_t N = 0;
+    unsigned Tag = 0;
+    size_t ActiveMember = 0;
+    CType Ty;
+  };
+  static constexpr uint8_t SpecBit = 1; ///< Specified flag
+  static constexpr uint8_t FnBit = 2;   ///< Pointer: carries a FuncSym
+
+  explicit Value(ValueKind Kind) : Bits(0), K(Kind) {}
+  static Value boxed(ValueKind Kind, size_t N);
+  static Value aggregate(ValueKind Kind, std::vector<Value> &&Elems);
+
+  bool isBoxed() const { return K >= ValueKind::Tuple; }
+  bool hasType() const {
+    return K == ValueKind::Ctype || K == ValueKind::Unspecified;
+  }
+  void copyFrom(const Value &O);
+  void stealFrom(Value &O) noexcept;
+  void destroy() {
+    if (isBoxed())
+      freeBox();
+    else if (hasType())
+      Ty.~CType();
+  }
+  void freeBox();
+  /// str() of the value without its Specified flag.
+  std::string strInner() const;
+  mem::PointerValue ptrWithoutCap() const;
+
+  union {
+    /// Integer: the value; Pointer: address in the low 64 bits, FuncSym
+    /// in the next 32; Function: the symbol id; otherwise zero.
+    Int128 Bits;
+    CType Ty; ///< Ctype / Unspecified
+    Box *B;   ///< Tuple/List/ArrayV/StructV/UnionV/BytesV
+  };
+  ValueKind K = ValueKind::Unit; ///< never Specified (that is SpecBit)
+  uint8_t Flags = 0;
+  uint8_t PK = 0;       ///< mem::ProvKind of an Integer/Pointer
+  uint32_t CapRef = 0;  ///< CapTable reference, 0 = no capability
+  uint64_t AllocId = 0; ///< provenance allocation id
 };
+static_assert(sizeof(Value) <= 32, "core::Value must stay 32 bytes");
 
 /// Converts a Core object value to a memory value of C type \p Ty (for
 /// store actions) and back (after load actions).

@@ -44,22 +44,22 @@ struct LowerCtx {
 /// baggage — the only integers folding touches, so the folded result is
 /// exactly the Value the evaluator's Binop/ConvInt cases would build.
 bool plainInt(const Expr &E, Int128 &Out) {
-  if (E.K != ExprKind::Val || E.V.K != ValueKind::Integer)
+  if (E.K != ExprKind::Val || E.V.kind() != ValueKind::Integer)
     return false;
-  if (!E.V.IV.Prov.isEmpty() || E.V.IV.Cap)
+  if (!E.V.prov().isEmpty() || E.V.hasCap())
     return false;
-  Out = E.V.IV.V;
+  Out = E.V.num();
   return true;
 }
 
 bool boolVal(const Expr &E, bool &Out) {
   if (E.K != ExprKind::Val)
     return false;
-  if (E.V.K == ValueKind::True) {
+  if (E.V.kind() == ValueKind::True) {
     Out = true;
     return true;
   }
-  if (E.V.K == ValueKind::False) {
+  if (E.V.kind() == ValueKind::False) {
     Out = false;
     return true;
   }
@@ -180,9 +180,9 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
   case ExprKind::IsUnsigned:
   case ExprKind::IsScalar: {
     const Expr &K = *E->Kids[0];
-    if (K.K != ExprKind::Val || K.V.K != ValueKind::Ctype)
+    if (K.K != ExprKind::Val || K.V.kind() != ValueKind::Ctype)
       return;
-    const CType &T = K.V.Cty;
+    const CType &T = K.V.cty();
     bool B = E->K == ExprKind::IsInteger    ? T.isInteger()
              : E->K == ExprKind::IsSigned  ? T.isSigned()
              : E->K == ExprKind::IsUnsigned ? T.isUnsigned()
@@ -289,35 +289,35 @@ void lowerExpr(ExprPtr &E, LowerCtx &Ctx) {
 //===----------------------------------------------------------------------===//
 
 bool poolable(const Value &V) {
-  switch (V.K) {
+  switch (V.kind()) {
   case ValueKind::Unit:
   case ValueKind::True:
   case ValueKind::False:
   case ValueKind::Function:
     return true;
   case ValueKind::Ctype:
-    return V.Cty.isValid();
+    return V.cty().isValid();
   case ValueKind::Integer:
-    return V.IV.Prov.isEmpty() && !V.IV.Cap;
+    return V.prov().isEmpty() && !V.hasCap();
   default:
     return false;
   }
 }
 
 bool poolEqual(const Value &A, const Value &B) {
-  if (A.K != B.K)
+  if (A.kind() != B.kind())
     return false;
-  switch (A.K) {
+  switch (A.kind()) {
   case ValueKind::Unit:
   case ValueKind::True:
   case ValueKind::False:
     return true;
   case ValueKind::Function:
-    return A.FuncSym == B.FuncSym;
+    return A.funcSym() == B.funcSym();
   case ValueKind::Ctype:
-    return A.Cty == B.Cty;
+    return A.cty() == B.cty();
   case ValueKind::Integer:
-    return A.IV.V == B.IV.V;
+    return A.num() == B.num();
   default:
     return false;
   }

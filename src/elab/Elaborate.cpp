@@ -56,12 +56,6 @@ ExprPtr mkSpecified(ExprPtr Inner) {
   return E;
 }
 
-ExprPtr mkUnspecified(CType Ty, SourceLoc Loc = SourceLoc()) {
-  auto E = mk(ExprKind::UnspecifiedE, Loc);
-  E->Cty = std::move(Ty);
-  return E;
-}
-
 ExprPtr mkBinop(CoreBinop Op, ExprPtr A, ExprPtr B) {
   auto E = mk(ExprKind::Binop, A->Loc);
   E->BOp = Op;
@@ -412,7 +406,7 @@ Expected<ExprPtr> Elaborator::convertLoaded(const CType &To,
                                             const CType &From, ExprPtr E,
                                             SourceLoc Loc) {
   if (To == From)
-    return std::move(E);
+    return E;
   if (To.isInteger() && From.isInteger()) {
     Symbol A = fresh("cv");
     return caseLoadedEff(std::move(E), A,
@@ -420,7 +414,7 @@ Expected<ExprPtr> Elaborator::convertLoaded(const CType &To,
                          mkVal(Value::unspecified(To), Loc));
   }
   if (To.isPointer() && From.isPointer())
-    return std::move(E); // representation identity (CastPtr hook is identity)
+    return E; // representation identity (CastPtr hook is identity)
   if (To.isPointer() && From.isInteger()) {
     Symbol A = fresh("cv"), R = fresh("cvr");
     std::vector<ExprPtr> Kids;
@@ -446,7 +440,7 @@ Expected<ExprPtr> Elaborator::convertLoaded(const CType &To,
   if (To.isVoid())
     return seq(std::move(E), mkVal(Value::specified(Value::unit()), Loc));
   if (To.isStructOrUnion() && From.isStructOrUnion())
-    return std::move(E); // byte-image values
+    return E; // byte-image values
   return err(fmt("unsupported conversion from '{0}' to '{1}'", From.str(),
                  To.str()),
              Loc);
@@ -496,11 +490,13 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
                               const CType &RhsTy, Symbol A, Symbol B,
                               SourceLoc Loc) {
   bool Uns = Ty.isUnsigned();
-  mem::ArithOp AOp = arithOpOf(Op);
   auto SymA = [&] { return mkSym(A, Loc); };
   auto SymB = [&] { return mkSym(B, Loc); };
+  // Only arithmetic operators finish through the model (comparisons and
+  // the logical operators never reach arithOpOf).
   auto Finish = [&](ExprPtr N) {
-    return mkSpecified(mkFinishArith(AOp, Ty, SymA(), SymB(), std::move(N)));
+    return mkSpecified(
+        mkFinishArith(arithOpOf(Op), Ty, SymA(), SymB(), std::move(N)));
   };
   auto IsRepresentable = [&](ExprPtr N) {
     std::vector<ExprPtr> Kids;

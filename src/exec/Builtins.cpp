@@ -36,12 +36,12 @@ std::string toHex(UInt128 V) {
 Evaluator::Res Evaluator::doPrintf(std::vector<Value> &Args, SourceLoc Loc) {
   auto FmtPtr = asPointer(Args[0]);
   if (!FmtPtr)
-    return Res::error("printf with a non-pointer format");
+    return error("printf with a non-pointer format");
   auto FmtOr = Mem.readString(*FmtPtr);
   if (!FmtOr) {
     auto U = FmtOr.takeUB();
     U.Loc = Loc;
-    return Res::undef(std::move(U));
+    return undef(std::move(U));
   }
   const std::string &Fmt = *FmtOr;
 
@@ -51,7 +51,7 @@ Evaluator::Res Evaluator::doPrintf(std::vector<Value> &Args, SourceLoc Loc) {
     if (ArgIdx >= Args.size())
       return false;
     const Value &V = Args[ArgIdx++];
-    if (V.K == ValueKind::Unspecified) {
+    if (V.kind() == ValueKind::Unspecified) {
       ++Events.UnspecifiedIntoLibrary;
       // De facto latitude: an arbitrary but stable value; we print 0.
       Out = mem::IntegerValue(0);
@@ -86,14 +86,14 @@ Evaluator::Res Evaluator::doPrintf(std::vector<Value> &Args, SourceLoc Loc) {
     case 'i': {
       std::optional<mem::IntegerValue> V;
       if (!NextInt(V))
-        return Res::error("printf %d with a missing/bad argument");
+        return error("printf %d with a missing/bad argument");
       Printed += toString(V->V);
       break;
     }
     case 'u': {
       std::optional<mem::IntegerValue> V;
       if (!NextInt(V))
-        return Res::error("printf %u with a missing/bad argument");
+        return error("printf %u with a missing/bad argument");
       // Negative values only arise from mismatched formats; render the
       // twos-complement 64-bit reading like a real libc would.
       Printed += V->V < 0 ? toString(UInt128(uint64_t(V->V)))
@@ -103,7 +103,7 @@ Evaluator::Res Evaluator::doPrintf(std::vector<Value> &Args, SourceLoc Loc) {
     case 'x': {
       std::optional<mem::IntegerValue> V;
       if (!NextInt(V))
-        return Res::error("printf %x with a missing/bad argument");
+        return error("printf %x with a missing/bad argument");
       Printed += V->V < 0 ? toHex(UInt128(uint64_t(V->V)))
                           : toHex(UInt128(V->V));
       break;
@@ -111,37 +111,37 @@ Evaluator::Res Evaluator::doPrintf(std::vector<Value> &Args, SourceLoc Loc) {
     case 'c': {
       std::optional<mem::IntegerValue> V;
       if (!NextInt(V))
-        return Res::error("printf %c with a missing/bad argument");
+        return error("printf %c with a missing/bad argument");
       Printed.push_back(static_cast<char>(V->V));
       break;
     }
     case 's': {
       if (ArgIdx >= Args.size())
-        return Res::error("printf %s with a missing argument");
+        return error("printf %s with a missing argument");
       auto P = asPointer(Args[ArgIdx++]);
       if (!P)
-        return Res::error("printf %s with a non-pointer argument");
+        return error("printf %s with a non-pointer argument");
       auto S = Mem.readString(*P);
       if (!S) {
         auto U = S.takeUB();
         U.Loc = Loc;
-        return Res::undef(std::move(U));
+        return undef(std::move(U));
       }
       Printed += *S;
       break;
     }
     case 'p': {
       if (ArgIdx >= Args.size())
-        return Res::error("printf %p with a missing argument");
+        return error("printf %p with a missing argument");
       const Value &V = Args[ArgIdx++];
-      if (V.K == ValueKind::Unspecified) {
+      if (V.kind() == ValueKind::Unspecified) {
         ++Events.UnspecifiedIntoLibrary;
         Printed += "(unspec)";
         break;
       }
       auto P = asPointer(V);
       if (!P)
-        return Res::error("printf %p with a non-pointer argument");
+        return error("printf %p with a non-pointer argument");
       if (P->isNull())
         Printed += "(nil)";
       else
@@ -149,11 +149,11 @@ Evaluator::Res Evaluator::doPrintf(std::vector<Value> &Args, SourceLoc Loc) {
       break;
     }
     default:
-      return Res::error(fmt("printf: unsupported conversion '%{0}'", Conv));
+      return error(fmt("printf: unsupported conversion '%{0}'", Conv));
     }
   }
   Out += Printed;
-  return Res::value(Value::specified(
+  return Res(Value::specified(
       Value::integer(Int128(Printed.size()))));
 }
 
@@ -162,7 +162,7 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
                                       SourceLoc Loc) {
   auto UB = [&](mem::UndefinedBehaviour U) {
     U.Loc = Loc;
-    return Res::undef(std::move(U));
+    return undef(std::move(U));
   };
   auto IntArg = [&](size_t I) { return asInteger(Args[I]); };
   auto PtrArg = [&](size_t I) { return asPointer(Args[I]); };
@@ -174,75 +174,75 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
   case ail::Builtin::Malloc: {
     auto N = IntArg(0);
     if (!N)
-      return Res::error("malloc with a bad size");
-    return Res::value(Value::specified(Value::pointer(
+      return error("malloc with a bad size");
+    return Res(Value::specified(Value::pointer(
         Mem.allocateRegion(static_cast<uint64_t>(N->V), 16))));
   }
   case ail::Builtin::Calloc: {
     auto N = IntArg(0), S = IntArg(1);
     if (!N || !S)
-      return Res::error("calloc with bad arguments");
+      return error("calloc with bad arguments");
     uint64_t Total = static_cast<uint64_t>(N->V) *
                      static_cast<uint64_t>(S->V);
     mem::PointerValue P = Mem.allocateRegion(Total, 16);
     if (auto R = Mem.setBytes(P, 0, Total); !R)
       return UB(R.takeUB());
-    return Res::value(Value::specified(Value::pointer(P)));
+    return Res(Value::specified(Value::pointer(P)));
   }
   case ail::Builtin::Free: {
     auto P = PtrArg(0);
     if (!P)
-      return Res::error("free with a bad pointer argument");
+      return error("free with a bad pointer argument");
     if (auto R = Mem.freeRegion(*P); !R)
       return UB(R.takeUB());
-    return Res::value(Value::specified(Value::unit()));
+    return Res(Value::specified(Value::unit()));
   }
   case ail::Builtin::Memcpy:
   case ail::Builtin::Memmove: {
     auto D = PtrArg(0), S = PtrArg(1);
     auto N = IntArg(2);
     if (!D || !S || !N)
-      return Res::error("memcpy with bad arguments");
+      return error("memcpy with bad arguments");
     if (auto R = Mem.copyBytes(*D, *S, static_cast<uint64_t>(N->V)); !R)
       return UB(R.takeUB());
-    return Res::value(Value::specified(Value::pointer(*D)));
+    return Res(Value::specified(Value::pointer(*D)));
   }
   case ail::Builtin::Memset: {
     auto D = PtrArg(0);
     auto C = IntArg(1), N = IntArg(2);
     if (!D || !C || !N)
-      return Res::error("memset with bad arguments");
+      return error("memset with bad arguments");
     if (auto R = Mem.setBytes(*D, static_cast<uint8_t>(C->V),
                               static_cast<uint64_t>(N->V));
         !R)
       return UB(R.takeUB());
-    return Res::value(Value::specified(Value::pointer(*D)));
+    return Res(Value::specified(Value::pointer(*D)));
   }
   case ail::Builtin::Memcmp: {
     auto A = PtrArg(0), C = PtrArg(1);
     auto N = IntArg(2);
     if (!A || !C || !N)
-      return Res::error("memcmp with bad arguments");
+      return error("memcmp with bad arguments");
     auto R = Mem.compareBytes(*A, *C, static_cast<uint64_t>(N->V));
     if (!R)
       return UB(R.takeUB());
-    return Res::value(Value::specified(Value::integer(*R)));
+    return Res(Value::specified(Value::integer(*R)));
   }
   case ail::Builtin::Strcpy: {
     auto D = PtrArg(0), S = PtrArg(1);
     if (!D || !S)
-      return Res::error("strcpy with bad arguments");
+      return error("strcpy with bad arguments");
     auto Str = Mem.readString(*S);
     if (!Str)
       return UB(Str.takeUB());
     if (auto R = Mem.copyBytes(*D, *S, Str->size() + 1); !R)
       return UB(R.takeUB());
-    return Res::value(Value::specified(Value::pointer(*D)));
+    return Res(Value::specified(Value::pointer(*D)));
   }
   case ail::Builtin::Strcmp: {
     auto A = PtrArg(0), C = PtrArg(1);
     if (!A || !C)
-      return Res::error("strcmp with bad arguments");
+      return error("strcmp with bad arguments");
     auto SA = Mem.readString(*A);
     if (!SA)
       return UB(SA.takeUB());
@@ -250,35 +250,35 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
     if (!SC)
       return UB(SC.takeUB());
     int R = SA->compare(*SC);
-    return Res::value(Value::specified(
+    return Res(Value::specified(
         Value::integer(Int128(R < 0 ? -1 : R > 0 ? 1 : 0))));
   }
   case ail::Builtin::Puts: {
     auto P = PtrArg(0);
     if (!P)
-      return Res::error("puts with a bad pointer");
+      return error("puts with a bad pointer");
     auto S = Mem.readString(*P);
     if (!S)
       return UB(S.takeUB());
     Out += *S;
     Out += '\n';
-    return Res::value(Value::specified(Value::integer(Int128(S->size() + 1))));
+    return Res(Value::specified(Value::integer(Int128(S->size() + 1))));
   }
   case ail::Builtin::Putchar: {
     auto C = IntArg(0);
     if (!C)
-      return Res::error("putchar with a bad argument");
+      return error("putchar with a bad argument");
     Out.push_back(static_cast<char>(C->V));
-    return Res::value(Value::specified(Value::integer(C->V)));
+    return Res(Value::specified(Value::integer(C->V)));
   }
   case ail::Builtin::Realloc: {
     auto P = PtrArg(0);
     auto N = IntArg(1);
     if (!P || !N)
-      return Res::error("realloc with bad arguments");
+      return error("realloc with bad arguments");
     uint64_t NewSize = static_cast<uint64_t>(N->V);
     if (P->isNull())
-      return Res::value(Value::specified(
+      return Res(Value::specified(
           Value::pointer(Mem.allocateRegion(NewSize, 16))));
     if (!P->Prov.isAlloc())
       return UB(mem::undef(mem::UBKind::FreeInvalidPointer,
@@ -291,52 +291,42 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
         return UB(R.takeUB());
     if (auto R = Mem.freeRegion(*P); !R)
       return UB(R.takeUB());
-    return Res::value(Value::specified(Value::pointer(NewP)));
+    return Res(Value::specified(Value::pointer(NewP)));
   }
   case ail::Builtin::Strlen: {
     auto P = PtrArg(0);
     if (!P)
-      return Res::error("strlen with a bad pointer");
+      return error("strlen with a bad pointer");
     auto S = Mem.readString(*P);
     if (!S)
       return UB(S.takeUB());
-    return Res::value(
+    return Res(
         Value::specified(Value::integer(Int128(S->size()))));
   }
   case ail::Builtin::Abort: {
-    Res R;
-    R.K = Res::ExitSig;
-    R.ExitKind = OutcomeKind::Abort;
-    return R;
+    return exitSig(OutcomeKind::Abort, 0);
   }
   case ail::Builtin::Exit: {
     auto C = IntArg(0);
-    Res R;
-    R.K = Res::ExitSig;
-    R.ExitKind = OutcomeKind::Exit;
-    R.ExitCode = C ? static_cast<int>(C->V) : 0;
-    return R;
+    return exitSig(OutcomeKind::Exit, C ? static_cast<int>(C->V) : 0);
   }
   case ail::Builtin::Assert: {
     const Value &V = Args[0];
-    if (V.K == ValueKind::Unspecified) {
+    if (V.kind() == ValueKind::Unspecified) {
       auto U = mem::undef(mem::UBKind::IndeterminateValueUse,
                           "assertion on an unspecified value");
       U.Loc = Loc;
-      return Res::undef(std::move(U));
+      return undef(std::move(U));
     }
     auto C = asInteger(V);
     if (!C)
-      return Res::error("__cerb_assert with a bad argument");
+      return error("__cerb_assert with a bad argument");
     if (C->V == 0) {
-      Res R;
-      R.K = Res::ExitSig;
-      R.ExitKind = OutcomeKind::AssertFail;
-      R.Err = fmt("assertion failed at {0}", Loc.str());
-      return R;
+      return exitSig(OutcomeKind::AssertFail, 0,
+                     fmt("assertion failed at {0}", Loc.str()));
     }
-    return Res::value(Value::specified(Value::unit()));
+    return Res(Value::specified(Value::unit()));
   }
   }
-  return Res::error("unknown builtin");
+  return error("unknown builtin");
 }

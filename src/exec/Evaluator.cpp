@@ -79,6 +79,7 @@ Outcome Evaluator::run() {
   static trace::Counter CntRuns("exec.eval_runs");
   CntRuns.add();
   trace::Span S("eval.run", "exec");
+  core::CapTable::Scope CapScope(Caps);
   Outcome O = runImpl();
   if (S.active()) {
     S.arg("steps", Steps);
@@ -118,22 +119,22 @@ Outcome Evaluator::runImpl() {
     }
     case Res::UndefSig:
       O.Kind = OutcomeKind::Undef;
-      O.UB = R.UB;
+      O.UB = Sig.UB;
       return O;
     case Res::ExitSig:
-      O.Kind = R.ExitKind;
-      O.ExitCode = R.ExitCode;
-      O.Message = R.Err;
+      O.Kind = Sig.ExitKind;
+      O.ExitCode = Sig.ExitCode;
+      O.Message = Sig.Err;
       return O;
     case Res::RunSig:
       O.Kind = OutcomeKind::Error;
       O.Message = "run signal escaped the program";
       return O;
     case Res::ErrSig:
-      O.Kind = R.DeadlineHit    ? OutcomeKind::Timeout
-               : R.StepLimitHit ? OutcomeKind::StepLimit
-                                : OutcomeKind::Error;
-      O.Message = R.Err;
+      O.Kind = Sig.DeadlineHit    ? OutcomeKind::Timeout
+               : Sig.StepLimitHit ? OutcomeKind::StepLimit
+                                  : OutcomeKind::Error;
+      O.Message = Sig.Err;
       return O;
     }
     return O;
@@ -142,10 +143,11 @@ Outcome Evaluator::runImpl() {
   // Initialisers, in declaration order.
   for (const CoreGlobal &G : Prog.Globals) {
     if (G.Init) {
-      Footprint FP;
+      size_t ActBase = Acts.size();
       Frames.push_back(Frame{});
-      Res R = eval(*G.Init, FP);
+      Res R = eval(*G.Init);
       Frames.pop_back();
+      Acts.resize(ActBase);
       if (!R.isValue())
         return Finish(std::move(R));
     }
@@ -169,31 +171,53 @@ Outcome Evaluator::runImpl() {
 // Helpers
 //===----------------------------------------------------------------------===//
 
+// Both look through a Specified flag: a loaded value is used as the value
+// it wraps.
 std::optional<mem::PointerValue>
 Evaluator::asPointer(const Value &V) const {
-  const Value *P = &V;
-  if (P->K == ValueKind::Specified)
-    P = &P->Elems[0];
-  if (P->K == ValueKind::Pointer)
-    return P->PV;
-  if (P->K == ValueKind::Function)
-    return mem::PointerValue::function(P->FuncSym);
-  return std::nullopt;
+  switch (V.innerKind()) {
+  case ValueKind::Pointer:
+    return V.ptrValue();
+  case ValueKind::Function:
+    return mem::PointerValue::function(V.funcSym());
+  default:
+    return std::nullopt;
+  }
 }
 
 std::optional<mem::IntegerValue>
 Evaluator::asInteger(const Value &V) const {
-  const Value *P = &V;
-  if (P->K == ValueKind::Specified)
-    P = &P->Elems[0];
-  if (P->K == ValueKind::Integer)
-    return P->IV;
-  if (P->K == ValueKind::True)
+  switch (V.innerKind()) {
+  case ValueKind::Integer:
+    return V.intValue();
+  case ValueKind::True:
     return mem::IntegerValue(1);
-  if (P->K == ValueKind::False)
+  case ValueKind::False:
     return mem::IntegerValue(0);
-  return std::nullopt;
+  default:
+    return std::nullopt;
+  }
 }
+
+namespace {
+/// asInteger(V)->V without building the IntegerValue (Core arithmetic
+/// reads only the number).
+bool intOf(const Value &V, Int128 &Out) {
+  switch (V.innerKind()) {
+  case ValueKind::Integer:
+    Out = V.num();
+    return true;
+  case ValueKind::True:
+    Out = 1;
+    return true;
+  case ValueKind::False:
+    Out = 0;
+    return true;
+  default:
+    return false;
+  }
+}
+} // namespace
 
 void Evaluator::bind(unsigned Id, Value &&V) {
   if (!UndoStack.empty()) {
@@ -222,28 +246,29 @@ void Evaluator::bindSlot(int Slot, Value &&V) {
   SlotBound[Slot] = 1;
 }
 
-bool Evaluator::matchPattern(const Pattern &P, const Value &V) {
+bool Evaluator::matchPattern(const Pattern &P, const Value &V, bool Inner) {
+  ValueKind K = Inner ? V.innerKind() : V.kind();
   switch (P.K) {
   case PatKind::Wild:
     return true;
   case PatKind::Sym:
     if (UseSlots)
-      bindSlot(P.Slot, Value(V));
+      bindSlot(P.Slot, Inner ? V.inner() : Value(V));
     else
-      bind(P.S.Id, Value(V));
+      bind(P.S.Id, Inner ? V.inner() : Value(V));
     return true;
   case PatKind::Tuple: {
-    if (V.K != ValueKind::Tuple || V.Elems.size() != P.Subs.size())
+    if (K != ValueKind::Tuple || V.elems().size() != P.Subs.size())
       return false;
     for (size_t I = 0; I < P.Subs.size(); ++I)
-      if (!matchPattern(P.Subs[I], V.Elems[I]))
+      if (!matchPattern(P.Subs[I], V.elems()[I]))
         return false;
     return true;
   }
   case PatKind::SpecifiedP:
-    return V.K == ValueKind::Specified && matchPattern(P.Subs[0], V.Elems[0]);
+    return K == ValueKind::Specified && matchPattern(P.Subs[0], V, true);
   case PatKind::UnspecifiedP:
-    return V.K == ValueKind::Unspecified;
+    return K == ValueKind::Unspecified;
   }
   return false;
 }
@@ -256,29 +281,30 @@ bool Evaluator::matchPatternMove(const Pattern &P, Value &&V) {
     bindSlot(P.Slot, std::move(V));
     return true;
   case PatKind::Tuple: {
-    if (V.K != ValueKind::Tuple || V.Elems.size() != P.Subs.size())
+    if (V.kind() != ValueKind::Tuple || V.elems().size() != P.Subs.size())
       return false;
     for (size_t I = 0; I < P.Subs.size(); ++I)
-      if (!matchPatternMove(P.Subs[I], std::move(V.Elems[I])))
+      if (!matchPatternMove(P.Subs[I], std::move(V.elems()[I])))
         return false;
     return true;
   }
   case PatKind::SpecifiedP:
-    return V.K == ValueKind::Specified &&
-           matchPatternMove(P.Subs[0], std::move(V.Elems[0]));
+    return V.kind() == ValueKind::Specified &&
+           matchPatternMove(P.Subs[0], std::move(V).takeInner());
   case PatKind::UnspecifiedP:
-    return V.K == ValueKind::Unspecified;
+    return V.kind() == ValueKind::Unspecified;
   }
   return false;
 }
 
 std::optional<mem::UndefinedBehaviour>
-Evaluator::conflict(const Footprint &A, const Footprint &B,
-                    bool OnlyNegLeft) const {
-  for (const ActRec &X : A.Acts) {
+Evaluator::conflict(ActRange A, ActRange B, bool OnlyNegLeft) const {
+  for (size_t I = A.Begin; I < A.End; ++I) {
+    const ActRec &X = Acts[I];
     if (OnlyNegLeft && !X.Neg)
       continue;
-    for (const ActRec &Y : B.Acts) {
+    for (size_t J = B.Begin; J < B.End; ++J) {
+      const ActRec &Y = Acts[J];
       if (!X.Write && !Y.Write)
         continue;
       if (X.Atomic && Y.Atomic)
@@ -348,7 +374,7 @@ Evaluator::Res Evaluator::applyScopeDiff(
       continue;
     if (Mem.allocations()[P->Prov.AllocId].Alive)
       if (auto R = Mem.killObject(*P); !R)
-        return Res::undef(R.takeUB());
+        return undef(R.takeUB());
   }
   // Create objects live at the save point but not at the run point; their
   // lifetimes start at the jump, uninitialised (§5.8, C11 6.2.4p6).
@@ -364,14 +390,14 @@ Evaluator::Res Evaluator::applyScopeDiff(
     else
       bind(O.Obj.Id, Value::pointer(P));
   }
-  return Res::value(Value::unit());
+  return Res();
 }
 
 //===----------------------------------------------------------------------===//
 // Main dispatch
 //===----------------------------------------------------------------------===//
 
-Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
+Evaluator::Res Evaluator::eval(const Expr &E) {
   // Lowering-proved effect-free subtree: run the Res-free interpreter.
   // A null return (operand-kind surprise) falls through to the general
   // switch, which re-evaluates — harmless, the subtree has no effects.
@@ -379,68 +405,63 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
     Value Tmp;
     const Value *P = evalPure(E, Tmp);
     if (P == &Tmp)
-      return Res::value(std::move(Tmp));
+      return Res(std::move(Tmp));
     if (P)
-      return Res::value(*P);
+      return Res(*P);
   }
 
-  if (!budget()) {
-    Res R = Res::error(DeadlineHit ? "wall-clock deadline exceeded"
-                                   : "step limit exceeded");
-    R.StepLimitHit = !DeadlineHit;
-    R.DeadlineHit = DeadlineHit;
-    return R;
-  }
+  if (!budget())
+    return budgetError();
 
   switch (E.K) {
   case ExprKind::Sym: {
     if (UseSlots) {
       int S = E.Slot;
       if (S < 0 || !SlotBound[S])
-        return Res::error(fmt("unbound Core identifier '{0}'",
-                              Prog.Syms.nameOf(E.Sym)));
-      return Res::value(Slots[S]);
+        return error(fmt("unbound Core identifier '{0}'",
+                         Prog.Syms.nameOf(E.Sym)));
+      return Res(Slots[S]);
     }
     auto It = Bindings.find(E.Sym.Id);
     if (It == Bindings.end())
-      return Res::error(fmt("unbound Core identifier '{0}'",
-                            Prog.Syms.nameOf(E.Sym)));
-    return Res::value(It->second);
+      return error(fmt("unbound Core identifier '{0}'",
+                       Prog.Syms.nameOf(E.Sym)));
+    return Res(It->second);
   }
   case ExprKind::Val:
     if (E.PoolIdx >= 0)
-      return Res::value(Prog.ConstPool[E.PoolIdx]);
-    return Res::value(E.V);
+      return Res(Prog.ConstPool[E.PoolIdx]);
+    return Res(E.V);
   case ExprKind::ImplConst:
-    return Res::error(fmt("unknown implementation constant '{0}'", E.Str));
+    return error(fmt("unknown implementation constant '{0}'", E.Str));
   case ExprKind::Undef: {
     auto U = mem::undef(E.UB);
     U.Loc = E.Loc;
-    return Res::undef(std::move(U));
+    return undef(std::move(U));
   }
   case ExprKind::ErrorE:
-    return Res::error(E.Str);
+    return error(E.Str);
   case ExprKind::Skip:
-    return Res::value(Value::unit());
+    return Res();
 
   case ExprKind::Tuple: {
-    std::vector<Value> Elems;
-    for (const ExprPtr &K : E.Kids) {
-      Res R = eval(*K, FP);
+    Value T = Value::tuple(E.Kids.size());
+    for (size_t I = 0; I < E.Kids.size(); ++I) {
+      Res R = eval(*E.Kids[I]);
       if (!R.isValue())
         return R;
-      Elems.push_back(std::move(R.V));
+      T.elems()[I] = std::move(R.V);
     }
-    return Res::value(Value::tuple(std::move(Elems)));
+    return Res(std::move(T));
   }
   case ExprKind::SpecifiedE: {
-    Res R = eval(*E.Kids[0], FP);
+    Res R = eval(*E.Kids[0]);
     if (!R.isValue())
       return R;
-    return Res::value(Value::specified(std::move(R.V)));
+    return Res(Value::specified(std::move(R.V)));
   }
   case ExprKind::UnspecifiedE:
-    return Res::value(Value::unspecified(E.Cty));
+    return Res(Value::unspecified(E.Cty));
 
   case ExprKind::Case:
   case ExprKind::ECase: {
@@ -451,119 +472,118 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
         UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], STmp) : nullptr;
     Res S;
     if (!SO) {
-      S = eval(*E.Kids[0], FP);
+      S = eval(*E.Kids[0]);
       if (!S.isValue())
         return S;
       SO = &S.V;
     }
     for (const auto &[Pat, Body] : E.Branches)
       if (matchPattern(Pat, *SO)) {
-        Res R = eval(*Body, FP);
+        Res R = eval(*Body);
         // Forward/backward jumps across case branches.
         if (R.K == Res::RunSig)
           for (const auto &[Pat2, Body2] : E.Branches)
             if (Body2.get() != Body.get() &&
-                containsSave(*Body2, R.RunLabel))
-              return evalJump(*Body2, R.RunLabel, R.RunScope, FP);
+                containsSave(*Body2, Sig.RunLabel))
+              return evalJump(*Body2, Sig.RunLabel, *Sig.RunScope);
         return R;
       }
-    return Res::error("no matching Core case branch");
+    return error("no matching Core case branch");
   }
 
   case ExprKind::Not: {
-    Res R = eval(*E.Kids[0], FP);
+    Res R = eval(*E.Kids[0]);
     if (!R.isValue())
       return R;
-    if (R.V.K != ValueKind::True && R.V.K != ValueKind::False)
-      return Res::error("not() on a non-boolean");
-    return Res::value(Value::boolean(R.V.K == ValueKind::False));
+    if (R.V.kind() != ValueKind::True && R.V.kind() != ValueKind::False)
+      return error("not() on a non-boolean");
+    return Res(Value::boolean(R.V.kind() == ValueKind::False));
   }
 
   case ExprKind::Binop: {
-    Res A = eval(*E.Kids[0], FP);
+    Res A = eval(*E.Kids[0]);
     if (!A.isValue())
       return A;
-    Res B = eval(*E.Kids[1], FP);
+    Res B = eval(*E.Kids[1]);
     if (!B.isValue())
       return B;
     if (E.BOp == CoreBinop::And || E.BOp == CoreBinop::Or) {
       bool BA = A.V.isTrue(), BB = B.V.isTrue();
-      return Res::value(
+      return Res(
           Value::boolean(E.BOp == CoreBinop::And ? (BA && BB) : (BA || BB)));
     }
-    auto IA = asInteger(A.V), IB = asInteger(B.V);
-    if (!IA || !IB)
-      return Res::error("Core binop on non-integer values");
-    Int128 X = IA->V, Y = IB->V;
+    Int128 X = 0, Y = 0;
+    if (!intOf(A.V, X) || !intOf(B.V, Y))
+      return error("Core binop on non-integer values");
     switch (E.BOp) {
     case CoreBinop::Add:
-      return Res::value(Value::integer(Int128(UInt128(X) + UInt128(Y))));
+      return Res(Value::integer(Int128(UInt128(X) + UInt128(Y))));
     case CoreBinop::Sub:
-      return Res::value(Value::integer(Int128(UInt128(X) - UInt128(Y))));
+      return Res(Value::integer(Int128(UInt128(X) - UInt128(Y))));
     case CoreBinop::Mul:
       // Wrapping 128-bit multiply: C-level width reduction (conv_int /
       // rem_t) follows, and mod-2^128 is compatible with any mod-2^w.
-      return Res::value(Value::integer(Int128(UInt128(X) * UInt128(Y))));
+      return Res(Value::integer(Int128(UInt128(X) * UInt128(Y))));
     case CoreBinop::Div:
       if (Y == 0)
-        return Res::error("Core division by zero (missing undef guard)");
-      return Res::value(Value::integer(X / Y));
+        return error("Core division by zero (missing undef guard)");
+      return Res(Value::integer(X / Y));
     case CoreBinop::RemT:
       if (Y == 0)
-        return Res::error("Core rem_t by zero (missing undef guard)");
-      return Res::value(Value::integer(X % Y));
+        return error("Core rem_t by zero (missing undef guard)");
+      return Res(Value::integer(X % Y));
     case CoreBinop::Exp: {
       if (Y < 0 || Y > 127)
-        return Res::error("Core exponent out of range");
+        return error("Core exponent out of range");
       UInt128 R = 1;
       for (Int128 I = 0; I < Y; ++I)
         R *= 2; // only 2^k is generated by the elaboration
       if (X != 2)
-        return Res::error("Core ^ supports base 2 only");
-      return Res::value(Value::integer(Int128(R)));
+        return error("Core ^ supports base 2 only");
+      return Res(Value::integer(Int128(R)));
     }
     case CoreBinop::Eq:
-      return Res::value(Value::boolean(X == Y));
+      return Res(Value::boolean(X == Y));
     case CoreBinop::Lt:
-      return Res::value(Value::boolean(X < Y));
+      return Res(Value::boolean(X < Y));
     case CoreBinop::Le:
-      return Res::value(Value::boolean(X <= Y));
+      return Res(Value::boolean(X <= Y));
     case CoreBinop::Gt:
-      return Res::value(Value::boolean(X > Y));
+      return Res(Value::boolean(X > Y));
     case CoreBinop::Ge:
-      return Res::value(Value::boolean(X >= Y));
+      return Res(Value::boolean(X >= Y));
     default:
-      return Res::error("bad Core binop");
+      return error("bad Core binop");
     }
   }
 
   case ExprKind::ConvInt: {
-    Res R = eval(*E.Kids[0], FP);
+    Res R = eval(*E.Kids[0]);
     if (!R.isValue())
       return R;
     auto IV = asInteger(R.V);
     if (!IV)
-      return Res::error("conv_int on a non-integer");
+      return error("conv_int on a non-integer");
     mem::IntegerValue OutV(Env.convert(E.Cty.intKind(), IV->V), IV->Prov);
     if (IV->Cap && Env.widthOf(E.Cty.intKind()) == 64)
       OutV.Cap = IV->Cap;
-    return Res::value(Value::integer(OutV));
+    return Res(Value::integer(OutV));
   }
 
   case ExprKind::FinishArith: {
-    Res A = eval(*E.Kids[0], FP);
+    Res A = eval(*E.Kids[0]);
     if (!A.isValue())
       return A;
-    Res B = eval(*E.Kids[1], FP);
+    Res B = eval(*E.Kids[1]);
     if (!B.isValue())
       return B;
-    Res N = eval(*E.Kids[2], FP);
+    Res N = eval(*E.Kids[2]);
     if (!N.isValue())
       return N;
     auto IA = asInteger(A.V), IB = asInteger(B.V), IN = asInteger(N.V);
     if (!IA || !IB || !IN)
-      return Res::error("finish_arith on non-integers");
-    return Res::value(
+      return error("finish_arith on non-integers");
+    return Res(
         Value::integer(Mem.finishArith(E.AOp, *IA, *IB, IN->V, E.Cty)));
   }
 
@@ -571,12 +591,12 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
   case ExprKind::IsSigned:
   case ExprKind::IsUnsigned:
   case ExprKind::IsScalar: {
-    Res R = eval(*E.Kids[0], FP);
+    Res R = eval(*E.Kids[0]);
     if (!R.isValue())
       return R;
-    if (R.V.K != ValueKind::Ctype)
-      return Res::error("ctype test on a non-ctype value");
-    const CType &T = R.V.Cty;
+    if (R.V.kind() != ValueKind::Ctype)
+      return error("ctype test on a non-ctype value");
+    const CType &T = R.V.cty();
     bool B = false;
     if (E.K == ExprKind::IsInteger)
       B = T.isInteger();
@@ -586,101 +606,100 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
       B = T.isUnsigned();
     else
       B = T.isScalar();
-    return Res::value(Value::boolean(B));
+    return Res(Value::boolean(B));
   }
 
   case ExprKind::PureCall:
-    return evalPureCall(E, FP);
+    return evalPureCall(E);
 
   case ExprKind::ArrayShiftE: {
-    Res P = eval(*E.Kids[0], FP);
+    Res P = eval(*E.Kids[0]);
     if (!P.isValue())
       return P;
-    Res I = eval(*E.Kids[1], FP);
+    Res I = eval(*E.Kids[1]);
     if (!I.isValue())
       return I;
     auto PV = asPointer(P.V);
     auto IV = asInteger(I.V);
     if (!PV || !IV)
-      return Res::error("array_shift on bad operands");
+      return error("array_shift on bad operands");
     auto R = Mem.arrayShift(*PV, E.Cty, IV->V);
     if (!R) {
       auto U = R.takeUB();
       U.Loc = E.Loc;
-      return Res::undef(std::move(U));
+      return undef(std::move(U));
     }
     if (R->Prov.isAlloc()) {
       const mem::Allocation &A = Mem.allocations()[R->Prov.AllocId];
       if (R->Addr < A.Base || R->Addr > A.Base + A.Size)
         ++Events.OutOfBoundsTransient;
     }
-    return Res::value(Value::pointer(*R));
+    return Res(Value::pointer(*R));
   }
   case ExprKind::MemberShiftE: {
-    Res P = eval(*E.Kids[0], FP);
+    Res P = eval(*E.Kids[0]);
     if (!P.isValue())
       return P;
     auto PV = asPointer(P.V);
     if (!PV)
-      return Res::error("member_shift on a non-pointer");
-    return Res::value(
-        Value::pointer(Mem.memberShift(*PV, E.Tag, E.MemberIdx)));
+      return error("member_shift on a non-pointer");
+    return Res(Value::pointer(Mem.memberShift(*PV, E.Tag, E.MemberIdx)));
   }
 
   case ExprKind::PureLet:
   case ExprKind::ELet:
   case ExprKind::LetWeak:
   case ExprKind::LetStrong:
-    return evalLet(E, FP);
+    return evalLet(E);
 
   case ExprKind::PureIf:
   case ExprKind::EIf: {
-    Res C = eval(*E.Kids[0], FP);
+    Res C = eval(*E.Kids[0]);
     if (!C.isValue())
       return C;
-    if (C.V.K != ValueKind::True && C.V.K != ValueKind::False)
-      return Res::error("if on a non-boolean");
+    if (C.V.kind() != ValueKind::True && C.V.kind() != ValueKind::False)
+      return error("if on a non-boolean");
     size_t Taken = C.V.isTrue() ? 1 : 2;
-    Res R = eval(*E.Kids[Taken], FP);
+    Res R = eval(*E.Kids[Taken]);
     if (R.K == Res::RunSig) {
       size_t Other = Taken == 1 ? 2 : 1;
-      if (containsSave(*E.Kids[Other], R.RunLabel))
-        return evalJump(*E.Kids[Other], R.RunLabel, R.RunScope, FP);
+      if (containsSave(*E.Kids[Other], Sig.RunLabel))
+        return evalJump(*E.Kids[Other], Sig.RunLabel, *Sig.RunScope);
     }
     return R;
   }
 
   case ExprKind::PtrOp:
-    return evalPtrOp(E, FP);
+    return evalPtrOp(E);
   case ExprKind::Action:
-    return evalAction(E, FP);
+    return evalAction(E);
 
   case ExprKind::LetAtomic: {
     // Evaluate the first action, bind, evaluate the second; the value is
     // the first action's (the loaded old value for postfix ++/--).
-    Res A = eval(*E.Kids[0], FP);
+    Res A = eval(*E.Kids[0]);
     if (!A.isValue())
       return A;
     if (!matchPattern(E.Pat, A.V))
-      return Res::error("let atomic pattern mismatch");
-    Res B = eval(*E.Kids[1], FP);
+      return error("let atomic pattern mismatch");
+    Res B = eval(*E.Kids[1]);
     if (!B.isValue())
       return B;
     return A;
   }
 
   case ExprKind::Unseq:
-    return evalUnseq(E, FP);
+    return evalUnseq(E);
 
   case ExprKind::Indet:
   case ExprKind::Bound:
     // Operationally transparent: indeterminate sequencing is realised by
     // the scheduler's choice of unseq evaluation order (see DESIGN.md).
-    return eval(*E.Kids[0], FP);
+    return eval(*E.Kids[0]);
 
   case ExprKind::Nd: {
     unsigned Pick = Sched.choose(static_cast<unsigned>(E.Kids.size()), "nd");
-    return eval(*E.Kids[Pick], FP);
+    return eval(*E.Kids[Pick]);
   }
 
   case ExprKind::ProcCall: {
@@ -695,7 +714,7 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
           continue;
         }
       }
-      Res R = eval(*K, FP);
+      Res R = eval(*K);
       if (!R.isValue())
         return R;
       Args.push_back(std::move(R.V));
@@ -703,7 +722,7 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
     return callProc(E.Sym, std::move(Args), E.Loc);
   }
   case ExprKind::CallPtr: {
-    Res F = eval(*E.Kids[0], FP);
+    Res F = eval(*E.Kids[0]);
     if (!F.isValue())
       return F;
     auto PV = asPointer(F.V);
@@ -711,11 +730,11 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
       auto U = mem::undef(mem::UBKind::AccessNull,
                           "call through a non-function pointer value");
       U.Loc = E.Loc;
-      return Res::undef(std::move(U));
+      return undef(std::move(U));
     }
     std::vector<Value> Args = Arena.takeValues();
     for (size_t I = 1; I < E.Kids.size(); ++I) {
-      Res R = eval(*E.Kids[I], FP);
+      Res R = eval(*E.Kids[I]);
       if (!R.isValue())
         return R;
       Args.push_back(std::move(R.V));
@@ -724,7 +743,7 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
   }
 
   case ExprKind::Ret: {
-    Res R = eval(*E.Kids[0], FP);
+    Res R = eval(*E.Kids[0]);
     if (!R.isValue())
       return R;
     R.K = Res::RetSig;
@@ -732,87 +751,88 @@ Evaluator::Res Evaluator::eval(const Expr &E, Footprint &FP) {
   }
 
   case ExprKind::Save:
-    return evalSaveBody(E, FP, /*ApplyDiffFirst=*/false, nullptr);
+    return evalSaveBody(E, /*ApplyDiffFirst=*/false, nullptr);
 
-  case ExprKind::Run: {
-    Res R;
-    R.K = Res::RunSig;
-    R.RunLabel = E.Sym;
-    R.RunScope = E.Scope;
-    return R;
-  }
+  case ExprKind::Run:
+    Sig.RunLabel = E.Sym;
+    Sig.RunScope = &E.Scope;
+    return Res(Res::RunSig);
 
   case ExprKind::Par:
-    return evalPar(E, FP);
+    return evalPar(E);
   case ExprKind::Wait: {
-    Res R = eval(*E.Kids[0], FP);
+    Res R = eval(*E.Kids[0]);
     if (!R.isValue())
       return R;
-    return Res::value(Value::unit()); // par joins implicitly
+    return Res(); // par joins implicitly
   }
   }
-  return Res::error("unhandled Core expression kind");
+  return error("unhandled Core expression kind");
 }
 
 //===----------------------------------------------------------------------===//
 // Sequencing
 //===----------------------------------------------------------------------===//
 
-Evaluator::Res Evaluator::evalLet(const Expr &E, Footprint &FP) {
+Evaluator::Res Evaluator::evalLet(const Expr &E) {
   bool Weak = E.K == ExprKind::LetWeak;
   // SeqPoint marks a statement boundary: the accumulated footprints can
-  // never take part in any unsequenced-race check above, so they are kept
-  // local and discarded.
+  // never take part in any unsequenced-race check above, so they are
+  // discarded. On the action stack, e1's footprint is [Base, Mid) and
+  // e2's is [Mid, end); a strong let's and a weak let's both stay in the
+  // enclosing footprint.
   bool Discard = E.SeqPoint;
-  Footprint Local1, Local2;
-  Footprint *T1 = (Discard || Weak) ? &Local1 : &FP;
-  Footprint *T2 = (Discard || Weak) ? &Local2 : &FP;
+  size_t Base = Acts.size();
 
   // Fast path for the dominant shape lowering produces: `let <sym> =
   // <ValueOnly expr> in k`. The bound value comes straight out of the
   // pure interpreter into the slot — no Res round-trip, no signal or
   // jump handling (a ValueOnly subtree contains no Save and performs no
-  // actions, so the weak-let race check is vacuous and Local1 stays
-  // empty). A nullptr bail falls through to the general path, which is
-  // safe to re-run because the subtree is effect-free.
+  // actions, so the weak-let race check is vacuous). A nullptr bail falls
+  // through to the general path, which is safe to re-run because the
+  // subtree is effect-free.
   if (UseSlots && E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
     Value Tmp;
     if (const Value *P = evalPure(*E.Kids[0], Tmp)) {
       bindSlot(E.Pat.Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
-      Res R2 = eval(*E.Kids[1], *T2);
-      if (Weak && !Discard)
-        FP.merge(std::move(Local2));
+      Res R2 = eval(*E.Kids[1]);
+      if (Discard)
+        Acts.resize(Base);
       return R2;
     }
   }
 
-  Res R1 = eval(*E.Kids[0], *T1);
+  Res R1 = eval(*E.Kids[0]);
   for (;;) {
     if (!R1.isValue()) {
-      if (Weak && !Discard)
-        FP.merge(std::move(Local1));
-      if (R1.K == Res::RunSig && containsSave(*E.Kids[1], R1.RunLabel)) {
+      if (R1.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel)) {
         // Forward jump into the continuation (the pattern stays unbound;
         // the elaboration never places labels under value-carrying
         // bindings that are read after the label).
-        Footprint JFP;
-        return evalJump(*E.Kids[1], R1.RunLabel, R1.RunScope,
-                        Discard ? JFP : FP);
+        R1 = evalJump(*E.Kids[1], Sig.RunLabel, *Sig.RunScope);
       }
+      if (Discard)
+        Acts.resize(Base);
       return R1;
     }
     // The slot path consumes R1.V: the bound value is moved, not
     // deep-copied (R1 is only ever overwritten below).
     if (UseSlots ? !matchPatternMove(E.Pat, std::move(R1.V))
-                 : !matchPattern(E.Pat, R1.V))
-      return Res::error("let pattern mismatch");
+                 : !matchPattern(E.Pat, R1.V)) {
+      if (Discard || Weak)
+        Acts.resize(Base);
+      return error("let pattern mismatch");
+    }
 
-    Local2.Acts.clear();
-    Res R2 = eval(*E.Kids[1], *T2);
+    size_t Mid = Acts.size();
+    Res R2 = eval(*E.Kids[1]);
 
-    if (R2.K == Res::RunSig && containsSave(*E.Kids[0], R2.RunLabel)) {
-      // Backward jump into the (already completed) first part.
-      R1 = evalJump(*E.Kids[0], R2.RunLabel, R2.RunScope, *T1);
+    if (R2.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel)) {
+      // Backward jump into the (already completed) first part, which
+      // extends e1's footprint; a weak or discarding let forgets e2's.
+      if (Discard || Weak)
+        Acts.resize(Mid);
+      R1 = evalJump(*E.Kids[0], Sig.RunLabel, *Sig.RunScope);
       continue;
     }
 
@@ -820,39 +840,67 @@ Evaluator::Res Evaluator::evalLet(const Expr &E, Footprint &FP) {
       // §5.6: only e1's *positive* actions are sequenced before e2; a
       // conflict between e1's negative actions and e2 is an unsequenced
       // race.
-      if (auto U = conflict(Local1, Local2, /*OnlyNegLeft=*/true))
-        return Res::undef(std::move(*U));
-      FP.merge(std::move(Local1));
-      FP.merge(std::move(Local2));
+      if (auto U = conflict({Base, Mid}, {Mid, Acts.size()},
+                            /*OnlyNegLeft=*/true)) {
+        Acts.resize(Base);
+        return undef(std::move(*U));
+      }
     }
+    if (Discard)
+      Acts.resize(Base);
     return R2;
   }
 }
 
-Evaluator::Res Evaluator::evalUnseq(const Expr &E, Footprint &FP) {
+void Evaluator::syntacticOrder(size_t Base, ActRange *Ranges, size_t N) {
+  // The branches' footprints tile [Base, end) in evaluation order; when
+  // that already is syntactic order there is nothing to move.
+  size_t Pos = Base;
+  bool Sorted = true;
+  for (size_t I = 0; I < N && Sorted; ++I) {
+    if (Ranges[I].Begin == Ranges[I].End)
+      continue;
+    Sorted = Ranges[I].Begin == Pos;
+    Pos = Ranges[I].End;
+  }
+  if (Sorted)
+    return;
+  ActScratch.assign(Acts.begin() + Base, Acts.end());
+  size_t Dst = Base;
+  for (size_t I = 0; I < N; ++I) {
+    size_t Len = Ranges[I].End - Ranges[I].Begin;
+    auto Src = ActScratch.begin() + (Ranges[I].Begin - Base);
+    std::copy(Src, Src + Len, Acts.begin() + Dst);
+    Ranges[I] = {Dst, Dst + Len};
+    Dst += Len;
+  }
+}
+
+Evaluator::Res Evaluator::evalUnseq(const Expr &E) {
   // Unseq nodes are overwhelmingly small (the operands of one C
-  // operator), and this is the hottest allocation site in evaluation:
-  // small arities run entirely in stack scratch, the heap path exists
-  // only for unusually wide nodes.
+  // operator): small arities keep their bookkeeping in stack scratch, the
+  // heap path exists only for unusually wide nodes. Each branch's
+  // footprint is the range of the action stack it appended, and its value
+  // goes straight into the result tuple.
   size_t N = E.Kids.size();
   constexpr size_t StkN = 4;
-  Value ValStk[StkN];
-  Footprint FPStk[StkN];
+  ActRange RangeStk[StkN];
   size_t RemStk[StkN];
-  std::vector<Value> ValHeap;
-  std::vector<Footprint> FPHeap;
+  std::vector<ActRange> RangeHeap;
   std::vector<size_t> RemHeap;
-  Value *Values = ValStk;
-  Footprint *FPs = FPStk;
+  ActRange *Ranges = RangeStk;
   size_t *Remaining = RemStk;
   if (N > StkN) {
-    ValHeap.resize(N);
-    FPHeap.resize(N);
+    RangeHeap.resize(N);
     RemHeap.resize(N);
-    Values = ValHeap.data();
-    FPs = FPHeap.data();
+    Ranges = RangeHeap.data();
     Remaining = RemHeap.data();
   }
+  Value Result = N == 1 ? Value() : Value::tuple(N);
+  Value *Values = N == 1 ? &Result : Result.elems().data();
+  size_t Base = Acts.size();
+  for (size_t I = 0; I < N; ++I)
+    Ranges[I] = {Base, Base};
   size_t NRem = 0;
 
   // Effect-free branches evaluate in syntactic order: their order is
@@ -862,10 +910,11 @@ Evaluator::Res Evaluator::evalUnseq(const Expr &E, Footprint &FP) {
       Remaining[NRem++] = I;
       continue;
     }
-    Res R = eval(*E.Kids[I], FPs[I]);
+    size_t Begin = Acts.size();
+    Res R = eval(*E.Kids[I]);
+    Ranges[I] = {Begin, Acts.size()};
     if (!R.isValue()) {
-      for (size_t J = 0; J < N; ++J)
-        FP.merge(std::move(FPs[J]));
+      syntacticOrder(Base, Ranges, N);
       return R;
     }
     Values[I] = std::move(R.V);
@@ -885,10 +934,11 @@ Evaluator::Res Evaluator::evalUnseq(const Expr &E, Footprint &FP) {
     for (size_t J = PickIdx; J + 1 < NRem; ++J)
       Remaining[J] = Remaining[J + 1];
     --NRem;
-    Res R = eval(*E.Kids[I], FPs[I]);
+    size_t Begin = Acts.size();
+    Res R = eval(*E.Kids[I]);
+    Ranges[I] = {Begin, Acts.size()};
     if (!R.isValue()) {
-      for (size_t J = 0; J < N; ++J)
-        FP.merge(std::move(FPs[J]));
+      syntacticOrder(Base, Ranges, N);
       return R;
     }
     Values[I] = std::move(R.V);
@@ -896,29 +946,24 @@ Evaluator::Res Evaluator::evalUnseq(const Expr &E, Footprint &FP) {
 
   for (size_t I = 0; I < N; ++I)
     for (size_t J = I + 1; J < N; ++J)
-      if (auto U = conflict(FPs[I], FPs[J], /*OnlyNegLeft=*/false))
-        return Res::undef(std::move(*U));
-  for (size_t I = 0; I < N; ++I)
-    FP.merge(std::move(FPs[I]));
-
-  if (N == 1)
-    return Res::value(std::move(Values[0]));
-  if (N > StkN)
-    return Res::value(Value::tuple(std::move(ValHeap)));
-  std::vector<Value> Out;
-  Out.reserve(N);
-  for (size_t I = 0; I < N; ++I)
-    Out.push_back(std::move(Values[I]));
-  return Res::value(Value::tuple(std::move(Out)));
+      if (auto U = conflict(Ranges[I], Ranges[J], /*OnlyNegLeft=*/false)) {
+        Acts.resize(Base);
+        return undef(std::move(*U));
+      }
+  // The merged footprint lists the branches in syntactic order, whatever
+  // order the scheduler ran them in.
+  syntacticOrder(Base, Ranges, N);
+  return Res(std::move(Result));
 }
 
-Evaluator::Res Evaluator::evalPar(const Expr &E, Footprint &FP) {
+Evaluator::Res Evaluator::evalPar(const Expr &E) {
   // Restricted concurrency (§5.2: threads only with a more restricted
   // memory object model): branches run in a scheduler-chosen order; any
   // cross-thread conflicting non-atomic accesses are a data race (UB).
   size_t N = E.Kids.size();
-  std::vector<Value> Values(N);
-  std::vector<Footprint> FPs(N);
+  size_t Base = Acts.size();
+  Value Result = Value::tuple(N);
+  std::vector<ActRange> Ranges(N, ActRange{Base, Base});
   std::vector<size_t> Remaining;
   for (size_t I = 0; I < N; ++I)
     Remaining.push_back(I);
@@ -929,20 +974,24 @@ Evaluator::Res Evaluator::evalPar(const Expr &E, Footprint &FP) {
             : Sched.choose(static_cast<unsigned>(Remaining.size()), "par");
     size_t I = Remaining[PickIdx];
     Remaining.erase(Remaining.begin() + PickIdx);
-    Res R = eval(*E.Kids[I], FPs[I]);
-    if (!R.isValue())
+    size_t Begin = Acts.size();
+    Res R = eval(*E.Kids[I]);
+    Ranges[I] = {Begin, Acts.size()};
+    if (!R.isValue()) {
+      Acts.resize(Base);
       return R;
-    Values[I] = std::move(R.V);
+    }
+    Result.elems()[I] = std::move(R.V);
   }
   for (size_t I = 0; I < N; ++I)
     for (size_t J = I + 1; J < N; ++J)
-      if (auto U = conflict(FPs[I], FPs[J], false)) {
+      if (auto U = conflict(Ranges[I], Ranges[J], false)) {
         U->Kind = mem::UBKind::DataRace;
-        return Res::undef(std::move(*U));
+        Acts.resize(Base);
+        return undef(std::move(*U));
       }
-  for (size_t I = 0; I < N; ++I)
-    FP.merge(std::move(FPs[I]));
-  return Res::value(Value::tuple(std::move(Values)));
+  syntacticOrder(Base, Ranges.data(), N);
+  return Res(std::move(Result));
 }
 
 //===----------------------------------------------------------------------===//
@@ -950,7 +999,7 @@ Evaluator::Res Evaluator::evalPar(const Expr &E, Footprint &FP) {
 //===----------------------------------------------------------------------===//
 
 Evaluator::Res Evaluator::evalSaveBody(
-    const Expr &Save, Footprint &FP, bool ApplyDiffFirst,
+    const Expr &Save, bool ApplyDiffFirst,
     const std::vector<ScopeObject> *RunScope) {
   if (ApplyDiffFirst) {
     Res D = applyScopeDiff(*RunScope, Save.Scope);
@@ -958,42 +1007,36 @@ Evaluator::Res Evaluator::evalSaveBody(
       return D;
   }
   for (;;) {
-    Res R = eval(*Save.Kids[0], FP);
-    if (R.K == Res::RunSig && R.RunLabel == Save.Sym) {
-      Res D = applyScopeDiff(R.RunScope, Save.Scope);
+    Res R = eval(*Save.Kids[0]);
+    if (R.K == Res::RunSig && Sig.RunLabel == Save.Sym) {
+      Res D = applyScopeDiff(*Sig.RunScope, Save.Scope);
       if (!D.isValue())
         return D;
       continue; // re-enter the save body (loops)
     }
-    if (R.K == Res::RunSig && containsSave(*Save.Kids[0], R.RunLabel))
-      return evalJump(*Save.Kids[0], R.RunLabel, R.RunScope, FP);
+    if (R.K == Res::RunSig && containsSave(*Save.Kids[0], Sig.RunLabel))
+      return evalJump(*Save.Kids[0], Sig.RunLabel, *Sig.RunScope);
     return R;
   }
 }
 
 Evaluator::Res Evaluator::evalJump(const Expr &E, Symbol Label,
-                                   const std::vector<ScopeObject> &RunScope,
-                                   Footprint &FP) {
-  if (!budget()) {
-    Res R = Res::error(DeadlineHit ? "wall-clock deadline exceeded"
-                                   : "step limit exceeded");
-    R.StepLimitHit = !DeadlineHit;
-    R.DeadlineHit = DeadlineHit;
-    return R;
-  }
+                                   const std::vector<ScopeObject> &RunScope) {
+  if (!budget())
+    return budgetError();
   switch (E.K) {
   case ExprKind::Save:
     if (E.Sym == Label)
-      return evalSaveBody(E, FP, /*ApplyDiffFirst=*/true, &RunScope);
+      return evalSaveBody(E, /*ApplyDiffFirst=*/true, &RunScope);
     // The target is nested inside another save's body.
     for (;;) {
-      Res R = evalJump(*E.Kids[0], Label, RunScope, FP);
-      if (R.K == Res::RunSig && R.RunLabel == E.Sym) {
-        Res D = applyScopeDiff(R.RunScope, E.Scope);
+      Res R = evalJump(*E.Kids[0], Label, RunScope);
+      if (R.K == Res::RunSig && Sig.RunLabel == E.Sym) {
+        Res D = applyScopeDiff(*Sig.RunScope, E.Scope);
         if (!D.isValue())
           return D;
         // Re-enter this save normally.
-        return evalSaveBody(E, FP, false, nullptr);
+        return evalSaveBody(E, false, nullptr);
       }
       return R;
     }
@@ -1002,46 +1045,46 @@ Evaluator::Res Evaluator::evalJump(const Expr &E, Symbol Label,
   case ExprKind::LetWeak:
   case ExprKind::LetStrong: {
     if (containsSave(*E.Kids[0], Label)) {
-      Res R1 = evalJump(*E.Kids[0], Label, RunScope, FP);
+      Res R1 = evalJump(*E.Kids[0], Label, RunScope);
       if (!R1.isValue()) {
-        if (R1.K == Res::RunSig && containsSave(*E.Kids[1], R1.RunLabel))
-          return evalJump(*E.Kids[1], R1.RunLabel, R1.RunScope, FP);
+        if (R1.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel))
+          return evalJump(*E.Kids[1], Sig.RunLabel, *Sig.RunScope);
         return R1;
       }
       if (UseSlots ? !matchPatternMove(E.Pat, std::move(R1.V))
                    : !matchPattern(E.Pat, R1.V))
-        return Res::error("let pattern mismatch after jump");
-      Res R2 = eval(*E.Kids[1], FP);
-      if (R2.K == Res::RunSig && containsSave(*E.Kids[0], R2.RunLabel))
-        return evalJump(*E.Kids[0], R2.RunLabel, R2.RunScope, FP);
+        return error("let pattern mismatch after jump");
+      Res R2 = eval(*E.Kids[1]);
+      if (R2.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel))
+        return evalJump(*E.Kids[0], Sig.RunLabel, *Sig.RunScope);
       return R2;
     }
     // Skip the binding entirely (the label lies in the continuation).
-    return evalJump(*E.Kids[1], Label, RunScope, FP);
+    return evalJump(*E.Kids[1], Label, RunScope);
   }
   case ExprKind::PureIf:
   case ExprKind::EIf: {
     for (size_t I : {size_t(1), size_t(2)})
       if (containsSave(*E.Kids[I], Label)) {
-        Res R = evalJump(*E.Kids[I], Label, RunScope, FP);
+        Res R = evalJump(*E.Kids[I], Label, RunScope);
         if (R.K == Res::RunSig) {
           size_t Other = I == 1 ? 2 : 1;
-          if (containsSave(*E.Kids[Other], R.RunLabel))
-            return evalJump(*E.Kids[Other], R.RunLabel, R.RunScope, FP);
+          if (containsSave(*E.Kids[Other], Sig.RunLabel))
+            return evalJump(*E.Kids[Other], Sig.RunLabel, *Sig.RunScope);
         }
         return R;
       }
-    return Res::error("jump target vanished in if");
+    return error("jump target vanished in if");
   }
   case ExprKind::Case:
   case ExprKind::ECase: {
     for (const auto &[Pat, Body] : E.Branches)
       if (containsSave(*Body, Label))
-        return evalJump(*Body, Label, RunScope, FP);
-    return Res::error("jump target vanished in case");
+        return evalJump(*Body, Label, RunScope);
+    return error("jump target vanished in case");
   }
   default:
-    return Res::error("jump routed through an unexpected Core construct");
+    return error("jump routed through an unexpected Core construct");
   }
 }
 
@@ -1049,24 +1092,24 @@ Evaluator::Res Evaluator::evalJump(const Expr &E, Symbol Label,
 // Actions and pointer operations
 //===----------------------------------------------------------------------===//
 
-Evaluator::Res Evaluator::evalAction(const Expr &E, Footprint &FP) {
+Evaluator::Res Evaluator::evalAction(const Expr &E) {
   switch (E.Act) {
   case ActionKind::Create: {
     mem::PointerValue P = Mem.allocateObject(E.Cty, E.Str, /*Static=*/false);
     if (!Frames.empty())
       Frames.back().Created.push_back(P);
-    return Res::value(Value::pointer(P));
+    return Res(Value::pointer(P));
   }
   case ActionKind::Alloc: {
-    Res S = eval(*E.Kids[0], FP);
+    Res S = eval(*E.Kids[0]);
     if (!S.isValue())
       return S;
     auto IV = asInteger(S.V);
     if (!IV)
-      return Res::error("alloc with non-integer size");
+      return error("alloc with non-integer size");
     mem::PointerValue P =
         Mem.allocateRegion(static_cast<uint64_t>(IV->V), 16);
-    return Res::value(Value::pointer(P));
+    return Res(Value::pointer(P));
   }
   case ActionKind::Kill: {
     Value PTmp;
@@ -1074,34 +1117,34 @@ Evaluator::Res Evaluator::evalAction(const Expr &E, Footprint &FP) {
         UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = eval(*E.Kids[0], FP);
+      P = eval(*E.Kids[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
     }
     auto PV = asPointer(*PO);
     if (!PV)
-      return Res::error("kill of a non-pointer");
+      return error("kill of a non-pointer");
     if (auto R = Mem.killObject(*PV); !R) {
       auto U = R.takeUB();
       U.Loc = E.Loc;
-      return Res::undef(std::move(U));
+      return undef(std::move(U));
     }
-    return Res::value(Value::unit());
+    return Res();
   }
   case ActionKind::Free: {
-    Res P = eval(*E.Kids[0], FP);
+    Res P = eval(*E.Kids[0]);
     if (!P.isValue())
       return P;
     auto PV = asPointer(P.V);
     if (!PV)
-      return Res::error("free of a non-pointer");
+      return error("free of a non-pointer");
     if (auto R = Mem.freeRegion(*PV); !R) {
       auto U = R.takeUB();
       U.Loc = E.Loc;
-      return Res::undef(std::move(U));
+      return undef(std::move(U));
     }
-    return Res::value(Value::unit());
+    return Res();
   }
   case ActionKind::Load: {
     // Operand fast path: lowering usually reduces the address to a slot
@@ -1111,31 +1154,31 @@ Evaluator::Res Evaluator::evalAction(const Expr &E, Footprint &FP) {
         UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = eval(*E.Kids[0], FP);
+      P = eval(*E.Kids[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
     }
     auto PV = asPointer(*PO);
     if (!PV) {
-      if (PO->K == ValueKind::Unspecified) {
+      if (PO->kind() == ValueKind::Unspecified) {
         auto U = mem::undef(mem::UBKind::IndeterminateValueUse,
                             "load through an unspecified pointer");
         U.Loc = E.Loc;
-        return Res::undef(std::move(U));
+        return undef(std::move(U));
       }
-      return Res::error("load through a non-pointer");
+      return error("load through a non-pointer");
     }
     auto R = Mem.load(E.Cty, *PV);
     if (!R) {
       auto U = R.takeUB();
       U.Loc = E.Loc;
-      return Res::undef(std::move(U));
+      return undef(std::move(U));
     }
-    FP.Acts.push_back(ActRec{PV->Addr, PV->Addr + Env.sizeOf(E.Cty),
-                             /*Write=*/false, E.NegPolarity,
-                             E.AtomicAccess, E.Loc});
-    return Res::value(memToValue(*R));
+    Acts.push_back(ActRec{PV->Addr, PV->Addr + Env.sizeOf(E.Cty),
+                          /*Write=*/false, E.NegPolarity, E.AtomicAccess,
+                          E.Loc});
+    return Res(memToValue(*R));
   }
   case ActionKind::Store: {
     Value PTmp, VTmp;
@@ -1143,7 +1186,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E, Footprint &FP) {
         UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = eval(*E.Kids[0], FP);
+      P = eval(*E.Kids[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
@@ -1152,54 +1195,56 @@ Evaluator::Res Evaluator::evalAction(const Expr &E, Footprint &FP) {
         UseSlots && E.Kids[1]->ValueOnly ? evalPure(*E.Kids[1], VTmp) : nullptr;
     Res V;
     if (!VO) {
-      V = eval(*E.Kids[1], FP);
+      V = eval(*E.Kids[1]);
       if (!V.isValue())
         return V;
       VO = &V.V;
     }
     auto PV = asPointer(*PO);
     if (!PV) {
-      if (PO->K == ValueKind::Unspecified) {
+      if (PO->kind() == ValueKind::Unspecified) {
         auto U = mem::undef(mem::UBKind::IndeterminateValueUse,
                             "store through an unspecified pointer");
         U.Loc = E.Loc;
-        return Res::undef(std::move(U));
+        return undef(std::move(U));
       }
-      return Res::error("store through a non-pointer");
+      return error("store through a non-pointer");
     }
     mem::MemValue MV = valueToMem(E.Cty, *VO);
     if (auto R = Mem.store(E.Cty, *PV, MV); !R) {
       auto U = R.takeUB();
       U.Loc = E.Loc;
-      return Res::undef(std::move(U));
+      return undef(std::move(U));
     }
-    FP.Acts.push_back(ActRec{PV->Addr, PV->Addr + Env.sizeOf(E.Cty),
-                             /*Write=*/true, E.NegPolarity,
-                             E.AtomicAccess, E.Loc});
-    return Res::value(Value::unit());
+    Acts.push_back(ActRec{PV->Addr, PV->Addr + Env.sizeOf(E.Cty),
+                          /*Write=*/true, E.NegPolarity, E.AtomicAccess,
+                          E.Loc});
+    return Res();
   }
   }
-  return Res::error("bad memory action");
+  return error("bad memory action");
 }
 
-Evaluator::Res Evaluator::evalPtrOp(const Expr &E, Footprint &FP) {
-  std::vector<Value> Ops;
-  for (const ExprPtr &K : E.Kids) {
-    Res R = eval(*K, FP);
+Evaluator::Res Evaluator::evalPtrOp(const Expr &E) {
+  // Every pointer operation takes one or two operands.
+  Value Ops[2];
+  for (size_t I = 0; I < E.Kids.size(); ++I) {
+    Res R = eval(*E.Kids[I]);
     if (!R.isValue())
       return R;
-    Ops.push_back(std::move(R.V));
+    if (I < 2)
+      Ops[I] = std::move(R.V);
   }
   auto UB = [&](mem::UndefinedBehaviour U) {
     U.Loc = E.Loc;
-    return Res::undef(std::move(U));
+    return undef(std::move(U));
   };
   switch (E.POp) {
   case PtrOpKind::PtrEq:
   case PtrOpKind::PtrNe: {
     auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
     if (!A || !B)
-      return Res::error("pointer equality on non-pointers");
+      return error("pointer equality on non-pointers");
     if (A->Prov.isAlloc() && B->Prov.isAlloc() && !(A->Prov == B->Prov) &&
         A->Addr == B->Addr)
       ++Events.ProvenanceEqConsulted;
@@ -1207,7 +1252,7 @@ Evaluator::Res Evaluator::evalPtrOp(const Expr &E, Footprint &FP) {
     if (!R)
       return UB(R.takeUB());
     bool Eq = R->V != 0;
-    return Res::value(Value::boolean(E.POp == PtrOpKind::PtrEq ? Eq : !Eq));
+    return Res(Value::boolean(E.POp == PtrOpKind::PtrEq ? Eq : !Eq));
   }
   case PtrOpKind::PtrLt:
   case PtrOpKind::PtrGt:
@@ -1215,7 +1260,7 @@ Evaluator::Res Evaluator::evalPtrOp(const Expr &E, Footprint &FP) {
   case PtrOpKind::PtrGe: {
     auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
     if (!A || !B)
-      return Res::error("pointer comparison on non-pointers");
+      return error("pointer comparison on non-pointers");
     unsigned Op = E.POp == PtrOpKind::PtrLt   ? 0
                   : E.POp == PtrOpKind::PtrGt ? 1
                   : E.POp == PtrOpKind::PtrLe ? 2
@@ -1223,49 +1268,49 @@ Evaluator::Res Evaluator::evalPtrOp(const Expr &E, Footprint &FP) {
     auto R = Mem.ptrRel(Op, *A, *B);
     if (!R)
       return UB(R.takeUB());
-    return Res::value(Value::boolean(R->V != 0));
+    return Res(Value::boolean(R->V != 0));
   }
   case PtrOpKind::PtrDiff: {
     auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
     if (!A || !B)
-      return Res::error("ptrdiff on non-pointers");
+      return error("ptrdiff on non-pointers");
     auto R = Mem.ptrDiff(E.Cty, *A, *B);
     if (!R)
       return UB(R.takeUB());
-    return Res::value(Value::integer(*R));
+    return Res(Value::integer(*R));
   }
   case PtrOpKind::IntFromPtr: {
     auto P = asPointer(Ops[0]);
     if (!P)
-      return Res::error("intFromPtr on a non-pointer");
+      return error("intFromPtr on a non-pointer");
     auto R = Mem.intFromPtr(E.Cty, *P);
     if (!R)
       return UB(R.takeUB());
-    return Res::value(Value::integer(*R));
+    return Res(Value::integer(*R));
   }
   case PtrOpKind::PtrFromInt: {
     auto I = asInteger(Ops[0]);
     if (!I)
-      return Res::error("ptrFromInt on a non-integer");
+      return error("ptrFromInt on a non-integer");
     auto R = Mem.ptrFromInt(*I);
     if (!R)
       return UB(R.takeUB());
-    return Res::value(Value::pointer(*R));
+    return Res(Value::pointer(*R));
   }
   case PtrOpKind::PtrValidForDeref: {
     auto P = asPointer(Ops[0]);
     if (!P)
-      return Res::error("ptrValidForDeref on a non-pointer");
-    return Res::value(Value::boolean(Mem.validForDeref(E.Cty, *P)));
+      return error("ptrValidForDeref on a non-pointer");
+    return Res(Value::boolean(Mem.validForDeref(E.Cty, *P)));
   }
   case PtrOpKind::CastPtr: {
     auto P = asPointer(Ops[0]);
     if (!P)
-      return Res::error("cast_ptr on a non-pointer");
-    return Res::value(Value::pointer(Mem.castPointer(E.Cty, *P)));
+      return error("cast_ptr on a non-pointer");
+    return Res(Value::pointer(Mem.castPointer(E.Cty, *P)));
   }
   }
-  return Res::error("bad pointer operation");
+  return error("bad pointer operation");
 }
 
 //===----------------------------------------------------------------------===//
@@ -1279,12 +1324,12 @@ std::optional<Value> Evaluator::tryPureFn(PureFn F,
   // exactly: nullopt if and only if the general path would error.
   switch (F) {
   case PureFn::IsRepresentable: {
-    if (N != 2 || Args[0]->K != ValueKind::Ctype)
+    if (N != 2 || Args[0]->kind() != ValueKind::Ctype)
       return std::nullopt;
     auto IV = asInteger(*Args[1]);
     if (!IV)
       return std::nullopt;
-    return Value::boolean(Env.inRange(Args[0]->Cty.intKind(), IV->V));
+    return Value::boolean(Env.inRange(Args[0]->cty().intKind(), IV->V));
   }
   case PureFn::ShrArith: {
     auto A = asInteger(*Args[0]), B = asInteger(*Args[1]);
@@ -1301,12 +1346,12 @@ std::optional<Value> Evaluator::tryPureFn(PureFn F,
   case PureFn::BwAnd:
   case PureFn::BwOr:
   case PureFn::BwXor: {
-    if (N != 3 || Args[0]->K != ValueKind::Ctype)
+    if (N != 3 || Args[0]->kind() != ValueKind::Ctype)
       return std::nullopt;
     auto A = asInteger(*Args[1]), B = asInteger(*Args[2]);
     if (!A || !B)
       return std::nullopt;
-    ail::IntKind K = Args[0]->Cty.intKind();
+    ail::IntKind K = Args[0]->cty().intKind();
     unsigned W = Env.widthOf(K);
     UInt128 Mask = W >= 128 ? ~UInt128(0) : (UInt128(1) << W) - 1;
     UInt128 X = static_cast<UInt128>(A->V) & Mask;
@@ -1317,12 +1362,12 @@ std::optional<Value> Evaluator::tryPureFn(PureFn F,
     return Value::integer(Env.convert(K, static_cast<Int128>(R)));
   }
   case PureFn::BwCompl: {
-    if (N != 2 || Args[0]->K != ValueKind::Ctype)
+    if (N != 2 || Args[0]->kind() != ValueKind::Ctype)
       return std::nullopt;
     auto A = asInteger(*Args[1]);
     if (!A)
       return std::nullopt;
-    ail::IntKind K = Args[0]->Cty.intKind();
+    ail::IntKind K = Args[0]->cty().intKind();
     unsigned W = Env.widthOf(K);
     UInt128 Mask = W >= 128 ? ~UInt128(0) : (UInt128(1) << W) - 1;
     UInt128 R = (~static_cast<UInt128>(A->V)) & Mask;
@@ -1352,16 +1397,15 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
     Tmp = Value::unspecified(E.Cty);
     return &Tmp;
   case ExprKind::Tuple: {
-    std::vector<Value> Elems;
-    Elems.reserve(E.Kids.size());
-    for (const ExprPtr &K : E.Kids) {
+    Value T = Value::tuple(E.Kids.size());
+    for (size_t I = 0; I < E.Kids.size(); ++I) {
       Value KT;
-      const Value *KV = evalPure(*K, KT);
+      const Value *KV = evalPure(*E.Kids[I], KT);
       if (!KV)
         return nullptr;
-      Elems.push_back(KV == &KT ? std::move(KT) : *KV);
+      T.elems()[I] = KV == &KT ? std::move(KT) : *KV;
     }
-    Tmp = Value::tuple(std::move(Elems));
+    Tmp = std::move(T);
     return &Tmp;
   }
   case ExprKind::SpecifiedE: {
@@ -1377,9 +1421,9 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
     const Value *KV = evalPure(*E.Kids[0], KT);
     if (!KV)
       return nullptr;
-    if (KV->K != ValueKind::True && KV->K != ValueKind::False)
+    if (KV->kind() != ValueKind::True && KV->kind() != ValueKind::False)
       return nullptr;
-    Tmp = Value::boolean(KV->K == ValueKind::False);
+    Tmp = Value::boolean(KV->kind() == ValueKind::False);
     return &Tmp;
   }
   case ExprKind::Binop: {
@@ -1396,10 +1440,9 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
                                                    : (BA || BB));
       return &Tmp;
     }
-    auto IA = asInteger(*A), IB = asInteger(*B);
-    if (!IA || !IB)
+    Int128 X = 0, Y = 0;
+    if (!intOf(*A, X) || !intOf(*B, Y))
       return nullptr;
-    Int128 X = IA->V, Y = IB->V;
     switch (E.BOp) {
     case CoreBinop::Add:
       Tmp = Value::integer(Int128(UInt128(X) + UInt128(Y)));
@@ -1478,9 +1521,9 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
     const Value *KV = evalPure(*E.Kids[0], KT);
     if (!KV)
       return nullptr;
-    if (KV->K != ValueKind::Ctype)
+    if (KV->kind() != ValueKind::Ctype)
       return nullptr;
-    const CType &T = KV->Cty;
+    const CType &T = KV->cty();
     bool B = false;
     if (E.K == ExprKind::IsInteger)
       B = T.isInteger();
@@ -1500,7 +1543,7 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
     const Value *C = evalPure(*E.Kids[0], CT);
     if (!C)
       return nullptr;
-    if (C->K != ValueKind::True && C->K != ValueKind::False)
+    if (C->kind() != ValueKind::True && C->kind() != ValueKind::False)
       return nullptr;
     return evalPure(*E.Kids[C->isTrue() ? 1 : 2], Tmp);
   }
@@ -1537,7 +1580,7 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   }
 }
 
-Evaluator::Res Evaluator::evalPureCall(const Expr &E, Footprint &FP) {
+Evaluator::Res Evaluator::evalPureCall(const Expr &E) {
   // Every known pure builtin takes at most three operands, so arguments
   // evaluate into stack storage (no per-call allocation); the heap path
   // only exists to keep unknown over-long calls evaluating their
@@ -1551,7 +1594,7 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E, Footprint &FP) {
     Args = Heap.data();
   }
   for (size_t I = 0; I < N; ++I) {
-    Res R = eval(*E.Kids[I], FP);
+    Res R = eval(*E.Kids[I]);
     if (!R.isValue())
       return R;
     Args[I] = std::move(R.V);
@@ -1562,31 +1605,31 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E, Footprint &FP) {
 
   const Value *ArgP[4] = {&Args[0], &Args[1], &Args[2], &Args[3]};
   if (auto R = tryPureFn(F, ArgP, N))
-    return Res::value(std::move(*R));
+    return Res(std::move(*R));
 
   // tryPureFn declined, so one of its (exactly mirrored) acceptance checks
   // failed; replay them to produce the historical diagnostic.
   switch (F) {
   case PureFn::IsRepresentable:
-    if (N != 2 || Args[0].K != ValueKind::Ctype)
-      return Res::error("is_representable(ctype, int) misuse");
-    return Res::error("is_representable on a non-integer");
+    if (N != 2 || Args[0].kind() != ValueKind::Ctype)
+      return error("is_representable(ctype, int) misuse");
+    return error("is_representable on a non-integer");
   case PureFn::ShrArith:
-    return Res::error("shr_arith misuse");
+    return error("shr_arith misuse");
   case PureFn::BwAnd:
   case PureFn::BwOr:
   case PureFn::BwXor:
-    if (N != 3 || Args[0].K != ValueKind::Ctype)
-      return Res::error("bitwise builtin misuse");
-    return Res::error("bitwise builtin on non-integers");
+    if (N != 3 || Args[0].kind() != ValueKind::Ctype)
+      return error("bitwise builtin misuse");
+    return error("bitwise builtin on non-integers");
   case PureFn::BwCompl:
-    if (N != 2 || Args[0].K != ValueKind::Ctype)
-      return Res::error("bw_compl misuse");
-    return Res::error("bw_compl on a non-integer");
+    if (N != 2 || Args[0].kind() != ValueKind::Ctype)
+      return error("bw_compl misuse");
+    return error("bw_compl on a non-integer");
   case PureFn::None:
     break;
   }
-  return Res::error(fmt("unknown pure builtin '{0}'", E.Str));
+  return error(fmt("unknown pure builtin '{0}'", E.Str));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1605,14 +1648,14 @@ Evaluator::Res Evaluator::callProc(Symbol S, std::vector<Value> Args,
 
   const CoreProc *Proc = Prog.findProc(S);
   if (!Proc)
-    return Res::error(fmt("call to undefined function '{0}'",
+    return error(fmt("call to undefined function '{0}'",
                           Prog.Syms.nameOf(S)));
   if (Proc->Params.size() != Args.size())
-    return Res::error(fmt("arity mismatch calling '{0}'",
+    return error(fmt("arity mismatch calling '{0}'",
                           Prog.Syms.nameOf(S)));
   if (++CallDepth > Limits.MaxCallDepth) {
     --CallDepth;
-    return Res::error("call depth limit exceeded (runaway recursion)");
+    return error("call depth limit exceeded (runaway recursion)");
   }
 
   if (UseSlots) {
@@ -1628,9 +1671,11 @@ Evaluator::Res Evaluator::callProc(Symbol S, std::vector<Value> Args,
   }
 
   Frames.push_back(Frame{});
-  Footprint FP; // function bodies are indeterminately sequenced w.r.t. the
-                // caller's expression: no shared footprint (§5.6)
-  Res R = eval(*Proc->Body, FP);
+  // Function bodies are indeterminately sequenced w.r.t. the caller's
+  // expression: the body's footprint is discarded, not shared (§5.6).
+  size_t ActBase = Acts.size();
+  Res R = eval(*Proc->Body);
+  Acts.resize(ActBase);
   // End of lifetime for everything this frame created and has not yet
   // freed/killed (§5.7).
   for (const mem::PointerValue &P : Frames.back().Created) {
@@ -1669,10 +1714,12 @@ Evaluator::Res Evaluator::callProc(Symbol S, std::vector<Value> Args,
   --CallDepth;
   Arena.give(std::move(Args)); // retire the argument buffer
 
-  if (R.K == Res::RetSig)
-    return Res::value(std::move(R.V));
+  if (R.K == Res::RetSig) {
+    R.K = Res::Val;
+    return R;
+  }
   if (R.K == Res::RunSig)
-    return Res::error(fmt("goto to a label outside function '{0}'",
+    return error(fmt("goto to a label outside function '{0}'",
                           Prog.Syms.nameOf(S)));
   return R; // value (shouldn't happen: bodies end in Ret), or a signal
 }

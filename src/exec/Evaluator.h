@@ -126,6 +126,8 @@ private:
   std::vector<UndoFrame> UndoFrames;
   uint64_t EpochCounter = 0;
   uint64_t FrameEpoch = 0; ///< current frame's epoch (0 = top level)
+  /// The CHERI capabilities this evaluation's values reference.
+  core::CapTable Caps;
   std::string Out;
   uint64_t Steps = 0;
   unsigned CallDepth = 0;
@@ -138,16 +140,23 @@ private:
     bool Atomic; ///< seq_cst access: atomic/atomic pairs never race
     SourceLoc Loc;
   };
-  struct Footprint {
-    std::vector<ActRec> Acts;
-    void merge(Footprint &&O) {
-      Acts.insert(Acts.end(), O.Acts.begin(), O.Acts.end());
-    }
+  /// The action stack: every load and store appends its record here, and a
+  /// footprint is an index range of it. The ranges nest like the
+  /// evaluation does, so a let or unseq reads its operands' footprints in
+  /// place, "merging" them into the enclosing footprint is leaving them
+  /// where they are, and a sequence point or procedure return discards its
+  /// actions by truncating to the size it started at.
+  std::vector<ActRec> Acts;
+  /// Scratch for putting unseq branch footprints back in syntactic order.
+  std::vector<ActRec> ActScratch;
+  struct ActRange {
+    size_t Begin, End;
   };
 
-  /// Evaluation result: a value or an escaping signal.
+  /// Evaluation result: a value or the kind of an escaping signal. The
+  /// signal's payload is in Sig: only one signal is in flight at a time.
   struct Res {
-    enum Kind {
+    enum Kind : uint8_t {
       Val,
       RunSig,  ///< run label (goto / break / continue / loop)
       RetSig,  ///< procedure return
@@ -156,69 +165,81 @@ private:
       ErrSig,  ///< dynamic error (ill-formed Core) or step limit
     } K = Val;
     core::Value V;
+
+    Res() = default;
+    explicit Res(core::Value V) : V(std::move(V)) {}
+    explicit Res(Kind K) : K(K) {}
+    bool isValue() const { return K == Val; }
+  };
+  /// The payload of the signal in flight.
+  struct Signal {
     ail::Symbol RunLabel;
-    std::vector<core::ScopeObject> RunScope;
+    /// The Run node's scope annotation (it lives in the program).
+    const std::vector<core::ScopeObject> *RunScope = nullptr;
     mem::UndefinedBehaviour UB{mem::UBKind::ExceptionalCondition, "", {}};
     OutcomeKind ExitKind = OutcomeKind::Exit;
     int ExitCode = 0;
     std::string Err;
     bool StepLimitHit = false;
     bool DeadlineHit = false;
+  } Sig;
 
-    static Res value(core::Value V) {
-      Res R;
-      R.V = std::move(V);
-      return R;
-    }
-    static Res undef(mem::UndefinedBehaviour U) {
-      Res R;
-      R.K = UndefSig;
-      R.UB = std::move(U);
-      return R;
-    }
-    static Res error(std::string Msg) {
-      Res R;
-      R.K = ErrSig;
-      R.Err = std::move(Msg);
-      return R;
-    }
-    bool isValue() const { return K == Val; }
-  };
+  Res undef(mem::UndefinedBehaviour U) {
+    Sig.UB = std::move(U);
+    return Res(Res::UndefSig);
+  }
+  Res error(std::string Msg) {
+    Sig.Err = std::move(Msg);
+    Sig.StepLimitHit = Sig.DeadlineHit = false;
+    return Res(Res::ErrSig);
+  }
+  /// The step-budget or deadline error (budget() returned false).
+  Res budgetError() {
+    Res R = error(DeadlineHit ? "wall-clock deadline exceeded"
+                              : "step limit exceeded");
+    Sig.StepLimitHit = !DeadlineHit;
+    Sig.DeadlineHit = DeadlineHit;
+    return R;
+  }
+  Res exitSig(OutcomeKind Kind, int Code, std::string Msg = "") {
+    Sig.ExitKind = Kind;
+    Sig.ExitCode = Code;
+    Sig.Err = std::move(Msg);
+    return Res(Res::ExitSig);
+  }
 
   struct Frame {
     std::vector<mem::PointerValue> Created;
   };
   std::vector<Frame> Frames;
 
-  Res eval(const core::Expr &E, Footprint &FP);
+  Res eval(const core::Expr &E);
   /// Jump-mode evaluation: route control to the Save node for \p Label
   /// inside \p E without evaluating the skipped prefix.
   Res evalJump(const core::Expr &E, ail::Symbol Label,
-               const std::vector<core::ScopeObject> &RunScope,
-               Footprint &FP);
+               const std::vector<core::ScopeObject> &RunScope);
   /// Does \p E syntactically contain `save Label`?
   bool containsSave(const core::Expr &E, ail::Symbol Label) const;
   /// Enters a Save: runs its body, re-entering on matching run signals.
-  Res evalSaveBody(const core::Expr &Save, Footprint &FP,
-                   bool ApplyDiffFirst,
+  Res evalSaveBody(const core::Expr &Save, bool ApplyDiffFirst,
                    const std::vector<core::ScopeObject> *RunScope);
   /// Applies the goto scope difference (§5.8): kills objects live at the
   /// run point but not the save point, creates the converse.
   Res applyScopeDiff(const std::vector<core::ScopeObject> &RunScope,
                      const std::vector<core::ScopeObject> &SaveScope);
 
-  Res evalLet(const core::Expr &E, Footprint &FP);
-  Res evalUnseq(const core::Expr &E, Footprint &FP);
-  Res evalAction(const core::Expr &E, Footprint &FP);
-  Res evalPtrOp(const core::Expr &E, Footprint &FP);
-  Res evalPureCall(const core::Expr &E, Footprint &FP);
+  Res evalLet(const core::Expr &E);
+  Res evalUnseq(const core::Expr &E);
+  Res evalAction(const core::Expr &E);
+  Res evalPtrOp(const core::Expr &E);
+  Res evalPureCall(const core::Expr &E);
   /// Res-free fast path for subtrees lowering marked ValueOnly (slot path
-  /// only): no Res, footprint, or signal plumbing, and operands are read
-  /// in place — a Sym returns &Slots[slot], a pooled constant returns
-  /// &ConstPool[i] (no 224-byte Value copies; sound because the subtree
-  /// cannot rebind slots). Computed results land in \p Tmp and &Tmp is
-  /// returned. nullptr defers to the general evaluator — safe to re-run
-  /// because ValueOnly subtrees are effect-free.
+  /// only): no Res, action-stack, or signal plumbing, and operands are
+  /// read in place — a Sym returns &Slots[slot], a pooled constant returns
+  /// &ConstPool[i] (sound because the subtree cannot rebind slots).
+  /// Computed results land in \p Tmp and &Tmp is returned. nullptr defers
+  /// to the general evaluator — safe to re-run because ValueOnly subtrees
+  /// are effect-free.
   const core::Value *evalPure(const core::Expr &E, core::Value &Tmp);
   /// Computes a known pure builtin when the operands are well-formed;
   /// nullopt on any shape the general path diagnoses. \p Args must have
@@ -226,7 +247,12 @@ private:
   std::optional<core::Value> tryPureFn(core::PureFn F,
                                        const core::Value *const *Args,
                                        size_t N);
-  Res evalPar(const core::Expr &E, Footprint &FP);
+  Res evalPar(const core::Expr &E);
+  /// Reorders the footprints of branches evaluated in a scheduler-chosen
+  /// order into syntactic order, in place on the action stack from
+  /// \p Base: \p Ranges[I] is branch I's range, rewritten to its new
+  /// position (unevaluated branches hold empty ranges).
+  void syntacticOrder(size_t Base, ActRange *Ranges, size_t N);
 
   Res callProc(ail::Symbol S, std::vector<core::Value> Args, SourceLoc Loc);
   Res callBuiltin(ail::Builtin B, std::vector<core::Value> &Args,
@@ -238,7 +264,9 @@ private:
   void bind(unsigned Id, core::Value &&V);
   /// Slot-path bind with the same per-frame undo discipline.
   void bindSlot(int Slot, core::Value &&V);
-  bool matchPattern(const core::Pattern &P, const core::Value &V);
+  /// \p Inner matches the value wrapped by \p V's Specified flag.
+  bool matchPattern(const core::Pattern &P, const core::Value &V,
+                    bool Inner = false);
   /// Slot-path matchPattern that consumes \p V: bound sub-values are
   /// moved into their slots instead of deep-copied. Accept/reject
   /// decisions mirror matchPattern exactly; a rejected match may leave
@@ -249,7 +277,7 @@ private:
   /// pair; returns the UB if found. OnlyNegLeft restricts the left side to
   /// negative-polarity actions (let weak).
   std::optional<mem::UndefinedBehaviour>
-  conflict(const Footprint &A, const Footprint &B, bool OnlyNegLeft) const;
+  conflict(ActRange A, ActRange B, bool OnlyNegLeft) const;
 
   /// Extracts a pointer from a (possibly loaded) value.
   std::optional<mem::PointerValue> asPointer(const core::Value &V) const;

@@ -261,8 +261,10 @@ void Memory::beginStaticLayout(
 }
 
 MemByte *Memory::poolBytes(uint64_t N) {
-  if (PoolUsed + N > PoolCap) {
-    PoolCap = std::max<size_t>(N, 4096);
+  if (BytePool.empty() || PoolUsed + N > PoolCap) {
+    // Doubling from a 64-byte floor keeps the chunk count logarithmic in
+    // the bytes handed out.
+    PoolCap = std::max<size_t>({N, 2 * PoolCap, 64});
     BytePool.push_back(std::make_unique<MemByte[]>(PoolCap));
     PoolUsed = 0;
   }

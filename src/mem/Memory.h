@@ -231,7 +231,9 @@ private:
 
   /// Chunked bump pool backing Allocation::Bytes. Chunk growth never moves
   /// previously handed-out storage, so Allocation::Bytes pointers stay
-  /// valid for the Memory's lifetime.
+  /// valid for the Memory's lifetime. Chunks grow geometrically from the
+  /// first request, so a program with a few small objects (one Memory per
+  /// explored path) allocates a few small chunks, not a fixed large one.
   std::vector<std::unique_ptr<MemByte[]>> BytePool;
   size_t PoolUsed = 0, PoolCap = 0;
   MemByte *poolBytes(uint64_t N);

@@ -3,7 +3,6 @@
 #include "oracle/Oracle.h"
 
 #include "exec/Driver.h"
-#include "oracle/ThreadPool.h"
 #include "support/Format.h"
 #include "trace/Trace.h"
 
@@ -77,7 +76,7 @@ JobStatus statusOf(const exec::ExhaustiveResult &R, uint64_t RandomSamples) {
 
 } // namespace
 
-JobResult cerb::oracle::runJob(const Job &J, CompileCache &Cache,
+JobResult cerb::oracle::runJob(const Job &J, exec::CompileCache &Cache,
                                ThreadPool *Pool) {
   static trace::Counter CntJobs("oracle.jobs");
   CntJobs.add();
@@ -91,7 +90,7 @@ JobResult cerb::oracle::runJob(const Job &J, CompileCache &Cache,
   auto T0 = Clock::now();
 
   bool Hit = false;
-  std::shared_ptr<const CompiledUnit> Unit =
+  std::shared_ptr<const exec::CompiledUnit> Unit =
       Cache.get(J.Source, J.Frontend, &Hit);
   R.CacheHit = Hit;
   R.SourceHash = Unit->SourceHash;
@@ -207,7 +206,7 @@ BatchResult Oracle::run(const std::vector<Job> &Jobs) {
   B.Results.resize(Jobs.size());
   auto Wall0 = Clock::now();
 
-  CompileCache Cache;
+  exec::CompileCache Cache;
   uint64_t Steals = 0;
   {
     ThreadPool Pool(Threads);

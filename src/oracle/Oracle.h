@@ -25,8 +25,8 @@
 
 #include "defacto/Suite.h"
 #include "exec/Pipeline.h"
-#include "oracle/CompileCache.h"
-#include "oracle/ThreadPool.h"
+#include "exec/CompileCache.h"
+#include "support/ThreadPool.h"
 
 #include <map>
 #include <optional>
@@ -190,7 +190,7 @@ private:
 /// given and the job's Budget.ExploreJobs > 1, an exhaustive job shares the
 /// pool with its exploration's subtree tasks (ThreadPool task groups make
 /// this deadlock-free); without a pool such a job spins up its own.
-JobResult runJob(const Job &J, CompileCache &Cache,
+JobResult runJob(const Job &J, exec::CompileCache &Cache,
                  ThreadPool *Pool = nullptr);
 
 } // namespace cerb::oracle

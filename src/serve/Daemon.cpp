@@ -555,7 +555,7 @@ std::string Daemon::statsJson(bool IncludeExtra) const {
   J += ", \"tmp_reclaimed\": " + N(CS.TmpReclaimed);
   J += ", \"index_rebuilt\": " + N(CS.IndexRebuilt);
   J += ", \"persistent\": " + std::string(Results.persistent() ? "true" : "false");
-  CompileCacheStats CC = Compiles.stats();
+  exec::CompileCacheStats CC = Compiles.stats();
   J += "}, \"compile_cache\": {";
   J += "\"hits\": " + N(CC.Hits);
   J += ", \"misses\": " + N(CC.Misses);

@@ -21,7 +21,7 @@
 ///    at accept time;
 ///  - admitted requests run on the shared support::ThreadPool. Each task
 ///    consults the two-tier cache (ResultCache over the report bytes;
-///    the daemon-resident serve::CompileCache underneath for elaborations,
+///    the daemon-resident exec::CompileCache underneath for elaborations,
 ///    LRU-bounded by `--compile-cache-mb`), evaluates on a miss, stores,
 ///    and writes the response under the connection's write mutex
 ///    (concurrent requests on one connection interleave safely; responses
@@ -46,7 +46,7 @@
 #ifndef CERB_SERVE_DAEMON_H
 #define CERB_SERVE_DAEMON_H
 
-#include "serve/CompileCache.h"
+#include "exec/CompileCache.h"
 #include "serve/Eval.h"
 #include "serve/Protocol.h"
 #include "serve/ResultCache.h"
@@ -165,7 +165,7 @@ public:
   /// the aggregated form would recurse into the supervisor forever.
   std::string statsJson(bool IncludeExtra = true) const;
   const ResultCache &cache() const { return Results; }
-  const CompileCache &compileCache() const { return Compiles; }
+  const exec::CompileCache &compileCache() const { return Compiles; }
   unsigned threadCount() const { return Pool ? Pool->threadCount() : 0; }
 
 private:
@@ -206,7 +206,7 @@ private:
 
   DaemonConfig Cfg;
   ResultCache Results;
-  CompileCache Compiles; ///< daemon-lifetime elaboration sharing
+  exec::CompileCache Compiles; ///< daemon-lifetime elaboration sharing
   std::unique_ptr<ThreadPool> Pool;
 
   net::Fd ListenUnix, ListenTcp;

@@ -51,7 +51,7 @@ std::vector<Job> cerb::serve::requestJobs(const EvalRequest &Q) {
 }
 
 std::string cerb::serve::evaluateToReport(const EvalRequest &Q,
-                                          oracle::CompileCache &Compiles) {
+                                          exec::CompileCache &Compiles) {
   static trace::Counter CntEvals("serve.evals");
   CntEvals.add();
   trace::Span EvalSpan("serve.eval", "serve");

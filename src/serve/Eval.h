@@ -18,7 +18,7 @@
 #ifndef CERB_SERVE_EVAL_H
 #define CERB_SERVE_EVAL_H
 
-#include "oracle/CompileCache.h"
+#include "exec/CompileCache.h"
 #include "serve/Protocol.h"
 
 #include <string>
@@ -32,7 +32,7 @@ std::vector<oracle::Job> requestJobs(const EvalRequest &Q);
 /// and deadlines are inside the report (per-job statuses), never failures
 /// of the call itself.
 std::string evaluateToReport(const EvalRequest &Q,
-                             oracle::CompileCache &Compiles);
+                             exec::CompileCache &Compiles);
 
 } // namespace cerb::serve
 

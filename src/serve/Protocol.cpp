@@ -387,7 +387,7 @@ std::string cerb::serve::cacheKeyMaterial(const EvalRequest &Q) {
   M += "|fe=" + oracle::jsonHex64(Q.Frontend.fingerprint());
   M += Q.CheckExpect ? "|chk=1" : "|chk=0"; // verdicts are in the bytes
   M += "|src=" +
-       oracle::jsonHex64(oracle::CompileCache::hashSource(Q.Source)) + ":" +
+       oracle::jsonHex64(exec::CompileCache::hashSource(Q.Source)) + ":" +
        std::to_string(Q.Source.size());
   M += "|mode=" + std::string(oracle::modeName(Q.ExecMode));
   M += "|seed=" + std::to_string(Q.Seed);

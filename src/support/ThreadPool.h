@@ -8,10 +8,10 @@
 /// steal from the front of a victim's deque (FIFO, taking the oldest — and
 /// typically largest — remaining chunk of work).
 ///
-/// Originally the oracle's private pool (oracle/ThreadPool.h now forwards
-/// here); generalised with *task groups* so that a nested fan-out — e.g.
-/// the parallel exhaustive explorer publishing subtree prefixes from inside
-/// an oracle job — can share one pool with its caller:
+/// Originally the oracle's private pool; generalised with *task groups*
+/// so that a nested fan-out — e.g. the parallel exhaustive explorer
+/// publishing subtree prefixes from inside an oracle job — can share one
+/// pool with its caller:
 ///
 ///  - submit(Group, Task) tags the task with a TaskGroup;
 ///  - wait(Group) blocks until that group alone drains, and *helps*: while

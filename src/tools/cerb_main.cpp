@@ -5,7 +5,7 @@
 /// subsystem from the command line.
 ///
 ///   cerb run file.c --policy defacto
-///   cerb suite defacto --policies defacto,strict,concrete,cheri --jobs 8 \
+///   cerb suite defacto --policies defacto,strict,concrete,cheri --jobs 8
 ///        --report out.json --junit out.xml
 ///   cerb suite tests/defacto            (a directory of .c files)
 ///   cerb export-suite tests/defacto     (materialise the built-in suite)

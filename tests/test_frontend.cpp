@@ -346,8 +346,9 @@ TEST(Lexer, ElseBranch) {
 TEST(Lexer, MacroInsideStringNotSubstituted) {
   auto T = lexOk("#define N 42\nchar *s = \"N\";");
   for (const Token &Tok1 : T)
-    if (Tok1.Kind == Tok::StringLit)
+    if (Tok1.Kind == Tok::StringLit) {
       EXPECT_EQ(Tok1.Text, "N");
+    }
 }
 
 TEST(Lexer, HashInsideLineIsNotADirective) {

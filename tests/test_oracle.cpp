@@ -10,7 +10,7 @@
 
 #include "oracle/Oracle.h"
 #include "oracle/Report.h"
-#include "oracle/ThreadPool.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -111,7 +111,7 @@ TEST(CompileCache, OneElaborationSharedAcrossPolicies) {
 }
 
 TEST(CompileCache, CompileErrorIsCachedAndReported) {
-  CompileCache Cache;
+  exec::CompileCache Cache;
   bool Hit = true;
   auto U1 = Cache.get("int main(void){ return ; }", &Hit);
   EXPECT_FALSE(Hit);
@@ -123,7 +123,7 @@ TEST(CompileCache, CompileErrorIsCachedAndReported) {
 }
 
 TEST(CompileCache, DistinctSourcesGetDistinctUnits) {
-  CompileCache Cache;
+  exec::CompileCache Cache;
   auto A = Cache.get("int main(void){ return 1; }");
   auto B = Cache.get("int main(void){ return 2; }");
   EXPECT_NE(A->SourceHash, B->SourceHash);
@@ -276,9 +276,10 @@ TEST(OracleSuite, SuiteJobsCarryExpectationsAndPass) {
   ASSERT_EQ(Jobs.size(), Slice.size() * 4);
   BatchResult B = Oracle(OracleConfig{4}).run(Jobs);
   for (const JobResult &R : B.Results)
-    if (R.Check != JobResult::Verdict::None)
+    if (R.Check != JobResult::Verdict::None) {
       EXPECT_EQ(R.Check, JobResult::Verdict::Pass)
           << R.Name << " / " << R.PolicyName;
+    }
   EXPECT_EQ(B.Stats.ChecksFailed, 0u);
   EXPECT_GT(B.Stats.ChecksPassed, 0u);
 }

@@ -71,8 +71,9 @@ int main(void) {
   EXPECT_FALSE(G.unsequenced(RX, F));
   // The updating store is a side effect: negative polarity.
   for (const SeqNode &N : G.Nodes)
-    if (N.Id == WX)
+    if (N.Id == WX) {
       EXPECT_TRUE(N.Negative);
+    }
 }
 
 TEST(SeqGraph, WeakSequencingLeavesNegativeUnordered) {

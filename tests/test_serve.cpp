@@ -610,7 +610,7 @@ TEST(ServeDaemon, ShutdownOpTriggersDrain) {
 TEST(ServeEval, ReportBytesAreAPureFunctionOfTheRequest) {
   EvalRequest Q = basicRequest();
   Q.Policies = mem::MemoryPolicy::allPresets();
-  oracle::CompileCache CacheA, CacheB;
+  exec::CompileCache CacheA, CacheB;
   std::string A = evaluateToReport(Q, CacheA);
   // A *shared, already-warm* compile cache must not change the bytes.
   std::string B1 = evaluateToReport(Q, CacheB);

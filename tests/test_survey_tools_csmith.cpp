@@ -115,8 +115,9 @@ TEST(Tools, SanitizerSilentOnPaddingTests) {
   // sanitiser warnings" — our padding tests must be Silent under the
   // sanitiser profile.
   for (const tools::ToolVerdict &V : tools::runTool(tools::profiles()[0]))
-    if (V.Test->Name.rfind("padding_", 0) == 0)
+    if (V.Test->Name.rfind("padding_", 0) == 0) {
       EXPECT_EQ(V.V, tools::Verdict::Silent) << V.Test->Name;
+    }
 }
 
 TEST(Tools, TisFlagsUninitTests) {
@@ -135,13 +136,16 @@ TEST(Tools, TisFlagsUninitTests) {
 TEST(Tools, KccLenientOnPaddingStrictOnUninit) {
   const tools::ToolProfile &Kcc = tools::profiles()[2];
   for (const tools::ToolVerdict &V : tools::runTool(Kcc)) {
-    if (V.Test->Name == "padding_uninit_memcmp")
+    if (V.Test->Name == "padding_uninit_memcmp") {
       EXPECT_EQ(V.V, tools::Verdict::Silent);
-    if (V.Test->Name == "uninit_copy")
+    }
+    if (V.Test->Name == "uninit_copy") {
       EXPECT_EQ(V.V, tools::Verdict::Flagged);
-    if (V.Test->Name == "effective_char_array_storage")
+    }
+    if (V.Test->Name == "effective_char_array_storage") {
       EXPECT_EQ(V.V, tools::Verdict::Silent); // "permitted some tests that
                                               // ISO effective types forbid"
+    }
   }
 }
 
