@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace cerb;
 using namespace cerb::defacto;
 
@@ -65,17 +67,24 @@ TEST(Questions, LookupMissReturnsNull) {
 
 namespace {
 
+const char *const SweepModels[] = {"concrete", "defacto", "strict-iso",
+                                    "cheri"};
+
+// Indices, not pointers: gtest prints a parameter that has no printer as
+// its raw bytes, and ctest's test names include that dump, so an address
+// here would rename the test with every build and checkout path.
 struct SweepCase {
-  const TestCase *Test;
-  const char *Model;
+  std::size_t Test;  // into testSuite()
+  std::size_t Model; // into SweepModels
 };
 
 std::vector<SweepCase> allSweepCases() {
   std::vector<SweepCase> Out;
-  for (const TestCase &T : testSuite())
-    for (const char *M : {"concrete", "defacto", "strict-iso", "cheri"})
-      if (T.Expected.count(M))
-        Out.push_back(SweepCase{&T, M});
+  const std::vector<TestCase> &Suite = testSuite();
+  for (std::size_t T = 0; T != Suite.size(); ++T)
+    for (std::size_t M = 0; M != std::size(SweepModels); ++M)
+      if (Suite[T].Expected.count(SweepModels[M]))
+        Out.push_back(SweepCase{T, M});
   return Out;
 }
 
@@ -94,12 +103,13 @@ mem::MemoryPolicy policyByName(const std::string &N) {
 class DeFactoSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(DeFactoSweep, ExpectedBehaviour) {
-  const SweepCase &C = GetParam();
-  TestResult R = runTest(*C.Test, policyByName(C.Model));
+  const TestCase &T = testSuite()[GetParam().Test];
+  const char *Model = SweepModels[GetParam().Model];
+  TestResult R = runTest(T, policyByName(Model));
   ASSERT_TRUE(R.CompileOk) << R.CompileError;
   ASSERT_TRUE(R.HasExpectation);
-  EXPECT_TRUE(R.Pass) << "expected "
-                      << C.Test->Expected.at(C.Model).str() << "\ngot:\n"
+  EXPECT_TRUE(R.Pass) << "expected " << T.Expected.at(Model).str()
+                      << "\ngot:\n"
                       << [&] {
                            std::string S;
                            for (const exec::Outcome &O :
@@ -112,7 +122,8 @@ TEST_P(DeFactoSweep, ExpectedBehaviour) {
 INSTANTIATE_TEST_SUITE_P(
     AllTestsAllModels, DeFactoSweep, ::testing::ValuesIn(allSweepCases()),
     [](const ::testing::TestParamInfo<SweepCase> &Info) {
-      std::string Name = Info.param.Test->Name + "_" + Info.param.Model;
+      std::string Name = testSuite()[Info.param.Test].Name + "_" +
+                         SweepModels[Info.param.Model];
       for (char &C : Name)
         if (!isalnum(static_cast<unsigned char>(C)))
           C = '_';

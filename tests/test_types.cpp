@@ -101,6 +101,12 @@ struct ConstCase {
   IntKind Kind;
 };
 
+// Printed as its spelling: the default printer dumps the struct's bytes,
+// Spelling's address among them, and ctest's test names include that dump.
+void PrintTo(const ConstCase &C, std::ostream *OS) {
+  *OS << '"' << C.Spelling << '"';
+}
+
 class DecodeConst : public ::testing::TestWithParam<ConstCase> {};
 
 TEST_P(DecodeConst, LadderAndValue) {
