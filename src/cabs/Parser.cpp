@@ -6,8 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <unordered_map>
 
 using namespace cerb;
 using namespace cerb::cabs;
@@ -81,6 +80,11 @@ struct Declarator {
 class Parser {
 public:
   explicit Parser(std::vector<Token> Toks) : Toks(std::move(Toks)) {
+    // Room for a small unit's names and nesting: the tables then grow only
+    // for large inputs, instead of several times in every parse.
+    Visible.reserve(32);
+    Decls.reserve(32);
+    ScopeStarts.reserve(16);
     pushScope();
     for (const std::string &N : builtinTypedefNames())
       declareName(N, /*IsTypedef=*/true);
@@ -92,8 +96,23 @@ public:
 private:
   std::vector<Token> Toks;
   size_t Pos = 0;
-  /// Scope stack: name -> is-typedef (false = shadowing ordinary name).
-  std::vector<std::map<std::string, bool>> Scopes;
+  /// One declaration of a name: whether it is a typedef (false = an
+  /// ordinary name shadowing outer typedefs), the name's entry in Visible,
+  /// and the declaration it shadows (-1 = none), which that entry gets
+  /// back when the declaration's scope closes.
+  struct NameDecl {
+    int *Entry;
+    int Shadowed;
+    bool IsTypedef;
+  };
+  /// Each name's visible declaration, an index into Decls (-1 = none). With
+  /// the Shadowed links this is a stack of declarations per name, so a
+  /// lookup is one probe however deeply scopes nest.
+  std::unordered_map<std::string, int> Visible;
+  /// Declarations of the open scopes, outermost first; those of scope I
+  /// start at ScopeStarts[I].
+  std::vector<NameDecl> Decls;
+  std::vector<size_t> ScopeStarts;
 
   //===------------------------------------------------------------------===//
   // Token helpers
@@ -119,18 +138,26 @@ private:
                cur().Loc, std::string(Clause));
   }
 
-  void pushScope() { Scopes.emplace_back(); }
-  void popScope() { Scopes.pop_back(); }
+  void pushScope() { ScopeStarts.push_back(Decls.size()); }
+  void popScope() {
+    for (size_t I = Decls.size(); I-- > ScopeStarts.back();)
+      *Decls[I].Entry = Decls[I].Shadowed;
+    Decls.resize(ScopeStarts.back());
+    ScopeStarts.pop_back();
+  }
   void declareName(const std::string &Name, bool IsTypedef) {
-    Scopes.back()[Name] = IsTypedef;
+    int &Top = Visible.try_emplace(Name, -1).first->second;
+    if (Top >= 0 && static_cast<size_t>(Top) >= ScopeStarts.back()) {
+      Decls[Top].IsTypedef = IsTypedef; // redeclared in the same scope
+      return;
+    }
+    Decls.push_back({&Top, Top, IsTypedef});
+    Top = static_cast<int>(Decls.size() - 1);
   }
   bool isTypedefName(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto F = It->find(Name);
-      if (F != It->end())
-        return F->second;
-    }
-    return false;
+    auto It = Visible.find(Name);
+    return It != Visible.end() && It->second >= 0 &&
+           Decls[It->second].IsTypedef;
   }
 
   /// Does the current token begin declaration-specifiers? (6.7)

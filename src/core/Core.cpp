@@ -5,7 +5,6 @@
 #include "support/Format.h"
 
 #include <cassert>
-#include <set>
 
 using namespace cerb;
 using namespace cerb::core;
@@ -833,6 +832,8 @@ void warmExpr(const Expr &E) {
 } // namespace
 
 void core::warmDynamicsCaches(const CoreProgram &P) {
+  if (P.Lowered)
+    return; // core::lower set every node's bit already
   for (const auto &[Id, Proc] : P.Procs)
     if (Proc.Body)
       warmExpr(*Proc.Body);
@@ -852,7 +853,7 @@ RewriteStats core::rewrite(CoreProgram &P) {
 }
 
 //===----------------------------------------------------------------------===//
-// Core checking (purity discipline)
+// Core checking (purity, scoping and labels)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -874,100 +875,223 @@ bool isPureKind(ExprKind K) {
   }
 }
 
-/// Checks the purity discipline: pure contexts must not contain effects.
-std::optional<std::string> checkPurity(const Expr &E, bool PureContext,
-                                       const ail::SymbolTable &Syms) {
-  if (PureContext && !isPureKind(E.K))
-    return fmt("effectful Core construct in a pure context at {0}",
-               E.Loc.str());
-
-  switch (E.K) {
-  // Pure constructs: all children pure.
-  case ExprKind::Tuple: case ExprKind::SpecifiedE: case ExprKind::Case:
-  case ExprKind::ArrayShiftE: case ExprKind::MemberShiftE:
-  case ExprKind::Not: case ExprKind::Binop: case ExprKind::PureCall:
-  case ExprKind::PureLet: case ExprKind::PureIf: case ExprKind::IsInteger:
-  case ExprKind::IsSigned: case ExprKind::IsUnsigned: case ExprKind::IsScalar:
-  case ExprKind::FinishArith: case ExprKind::ConvInt:
-    for (const ExprPtr &K : E.Kids)
-      if (auto R = checkPurity(*K, true, Syms))
-        return R;
-    for (const auto &[Pat, Body] : E.Branches)
-      if (auto R = checkPurity(*Body, true, Syms))
-        return R;
-    return std::nullopt;
-
-  case ExprKind::Sym: case ExprKind::Val: case ExprKind::ImplConst:
-  case ExprKind::Undef: case ExprKind::ErrorE: case ExprKind::UnspecifiedE:
-  case ExprKind::Skip:
-    return std::nullopt;
-
-  // Effectful constructs whose *scrutinees/operands* must be pure but whose
-  // bodies are effectful (Fig. 2: `let pat = pe in e`, `if pe then e1 else
-  // e2`, case pe with effect branches).
-  case ExprKind::ELet:
-    if (auto R = checkPurity(*E.Kids[0], true, Syms))
-      return R;
-    return checkPurity(*E.Kids[1], PureContext, Syms);
-  case ExprKind::EIf:
-    if (auto R = checkPurity(*E.Kids[0], true, Syms))
-      return R;
-    if (auto R = checkPurity(*E.Kids[1], PureContext, Syms))
-      return R;
-    return checkPurity(*E.Kids[2], PureContext, Syms);
-  case ExprKind::ECase:
-    if (auto R = checkPurity(*E.Kids[0], true, Syms))
-      return R;
-    for (const auto &[Pat, Body] : E.Branches)
-      if (auto R = checkPurity(*Body, PureContext, Syms))
-        return R;
-    return std::nullopt;
-
-  // Actions and pointer ops: operands pure.
-  case ExprKind::Action:
-  case ExprKind::PtrOp:
-  case ExprKind::Ret:
-  case ExprKind::ProcCall:
-  case ExprKind::CallPtr:
-  case ExprKind::Run:
-  case ExprKind::Wait:
-    for (const ExprPtr &K : E.Kids)
-      if (auto R = checkPurity(*K, true, Syms))
-        return R;
-    return std::nullopt;
-
-  // Sequencing: children effectful.
-  case ExprKind::Unseq:
-  case ExprKind::Nd:
-  case ExprKind::Par:
-    for (const ExprPtr &K : E.Kids)
-      if (auto R = checkPurity(*K, false, Syms))
-        return R;
-    return std::nullopt;
-  case ExprKind::LetWeak:
-  case ExprKind::LetStrong:
-    if (auto R = checkPurity(*E.Kids[0], false, Syms))
-      return R;
-    return checkPurity(*E.Kids[1], false, Syms);
-  case ExprKind::LetAtomic: {
-    // Both sides must be actions (possibly negated), Fig. 2.
-    for (const ExprPtr &K : E.Kids)
-      if (K->K != ExprKind::Action)
-        return fmt("let atomic operand is not a memory action at {0}",
-                   E.Loc.str());
-    for (const ExprPtr &K : E.Kids)
-      for (const ExprPtr &Sub : K->Kids)
-        if (auto R = checkPurity(*Sub, true, Syms))
-          return R;
-    return std::nullopt;
+/// The static disciplines of Core, checked in one walk per procedure body
+/// or global initialiser:
+///  - purity (Fig. 2): pure contexts contain no effects;
+///  - scoping: every identifier is lexically bound (globals, the
+///    procedure's own value parameters, let/case patterns) and every pcall
+///    names a known procedure or builtin;
+///  - labels: every `run` targets a `save` of the same procedure.
+/// Catches elaboration and lowering bugs before the dynamics can hit an
+/// "unbound identifier" at run time. Bound symbols and saved labels are
+/// bit vectors indexed by symbol id (ids are dense). The first purity
+/// violation wins; otherwise the first scoping or label violation in walk
+/// order is reported.
+class Checker {
+public:
+  explicit Checker(const CoreProgram &P)
+      : P(P), Bound(P.Syms.size()), Saved(P.Syms.size()) {
+    for (const CoreGlobal &G : P.Globals)
+      bind(G.Name.Id);
+    Introduced.clear(); // globals stay bound for the whole program
   }
-  case ExprKind::Indet:
-  case ExprKind::Bound:
-  case ExprKind::Save:
-    return checkPurity(*E.Kids[0], false, Syms);
+
+  /// Checks one procedure body or global initialiser; \p Params are bound
+  /// over it and only over it.
+  std::optional<std::string>
+  check(const Expr &Body,
+        const std::vector<std::pair<Symbol, CType>> &Params) {
+    for (const auto &[Sym, Ty] : Params)
+      bind(Sym.Id);
+    std::optional<std::string> Err;
+    if (!walk(Body, false)) {
+      Err = std::move(PurityErr);
+    } else {
+      // Every pending run precedes the first scoping error in walk order.
+      for (const Expr *R : Runs)
+        if (!isSaved(R->Sym.Id)) {
+          ScopeErr.reset();
+          scopeError("run of unknown label '{0}' at {1}", *R);
+          break;
+        }
+      Err = std::move(ScopeErr);
+    }
+    unbindTo(0);
+    for (unsigned L : SavedIds)
+      Saved[L] = false;
+    SavedIds.clear();
+    Runs.clear();
+    ScopeErr.reset();
+    return Err;
   }
-  return std::nullopt;
-}
+
+private:
+  const CoreProgram &P;
+  std::vector<bool> Bound;
+  std::vector<bool> Saved;
+  std::vector<unsigned> Introduced; ///< bound by this body, innermost last
+  std::vector<unsigned> SavedIds;   ///< labels set in Saved by this body
+  /// Runs met before the first scoping error, checked once the whole body
+  /// (and so every save a forward jump can target) has been seen.
+  std::vector<const Expr *> Runs;
+  std::string PurityErr;
+  std::optional<std::string> ScopeErr;
+
+  bool isBound(unsigned Id) const { return Id < Bound.size() && Bound[Id]; }
+  bool isSaved(unsigned Id) const { return Id < Saved.size() && Saved[Id]; }
+  void bind(unsigned Id) {
+    if (Id >= Bound.size())
+      Bound.resize(Id + 1);
+    if (!Bound[Id]) {
+      Bound[Id] = true;
+      Introduced.push_back(Id);
+    }
+  }
+  void bindPattern(const Pattern &Pat) {
+    if (Pat.K == PatKind::Sym)
+      bind(Pat.S.Id);
+    for (const Pattern &Sub : Pat.Subs)
+      bindPattern(Sub);
+  }
+  void unbindTo(size_t Mark) {
+    while (Introduced.size() > Mark) {
+      Bound[Introduced.back()] = false;
+      Introduced.pop_back();
+    }
+  }
+  void save(unsigned Id) {
+    if (Id >= Saved.size())
+      Saved.resize(Id + 1);
+    if (!Saved[Id]) {
+      Saved[Id] = true;
+      SavedIds.push_back(Id);
+    }
+  }
+  void scopeError(const char *What, const Expr &E) {
+    if (!ScopeErr)
+      ScopeErr = fmt(What, P.Syms.nameOf(E.Sym), E.Loc.str());
+  }
+
+  /// False on a purity violation (left in PurityErr); scoping violations
+  /// are recorded and the walk goes on, since a later purity violation
+  /// still takes precedence.
+  bool walk(const Expr &E, bool PureContext) {
+    if (PureContext && !isPureKind(E.K)) {
+      PurityErr = fmt("effectful Core construct in a pure context at {0}",
+                      E.Loc.str());
+      return false;
+    }
+    switch (E.K) {
+    case ExprKind::Sym:
+      if (!isBound(E.Sym.Id))
+        scopeError("unbound Core identifier '{0}' at {1}", E);
+      return true;
+    case ExprKind::ProcCall:
+      if (!P.Procs.count(E.Sym.Id) && !P.Builtins.count(E.Sym.Id))
+        scopeError("pcall of unknown procedure '{0}' at {1}", E);
+      return walkKids(E, true);
+    case ExprKind::Run:
+      if (!ScopeErr)
+        Runs.push_back(&E);
+      return walkKids(E, true);
+    case ExprKind::Save:
+      save(E.Sym.Id);
+      return walkKids(E, false);
+
+    // Pure constructs: all children pure.
+    case ExprKind::Tuple: case ExprKind::SpecifiedE:
+    case ExprKind::ArrayShiftE: case ExprKind::MemberShiftE:
+    case ExprKind::Not: case ExprKind::Binop: case ExprKind::PureCall:
+    case ExprKind::PureIf: case ExprKind::IsInteger: case ExprKind::IsSigned:
+    case ExprKind::IsUnsigned: case ExprKind::IsScalar:
+    case ExprKind::FinishArith: case ExprKind::ConvInt:
+      return walkKids(E, true);
+
+    case ExprKind::Val: case ExprKind::ImplConst: case ExprKind::Undef:
+    case ExprKind::ErrorE: case ExprKind::UnspecifiedE: case ExprKind::Skip:
+      return true;
+
+    // The scrutinee is pure and each branch binds its pattern; branches are
+    // pure under Case and effectful under ECase (Fig. 2: case pe with
+    // effect branches), as are the bodies of `let pat = pe in e` and
+    // `if pe then e1 else e2` below.
+    case ExprKind::Case:
+    case ExprKind::ECase: {
+      bool BranchPure = E.K == ExprKind::Case || PureContext;
+      for (const ExprPtr &K : E.Kids)
+        if (!walk(*K, true))
+          return false;
+      for (const auto &[Pat, Body] : E.Branches) {
+        size_t Mark = Introduced.size();
+        bindPattern(Pat);
+        bool Ok = walk(*Body, BranchPure);
+        unbindTo(Mark);
+        if (!Ok)
+          return false;
+      }
+      return true;
+    }
+    case ExprKind::PureLet:
+      return walkLet(E, true, true);
+    case ExprKind::ELet:
+      return walkLet(E, true, PureContext);
+    case ExprKind::LetWeak:
+    case ExprKind::LetStrong:
+      return walkLet(E, false, false);
+    case ExprKind::LetAtomic:
+      // Both sides must be actions (possibly negated), Fig. 2; an action's
+      // operands are pure.
+      for (const ExprPtr &K : E.Kids)
+        if (K->K != ExprKind::Action) {
+          PurityErr = fmt("let atomic operand is not a memory action at {0}",
+                          E.Loc.str());
+          return false;
+        }
+      return walkLet(E, false, false);
+    case ExprKind::EIf:
+      return walk(*E.Kids[0], true) && walk(*E.Kids[1], PureContext) &&
+             walk(*E.Kids[2], PureContext);
+
+    // Actions and pointer ops: operands pure.
+    case ExprKind::Action:
+    case ExprKind::PtrOp:
+    case ExprKind::Ret:
+    case ExprKind::CallPtr:
+    case ExprKind::Wait:
+      return walkKids(E, true);
+
+    // Sequencing: children effectful.
+    case ExprKind::Unseq:
+    case ExprKind::Nd:
+    case ExprKind::Par:
+    case ExprKind::Indet:
+    case ExprKind::Bound:
+      return walkKids(E, false);
+    }
+    return true;
+  }
+
+  bool walkKids(const Expr &E, bool PureContext) {
+    for (const ExprPtr &K : E.Kids)
+      if (!walk(*K, PureContext))
+        return false;
+    for (const auto &[Pat, Body] : E.Branches)
+      if (!walk(*Body, PureContext))
+        return false;
+    return true;
+  }
+
+  /// `let Pat = Kids[0] in Kids[1]`: Pat scopes over the body only.
+  bool walkLet(const Expr &E, bool PureBound, bool PureBody) {
+    if (!walk(*E.Kids[0], PureBound))
+      return false;
+    size_t Mark = Introduced.size();
+    bindPattern(E.Pat);
+    bool Ok = walk(*E.Kids[1], PureBody);
+    unbindTo(Mark);
+    return Ok;
+  }
+};
 
 } // namespace
 
@@ -983,138 +1107,17 @@ bool core::isPureExpr(const Expr &E) {
   return true;
 }
 
-namespace {
-
-/// Static scoping discipline: every Core identifier must be lexically
-/// bound (globals, value parameters, let/case patterns), every `run` must
-/// target a `save` of the same procedure, and every pcall a known
-/// procedure or builtin. Catches elaboration bugs before the dynamics can
-/// hit an "unbound identifier" at run time.
-class ScopeChecker {
-public:
-  ScopeChecker(const CoreProgram &P) : P(P) {
-    for (const CoreGlobal &G : P.Globals)
-      Bound.insert(G.Name.Id);
-  }
-
-  std::optional<std::string> check(const Expr &E) {
-    switch (E.K) {
-    case ExprKind::Sym:
-      if (!Bound.count(E.Sym.Id))
-        return fmt("unbound Core identifier '{0}' at {1}",
-                   P.Syms.nameOf(E.Sym), E.Loc.str());
-      return std::nullopt;
-    case ExprKind::ProcCall:
-      if (!P.Procs.count(E.Sym.Id) && !P.Builtins.count(E.Sym.Id))
-        return fmt("pcall of unknown procedure '{0}' at {1}",
-                   P.Syms.nameOf(E.Sym), E.Loc.str());
-      return checkKids(E);
-    case ExprKind::Run:
-      if (!Labels.count(E.Sym.Id))
-        return fmt("run of unknown label '{0}' at {1}",
-                   P.Syms.nameOf(E.Sym), E.Loc.str());
-      return checkKids(E);
-    case ExprKind::PureLet:
-    case ExprKind::ELet:
-    case ExprKind::LetWeak:
-    case ExprKind::LetStrong:
-    case ExprKind::LetAtomic: {
-      if (auto R = check(*E.Kids[0]))
-        return R;
-      size_t Mark = Introduced.size();
-      bindPattern(E.Pat);
-      auto R = check(*E.Kids[1]);
-      unbindTo(Mark);
-      return R;
-    }
-    case ExprKind::Case:
-    case ExprKind::ECase: {
-      if (auto R = check(*E.Kids[0]))
-        return R;
-      for (const auto &[Pat, Body] : E.Branches) {
-        size_t Mark = Introduced.size();
-        bindPattern(Pat);
-        auto R = check(*Body);
-        unbindTo(Mark);
-        if (R)
-          return R;
-      }
-      return std::nullopt;
-    }
-    default:
-      return checkKids(E);
-    }
-  }
-
-  void collectLabels(const Expr &E) {
-    if (E.K == ExprKind::Save)
-      Labels.insert(E.Sym.Id);
-    for (const ExprPtr &K : E.Kids)
-      collectLabels(*K);
-    for (const auto &[Pat, Body] : E.Branches)
-      collectLabels(*Body);
-  }
-
-  void bind(unsigned Id) {
-    if (Bound.insert(Id).second)
-      Introduced.push_back(Id);
-  }
-  void resetProc() {
-    Labels.clear();
-  }
-
-private:
-  const CoreProgram &P;
-  std::set<unsigned> Bound;
-  std::set<unsigned> Labels;
-  std::vector<unsigned> Introduced;
-
-  std::optional<std::string> checkKids(const Expr &E) {
-    for (const ExprPtr &K : E.Kids)
-      if (auto R = check(*K))
-        return R;
-    for (const auto &[Pat, Body] : E.Branches)
-      if (auto R = check(*Body))
-        return R;
-    return std::nullopt;
-  }
-  void bindPattern(const Pattern &Pat) {
-    if (Pat.K == PatKind::Sym)
-      bind(Pat.S.Id);
-    for (const Pattern &Sub : Pat.Subs)
-      bindPattern(Sub);
-  }
-  void unbindTo(size_t Mark) {
-    while (Introduced.size() > Mark) {
-      Bound.erase(Introduced.back());
-      Introduced.pop_back();
-    }
-  }
-};
-
-} // namespace
-
 std::optional<std::string> core::typeCheck(const CoreProgram &P) {
-  ScopeChecker Scopes(P);
+  Checker C(P);
   for (const auto &[Id, Proc] : P.Procs) {
     if (!Proc.Body)
       return fmt("procedure '{0}' has no body", P.Syms.nameOf(Proc.Name));
-    if (auto R = checkPurity(*Proc.Body, false, P.Syms))
-      return fmt("in procedure '{0}': ", P.Syms.nameOf(Proc.Name)) + *R;
-    Scopes.resetProc();
-    Scopes.collectLabels(*Proc.Body);
-    for (const auto &[Sym, Ty] : Proc.Params)
-      Scopes.bind(Sym.Id);
-    if (auto R = Scopes.check(*Proc.Body))
+    if (auto R = C.check(*Proc.Body, Proc.Params))
       return fmt("in procedure '{0}': ", P.Syms.nameOf(Proc.Name)) + *R;
   }
   for (const CoreGlobal &G : P.Globals)
-    if (G.Init) {
-      if (auto R = checkPurity(*G.Init, false, P.Syms))
+    if (G.Init)
+      if (auto R = C.check(*G.Init, {}))
         return fmt("in global '{0}': ", P.Syms.nameOf(G.Name)) + *R;
-      Scopes.resetProc();
-      if (auto R = Scopes.check(*G.Init))
-        return fmt("in global '{0}': ", P.Syms.nameOf(G.Name)) + *R;
-    }
   return std::nullopt;
 }

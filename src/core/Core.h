@@ -551,7 +551,8 @@ bool hasEffects(const Expr &E);
 /// Populates Expr::HasEffectsCache for *every* node of \p P. After this
 /// pass the dynamics never writes to a shared CoreProgram, so one compiled
 /// program can be evaluated concurrently from many threads (the oracle's
-/// compile-once/run-many contract). Called by exec::compile.
+/// compile-once/run-many contract). Called by exec::compile. A lowered
+/// program needs no walk: core::lower sets every bit as it annotates.
 void warmDynamicsCaches(const CoreProgram &P);
 
 //===----------------------------------------------------------------------===//
@@ -570,8 +571,9 @@ struct RewriteStats {
 RewriteStats rewrite(CoreProgram &P);
 
 /// Structural validity + purity checking of a Core program (the Core type
-/// system's pure/effectful distinction, §5.2). Returns an error string for
-/// the first violation, or nullopt.
+/// system's pure/effectful distinction, §5.2), plus scoping of identifiers
+/// and run/save labels, in one walk per procedure. Returns an error string
+/// for the first violation (purity before scoping), or nullopt.
 std::optional<std::string> typeCheck(const CoreProgram &P);
 
 } // namespace cerb::core

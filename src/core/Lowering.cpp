@@ -346,6 +346,8 @@ void annotatePattern(Pattern &P, LowerCtx &Ctx) {
 /// Returns the subtree's Save-label bloom (stored in Expr::SaveMask) so
 /// the evaluator's jump routing can refute "contains save L?" without
 /// walking the tree. Collisions (two labels mod 64) only cost a scan.
+/// Also sets every node's HasEffectsCache, bottom up, so the dynamics
+/// never writes to a lowered program (see warmDynamicsCaches).
 uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
   if (E.K == ExprKind::Sym)
     E.Slot = Ctx.slot(E.Sym);
@@ -366,6 +368,10 @@ uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
   if (E.K == ExprKind::Save)
     Mask |= 1ull << (E.Sym.Id & 63);
   E.SaveMask = Mask;
+  // The children's bits are fresh, so this reads one level only. A bit
+  // from before folding may be stale: folding can drop an effectful branch.
+  E.HasEffectsCache = -1;
+  (void)hasEffects(E);
 
   // ValueOnly: a whitelist of kinds that perform no actions, bind nothing,
   // and raise no signals — so the evaluator's Res-free fast path may run

@@ -47,9 +47,9 @@ struct LoweringStats {
   unsigned PureNodes = 0;      ///< nodes proved ValueOnly (evalPure-eligible)
 };
 
-/// Lowers \p P in place (idempotent; a second call is a no-op). Must run
-/// before warmDynamicsCaches: folding replaces subtrees whose effect
-/// caches would otherwise go stale.
+/// Lowers \p P in place (idempotent; a second call is a no-op). Also fills
+/// every node's Expr::HasEffectsCache, so a lowered program leaves the
+/// dynamics nothing to warm (warmDynamicsCaches returns at once).
 LoweringStats lower(CoreProgram &P);
 
 /// Version tag of the lowering pass, folded into compile and semantics

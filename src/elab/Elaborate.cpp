@@ -6,6 +6,7 @@
 #include "typing/TypeCheck.h"
 
 #include <cassert>
+#include <charconv>
 
 using namespace cerb;
 using namespace cerb::elab;
@@ -260,14 +261,26 @@ private:
   std::vector<std::vector<ScopeObject>> BlockScopes;
   /// Ail parameter symbol id -> Core value-parameter symbol of the proc.
   std::map<unsigned, Symbol> ParamValueSyms;
+  /// Pairs each indet[n] with its bound; numbered from 1 per program, so
+  /// printed Core does not depend on what the process compiled before.
+  unsigned NextIndetId = 1;
 
+  /// `Base'N` with N the new symbol's id. Built in place: most names fit
+  /// the short-string buffer, so this usually allocates nothing.
+  Symbol freshSym(std::string_view Base, ail::SymbolKind Kind) {
+    char Digits[24];
+    char *End = std::to_chars(Digits, Digits + sizeof Digits,
+                              Prog.Syms.size()).ptr;
+    std::string Name;
+    Name.reserve(Base.size() + 1 + (End - Digits));
+    Name.append(Base).append(1, '\'').append(Digits, End);
+    return Prog.Syms.create(std::move(Name), Kind);
+  }
   Symbol fresh(std::string_view Base) {
-    return Prog.Syms.create(fmt("{0}'{1}", Base, Prog.Syms.size()),
-                            ail::SymbolKind::Object);
+    return freshSym(Base, ail::SymbolKind::Object);
   }
   Symbol freshLabel(std::string_view Base) {
-    return Prog.Syms.create(fmt("{0}'{1}", Base, Prog.Syms.size()),
-                            ail::SymbolKind::Label);
+    return freshSym(Base, ail::SymbolKind::Label);
   }
 
   std::vector<ScopeObject> currentScope() const {

@@ -323,8 +323,8 @@ Evaluator::conflict(ActRange A, ActRange B, bool OnlyNegLeft) const {
 }
 
 // hasEffects lives in core:: so that compile() can pre-warm the per-node
-// cache (core::warmDynamicsCaches) before a program is shared across
-// evaluator threads.
+// cache (core::lower, or core::warmDynamicsCaches when unlowered) before a
+// program is shared across evaluator threads.
 using core::hasEffects;
 
 bool Evaluator::containsSave(const Expr &E, Symbol Label) const {

@@ -112,6 +112,7 @@ cerb::exec::compileWithStats(std::string_view Src, const FrontendOptions &FE) {
   // Pre-warm the per-node dynamics caches: after this, evaluation never
   // writes to the program, so one compiled unit can serve many concurrent
   // evaluator threads (the oracle's compile-once/run-many contract).
+  // core::lower already set them on a lowered program.
   core::warmDynamicsCaches(Result.Prog);
   T.ElaborateMs += std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - T0)

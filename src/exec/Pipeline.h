@@ -80,8 +80,9 @@ struct FrontendOptions {
 };
 
 /// Runs the full front end + elaboration on \p Source. The returned program
-/// has its dynamics caches pre-warmed (core::warmDynamicsCaches), so it may
-/// be evaluated concurrently from many threads without further preparation.
+/// has its dynamics caches pre-warmed (by core::lower, or by
+/// core::warmDynamicsCaches when unlowered), so it may be evaluated
+/// concurrently from many threads without further preparation.
 Expected<core::CoreProgram> compile(std::string_view Source);
 
 /// Like compile(), also reporting the Core-to-Core rewrite statistics and

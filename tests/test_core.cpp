@@ -349,6 +349,99 @@ TEST(CoreScope, DetectsRunToUnknownLabel) {
   EXPECT_NE(Err->find("unknown label"), std::string::npos);
 }
 
+TEST(CoreScope, ViolationsAreReportedInCheckOrder) {
+  // One walk checks all three disciplines; a purity violation still wins
+  // over an earlier scoping one, a run is checked against every save of
+  // its procedure (forward jumps included), and among scoping violations
+  // the first in the walk is reported.
+  auto Check = [](auto Build) {
+    CoreProgram P;
+    Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
+    P.MainProc = Main;
+    CoreProc Proc;
+    Proc.Name = Main;
+    Proc.ReturnTy = CType::intTy();
+    Proc.Body = Expr::make(ExprKind::Unseq);
+    Build(P, Proc.Body->Kids);
+    P.Procs.emplace(Main.Id, std::move(Proc));
+    return core::typeCheck(P).value_or("ok");
+  };
+  auto Ghost = [](CoreProgram &P) {
+    auto Ret = Expr::make(ExprKind::Ret);
+    auto Use = Expr::make(ExprKind::Sym);
+    Use->Sym = P.Syms.create("ghost", ail::SymbolKind::Object);
+    Ret->Kids.push_back(std::move(Use));
+    return Ret;
+  };
+  auto Jump = [](ExprKind K, Symbol L) {
+    auto E = Expr::make(K);
+    E->Sym = L;
+    if (K == ExprKind::Save)
+      E->Kids.push_back(Expr::make(ExprKind::Skip));
+    return E;
+  };
+
+  EXPECT_NE(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+              Kids.push_back(Ghost(P));
+              auto Ret = Expr::make(ExprKind::Ret);
+              Ret->Kids.push_back(Expr::make(ExprKind::Skip)); // not pure
+              Kids.push_back(std::move(Ret));
+            }).find("pure context"),
+            std::string::npos);
+  EXPECT_EQ(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+              Symbol L = P.Syms.create("ahead", ail::SymbolKind::Label);
+              Kids.push_back(Jump(ExprKind::Run, L));
+              Kids.push_back(Jump(ExprKind::Save, L));
+            }),
+            "ok");
+  EXPECT_NE(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+              Symbol L = P.Syms.create("nowhere", ail::SymbolKind::Label);
+              Kids.push_back(Jump(ExprKind::Run, L));
+              Kids.push_back(Ghost(P));
+            }).find("unknown label 'nowhere'"),
+            std::string::npos);
+  EXPECT_NE(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+              Symbol L = P.Syms.create("nowhere", ail::SymbolKind::Label);
+              Kids.push_back(Ghost(P));
+              Kids.push_back(Jump(ExprKind::Run, L));
+            }).find("unbound Core identifier 'ghost'"),
+            std::string::npos);
+}
+
+TEST(CoreScope, ParametersScopeOverTheirOwnProcedureOnly) {
+  // f(x) is checked first (lower symbol id); main naming x must still fail.
+  CoreProgram P;
+  Symbol F = P.Syms.create("f", ail::SymbolKind::Function);
+  Symbol X = P.Syms.create("x", ail::SymbolKind::Object);
+  Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
+  P.MainProc = Main;
+  auto RetOf = [&] {
+    auto Ret = Expr::make(ExprKind::Ret);
+    auto Use = Expr::make(ExprKind::Sym);
+    Use->Sym = X;
+    Ret->Kids.push_back(std::move(Use));
+    return Ret;
+  };
+  CoreProc FP;
+  FP.Name = F;
+  FP.ReturnTy = CType::intTy();
+  FP.Params.push_back({X, CType::intTy()});
+  FP.Body = RetOf();
+  P.Procs.emplace(F.Id, std::move(FP));
+  ASSERT_EQ(core::typeCheck(P), std::nullopt); // x is f's own parameter
+  CoreProc MP;
+  MP.Name = Main;
+  MP.ReturnTy = CType::intTy();
+  MP.Body = RetOf();
+  P.Procs.emplace(Main.Id, std::move(MP));
+
+  auto Err = core::typeCheck(P);
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_NE(Err->find("in procedure 'main'"), std::string::npos) << *Err;
+  EXPECT_NE(Err->find("unbound"), std::string::npos) << *Err;
+  EXPECT_NE(Err->find("'x'"), std::string::npos) << *Err;
+}
+
 TEST(CoreScope, PatternBindingScopesOverBodyOnly) {
   // let x = 1 in x  is fine; a use of x *outside* the let is not. The
   // whole-pipeline assertion: every elaborated program is lexically

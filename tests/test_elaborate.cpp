@@ -82,6 +82,17 @@ TEST(Elaborate, CallsAreWrappedInIndet) {
   EXPECT_EQ(countKind(mainBody(P), ExprKind::Indet), 2u);
 }
 
+TEST(Elaborate, IndetNumberingIsPerProgram) {
+  // indet[n] counts from 1 in each program, so a source prints the same
+  // Core however many programs the process compiled before it.
+  const char *Src =
+      "int f(void){ return 1; } int main(void){ return f() + f(); }";
+  std::string First = printProgram(compileOk(Src));
+  EXPECT_EQ(printProgram(compileOk(Src)), First);
+  EXPECT_NE(First.find("indet[1]("), std::string::npos) << First;
+  EXPECT_NE(First.find("indet[2]("), std::string::npos) << First;
+}
+
 TEST(Elaborate, WhileBecomesSaveRun) {
   CoreProgram P = compileOk(R"(
 int main(void) {

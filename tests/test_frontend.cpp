@@ -248,6 +248,32 @@ TEST(Parser, TypedefNameDisambiguation) {
 TEST(Parser, TypedefShadowedByVariable) {
   auto U = unitOk("typedef int T; int f(void) { int T = 2; return T * 3; }");
   EXPECT_EQ(U.Items.size(), 2u);
+
+  // The shadow ends with its block: (T)1 after it is a cast again.
+  U = unitOk("typedef int T; int f(void) { { int T = 2; } return (T)1; }");
+  ASSERT_EQ(U.Items.size(), 2u);
+  ASSERT_TRUE(U.Items[1].Function.has_value());
+  const auto &Body = U.Items[1].Function->Body->Body;
+  ASSERT_EQ(Body.size(), 2u);
+  ASSERT_EQ(Body[1]->Kind, CabsStmtKind::Return);
+  EXPECT_EQ(Body[1]->E->Kind, CabsExprKind::Cast);
+
+  // A typedef re-declared in a nested scope hides the variable there, and
+  // the variable is visible again once that scope closes.
+  U = unitOk("typedef int T; int f(void) { int T = 2; "
+             "{ typedef char T; T c = (T)1; c = (T)c; } return T * 3; }");
+  ASSERT_EQ(U.Items.size(), 2u);
+  ASSERT_TRUE(U.Items[1].Function.has_value());
+  const auto &Outer = U.Items[1].Function->Body->Body;
+  ASSERT_EQ(Outer.size(), 3u);
+  ASSERT_EQ(Outer[1]->Kind, CabsStmtKind::Block);
+  const auto &Inner = Outer[1]->Body;
+  ASSERT_EQ(Inner.size(), 3u); // typedef, declaration of c, assignment
+  EXPECT_EQ(Inner[1]->Kind, CabsStmtKind::Decl);
+  ASSERT_EQ(Inner[2]->Kind, CabsStmtKind::Expr);
+  EXPECT_EQ(Inner[2]->E->Kids[1]->Kind, CabsExprKind::Cast);
+  ASSERT_EQ(Outer[2]->Kind, CabsStmtKind::Return);
+  EXPECT_EQ(Outer[2]->E->Kind, CabsExprKind::Binary);
 }
 
 TEST(Parser, FunctionDefinitionVsPrototype) {

@@ -8,6 +8,8 @@
 // sets must be identical. Outcome::str() carries no step counts or
 // lower.* counters (those only surface in trace spans), so the
 // comparison needs no normalization beyond sorting the distinct set.
+// The same programs, both ways, must leave the compile with every
+// node's effect bit set and exact (the compile-once/run-many contract).
 //
 // Label: `lowering` (also tier1); scripts/ci.sh re-runs the label so a
 // registration slip cannot silently drop the equivalence contract.
@@ -26,6 +28,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace cerb;
@@ -184,6 +187,22 @@ std::vector<std::string> outcomeSet(const exec::ExhaustiveResult &R) {
   return S;
 }
 
+/// The reproducers in tests/corpus, as (file name, source) pairs.
+std::vector<std::pair<std::string, std::string>> corpusSources() {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::path(CERB_SOURCE_DIR) / "tests" / "corpus";
+  std::vector<std::pair<std::string, std::string>> Out;
+  for (const auto &Ent : fs::directory_iterator(Dir)) {
+    if (Ent.path().extension() != ".c")
+      continue;
+    std::ifstream In(Ent.path());
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    Out.emplace_back(Ent.path().filename().string(), Buf.str());
+  }
+  return Out;
+}
+
 /// Compiles \p Src both ways and expects byte-identical exhaustive
 /// reports under \p Policy. Compile errors must agree too.
 void expectEquivalent(const std::string &Name, const std::string &Src,
@@ -217,19 +236,78 @@ TEST(LoweringDifferential, DefactoSuiteIsEquivalent) {
 }
 
 TEST(LoweringDifferential, CorpusIsEquivalentUnderEveryPolicy) {
-  namespace fs = std::filesystem;
-  fs::path Dir = fs::path(CERB_SOURCE_DIR) / "tests" / "corpus";
-  unsigned Seen = 0;
-  for (const auto &Ent : fs::directory_iterator(Dir)) {
-    if (Ent.path().extension() != ".c")
-      continue;
-    std::ifstream In(Ent.path());
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    ++Seen;
+  auto Corpus = corpusSources();
+  for (const auto &[Name, Src] : Corpus)
     for (const mem::MemoryPolicy &P : mem::MemoryPolicy::allPresets())
-      expectEquivalent(Ent.path().filename().string() + "/" + P.Name,
-                       Buf.str(), P);
+      expectEquivalent(Name + "/" + P.Name, Src, P);
+  EXPECT_GT(Corpus.size(), 5u) << "corpus directory unexpectedly empty";
+}
+
+//===----------------------------------------------------------------------===//
+// Effect bits: every node's HasEffectsCache is set by the compile (lowered
+// programs by core::lower, unlowered ones by warmDynamicsCaches), so the
+// dynamics never writes to a shared program
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct BitCounts {
+  unsigned Nodes = 0, Unset = 0, Wrong = 0;
+};
+
+/// Checks each node of \p E against \p Fresh, its cloneExpr copy, whose
+/// caches start unset: the bit must be set and equal hasEffects(Fresh).
+void checkBits(const core::Expr &E, const core::Expr &Fresh, BitCounts &C) {
+  ++C.Nodes;
+  if (E.HasEffectsCache < 0)
+    ++C.Unset;
+  else if ((E.HasEffectsCache != 0) != core::hasEffects(Fresh))
+    ++C.Wrong;
+  for (size_t I = 0; I < E.Kids.size(); ++I)
+    checkBits(*E.Kids[I], *Fresh.Kids[I], C);
+  for (size_t I = 0; I < E.Branches.size(); ++I)
+    checkBits(*E.Branches[I].second, *Fresh.Branches[I].second, C);
+}
+
+/// Compiles \p Src with lowering on and off and checks every node's bit.
+/// Returns the nodes checked (0 when the source is a static error).
+unsigned expectEffectBits(const std::string &Name, const std::string &Src) {
+  unsigned Nodes = 0;
+  for (bool Lower : {true, false}) {
+    exec::FrontendOptions FE;
+    FE.CoreLower = Lower;
+    auto R = exec::compileWithStats(Src, FE);
+    if (!R)
+      continue;
+    BitCounts C;
+    auto Check = [&](const core::Expr &Root) {
+      core::ExprPtr Fresh = core::cloneExpr(Root);
+      checkBits(Root, *Fresh, C);
+    };
+    for (const auto &[Id, Proc] : R->Prog.Procs)
+      Check(*Proc.Body);
+    for (const core::CoreGlobal &G : R->Prog.Globals)
+      if (G.Init)
+        Check(*G.Init);
+    EXPECT_EQ(C.Unset, 0u) << Name << (Lower ? " (lowered)" : "");
+    EXPECT_EQ(C.Wrong, 0u) << Name << (Lower ? " (lowered)" : "");
+    Nodes += C.Nodes;
   }
-  EXPECT_GT(Seen, 5u) << "corpus directory unexpectedly empty";
+  return Nodes;
+}
+
+} // namespace
+
+TEST(LoweringEffects, DefactoSuiteBitsAreSetAndExact) {
+  unsigned Nodes = 0;
+  for (const defacto::TestCase &T : defacto::testSuite())
+    Nodes += expectEffectBits(T.Name, T.Source);
+  EXPECT_GT(Nodes, 10000u);
+}
+
+TEST(LoweringEffects, CorpusBitsAreSetAndExact) {
+  unsigned Nodes = 0;
+  for (const auto &[Name, Src] : corpusSources())
+    Nodes += expectEffectBits(Name, Src);
+  EXPECT_GT(Nodes, 1000u);
 }
