@@ -22,12 +22,9 @@
 #include "csmith/Differential.h"
 #include "exec/Pipeline.h"
 
-#include <gtest/gtest.h>
+#include "Golden.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
+#include <gtest/gtest.h>
 
 using namespace cerb;
 
@@ -54,41 +51,9 @@ std::string corpusPath(const std::string &Name) {
   return std::string(CERB_SOURCE_DIR) + "/tests/corpus/" + Name + ".c";
 }
 
-std::string goldenPath() {
-  return std::string(CERB_SOURCE_DIR) + "/tests/goldens/corpus_outcomes.golden";
-}
-
-std::string escape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '\\')
-      Out += "\\\\";
-    else if (C == '\n')
-      Out += "\\n";
-    else
-      Out += C;
-  }
-  return Out;
-}
-
-std::string unescape(const std::string &S) {
-  std::string Out;
-  for (size_t I = 0; I < S.size(); ++I) {
-    if (S[I] == '\\' && I + 1 < S.size()) {
-      ++I;
-      Out += S[I] == 'n' ? '\n' : S[I];
-    } else {
-      Out += S[I];
-    }
-  }
-  return Out;
-}
-
 /// Key "file policy" -> the pinned single-execution outcome line.
-using GoldenMap = std::map<std::string, std::string>;
-
-GoldenMap computeActual() {
-  GoldenMap Actual;
+golden::GoldenMap computeActual() {
+  golden::GoldenMap Actual;
   for (const char *Name : CorpusFiles) {
     auto Src = exec::readSourceFile(corpusPath(Name));
     EXPECT_TRUE(static_cast<bool>(Src)) << Src.error().str();
@@ -98,77 +63,22 @@ GoldenMap computeActual() {
       exec::RunOptions Opts;
       Opts.Policy = P;
       auto R = exec::evaluateOnce(*Src, Opts);
-      Actual[std::string(Name) + " " + P.Name] =
-          R ? R->str() : "compile-error(" + R.error().str() + ")";
+      Actual[std::string(Name) + " " + P.Name] = {
+          R ? R->str() : "compile-error(" + R.error().str() + ")"};
     }
   }
   return Actual;
 }
 
-std::string serialize(const GoldenMap &M) {
-  std::string Out =
-      "# Golden single-execution outcomes for the minimized-reproducer\n"
-      "# corpus (tests/corpus/), one [file policy] record per replay.\n"
-      "# Regenerate: CERB_UPDATE_GOLDENS=1 ./build/tests/cerb_corpus_tests\n";
-  for (const auto &[Key, Outcome] : M)
-    Out += "\n[" + Key + "]\n" + escape(Outcome) + "\n";
-  return Out;
-}
-
-bool parseGoldens(const std::string &Path, GoldenMap &M, std::string &Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Err = "cannot open " + Path +
-          " (regenerate: CERB_UPDATE_GOLDENS=1 ./build/tests/cerb_corpus_tests)";
-    return false;
-  }
-  std::string Line, Key;
-  while (std::getline(In, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    if (Line.front() == '[' && Line.back() == ']') {
-      Key = Line.substr(1, Line.size() - 2);
-      continue;
-    }
-    if (Key.empty()) {
-      Err = "stray line before first record: " + Line;
-      return false;
-    }
-    M[Key] = unescape(Line);
-  }
-  return true;
-}
+const char *const Description =
+    "# Golden single-execution outcomes for the minimized-reproducer\n"
+    "# corpus (tests/corpus/), one [file policy] record per replay.\n";
 
 } // namespace
 
 TEST(CorpusGolden, ReplayOutcomesMatchGoldens) {
-  GoldenMap Actual = computeActual();
-
-  if (std::getenv("CERB_UPDATE_GOLDENS")) {
-    std::ofstream Out(goldenPath(), std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(static_cast<bool>(Out)) << "cannot write " << goldenPath();
-    Out << serialize(Actual);
-    GTEST_LOG_(INFO) << "regenerated " << goldenPath();
-    return;
-  }
-
-  GoldenMap Golden;
-  std::string Err;
-  ASSERT_TRUE(parseGoldens(goldenPath(), Golden, Err)) << Err;
-
-  for (const auto &[Key, Outcome] : Golden)
-    EXPECT_TRUE(Actual.count(Key))
-        << "golden record '" << Key
-        << "' no longer produced (corpus changed? regenerate goldens)";
-  for (const auto &[Key, Outcome] : Actual) {
-    auto It = Golden.find(Key);
-    if (It == Golden.end()) {
-      ADD_FAILURE() << "no golden record for '" << Key
-                    << "' (new corpus entry? regenerate goldens)";
-      continue;
-    }
-    EXPECT_EQ(It->second, Outcome) << "replay outcome drifted for " << Key;
-  }
+  golden::checkGoldens("corpus_outcomes.golden", "cerb_corpus_tests",
+                       Description, computeActual());
 }
 
 TEST(CorpusGolden, ReproducersStillDivergeFromHostCompiler) {

@@ -288,6 +288,23 @@ int isOdd(int n) { return n == 0 ? 0 : isEven(n - 1); }
 int main(void) { return isEven(10) * 10 + isOdd(7); }
 )",
              11);
+  // Each level re-creates t after a recursive call has bound the same
+  // environment slot, so returning from a call must restore the caller's
+  // t (the host compiler gives 189).
+  expectExit(R"(
+int f(int n) {
+  int i, s = 0;
+  for (i = 0; i < 3; i++) {
+    int t = 10 * n + i;
+    if (n > 0)
+      s += f(n - 1);
+    s += t;
+  }
+  return s;
+}
+int main(void) { return f(2); }
+)",
+             189);
 }
 
 TEST(EvalControl, MainFallingOffReturnsZero) {

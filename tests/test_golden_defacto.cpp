@@ -16,14 +16,12 @@
 #include "defacto/Suite.h"
 #include "exec/Pipeline.h"
 
+#include "Golden.h"
+
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-
 using namespace cerb;
+using golden::GoldenMap;
 
 namespace {
 
@@ -66,39 +64,7 @@ const char *GoldenTests[] = {
     "switch_duff_fallthrough",
 };
 
-std::string goldenPath() {
-  return std::string(CERB_SOURCE_DIR) + "/tests/goldens/defacto_outcomes.golden";
-}
-
-std::string escape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '\\')
-      Out += "\\\\";
-    else if (C == '\n')
-      Out += "\\n";
-    else
-      Out += C;
-  }
-  return Out;
-}
-
-std::string unescape(const std::string &S) {
-  std::string Out;
-  for (size_t I = 0; I < S.size(); ++I) {
-    if (S[I] == '\\' && I + 1 < S.size()) {
-      ++I;
-      Out += S[I] == 'n' ? '\n' : S[I];
-    } else {
-      Out += S[I];
-    }
-  }
-  return Out;
-}
-
 /// Key "test_name policy" -> sorted canonical outcome strings.
-using GoldenMap = std::map<std::string, std::vector<std::string>>;
-
 GoldenMap computeActual(unsigned ExploreJobs) {
   GoldenMap Actual;
   for (const char *Name : GoldenTests) {
@@ -126,75 +92,16 @@ GoldenMap computeActual(unsigned ExploreJobs) {
   return Actual;
 }
 
-std::string serialize(const GoldenMap &M) {
-  std::string Out =
-      "# Golden distinct-outcome sets for the de facto suite corpus.\n"
-      "# One [test policy] record per exploration; outcomes are canonical\n"
-      "# Outcome::str() strings in sorted order, \\n-escaped.\n"
-      "# Regenerate: CERB_UPDATE_GOLDENS=1 ./build/tests/cerb_golden_tests\n";
-  for (const auto &[Key, Outs] : M) {
-    Out += "\n[" + Key + "]\n";
-    for (const std::string &O : Outs)
-      Out += escape(O) + "\n";
-  }
-  return Out;
-}
-
-bool parseGoldens(const std::string &Path, GoldenMap &M, std::string &Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Err = "cannot open " + Path +
-          " (regenerate: CERB_UPDATE_GOLDENS=1 ./build/tests/cerb_golden_tests)";
-    return false;
-  }
-  std::string Line, Key;
-  while (std::getline(In, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    if (Line.front() == '[' && Line.back() == ']') {
-      Key = Line.substr(1, Line.size() - 2);
-      M[Key]; // a record may legitimately be empty (compile-error sentinel aside)
-      continue;
-    }
-    if (Key.empty()) {
-      Err = "stray line before first record: " + Line;
-      return false;
-    }
-    M[Key].push_back(unescape(Line));
-  }
-  return true;
-}
+const char *const Description =
+    "# Golden distinct-outcome sets for the de facto suite corpus.\n"
+    "# One [test policy] record per exploration; outcomes are canonical\n"
+    "# Outcome::str() strings in sorted order, \\n-escaped.\n";
 
 } // namespace
 
 TEST(GoldenDefacto, OutcomeSetsMatchGoldens) {
-  GoldenMap Actual = computeActual(/*ExploreJobs=*/1);
-
-  if (std::getenv("CERB_UPDATE_GOLDENS")) {
-    std::ofstream Out(goldenPath(), std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(static_cast<bool>(Out)) << "cannot write " << goldenPath();
-    Out << serialize(Actual);
-    GTEST_LOG_(INFO) << "regenerated " << goldenPath();
-    return;
-  }
-
-  GoldenMap Golden;
-  std::string Err;
-  ASSERT_TRUE(parseGoldens(goldenPath(), Golden, Err)) << Err;
-
-  for (const auto &[Key, Outs] : Golden)
-    EXPECT_TRUE(Actual.count(Key))
-        << "golden record '" << Key
-        << "' no longer produced (corpus changed? regenerate goldens)";
-  for (const auto &[Key, Outs] : Actual) {
-    auto It = Golden.find(Key);
-    if (It == Golden.end()) {
-      ADD_FAILURE() << "no golden record for '" << Key
-                    << "' (new corpus entry? regenerate goldens)";
-      continue;
-    }
-    EXPECT_EQ(It->second, Outs) << "distinct-outcome set drifted for " << Key;
-  }
+  golden::checkGoldens("defacto_outcomes.golden", "cerb_golden_tests",
+                       Description, computeActual(/*ExploreJobs=*/1));
 }
 
 TEST(GoldenDefacto, ParallelExplorerMatchesGoldenOutcomes) {

@@ -5,9 +5,9 @@
 // differential sweep: every de facto suite test and every corpus
 // reproducer is compiled twice — FrontendOptions::CoreLower on and off,
 // the same toggle CERB_NO_LOWERING=1 flips — and the exhaustive outcome
-// sets must be identical. Outcome::str() carries no step counts or
-// lower.* counters (those only surface in trace spans), so the
-// comparison needs no normalization beyond sorting the distinct set.
+// sets must be identical. The lowered results are also pinned in
+// tests/goldens/lowering_outcomes.golden (regenerate:
+// CERB_UPDATE_GOLDENS=1 ./build/tests/cerb_lowering_tests).
 // The same programs, both ways, must leave the compile with every
 // node's effect bit set and exact (the compile-once/run-many contract).
 //
@@ -20,6 +20,8 @@
 #include "defacto/Suite.h"
 #include "exec/Driver.h"
 #include "exec/Pipeline.h"
+
+#include "Golden.h"
 
 #include <gtest/gtest.h>
 
@@ -177,16 +179,6 @@ TEST(Lowering, FrontendFingerprintSeparatesTheVariants) {
 
 namespace {
 
-/// Sorted multiset of distinct outcomes — the observable result of an
-/// exhaustive exploration, independent of path enumeration order.
-std::vector<std::string> outcomeSet(const exec::ExhaustiveResult &R) {
-  std::vector<std::string> S;
-  for (const exec::Outcome &O : R.Distinct)
-    S.push_back(O.str());
-  std::sort(S.begin(), S.end());
-  return S;
-}
-
 /// The reproducers in tests/corpus, as (file name, source) pairs.
 std::vector<std::pair<std::string, std::string>> corpusSources() {
   namespace fs = std::filesystem;
@@ -203,44 +195,65 @@ std::vector<std::pair<std::string, std::string>> corpusSources() {
   return Out;
 }
 
-/// Compiles \p Src both ways and expects byte-identical exhaustive
-/// reports under \p Policy. Compile errors must agree too.
-void expectEquivalent(const std::string &Name, const std::string &Src,
-                      const mem::MemoryPolicy &Policy) {
-  exec::FrontendOptions On, Off;
-  On.CoreLower = true;
-  Off.CoreLower = false;
-  auto L = exec::compileWithStats(Src, On);
-  auto T = exec::compileWithStats(Src, Off);
-  ASSERT_EQ(static_cast<bool>(L), static_cast<bool>(T))
-      << Name << ": one variant failed to compile";
-  if (!L) {
-    EXPECT_EQ(L.error().str(), T.error().str()) << Name;
-    return;
-  }
+/// One exploration's golden record: "paths N", then the sorted distinct
+/// outcomes (Outcome::str() carries no step counts, so the sorted set needs
+/// no further normalization). A compile error is a one-line record.
+std::vector<std::string> explore(const std::string &Src,
+                                 const mem::MemoryPolicy &Policy, bool Lower) {
+  exec::FrontendOptions FE;
+  FE.CoreLower = Lower;
+  auto C = exec::compileWithStats(Src, FE);
+  if (!C)
+    return {"compile-error(" + C.error().str() + ")"};
   exec::RunOptions Opts;
   Opts.Policy = Policy;
   Opts.MaxPaths = 256;
-  exec::ExhaustiveResult RL = exec::runExhaustive(L->Prog, Opts);
-  exec::ExhaustiveResult RT = exec::runExhaustive(T->Prog, Opts);
-  EXPECT_EQ(RL.PathsExplored, RT.PathsExplored) << Name;
-  EXPECT_EQ(outcomeSet(RL), outcomeSet(RT)) << Name;
+  exec::ExhaustiveResult R = exec::runExhaustive(C->Prog, Opts);
+  std::vector<std::string> Rec{"paths " + std::to_string(R.PathsExplored)};
+  for (const exec::Outcome &O : R.Distinct)
+    Rec.push_back(O.str());
+  std::sort(Rec.begin() + 1, Rec.end());
+  return Rec;
+}
+
+const char *const GoldenDescription =
+    "# Golden exhaustive explorations (at most 256 paths) of the de facto\n"
+    "# suite under defacto and of tests/corpus/*.c under every preset. One\n"
+    "# [suite/test policy] or [corpus/file policy] record per exploration:\n"
+    "# \"paths N\", then the sorted distinct Outcome::str() strings,\n"
+    "# \\n-escaped.\n";
+
+/// Explores \p Src lowered and unlowered, expects the two records equal,
+/// and files the lowered one under \p Key.
+void expectEquivalent(const std::string &Key, const std::string &Src,
+                      const mem::MemoryPolicy &Policy,
+                      golden::GoldenMap &Actual) {
+  std::vector<std::string> Lowered = explore(Src, Policy, true);
+  EXPECT_EQ(Lowered, explore(Src, Policy, false)) << Key;
+  Actual[Key] = std::move(Lowered);
 }
 
 } // namespace
 
 TEST(LoweringDifferential, DefactoSuiteIsEquivalent) {
   const mem::MemoryPolicy Policy = mem::MemoryPolicy::defacto();
+  golden::GoldenMap Actual;
   for (const defacto::TestCase &T : defacto::testSuite())
-    expectEquivalent(T.Name, T.Source, Policy);
+    expectEquivalent("suite/" + T.Name + " " + Policy.Name, T.Source, Policy,
+                     Actual);
+  golden::checkGoldens("lowering_outcomes.golden", "cerb_lowering_tests",
+                       GoldenDescription, Actual, "suite/");
 }
 
 TEST(LoweringDifferential, CorpusIsEquivalentUnderEveryPolicy) {
   auto Corpus = corpusSources();
+  golden::GoldenMap Actual;
   for (const auto &[Name, Src] : Corpus)
     for (const mem::MemoryPolicy &P : mem::MemoryPolicy::allPresets())
-      expectEquivalent(Name + "/" + P.Name, Src, P);
+      expectEquivalent("corpus/" + Name + " " + P.Name, Src, P, Actual);
   EXPECT_GT(Corpus.size(), 5u) << "corpus directory unexpectedly empty";
+  golden::checkGoldens("lowering_outcomes.golden", "cerb_lowering_tests",
+                       GoldenDescription, Actual, "corpus/");
 }
 
 //===----------------------------------------------------------------------===//
