@@ -20,15 +20,13 @@ OUT="${BENCH_OUT:-$(pwd)}"
 # shellcheck disable=SC2086  # CMAKE_ARGS is intentionally word-split
 cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release ${CMAKE_ARGS:-}
 cmake --build "$BUILD" -j "$JOBS" \
-    --target perf_oracle_batch perf_trace_overhead perf_lowering perf_serve
+    --target perf_oracle_batch perf_trace_overhead perf_serve
 
 mkdir -p "$OUT"
 cd "$OUT"
 "$BUILD/bench/perf_oracle_batch" --benchmark_min_time=0.1
 "$BUILD/bench/perf_trace_overhead" --benchmark_min_time=0.1
-# Core lowering speedup; enforces the >=1.5x single-path evaluation bound.
-"$BUILD/bench/perf_lowering" --benchmark_min_time=0.1
 # Daemon cold/warm latency and QPS; enforces the >=50x warm-repeat bound.
 "$BUILD/bench/perf_serve"
 echo "bench.sh: results in $OUT/BENCH_oracle.json, $OUT/BENCH_trace.json," \
-     "$OUT/BENCH_lowering.json, and $OUT/BENCH_serve.json"
+     "and $OUT/BENCH_serve.json"

@@ -46,9 +46,10 @@ run_label() {
 }
 
 run_label tier1
-# Core lowering equivalence sweep (label `lowering`,
+# Core lowering units and outcome sweep against
+# tests/goldens/lowering_outcomes.golden (label `lowering`,
 # tests/test_lowering.cpp): also part of tier-1, re-run by label so the
-# lowered-vs-tree-walking contract cannot silently drop out.
+# recorded outcome contract cannot silently drop out.
 run_label lowering
 run_label slow
 run_label fuzz

@@ -2,6 +2,8 @@
 
 #include "conc/Conc.h"
 
+#include "core/Lowering.h"
+
 using namespace cerb;
 using namespace cerb::conc;
 using namespace cerb::core;
@@ -101,6 +103,7 @@ core::CoreProgram cerb::conc::buildSharedCounterProgram(
   Main.ReturnTy = IntTy;
   Main.Body = std::move(L0);
   Prog.Procs.emplace(MainSym.Id, std::move(Main));
+  core::lower(Prog);
   return Prog;
 }
 

@@ -30,7 +30,8 @@ namespace cerb::conc {
 ///  2. runs the given thread bodies under `par`;
 ///  3. loads `shared` and returns it.
 /// Thread bodies are built by ThreadSpec: each thread stores \p Stores
-/// values into the shared object in order.
+/// values into the shared object in order. The program comes back lowered
+/// (core::lower), as the evaluator requires.
 struct ThreadSpec {
   std::vector<int> Stores;
   bool ReadsOnly = false; ///< loads instead of stores

@@ -341,7 +341,7 @@ enum class ActionKind {
 /// one of these). core::lower interns the name into Expr::Pure so the
 /// evaluator's dispatch is a switch, not a string-comparison chain.
 enum class PureFn : int8_t {
-  None = -1, ///< not interned (unlowered tree or unknown name)
+  None = -1, ///< not interned (before core::lower, or an unknown name)
   IsRepresentable,
   ShrArith,
   BwAnd,
@@ -442,8 +442,7 @@ struct Expr {
   /// Environment slot for Sym nodes (core::lower; -1 until lowered).
   int Slot = -1;
   /// Index into CoreProgram::ConstPool for interned Val nodes (-1 when
-  /// not pooled). The literal in V is retained — printers and the
-  /// unlowered differential path keep reading it.
+  /// not pooled). The literal in V is retained for the printers.
   int PoolIdx = -1;
   /// Bloom summary (bit = label Id mod 64) of every Save label in this
   /// subtree, filled by core::lower. Zero means "definitely no save
@@ -451,14 +450,14 @@ struct Expr {
   /// scan; a set bit only admits the exact recursive check.
   uint64_t SaveMask = 0;
   /// Interned PureCall target (core::lower): the evaluator dispatches on
-  /// this instead of string-comparing Str. None = unresolved (unlowered
-  /// trees, or a name outside the fixed builtin set).
+  /// this instead of string-comparing Str. None = a name outside the fixed
+  /// builtin set (or a tree not yet lowered).
   PureFn Pure = PureFn::None;
   /// Lowering-proved guarantee: this subtree performs no memory actions,
   /// binds no symbols, raises no signals, and counts no events — it either
   /// produces a value or (on operand-kind surprises) defers to the general
   /// evaluator, whose re-evaluation is safe precisely because the subtree
-  /// is effect-free. Gates Evaluator::evalPure on the slot path.
+  /// is effect-free. Gates Evaluator::evalPure.
   bool ValueOnly = false;
   Pattern Pat;           // lets
   std::vector<ExprPtr> Kids;
@@ -512,8 +511,8 @@ struct CoreProgram {
 
   /// Set by core::lower: every binding/reference carries a slot index into
   /// a dense environment of NumSlots entries, and interned literals live
-  /// in ConstPool. The evaluator selects its slot-vector fast path on
-  /// Lowered; CERB_NO_LOWERING=1 compiles keep it false.
+  /// in ConstPool. The evaluator runs only lowered programs; exec::compile
+  /// lowers every program it returns.
   bool Lowered = false;
   unsigned NumSlots = 0;
   std::vector<Value> ConstPool;
@@ -551,8 +550,9 @@ bool hasEffects(const Expr &E);
 /// Populates Expr::HasEffectsCache for *every* node of \p P. After this
 /// pass the dynamics never writes to a shared CoreProgram, so one compiled
 /// program can be evaluated concurrently from many threads (the oracle's
-/// compile-once/run-many contract). Called by exec::compile. A lowered
-/// program needs no walk: core::lower sets every bit as it annotates.
+/// compile-once/run-many contract). Called by exec::compile after
+/// core::lower, which sets every bit as it annotates, so on a lowered
+/// program it returns at once.
 void warmDynamicsCaches(const CoreProgram &P);
 
 //===----------------------------------------------------------------------===//

@@ -7,8 +7,7 @@
 ///  - slot resolution: every symbol the dynamics ever binds or reads
 ///    (pattern symbols, procedure parameters, globals, save/run scope
 ///    objects, Sym references) is assigned a dense environment-slot index,
-///    so the evaluator replaces its name-keyed std::map environment with
-///    array indexing;
+///    so the evaluator's environment is an array indexed by slot;
 ///  - constant folding: pure subexpressions over literal operands are
 ///    folded at compile time, mirroring the evaluator's semantics exactly
 ///    (anything the evaluator would turn into a dynamic error or UB —
@@ -22,11 +21,11 @@
 ///    booleans, function designators) are deduplicated into a per-program
 ///    ConstPool the evaluator reads through Expr::PoolIdx.
 ///
-/// The pass runs once per compile (exec::Pipeline), the lowered program is
-/// what the compile caches share, and CERB_NO_LOWERING=1 keeps the
-/// tree-walking path alive for differential testing. The lowering version
-/// string is folded into exec::semanticsFingerprint() so result-cache keys
-/// from before a lowering change can never alias results after it.
+/// The pass runs once per compile (exec::Pipeline), and the lowered program
+/// is what the compile caches share and the evaluator runs; the evaluator
+/// refuses an unlowered one. The lowering version string is folded into
+/// exec::semanticsFingerprint() so result-cache keys from before a lowering
+/// change can never alias results after it.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_CORE_LOWERING_H

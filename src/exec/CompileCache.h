@@ -23,10 +23,9 @@
 /// not the (allocator-dependent) size of the compiled Core program, so
 /// tests can force exact eviction patterns.
 ///
-/// Safety: compile() pre-warms the program's dynamics caches (core::lower,
-/// or core::warmDynamicsCaches when unlowered), so the shared CoreProgram
-/// is never written after publication and may be evaluated from any
-/// number of threads.
+/// Safety: compile() lowers the program, which sets its dynamics caches,
+/// so the shared CoreProgram is never written after publication and may be
+/// evaluated from any number of threads.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_EXEC_COMPILECACHE_H

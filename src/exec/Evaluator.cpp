@@ -55,15 +55,13 @@ Evaluator::Evaluator(const CoreProgram &Prog, Scheduler &Sched,
                      mem::MemoryPolicy Policy, ExecLimits Limits)
     : Prog(Prog), Env(Prog.Tags), Sched(Sched),
       Mem(Env, Sched, std::move(Policy)), Limits(Limits),
-      UseSlots(Prog.Lowered), Arena(EvalArena::threadLocal()) {
-  if (UseSlots) {
-    Slots = Arena.takeValues();
-    Slots.resize(Prog.NumSlots);
-    SlotBound = Arena.takeBytes();
-    SlotBound.resize(Prog.NumSlots, 0);
-    SlotStamp = Arena.takeStamps();
-    SlotStamp.resize(Prog.NumSlots, 0);
-  }
+      Arena(EvalArena::threadLocal()) {
+  Slots = Arena.takeValues();
+  Slots.resize(Prog.NumSlots);
+  SlotBound = Arena.takeBytes();
+  SlotBound.resize(Prog.NumSlots, 0);
+  SlotStamp = Arena.takeStamps();
+  SlotStamp.resize(Prog.NumSlots, 0);
 }
 
 Evaluator::~Evaluator() {
@@ -90,6 +88,12 @@ Outcome Evaluator::run() {
 
 Outcome Evaluator::runImpl() {
   Outcome O;
+  if (!Prog.Lowered) {
+    // Without slots every binding would index SlotStamp at -1.
+    O.Kind = OutcomeKind::Error;
+    O.Message = "program was not lowered: run core::lower before evaluating";
+    return O;
+  }
 
   // Static storage: plan the layout, create every object, bind its symbol.
   std::vector<std::pair<CType, std::string>> Layout;
@@ -99,12 +103,8 @@ Outcome Evaluator::runImpl() {
   for (const CoreGlobal &G : Prog.Globals) {
     mem::PointerValue P =
         Mem.allocateObject(G.Ty, Prog.Syms.nameOf(G.Name), /*Static=*/true);
-    if (UseSlots) {
-      Slots[G.Slot] = Value::pointer(P);
-      SlotBound[G.Slot] = 1;
-    } else {
-      Bindings[G.Name.Id] = Value::pointer(P);
-    }
+    Slots[G.Slot] = Value::pointer(P);
+    SlotBound[G.Slot] = 1;
   }
 
   auto Finish = [&](Res R) {
@@ -153,7 +153,7 @@ Outcome Evaluator::runImpl() {
     }
     if (G.ReadOnly) {
       // String literals become immutable once initialised (6.4.5p7).
-      auto P = asPointer(UseSlots ? Slots[G.Slot] : Bindings[G.Name.Id]);
+      auto P = asPointer(Slots[G.Slot]);
       if (P)
         Mem.markReadOnly(*P);
     }
@@ -219,19 +219,6 @@ bool intOf(const Value &V, Int128 &Out) {
 }
 } // namespace
 
-void Evaluator::bind(unsigned Id, Value &&V) {
-  if (!UndoStack.empty()) {
-    auto &Frame = UndoStack.back();
-    if (Frame.find(Id) == Frame.end()) {
-      auto It = Bindings.find(Id);
-      Frame.emplace(Id, It == Bindings.end()
-                            ? std::nullopt
-                            : std::optional<Value>(It->second));
-    }
-  }
-  Bindings[Id] = std::move(V);
-}
-
 void Evaluator::bindSlot(int Slot, Value &&V) {
   if (!UndoFrames.empty() && SlotStamp[Slot] != FrameEpoch) {
     int ValIdx = -1;
@@ -252,10 +239,7 @@ bool Evaluator::matchPattern(const Pattern &P, const Value &V, bool Inner) {
   case PatKind::Wild:
     return true;
   case PatKind::Sym:
-    if (UseSlots)
-      bindSlot(P.Slot, Inner ? V.inner() : Value(V));
-    else
-      bind(P.S.Id, Inner ? V.inner() : Value(V));
+    bindSlot(P.Slot, Inner ? V.inner() : Value(V));
     return true;
   case PatKind::Tuple: {
     if (K != ValueKind::Tuple || V.elems().size() != P.Subs.size())
@@ -322,17 +306,16 @@ Evaluator::conflict(ActRange A, ActRange B, bool OnlyNegLeft) const {
   return std::nullopt;
 }
 
-// hasEffects lives in core:: so that compile() can pre-warm the per-node
-// cache (core::lower, or core::warmDynamicsCaches when unlowered) before a
-// program is shared across evaluator threads.
+// hasEffects lives in core:: so that core::lower can set every node's
+// cache before a program is shared across evaluator threads.
 using core::hasEffects;
 
 bool Evaluator::containsSave(const Expr &E, Symbol Label) const {
-  // Lowered programs carry a per-node Save-label bloom: a clear bit
-  // refutes the subtree without walking it, turning the per-jump O(tree)
-  // routing scans into O(path). A set bit (possible collision) falls
-  // through to the exact scan, whose recursion re-checks masks.
-  if (UseSlots && !(E.SaveMask & (1ull << (Label.Id & 63))))
+  // Lowering leaves a per-node Save-label bloom: a clear bit refutes the
+  // subtree without walking it, turning the per-jump O(tree) routing scans
+  // into O(path). A set bit (possible collision) falls through to the
+  // exact scan, whose recursion re-checks masks.
+  if (!(E.SaveMask & (1ull << (Label.Id & 63))))
     return false;
   if (E.K == ExprKind::Save && E.Sym == Label)
     return true;
@@ -358,18 +341,9 @@ Evaluator::Res Evaluator::applyScopeDiff(
   for (const ScopeObject &O : RunScope) {
     if (In(SaveScope, O.Obj))
       continue;
-    const Value *BV = nullptr;
-    if (UseSlots) {
-      if (O.Slot >= 0 && SlotBound[O.Slot])
-        BV = &Slots[O.Slot];
-    } else {
-      auto It = Bindings.find(O.Obj.Id);
-      if (It != Bindings.end())
-        BV = &It->second;
-    }
-    if (!BV)
+    if (O.Slot < 0 || !SlotBound[O.Slot])
       continue; // the binding never materialised on this path
-    auto P = asPointer(*BV);
+    auto P = asPointer(Slots[O.Slot]);
     if (!P || !P->Prov.isAlloc())
       continue;
     if (Mem.allocations()[P->Prov.AllocId].Alive)
@@ -385,10 +359,7 @@ Evaluator::Res Evaluator::applyScopeDiff(
         Mem.allocateObject(O.Ty, Prog.Syms.nameOf(O.Obj), /*Static=*/false);
     if (!Frames.empty())
       Frames.back().Created.push_back(P);
-    if (UseSlots)
-      bindSlot(O.Slot, Value::pointer(P));
-    else
-      bind(O.Obj.Id, Value::pointer(P));
+    bindSlot(O.Slot, Value::pointer(P));
   }
   return Res();
 }
@@ -401,7 +372,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
   // Lowering-proved effect-free subtree: run the Res-free interpreter.
   // A null return (operand-kind surprise) falls through to the general
   // switch, which re-evaluates — harmless, the subtree has no effects.
-  if (UseSlots && E.ValueOnly) {
+  if (E.ValueOnly) {
     Value Tmp;
     const Value *P = evalPure(E, Tmp);
     if (P == &Tmp)
@@ -415,18 +386,11 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
 
   switch (E.K) {
   case ExprKind::Sym: {
-    if (UseSlots) {
-      int S = E.Slot;
-      if (S < 0 || !SlotBound[S])
-        return error(fmt("unbound Core identifier '{0}'",
-                         Prog.Syms.nameOf(E.Sym)));
-      return Res(Slots[S]);
-    }
-    auto It = Bindings.find(E.Sym.Id);
-    if (It == Bindings.end())
+    int S = E.Slot;
+    if (S < 0 || !SlotBound[S])
       return error(fmt("unbound Core identifier '{0}'",
                        Prog.Syms.nameOf(E.Sym)));
-    return Res(It->second);
+    return Res(Slots[S]);
   }
   case ExprKind::Val:
     if (E.PoolIdx >= 0)
@@ -469,7 +433,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     // lowering: read it in place, no Res.
     Value STmp;
     const Value *SO =
-        UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], STmp) : nullptr;
+        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], STmp) : nullptr;
     Res S;
     if (!SO) {
       S = eval(*E.Kids[0]);
@@ -707,7 +671,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     for (const ExprPtr &K : E.Kids) {
       // Arguments are overwhelmingly slot reads after lowering: copy
       // them out of the environment directly, skipping the Res plumbing.
-      if (UseSlots && K->ValueOnly) {
+      if (K->ValueOnly) {
         Value Tmp;
         if (const Value *P = evalPure(*K, Tmp)) {
           Args.push_back(P == &Tmp ? std::move(Tmp) : Value(*P));
@@ -791,7 +755,7 @@ Evaluator::Res Evaluator::evalLet(const Expr &E) {
   // actions, so the weak-let race check is vacuous). A nullptr bail falls
   // through to the general path, which is safe to re-run because the
   // subtree is effect-free.
-  if (UseSlots && E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
+  if (E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
     Value Tmp;
     if (const Value *P = evalPure(*E.Kids[0], Tmp)) {
       bindSlot(E.Pat.Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
@@ -815,10 +779,9 @@ Evaluator::Res Evaluator::evalLet(const Expr &E) {
         Acts.resize(Base);
       return R1;
     }
-    // The slot path consumes R1.V: the bound value is moved, not
-    // deep-copied (R1 is only ever overwritten below).
-    if (UseSlots ? !matchPatternMove(E.Pat, std::move(R1.V))
-                 : !matchPattern(E.Pat, R1.V)) {
+    // The bound value is moved out of R1.V, not deep-copied (R1 is only
+    // ever overwritten below).
+    if (!matchPatternMove(E.Pat, std::move(R1.V))) {
       if (Discard || Weak)
         Acts.resize(Base);
       return error("let pattern mismatch");
@@ -1051,8 +1014,7 @@ Evaluator::Res Evaluator::evalJump(const Expr &E, Symbol Label,
           return evalJump(*E.Kids[1], Sig.RunLabel, *Sig.RunScope);
         return R1;
       }
-      if (UseSlots ? !matchPatternMove(E.Pat, std::move(R1.V))
-                   : !matchPattern(E.Pat, R1.V))
+      if (!matchPatternMove(E.Pat, std::move(R1.V)))
         return error("let pattern mismatch after jump");
       Res R2 = eval(*E.Kids[1]);
       if (R2.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel))
@@ -1114,7 +1076,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
   case ActionKind::Kill: {
     Value PTmp;
     const Value *PO =
-        UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
+        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
       P = eval(*E.Kids[0]);
@@ -1151,7 +1113,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     // read, which the pure interpreter serves in place — no Res.
     Value PTmp;
     const Value *PO =
-        UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
+        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
       P = eval(*E.Kids[0]);
@@ -1183,7 +1145,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
   case ActionKind::Store: {
     Value PTmp, VTmp;
     const Value *PO =
-        UseSlots && E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
+        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
       P = eval(*E.Kids[0]);
@@ -1192,7 +1154,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
       PO = &P.V;
     }
     const Value *VO =
-        UseSlots && E.Kids[1]->ValueOnly ? evalPure(*E.Kids[1], VTmp) : nullptr;
+        E.Kids[1]->ValueOnly ? evalPure(*E.Kids[1], VTmp) : nullptr;
     Res V;
     if (!VO) {
       V = eval(*E.Kids[1]);
@@ -1599,17 +1561,14 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E) {
       return R;
     Args[I] = std::move(R.V);
   }
-  // Lowered trees carry the interned target; unlowered ones resolve the
-  // name here (same table, so both paths produce identical dispatch).
-  PureFn F = E.Pure != PureFn::None ? E.Pure : core::pureFnByName(E.Str);
-
+  // core::lower interned the target: None names no builtin.
   const Value *ArgP[4] = {&Args[0], &Args[1], &Args[2], &Args[3]};
-  if (auto R = tryPureFn(F, ArgP, N))
+  if (auto R = tryPureFn(E.Pure, ArgP, N))
     return Res(std::move(*R));
 
   // tryPureFn declined, so one of its (exactly mirrored) acceptance checks
   // failed; replay them to produce the historical diagnostic.
-  switch (F) {
+  switch (E.Pure) {
   case PureFn::IsRepresentable:
     if (N != 2 || Args[0].kind() != ValueKind::Ctype)
       return error("is_representable(ctype, int) misuse");
@@ -1658,17 +1617,11 @@ Evaluator::Res Evaluator::callProc(Symbol S, std::vector<Value> Args,
     return error("call depth limit exceeded (runaway recursion)");
   }
 
-  if (UseSlots) {
-    UndoFrames.push_back(
-        UndoFrame{UndoLog.size(), UndoVals.size(), ++EpochCounter});
-    FrameEpoch = EpochCounter;
-    for (size_t I = 0; I < Args.size(); ++I)
-      bindSlot(Proc->ParamSlots[I], std::move(Args[I]));
-  } else {
-    UndoStack.emplace_back();
-    for (size_t I = 0; I < Args.size(); ++I)
-      bind(Proc->Params[I].first.Id, std::move(Args[I]));
-  }
+  UndoFrames.push_back(
+      UndoFrame{UndoLog.size(), UndoVals.size(), ++EpochCounter});
+  FrameEpoch = EpochCounter;
+  for (size_t I = 0; I < Args.size(); ++I)
+    bindSlot(Proc->ParamSlots[I], std::move(Args[I]));
 
   Frames.push_back(Frame{});
   // Function bodies are indeterminately sequenced w.r.t. the caller's
@@ -1683,34 +1636,24 @@ Evaluator::Res Evaluator::callProc(Symbol S, std::vector<Value> Args,
       (void)Mem.killObject(P);
   }
   Frames.pop_back();
-  // Restore the caller's bindings. On the slot path the log is replayed
-  // in reverse: a slot may carry duplicate records when an inner frame's
-  // stamp went stale, and reverse order applies the frame-entry value
-  // last (see Evaluator.h SlotStamp).
-  if (UseSlots) {
-    size_t Base = UndoFrames.back().Base;
-    for (size_t I = UndoLog.size(); I > Base; --I) {
-      UndoRec &U = UndoLog[I - 1];
-      if (U.ValIdx >= 0) {
-        Slots[U.Slot] = std::move(UndoVals[U.ValIdx]);
-        SlotBound[U.Slot] = 1;
-      } else {
-        SlotBound[U.Slot] = 0;
-      }
+  // Restore the caller's bindings. The log is replayed in reverse: a slot
+  // may carry duplicate records when an inner frame's stamp went stale,
+  // and reverse order applies the frame-entry value last (see Evaluator.h
+  // SlotStamp).
+  size_t Base = UndoFrames.back().Base;
+  for (size_t I = UndoLog.size(); I > Base; --I) {
+    UndoRec &U = UndoLog[I - 1];
+    if (U.ValIdx >= 0) {
+      Slots[U.Slot] = std::move(UndoVals[U.ValIdx]);
+      SlotBound[U.Slot] = 1;
+    } else {
+      SlotBound[U.Slot] = 0;
     }
-    UndoLog.resize(Base);
-    UndoVals.resize(UndoFrames.back().ValsBase);
-    UndoFrames.pop_back();
-    FrameEpoch = UndoFrames.empty() ? 0 : UndoFrames.back().Epoch;
-  } else {
-    for (auto &[Id, Old] : UndoStack.back()) {
-      if (Old)
-        Bindings[Id] = std::move(*Old);
-      else
-        Bindings.erase(Id);
-    }
-    UndoStack.pop_back();
   }
+  UndoLog.resize(Base);
+  UndoVals.resize(UndoFrames.back().ValsBase);
+  UndoFrames.pop_back();
+  FrameEpoch = UndoFrames.empty() ? 0 : UndoFrames.back().Epoch;
   --CallDepth;
   Arena.give(std::move(Args)); // retire the argument buffer
 

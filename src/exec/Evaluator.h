@@ -31,7 +31,6 @@
 #include "support/Scheduler.h"
 
 #include <chrono>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,8 @@ public:
   Evaluator &operator=(const Evaluator &) = delete;
 
   /// Runs the whole program: creates static objects, evaluates their
-  /// initialisers in declaration order, then calls main.
+  /// initialisers in declaration order, then calls main. The program must
+  /// have been through core::lower; an unlowered one is an Error outcome.
   Outcome run();
 
   const mem::Memory &memory() const { return Mem; }
@@ -88,18 +88,11 @@ private:
   ExecLimits Limits;
   ExecEvents Events;
 
-  std::map<unsigned, core::Value> Bindings;
-  /// Per-call-frame undo log: the value each rebound symbol had at frame
-  /// entry (recursion must not clobber the caller's bindings).
-  std::vector<std::map<unsigned, std::optional<core::Value>>> UndoStack;
-
-  /// Slot-environment fast path, selected when the program was lowered
-  /// (core::lower resolves every binding to a dense slot index): the
-  /// environment is a flat Value array plus a bound bitmap, and the
-  /// per-call undo discipline is a flat log with frame-epoch stamps for
-  /// first-write-per-frame deduplication. CERB_NO_LOWERING=1 compiles
-  /// keep Prog.Lowered false and run the map path above unchanged.
-  const bool UseSlots;
+  /// The environment: core::lower resolves every binding to a dense slot
+  /// index, so it is a flat Value array plus a bound bitmap. Recursion
+  /// must not clobber the caller's bindings, so each call frame logs the
+  /// value a slot had at frame entry the first time the frame rebinds it
+  /// (frame-epoch stamps find that first write).
   EvalArena &Arena;                ///< thread-local scratch pool
   std::vector<core::Value> Slots;  ///< slot -> current value
   std::vector<uint8_t> SlotBound;  ///< slot currently bound?
@@ -233,10 +226,10 @@ private:
   Res evalAction(const core::Expr &E);
   Res evalPtrOp(const core::Expr &E);
   Res evalPureCall(const core::Expr &E);
-  /// Res-free fast path for subtrees lowering marked ValueOnly (slot path
-  /// only): no Res, action-stack, or signal plumbing, and operands are
-  /// read in place — a Sym returns &Slots[slot], a pooled constant returns
-  /// &ConstPool[i] (sound because the subtree cannot rebind slots).
+  /// Res-free fast path for subtrees lowering marked ValueOnly: no Res,
+  /// action-stack, or signal plumbing, and operands are read in place — a
+  /// Sym returns &Slots[slot], a pooled constant returns &ConstPool[i]
+  /// (sound because the subtree cannot rebind slots).
   /// Computed results land in \p Tmp and &Tmp is returned. nullptr defers
   /// to the general evaluator — safe to re-run because ValueOnly subtrees
   /// are effect-free.
@@ -259,19 +252,17 @@ private:
                   SourceLoc Loc);
   Res doPrintf(std::vector<core::Value> &Args, SourceLoc Loc);
 
-  /// Binds a symbol, recording the previous value in the innermost undo
+  /// Binds a slot, recording its previous value in the innermost undo
   /// frame (first write per frame only).
-  void bind(unsigned Id, core::Value &&V);
-  /// Slot-path bind with the same per-frame undo discipline.
   void bindSlot(int Slot, core::Value &&V);
   /// \p Inner matches the value wrapped by \p V's Specified flag.
   bool matchPattern(const core::Pattern &P, const core::Value &V,
                     bool Inner = false);
-  /// Slot-path matchPattern that consumes \p V: bound sub-values are
-  /// moved into their slots instead of deep-copied. Accept/reject
-  /// decisions mirror matchPattern exactly; a rejected match may leave
-  /// \p V partially consumed, so callers must not read it afterwards
-  /// (the copying version has the same partial-bind caveat).
+  /// matchPattern that consumes \p V: bound sub-values are moved into
+  /// their slots instead of deep-copied. Accept/reject decisions mirror
+  /// matchPattern exactly; a rejected match may leave \p V partially
+  /// consumed, so callers must not read it afterwards (the copying version
+  /// has the same partial-bind caveat).
   bool matchPatternMove(const core::Pattern &P, core::Value &&V);
   /// Checks two footprints for a conflicting (same-location, >=1 write)
   /// pair; returns the UB if found. OnlyNegLeft restricts the left side to

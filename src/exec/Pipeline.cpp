@@ -9,7 +9,6 @@
 #include "typing/TypeCheck.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -30,20 +29,12 @@ auto timed(double &Ms, const char *SpanName, Fn &&F) {
 }
 } // namespace
 
-bool cerb::exec::FrontendOptions::defaultCoreLower() {
-  static const bool On = [] {
-    const char *V = std::getenv("CERB_NO_LOWERING");
-    return !(V && V[0] == '1' && V[1] == '\0');
-  }();
-  return On;
-}
-
 uint64_t cerb::exec::FrontendOptions::fingerprint() const {
   // FNV-1a over a version tag plus one byte per knob; bump the tag whenever
-  // a knob is added so old fingerprints cannot alias new option vectors.
-  // /2: added CoreLower; the lowering pass version is mixed in so a
-  // lowering change re-keys cached lowered artifacts too.
-  static constexpr const char kFrontendVersion[] = "cerb-frontend/2";
+  // the knob set changes so old fingerprints cannot alias new option
+  // vectors. The lowering pass version is mixed in so a lowering change
+  // re-keys cached artifacts too.
+  static constexpr const char kFrontendVersion[] = "cerb-frontend/3";
   uint64_t H = 0xcbf29ce484222325ull;
   for (const char *P = kFrontendVersion; *P; ++P) {
     H ^= static_cast<unsigned char>(*P);
@@ -51,13 +42,10 @@ uint64_t cerb::exec::FrontendOptions::fingerprint() const {
   }
   H ^= static_cast<unsigned char>(CoreSimplify ? 1 : 0);
   H *= 0x100000001b3ull;
-  H ^= static_cast<unsigned char>(CoreLower ? 1 : 0);
-  H *= 0x100000001b3ull;
-  if (CoreLower)
-    for (char C : core::loweringVersion()) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 0x100000001b3ull;
-    }
+  for (char C : core::loweringVersion()) {
+    H ^= static_cast<unsigned char>(C);
+    H *= 0x100000001b3ull;
+  }
   return H;
 }
 
@@ -86,7 +74,7 @@ cerb::exec::compileWithStats(std::string_view Src, const FrontendOptions &FE) {
   auto T0 = std::chrono::steady_clock::now();
   if (FE.CoreSimplify)
     Result.Rewrites = core::rewrite(Result.Prog);
-  if (FE.CoreLower) {
+  {
     static trace::Counter CntLowered("lower.programs");
     static trace::Counter CntSlots("lower.slots");
     static trace::Counter CntFolds("lower.const_folds");
@@ -104,15 +92,15 @@ cerb::exec::compileWithStats(std::string_view Src, const FrontendOptions &FE) {
     if (Lower.active())
       Lower.arg("slots", Result.Lowering.SlotsAssigned);
   }
-  // Type checking runs on the final (possibly lowered) tree, so a lowering
-  // bug that breaks scoping or purity fails the compile rather than
-  // corrupting an evaluation.
+  // Type checking runs on the lowered tree, so a lowering bug that breaks
+  // scoping or purity fails the compile rather than corrupting an
+  // evaluation.
   if (auto Err = core::typeCheck(Result.Prog))
     return err("Core type checking failed: " + *Err);
-  // Pre-warm the per-node dynamics caches: after this, evaluation never
-  // writes to the program, so one compiled unit can serve many concurrent
-  // evaluator threads (the oracle's compile-once/run-many contract).
-  // core::lower already set them on a lowered program.
+  // core::lower set every node's dynamics cache, so evaluation never
+  // writes to the program and one compiled unit can serve many concurrent
+  // evaluator threads (the oracle's compile-once/run-many contract); on a
+  // lowered program this call returns at once.
   core::warmDynamicsCaches(Result.Prog);
   T.ElaborateMs += std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - T0)

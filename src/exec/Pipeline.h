@@ -44,7 +44,7 @@ struct StageTimings {
 struct CompileResult {
   core::CoreProgram Prog;
   core::RewriteStats Rewrites;
-  core::LoweringStats Lowering; ///< all-zero when lowering was disabled
+  core::LoweringStats Lowering;
   StageTimings Timings;
 };
 
@@ -58,19 +58,8 @@ struct FrontendOptions {
   /// 1:1 with the elaboration rules, which is what debugging wants.
   bool CoreSimplify = true;
 
-  /// Run core::lower after elaboration (slot resolution, constant folding,
-  /// let flattening, constant interning — see core/Lowering.h). Defaults
-  /// from the environment: CERB_NO_LOWERING=1 turns it off, keeping the
-  /// tree-walking evaluator path for differential testing. A knob (not a
-  /// raw env read at use sites) so compile caches key lowered and
-  /// unlowered artifacts separately.
-  bool CoreLower = defaultCoreLower();
-
-  /// True unless CERB_NO_LOWERING=1 is set (read once per process).
-  static bool defaultCoreLower();
-
   bool operator==(const FrontendOptions &O) const {
-    return CoreSimplify == O.CoreSimplify && CoreLower == O.CoreLower;
+    return CoreSimplify == O.CoreSimplify;
   }
   bool operator!=(const FrontendOptions &O) const { return !(*this == O); }
 
@@ -79,10 +68,10 @@ struct FrontendOptions {
   uint64_t fingerprint() const;
 };
 
-/// Runs the full front end + elaboration on \p Source. The returned program
-/// has its dynamics caches pre-warmed (by core::lower, or by
-/// core::warmDynamicsCaches when unlowered), so it may be evaluated
-/// concurrently from many threads without further preparation.
+/// Runs the full front end + elaboration + core::lower on \p Source. The
+/// returned program is lowered, so its dynamics caches are set and it may
+/// be evaluated concurrently from many threads without further
+/// preparation.
 Expected<core::CoreProgram> compile(std::string_view Source);
 
 /// Like compile(), also reporting the Core-to-Core rewrite statistics and

@@ -299,6 +299,35 @@ TEST(CorePurity, DetectsEffectInPureContext) {
   EXPECT_NE(Err->find("pure context"), std::string::npos);
 }
 
+TEST(CoreDynamics, UnloweredProgramIsRefused) {
+  // A well-formed hand-built program that skipped core::lower has no
+  // environment slots; the evaluator must refuse it, not index slot -1.
+  CoreProgram P;
+  Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
+  Symbol X = P.Syms.create("x", ail::SymbolKind::Object);
+  P.MainProc = Main;
+  auto Seven = Expr::make(ExprKind::Val);
+  Seven->V = Value::integer(7);
+  auto Use = Expr::make(ExprKind::Sym);
+  Use->Sym = X;
+  auto Ret = Expr::make(ExprKind::Ret);
+  Ret->Kids.push_back(std::move(Use));
+  auto Let = Expr::make(ExprKind::LetStrong);
+  Let->Pat = Pattern::sym(X);
+  Let->Kids.push_back(std::move(Seven));
+  Let->Kids.push_back(std::move(Ret));
+  CoreProc Proc;
+  Proc.Name = Main;
+  Proc.ReturnTy = CType::intTy();
+  Proc.Body = std::move(Let);
+  P.Procs.emplace(Main.Id, std::move(Proc));
+  ASSERT_EQ(core::typeCheck(P), std::nullopt);
+
+  exec::Outcome O = exec::runOnce(P, exec::RunOptions());
+  EXPECT_EQ(O.Kind, exec::OutcomeKind::Error) << O.str();
+  EXPECT_NE(O.Message.find("core::lower"), std::string::npos) << O.str();
+}
+
 TEST(CorePatterns, Rendering) {
   ail::SymbolTable Syms;
   Symbol S = Syms.create("x", ail::SymbolKind::Object);
