@@ -99,8 +99,9 @@ cerb::exec::compileWithStats(std::string_view Src, const FrontendOptions &FE) {
     return err("Core type checking failed: " + *Err);
   // core::lower set every node's dynamics cache, so evaluation never
   // writes to the program and one compiled unit can serve many concurrent
-  // evaluator threads (the oracle's compile-once/run-many contract); on a
-  // lowered program this call returns at once.
+  // evaluator threads (the oracle's compile-once/run-many contract). On a
+  // lowered program this call returns at once; it stays because
+  // pipebench's staged compile makes the same calls and times this one.
   core::warmDynamicsCaches(Result.Prog);
   T.ElaborateMs += std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - T0)
