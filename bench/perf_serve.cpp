@@ -21,12 +21,8 @@
 #include "serve/Daemon.h"
 #include "support/FaultInjector.h"
 
-#include "support/Json.h"
-
 #include <benchmark/benchmark.h>
 
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -138,235 +134,6 @@ EvalRequest benchRequest() {
   Q.Policies = mem::MemoryPolicy::allPresets();
   Q.Limits.MaxPaths = 512;
   return Q;
-}
-
-//===----------------------------------------------------------------------===//
-// Worker-pool scaling row
-//===----------------------------------------------------------------------===//
-
-/// A distinct, moderately expensive cold source per index: one policy,
-/// 2^5 = 32 indeterminately sequenced orders — enough CPU per eval that
-/// cold-miss throughput is compute-bound (what extra worker *processes*
-/// can actually scale), not socket-bound.
-std::string scalingSource(int I) {
-  return "unsigned g;\n"
-         "int work(int v) {\n"
-         "  unsigned i, s = 0;\n"
-         "  for (i = 0; i < 32u; i++) s += (i ^ (unsigned)v) + (s >> 3);\n"
-         "  g = g * 10u + (unsigned)v + (s & 0u);\n"
-         "  return 0;\n"
-         "}\n"
-         "int main(void) {\n"
-         "  work(1) + work(2);\n"
-         "  work(3) + work(4);\n"
-         "  work(5) + work(6);\n"
-         "  work(7) + work(8);\n"
-         "  work(" +
-         std::to_string(1 + I % 8) + ") + work(" +
-         std::to_string(9 + I % 4) +
-         ");\n"
-         "  return (int)(g & 3u);\n"
-         "}\n";
-}
-
-EvalRequest scalingRequest(int I) {
-  EvalRequest Q;
-  Q.Id = "scale-" + std::to_string(I);
-  Q.Name = "scale";
-  Q.Source = scalingSource(I);
-  Q.Policies = {mem::MemoryPolicy::defacto()};
-  Q.Limits.MaxPaths = 64;
-  return Q;
-}
-
-/// One spawned `cerb serve --workers N` pool over the real binary — the
-/// scaling row must cross process boundaries, which the in-process Daemon
-/// cannot.
-struct SpawnedPool {
-  pid_t Pid = -1;
-  std::string Sock;
-
-  static SpawnedPool spawn(const std::string &Sock, const std::string &Cache,
-                           unsigned Workers) {
-    SpawnedPool P;
-    P.Sock = Sock;
-    std::string W = std::to_string(Workers);
-    P.Pid = ::fork();
-    if (P.Pid == 0) {
-      ::execl(CERB_BIN, CERB_BIN, "serve", "--socket", Sock.c_str(),
-              "--jobs", "1", "--workers", W.c_str(), "--cache-dir",
-              Cache.c_str(), "--restart-base-ms", "5", (char *)nullptr);
-      std::_Exit(127);
-    }
-    return P;
-  }
-
-  /// True once every worker slot reports "running" in aggregated stats.
-  bool waitAllRunning(unsigned Workers, int DeadlineMs) {
-    auto T0 = std::chrono::steady_clock::now();
-    while (msSince(T0) < DeadlineMs) {
-      RetryPolicy RP;
-      RP.MaxAttempts = 1;
-      RP.CallTimeoutMs = 3000;
-      auto C = Client::connect(Sock, -1, RP);
-      if (C) {
-        auto Raw = C->call(serializeSimpleRequest(Op::Stats, "ready"));
-        if (Raw) {
-          auto Root = json::parse(*Raw);
-          const json::Value *Wk =
-              Root ? (Root->get("stats") ? Root->get("stats")->get("workers")
-                                         : nullptr)
-                   : nullptr;
-          if (Wk && Wk->K == json::Value::Kind::Array &&
-              Wk->Arr.size() == Workers) {
-            unsigned Running = 0;
-            for (const json::Value &Row : Wk->Arr)
-              if (const json::Value *S = Row.get("state"))
-                Running += S->asString() == "running";
-            if (Running == Workers)
-              return true;
-          }
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return false;
-  }
-
-  /// SIGTERM + reap; true on a clean exit-0 drain.
-  bool shutdown() {
-    if (Pid <= 0)
-      return false;
-    ::kill(Pid, SIGTERM);
-    auto T0 = std::chrono::steady_clock::now();
-    while (msSince(T0) < 30000) {
-      int St = 0;
-      pid_t R = ::waitpid(Pid, &St, WNOHANG);
-      if (R == Pid) {
-        Pid = -1;
-        return WIFEXITED(St) && WEXITSTATUS(St) == 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    ::kill(Pid, SIGKILL);
-    ::waitpid(Pid, nullptr, 0);
-    Pid = -1;
-    return false;
-  }
-
-  ~SpawnedPool() {
-    if (Pid > 0) {
-      ::kill(Pid, SIGKILL);
-      ::waitpid(Pid, nullptr, 0);
-    }
-  }
-};
-
-struct ScalingRow {
-  double Qps1 = 0, Qps4 = 0, Scaling = 0;
-  bool ByteIdentical = false;
-  bool Completed = false;
-  bool Gated = false; ///< the >= 2.5x bound is enforced (host has >= 4 cores)
-  bool Pass = false;
-};
-
-/// Cold-miss QPS of the pool at --workers 1 vs --workers 4: K distinct
-/// sources, a 4-client fleet, a fresh cache directory per run so every
-/// request is a true miss. Every reply is byte-compared against an
-/// in-process golden daemon — multi-process must change throughput, never
-/// bytes.
-ScalingRow workerScalingRow(Scratch &T) {
-  ScalingRow Row;
-  constexpr int K = 24;
-  constexpr int FleetSize = 4;
-
-  std::vector<std::string> Frames;
-  for (int I = 0; I < K; ++I)
-    Frames.push_back(serializeEvalRequest(scalingRequest(I)));
-
-  // Golden bytes from the in-process daemon (single process by
-  // construction).
-  std::vector<std::string> Golden(K);
-  {
-    DaemonConfig Cfg;
-    Cfg.SocketPath = T.str("gold.sock");
-    Cfg.Threads = FleetSize;
-    Cfg.Cache.Dir.clear();
-    Daemon D(std::move(Cfg));
-    if (!D.start())
-      return Row;
-    auto C = Client::connect(T.str("gold.sock"));
-    if (!C)
-      return Row;
-    for (int I = 0; I < K; ++I) {
-      auto R = C->call(Frames[I]);
-      if (!R)
-        return Row;
-      Golden[I] = *R;
-    }
-    D.requestDrain();
-    D.waitUntilDrained();
-  }
-
-  bool AllIdentical = true, AllCompleted = true, DrainedClean = true;
-  auto RunPool = [&](unsigned Workers, const char *Tag) -> double {
-    SpawnedPool P = SpawnedPool::spawn(T.str((std::string("pool-") + Tag +
-                                              ".sock")
-                                                 .c_str()),
-                                       T.str((std::string("cache-") + Tag)
-                                                 .c_str()),
-                                       Workers);
-    if (!P.waitAllRunning(Workers, 30000)) {
-      AllCompleted = false;
-      return 0;
-    }
-    std::atomic<int> Next{0};
-    std::atomic<bool> Ok{true}, Identical{true};
-    auto T0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> Fleet;
-    for (int F = 0; F < FleetSize; ++F)
-      Fleet.emplace_back([&] {
-        RetryPolicy RP;
-        RP.MaxAttempts = 6;
-        RP.BaseDelayMs = 2;
-        RP.MaxDelayMs = 50;
-        RP.TotalDeadlineMs = 120000;
-        RP.CallTimeoutMs = 60000;
-        auto C = Client::connect(P.Sock, -1, RP);
-        while (true) {
-          int I = Next.fetch_add(1);
-          if (I >= K)
-            return;
-          if (!C)
-            C = Client::connect(P.Sock, -1, RP);
-          auto R = C ? C->callRetry(Frames[I])
-                     : Expected<std::string>(err("no connection"));
-          if (!R) {
-            Ok.store(false);
-            continue;
-          }
-          if (*R != Golden[I])
-            Identical.store(false);
-        }
-      });
-    for (std::thread &Th : Fleet)
-      Th.join();
-    double WallMs = msSince(T0);
-    AllCompleted = AllCompleted && Ok.load();
-    AllIdentical = AllIdentical && Identical.load();
-    DrainedClean = DrainedClean && P.shutdown();
-    return WallMs > 0 ? K / (WallMs / 1000.0) : 0;
-  };
-
-  Row.Qps1 = RunPool(1, "w1");
-  Row.Qps4 = RunPool(4, "w4");
-  Row.Scaling = Row.Qps1 > 0 ? Row.Qps4 / Row.Qps1 : 0;
-  Row.ByteIdentical = AllIdentical;
-  Row.Completed = AllCompleted && DrainedClean;
-  Row.Gated = std::thread::hardware_concurrency() >= 4;
-  Row.Pass = Row.Completed && Row.ByteIdentical &&
-             (!Row.Gated || Row.Scaling >= 2.5);
-  return Row;
 }
 
 int serveSummary() {
@@ -574,16 +341,10 @@ int serveSummary() {
   double BatchSpeedup = BatchMs > 0 ? SeqMs / BatchMs : 0;
   bool BatchFast = BatchSpeedup >= 5.0;
 
-  // Worker-pool scaling row: cold-miss QPS at --workers 4 vs --workers 1
-  // over the real binary. The >= 2.5x bound is enforced only on hosts
-  // with >= 4 cores (process-level parallelism cannot beat the core
-  // count); byte-identity and zero drops are enforced everywhere.
-  ScalingRow Workers = workerScalingRow(T);
-
   double Speedup = WarmMs > 0 ? ColdMs / WarmMs : 0;
   bool Pass = WarmIdentical && DiskIdentical && QpsOk.load() &&
               Speedup >= 50.0 && FaultHookCheap && BatchIdentical &&
-              BatchFast && Workers.Pass;
+              BatchFast;
 
   std::printf("  cold evaluation:   %8.2f ms\n", ColdMs);
   std::printf("  warm repeat:       %8.4f ms (best of %d)  %.0fx\n", WarmMs,
@@ -611,16 +372,6 @@ int serveSummary() {
               BatchIdentical ? "yes" : "NO");
   std::printf("  batch suite speedup bound (>= 5x): %s\n",
               BatchFast ? "PASS" : "FAIL");
-  std::printf("  worker pool (cold misses): --workers 1 %7.1f q/s   "
-              "--workers 4 %7.1f q/s   %.2fx\n",
-              Workers.Qps1, Workers.Qps4, Workers.Scaling);
-  std::printf("  worker pool byte-identical to single-process: %s\n",
-              Workers.ByteIdentical ? "yes" : "NO");
-  std::printf("  worker scaling bound (>= 2.5x at 4 cores): %s\n",
-              !Workers.Gated   ? (Workers.Completed ? "SKIP (< 4 cores)"
-                                                    : "FAIL (pool run)")
-              : Workers.Pass   ? "PASS"
-                               : "FAIL");
 
   benchjson::Emitter E("serve");
   E.metric("cold_ms", ColdMs);
@@ -642,11 +393,6 @@ int serveSummary() {
   E.metric("batch_qps", BatchQps);
   E.metric("batch_speedup", BatchSpeedup);
   E.metric("batch_byte_identical", BatchIdentical);
-  E.metric("workers_qps_1", Workers.Qps1);
-  E.metric("workers_qps_4", Workers.Qps4);
-  E.metric("workers_scaling", Workers.Scaling);
-  E.metric("workers_byte_identical", Workers.ByteIdentical);
-  E.metric("workers_scaling_gated", Workers.Gated);
   E.metric("pass", Pass);
   E.write("BENCH_serve.json");
 

@@ -28,7 +28,3 @@ cerb_bench(perf_memory_models cerb_exec benchmark::benchmark)
 cerb_bench(perf_oracle_batch cerb_oracle cerb_fuzz benchmark::benchmark)
 cerb_bench(perf_trace_overhead cerb_exec benchmark::benchmark)
 cerb_bench(perf_serve cerb_serve benchmark::benchmark)
-# The worker-pool scaling row spawns the real `cerb serve --workers N`
-# binary: process-level parallelism cannot be measured in-process.
-target_compile_definitions(perf_serve PRIVATE CERB_BIN="$<TARGET_FILE:cerb>")
-add_dependencies(perf_serve cerb)

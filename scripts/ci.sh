@@ -4,12 +4,9 @@
 # campaign smoke stage (label `fuzz`, excluded from tier-1), the
 # batch-protocol determinism matrix (label `serve_batch`,
 # tests/test_serve_batch.cpp — also part of tier-1, re-run by label so a
-# registration slip cannot silently drop it), the supervised worker-pool
-# matrix (label `workers`, tests/test_workers.cpp — backoff/breaker units
-# plus kill -9 recovery against the real binary), the evaluation-daemon
+# registration slip cannot silently drop it), the evaluation-daemon
 # lifecycle smoke (label `serve_smoke`, scripts/serve_smoke.sh through
-# the real CLI, including the `cerb suite --server` batch rounds and a
-# `--workers 2` pool round), and
+# the real CLI, including the `cerb suite --server` batch rounds), and
 # the fault-injection chaos soak of the serve stack (label `chaos`,
 # tests/test_chaos.cpp; replay a failure with
 # CERB_CHAOS_SEED=<seed from the log>). Use
@@ -54,10 +51,6 @@ run_label lowering
 run_label slow
 run_label fuzz
 run_label serve_batch
-# Supervised worker pool (label `workers`, tests/test_workers.cpp): also
-# part of tier-1, re-run by label so a registration slip cannot silently
-# drop the crash-recovery contract.
-run_label workers
 run_label serve_smoke
 run_label chaos
 

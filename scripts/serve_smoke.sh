@@ -166,89 +166,6 @@ if "$CERB" query --socket "$SOCK" --op ping >/dev/null 2>&1; then
   fail "daemon still answering after drain"
 fi
 
-# ---------------------------------------------------------------------------
-# Supervised pool round: the same contract at --workers 2. Cold queries,
-# warm byte-identical repeats (and byte-identical to the single-process
-# replies above — multi-process must be invisible in the bytes), the
-# aggregated stats shape, and a SIGTERM rolling drain that removes the
-# socket and exits 0.
-# ---------------------------------------------------------------------------
-WSOCK="$WORK/pool.sock"
-"$CERB" serve --socket "$WSOCK" --cache-dir "$WORK/wcache" --jobs 1 \
-  --workers 2 --quiet &
-SERVE_PID=$!
-
-up=0
-for _ in $(seq 1 100); do
-  if "$CERB" query --socket "$WSOCK" --op ping >/dev/null 2>&1; then
-    up=1
-    break
-  fi
-  sleep 0.1
-done
-[ "$up" = 1 ] || { fail "worker pool did not come up"; exit 1; }
-
-for i in 1 2 3; do
-  "$CERB" query "$WORK/t$i.c" --socket "$WSOCK" \
-    --policies concrete,defacto,strict-iso,cheri \
-    --report "$WORK/wcold$i.json" --quiet || fail "pool cold query $i failed"
-  cmp -s "$WORK/cold$i.json" "$WORK/wcold$i.json" ||
-    fail "wcold$i.json differs from the single-process reply"
-done
-for i in 1 2 3; do
-  "$CERB" query "$WORK/t$i.c" --socket "$WSOCK" \
-    --policies concrete,defacto,strict-iso,cheri \
-    --report "$WORK/wwarm$i.json" --quiet || fail "pool warm query $i failed"
-  cmp -s "$WORK/wcold$i.json" "$WORK/wwarm$i.json" ||
-    fail "wwarm$i.json differs across workers (shared cache not byte-stable)"
-done
-
-# Aggregated stats: the supervisor section plus one row per worker slot,
-# both running, with live counters spliced in.
-WSTATS=$("$CERB" query --socket "$WSOCK" --op stats) ||
-  fail "pool stats op failed"
-case "$WSTATS" in
-*'"supervisor"'*) : ;;
-*) fail "pool stats lacks the supervisor section: $WSTATS" ;;
-esac
-case "$WSTATS" in
-*'"workers": 2'*) : ;;
-*) fail "pool stats does not report 2 workers: $WSTATS" ;;
-esac
-case "$WSTATS" in
-*'"aggregated": true'*) : ;;
-*) fail "pool stats not aggregated across workers: $WSTATS" ;;
-esac
-case "$WSTATS" in
-*'"degraded": false'*) : ;;
-*) fail "fresh pool reports degraded: $WSTATS" ;;
-esac
-running_count=$(printf '%s' "$WSTATS" | grep -o '"state": "running"' | wc -l)
-[ "$running_count" = 2 ] ||
-  fail "expected 2 running worker slots, saw $running_count: $WSTATS"
-
-# Rolling drain with a request in flight: zero drops, exit 0, socket gone.
-"$CERB" query "$WORK/t3.c" --socket "$WSOCK" \
-  --policies concrete,defacto,strict-iso,cheri --no-cache \
-  --report "$WORK/winflight.json" --quiet &
-INFLIGHT_PID=$!
-sleep 0.2
-kill -TERM "$SERVE_PID"
-
-wait "$INFLIGHT_PID" || fail "in-flight query dropped during rolling drain"
-cmp -s "$WORK/winflight.json" "$WORK/cold3.json" ||
-  fail "rolling-drain in-flight response differs from the cold bytes"
-
-wait "$SERVE_PID"
-rc=$?
-SERVE_PID=
-[ "$rc" = 0 ] || fail "supervisor exited $rc after SIGTERM (want 0)"
-[ -e "$WSOCK" ] && fail "pool socket not removed on rolling drain"
-
-if "$CERB" query --socket "$WSOCK" --op ping >/dev/null 2>&1; then
-  fail "pool still answering after drain"
-fi
-
 if [ "$FAILED" = 0 ]; then
   echo "serve_smoke: OK"
   exit 0

@@ -2,6 +2,7 @@
 
 #include "ail/Desugar.h"
 
+#include "support/DepthGuard.h"
 #include "support/Format.h"
 
 #include <cassert>
@@ -154,6 +155,9 @@ private:
   /// (nullopt entry = a plain while, where Ail Continue is kept).
   std::vector<std::optional<Symbol>> ContinueRedirects;
   unsigned FreshCounter = 0;
+  /// Depth of the recursive walk (support/DepthGuard.h).
+  unsigned Depth = 0;
+  DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
 
   void pushScope() {
     Ordinary.emplace_back();
@@ -304,6 +308,9 @@ void Desugarer::declareBuiltins() {
 
 Expected<CType> Desugarer::resolveType(const CabsTypePtr &Ty) {
   assert(Ty && "null CabsType");
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("desugar", Ty->Loc);
   switch (Ty->Kind) {
   case CabsTypeKind::Base:
     switch (Ty->Base) {
@@ -396,8 +403,20 @@ Expected<CType> Desugarer::resolveType(const CabsTypePtr &Ty) {
           return err("struct member of function type", F.Loc, "6.7.2.1p3");
         if (F.Name.empty())
           return err("anonymous members are outside the fragment", F.Loc);
+        // A member of the struct being defined, or of any incomplete
+        // tag, would give the type no finite size.
+        CType Elem = FT;
+        while (Elem.isArray())
+          Elem = Elem.element();
+        if ((Elem.isStruct() || Elem.isUnion()) &&
+            !Prog.Tags.get(Elem.tag()).Complete)
+          return err("struct member of incomplete type", F.Loc, "6.7.2.1p3");
         Members.push_back(TagMember{F.Name, FT});
       }
+      // A member list may itself have defined this tag.
+      if (Prog.Tags.get(Tag).Complete)
+        return err(fmt("redefinition of '{0}'", Ty->Name), Ty->Loc,
+                   "6.7.2.3p1");
       Prog.Tags.complete(Tag, std::move(Members));
     } else if (Existing) {
       Tag = *Existing;
@@ -447,6 +466,9 @@ Expected<CType> Desugarer::adjustParamType(CType Ty) {
 //===----------------------------------------------------------------------===//
 
 Expected<Int128> Desugarer::constEval(const CabsExpr &E) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("desugar", E.Loc);
   switch (E.Kind) {
   case CabsExprKind::IntConst: {
     CERB_TRY(VT, decodeIntConst(E.Text, E.Loc));
@@ -595,6 +617,9 @@ AilExprPtr Desugarer::hoistStringLiteral(const std::string &Bytes,
 }
 
 Expected<AilExprPtr> Desugarer::desugarExpr(const CabsExpr &E) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("desugar", E.Loc);
   switch (E.Kind) {
   case CabsExprKind::Ident: {
     const OrdinaryEntry *Entry = lookup(E.Text);
@@ -776,6 +801,9 @@ Expected<AilInit> Desugarer::desugarInitForType(const CType &Ty,
 }
 
 Expected<AilInit> Desugarer::desugarInit(const CabsInit &Init) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("desugar", Init.Loc);
   AilInit Out;
   Out.Loc = Init.Loc;
   if (Init.isList()) {
@@ -798,6 +826,9 @@ Expected<AilInit> Desugarer::desugarInit(const CabsInit &Init) {
 //===----------------------------------------------------------------------===//
 
 ExpectedVoid Desugarer::collectLabels(const CabsStmt &S) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("desugar", S.Loc);
   if (S.Kind == CabsStmtKind::Label) {
     if (Labels.count(S.Text))
       return err(fmt("duplicate label '{0}'", S.Text), S.Loc, "6.8.1p3");
@@ -907,6 +938,9 @@ ExpectedVoid Desugarer::desugarBlockItem(const CabsStmt &S,
 }
 
 Expected<AilStmtPtr> Desugarer::desugarStmt(const CabsStmt &S) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("desugar", S.Loc);
   switch (S.Kind) {
   case CabsStmtKind::Expr: {
     auto R = makeAilStmt(AilStmtKind::Expr, S.Loc);

@@ -2,6 +2,7 @@
 
 #include "cabs/Parser.h"
 
+#include "support/DepthGuard.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -113,6 +114,14 @@ private:
   /// start at ScopeStarts[I].
   std::vector<NameDecl> Decls;
   std::vector<size_t> ScopeStarts;
+  /// Depth of the recursive descent: every entry point that the input can
+  /// nest (statements, declarators, initializers, struct bodies and the
+  /// expression levels) holds a guard().
+  unsigned Depth = 0;
+  DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
+  StaticError tooDeep(const DepthGuard &G) const {
+    return G.error("parser", cur().Loc);
+  }
 
   //===------------------------------------------------------------------===//
   // Token helpers
@@ -378,6 +387,9 @@ Expected<std::pair<StorageClass, CabsTypePtr>> Parser::parseDeclSpecifiers() {
 }
 
 Expected<CabsTypePtr> Parser::parseStructOrUnion() {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   SourceLoc L = cur().Loc;
   bool IsUnion = cur().Kind == Tok::KwUnion;
   take();
@@ -456,6 +468,9 @@ Expected<CabsTypePtr> Parser::parseEnum() {
 //===----------------------------------------------------------------------===//
 
 Expected<Declarator> Parser::parseDeclarator(bool Abstract) {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   Declarator D;
   D.Loc = cur().Loc;
 
@@ -561,6 +576,10 @@ Expected<Declarator> Parser::parseDeclarator(bool Abstract) {
     for (auto &P : Nested->Parts)
       D.Parts.push_back(std::move(P));
   }
+  // Each part is one more level of the declared type, which the later
+  // passes walk recursively.
+  if (D.Parts.size() > MaxSyntaxDepth)
+    return tooDeep(G);
   return D;
 }
 
@@ -605,6 +624,9 @@ Expected<CabsTypePtr> Parser::parseTypeName() {
 }
 
 Expected<CabsInit> Parser::parseInitializer() {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   CabsInit Init;
   Init.Loc = cur().Loc;
   if (accept(Tok::LBrace)) {
@@ -740,6 +762,9 @@ Expected<CabsExprPtr> Parser::parseExpr() {
 }
 
 Expected<CabsExprPtr> Parser::parseAssignExpr() {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   // Parse a conditional-expression, then check for an assignment operator;
   // the type checker rejects non-lvalue left operands (6.5.16p2).
   CERB_TRY(Lhs, parseCondExpr());
@@ -757,6 +782,9 @@ Expected<CabsExprPtr> Parser::parseAssignExpr() {
 }
 
 Expected<CabsExprPtr> Parser::parseCondExpr() {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   CERB_TRY(Cond, parseBinaryExpr(1));
   if (!at(Tok::Question))
     return std::move(Cond);
@@ -790,6 +818,9 @@ Expected<CabsExprPtr> Parser::parseBinaryExpr(int MinPrec) {
 }
 
 Expected<CabsExprPtr> Parser::parseCastExpr() {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   if (at(Tok::LParen) && startsTypeName(Pos + 1)) {
     SourceLoc L = take().Loc;
     CERB_TRY(Ty, parseTypeName());
@@ -806,6 +837,9 @@ Expected<CabsExprPtr> Parser::parseCastExpr() {
 }
 
 Expected<CabsExprPtr> Parser::parseUnaryExpr() {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   SourceLoc L = cur().Loc;
   auto MakeUnary = [&](UnaryOp Op,
                        Expected<CabsExprPtr> Sub) -> Expected<CabsExprPtr> {
@@ -992,6 +1026,9 @@ Expected<CabsStmtPtr> Parser::parseBlock() {
 }
 
 Expected<CabsStmtPtr> Parser::parseStmt() {
+  DepthGuard G = guard();
+  if (!G)
+    return tooDeep(G);
   SourceLoc L = cur().Loc;
   auto Make = [&](CabsStmtKind K) {
     auto S = std::make_unique<CabsStmt>();

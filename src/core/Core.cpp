@@ -2,6 +2,7 @@
 
 #include "core/Core.h"
 
+#include "support/DepthGuard.h"
 #include "support/Format.h"
 
 #include <cassert>
@@ -739,11 +740,16 @@ namespace {
 
 bool isValueExpr(const Expr &E) { return E.K == ExprKind::Val; }
 
-void rewriteExpr(ExprPtr &E, RewriteStats &Stats) {
+/// Past MaxCoreDepth the deeper nodes are left as they are; core::typeCheck
+/// refuses such a program.
+void rewriteExpr(ExprPtr &E, RewriteStats &Stats, unsigned &Depth) {
+  DepthGuard G(Depth, MaxCoreDepth);
+  if (!G)
+    return;
   for (ExprPtr &K : E->Kids)
-    rewriteExpr(K, Stats);
+    rewriteExpr(K, Stats, Depth);
   for (auto &[Pat, Body] : E->Branches)
-    rewriteExpr(Body, Stats);
+    rewriteExpr(Body, Stats, Depth);
 
   switch (E->K) {
   case ExprKind::Unseq:
@@ -844,11 +850,12 @@ void core::warmDynamicsCaches(const CoreProgram &P) {
 
 RewriteStats core::rewrite(CoreProgram &P) {
   RewriteStats Stats;
+  unsigned Depth = 0;
   for (auto &[Id, Proc] : P.Procs)
-    rewriteExpr(Proc.Body, Stats);
+    rewriteExpr(Proc.Body, Stats, Depth);
   for (CoreGlobal &G : P.Globals)
     if (G.Init)
-      rewriteExpr(G.Init, Stats);
+      rewriteExpr(G.Init, Stats, Depth);
   return Stats;
 }
 
@@ -936,6 +943,7 @@ private:
   std::vector<const Expr *> Runs;
   std::string PurityErr;
   std::optional<std::string> ScopeErr;
+  unsigned Depth = 0; ///< of the walk (support/DepthGuard.h)
 
   bool isBound(unsigned Id) const { return Id < Bound.size() && Bound[Id]; }
   bool isSaved(unsigned Id) const { return Id < Saved.size() && Saved[Id]; }
@@ -976,6 +984,11 @@ private:
   /// are recorded and the walk goes on, since a later purity violation
   /// still takes precedence.
   bool walk(const Expr &E, bool PureContext) {
+    DepthGuard G(Depth, MaxCoreDepth);
+    if (!G) {
+      PurityErr = G.error("Core check", E.Loc).str();
+      return false;
+    }
     if (PureContext && !isPureKind(E.K)) {
       PurityErr = fmt("effectful Core construct in a pure context at {0}",
                       E.Loc.str());

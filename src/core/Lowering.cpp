@@ -11,6 +11,8 @@
 //===----------------------------------------------------------------------===//
 #include "core/Lowering.h"
 
+#include "support/DepthGuard.h"
+
 using namespace cerb;
 using namespace cerb::core;
 
@@ -23,6 +25,11 @@ struct LowerCtx {
   /// Symbol id -> environment slot (-1 until first encountered).
   std::vector<int> SlotOf;
   int NextSlot = 0;
+  /// Depth of the recursive walks (support/DepthGuard.h). A walk past
+  /// MaxCoreDepth leaves the deeper nodes as they are; core::typeCheck,
+  /// which runs next, refuses such a program.
+  unsigned Depth = 0;
+  bool TooDeep = false; ///< annotation stopped short of some node
 
   explicit LowerCtx(CoreProgram &P)
       : P(P), Env(P.Tags), SlotOf(P.Syms.size(), -1) {}
@@ -74,15 +81,17 @@ void replaceWithValue(ExprPtr &E, Value V, LoweringStats &Stats) {
 }
 
 /// Does the subtree contain any save (jump target)? Folding must never
-/// delete one: evalJump routes through untaken if-branches.
-bool containsAnySave(const Expr &E) {
-  if (E.K == ExprKind::Save)
+/// delete one: evalJump routes through untaken if-branches. Past the depth
+/// limit the answer is a conservative yes.
+bool containsAnySave(const Expr &E, unsigned &Depth) {
+  DepthGuard G(Depth, MaxCoreDepth);
+  if (!G || E.K == ExprKind::Save)
     return true;
   for (const ExprPtr &K : E.Kids)
-    if (containsAnySave(*K))
+    if (containsAnySave(*K, Depth))
       return true;
   for (const auto &[Pat, Body] : E.Branches)
-    if (containsAnySave(*Body))
+    if (containsAnySave(*Body, Depth))
       return true;
   return false;
 }
@@ -220,7 +229,7 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
     size_t Taken = C ? 1 : 2, Other = C ? 2 : 1;
     // The untaken branch can carry a save some run routes through
     // (Evaluator::evalJump); dropping it would strand the jump.
-    if (containsAnySave(*E->Kids[Other]))
+    if (containsAnySave(*E->Kids[Other], Ctx.Depth))
       return;
     ExprPtr T = std::move(E->Kids[Taken]);
     E = std::move(T);
@@ -250,38 +259,44 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
 ///    Saves in e3 are fine — both shapes route forward jumps to e3 with
 ///    every skipped binding unbound (evalJump skips lets whose Kids[0]
 ///    has no save).
-bool rotatable(const Expr &E) {
+bool rotatable(const Expr &E, unsigned &Depth) {
   if (E.K != ExprKind::PureLet && E.K != ExprKind::ELet)
     return false;
   const Expr &Inner = *E.Kids[0];
   if (Inner.K != E.K || E.SeqPoint || Inner.SeqPoint)
     return false;
-  if (E.K == ExprKind::ELet && containsAnySave(Inner))
+  if (E.K == ExprKind::ELet && containsAnySave(Inner, Depth))
     return false;
   return true;
 }
 
-void flattenLets(ExprPtr &E, LoweringStats &Stats) {
-  while (rotatable(*E)) {
+void flattenLets(ExprPtr &E, LowerCtx &Ctx) {
+  DepthGuard G(Ctx.Depth, MaxCoreDepth);
+  if (!G)
+    return; // left as is: flattening is an optimisation
+  while (rotatable(*E, Ctx.Depth)) {
     ExprPtr Inner = std::move(E->Kids[0]); // let p2 = e1 in e2
     // Reuse E as the new inner node: let p1 = e2 in e3.
     E->Kids[0] = std::move(Inner->Kids[1]);
     // Reuse Inner as the new outer node: let p2 = e1 in (let p1 = ...).
     Inner->Kids[1] = std::move(E);
     E = std::move(Inner);
-    ++Stats.LetsFlattened;
+    ++Ctx.Stats.LetsFlattened;
     // The rebuilt continuation may itself be left-nested (e2 was a let).
-    flattenLets(E->Kids[1], Stats);
+    flattenLets(E->Kids[1], Ctx);
   }
 }
 
 void lowerExpr(ExprPtr &E, LowerCtx &Ctx) {
+  DepthGuard G(Ctx.Depth, MaxCoreDepth);
+  if (!G)
+    return;
   for (ExprPtr &K : E->Kids)
     lowerExpr(K, Ctx);
   for (auto &[Pat, Body] : E->Branches)
     lowerExpr(Body, Ctx);
   tryFold(E, Ctx);
-  flattenLets(E, Ctx.Stats);
+  flattenLets(E, Ctx);
 }
 
 //===----------------------------------------------------------------------===//
@@ -349,6 +364,13 @@ void annotatePattern(Pattern &P, LowerCtx &Ctx) {
 /// Also sets every node's HasEffectsCache, bottom up, so the dynamics
 /// never writes to a lowered program (see warmDynamicsCaches).
 uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
+  DepthGuard G(Ctx.Depth, MaxCoreDepth);
+  if (!G) {
+    // Conservative, so the parent's hasEffects does not walk this subtree.
+    E.HasEffectsCache = 1;
+    Ctx.TooDeep = true;
+    return 0;
+  }
   if (E.K == ExprKind::Sym)
     E.Slot = Ctx.slot(E.Sym);
   else if (E.K == ExprKind::Val)
@@ -443,7 +465,8 @@ LoweringStats core::lower(CoreProgram &P) {
   }
 
   P.NumSlots = static_cast<unsigned>(Ctx.NextSlot);
-  P.Lowered = true;
+  // A program with unannotated nodes must not reach the evaluator.
+  P.Lowered = !Ctx.TooDeep;
   Ctx.Stats.SlotsAssigned = P.NumSlots;
   Ctx.Stats.PoolSize = static_cast<unsigned>(P.ConstPool.size());
   return Ctx.Stats;

@@ -2,6 +2,7 @@
 
 #include "elab/Elaborate.h"
 
+#include "support/DepthGuard.h"
 #include "support/Format.h"
 #include "typing/TypeCheck.h"
 
@@ -264,6 +265,9 @@ private:
   /// Pairs each indet[n] with its bound; numbered from 1 per program, so
   /// printed Core does not depend on what the process compiled before.
   unsigned NextIndetId = 1;
+  /// Depth of the recursive walk (support/DepthGuard.h).
+  unsigned Depth = 0;
+  DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
 
   /// `Base'N` with N the new symbol's id. Built in place: most names fit
   /// the short-string buffer, so this usually allocates nothing.
@@ -651,6 +655,9 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
 //===----------------------------------------------------------------------===//
 
 Expected<ExprPtr> Elaborator::lvalue(const AilExpr &E) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("elaborate", E.Loc);
   switch (E.Kind) {
   case AilExprKind::Var:
     // The Core symbol of a C object is bound to its pointer value.
@@ -683,6 +690,9 @@ Expected<ExprPtr> Elaborator::lvalue(const AilExpr &E) {
 }
 
 Expected<ExprPtr> Elaborator::rvalue(const AilExpr &E) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("elaborate", E.Loc);
   switch (E.Kind) {
   case AilExprKind::IntConst:
     return mkVal(Value::specified(Value::integer(E.IntValue)), E.Loc);

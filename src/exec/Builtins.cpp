@@ -175,17 +175,21 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
     auto N = IntArg(0);
     if (!N)
       return error("malloc with a bad size");
-    return Res(Value::specified(Value::pointer(
-        Mem.allocateRegion(static_cast<uint64_t>(N->V), 16))));
+    return Res(Value::specified(Value::pointer(allocateRegion(N->V))));
   }
   case ail::Builtin::Calloc: {
     auto N = IntArg(0), S = IntArg(1);
     if (!N || !S)
       return error("calloc with bad arguments");
-    uint64_t Total = static_cast<uint64_t>(N->V) *
-                     static_cast<uint64_t>(S->V);
-    mem::PointerValue P = Mem.allocateRegion(Total, 16);
-    if (auto R = Mem.setBytes(P, 0, Total); !R)
+    // A product past size_t stays negative, so it gets a null pointer.
+    Int128 Total = -1;
+    if (N->V >= 0 && S->V >= 0 &&
+        (N->V == 0 || S->V <= Int128(UINT64_MAX) / N->V))
+      Total = N->V * S->V;
+    mem::PointerValue P = allocateRegion(Total);
+    if (P.isNull())
+      return Res(Value::specified(Value::pointer(P)));
+    if (auto R = Mem.setBytes(P, 0, static_cast<uint64_t>(Total)); !R)
       return UB(R.takeUB());
     return Res(Value::specified(Value::pointer(P)));
   }
@@ -276,15 +280,17 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
     auto N = IntArg(1);
     if (!P || !N)
       return error("realloc with bad arguments");
-    uint64_t NewSize = static_cast<uint64_t>(N->V);
     if (P->isNull())
-      return Res(Value::specified(
-          Value::pointer(Mem.allocateRegion(NewSize, 16))));
+      return Res(Value::specified(Value::pointer(allocateRegion(N->V))));
     if (!P->Prov.isAlloc())
       return UB(mem::undef(mem::UBKind::FreeInvalidPointer,
                            "realloc of a pointer with no allocation"));
+    // Past the budget the old block stays as it is (7.22.3.5p4).
+    mem::PointerValue NewP = allocateRegion(N->V);
+    if (NewP.isNull())
+      return Res(Value::specified(Value::pointer(NewP)));
+    uint64_t NewSize = static_cast<uint64_t>(N->V);
     uint64_t OldSize = Mem.allocations()[P->Prov.AllocId].Size;
-    mem::PointerValue NewP = Mem.allocateRegion(NewSize, 16);
     uint64_t CopyN = OldSize < NewSize ? OldSize : NewSize;
     if (CopyN > 0)
       if (auto R = Mem.copyBytes(NewP, *P, CopyN); !R)

@@ -2,6 +2,7 @@
 
 #include "exec/Evaluator.h"
 
+#include "support/DepthGuard.h"
 #include "support/Format.h"
 #include "trace/Trace.h"
 
@@ -95,18 +96,6 @@ Outcome Evaluator::runImpl() {
     return O;
   }
 
-  // Static storage: plan the layout, create every object, bind its symbol.
-  std::vector<std::pair<CType, std::string>> Layout;
-  for (const CoreGlobal &G : Prog.Globals)
-    Layout.emplace_back(G.Ty, Prog.Syms.nameOf(G.Name));
-  Mem.beginStaticLayout(Layout);
-  for (const CoreGlobal &G : Prog.Globals) {
-    mem::PointerValue P =
-        Mem.allocateObject(G.Ty, Prog.Syms.nameOf(G.Name), /*Static=*/true);
-    Slots[G.Slot] = Value::pointer(P);
-    SlotBound[G.Slot] = 1;
-  }
-
   auto Finish = [&](Res R) {
     O.Stdout = Out;
     switch (R.K) {
@@ -139,6 +128,20 @@ Outcome Evaluator::runImpl() {
     }
     return O;
   };
+
+  // Static storage: plan the layout, create every object, bind its symbol.
+  std::vector<std::pair<CType, std::string>> Layout;
+  for (const CoreGlobal &G : Prog.Globals)
+    Layout.emplace_back(G.Ty, Prog.Syms.nameOf(G.Name));
+  Mem.beginStaticLayout(Layout);
+  for (const CoreGlobal &G : Prog.Globals) {
+    if (!Mem.fits(Env.sizeOf(G.Ty)))
+      return Finish(objectTooLarge(G.Ty, Prog.Syms.nameOf(G.Name)));
+    mem::PointerValue P =
+        Mem.allocateObject(G.Ty, Prog.Syms.nameOf(G.Name), /*Static=*/true);
+    Slots[G.Slot] = Value::pointer(P);
+    SlotBound[G.Slot] = 1;
+  }
 
   // Initialisers, in declaration order.
   for (const CoreGlobal &G : Prog.Globals) {
@@ -218,6 +221,19 @@ bool intOf(const Value &V, Int128 &Out) {
   }
 }
 } // namespace
+
+Evaluator::Res Evaluator::objectTooLarge(const CType &Ty,
+                                         const std::string &Name) {
+  return error(fmt("object '{0}' of {1} bytes exceeds the allocation budget "
+                   "of {2} bytes",
+                   Name, Env.sizeOf(Ty), mem::Memory::MaxAllocatedBytes));
+}
+
+mem::PointerValue Evaluator::allocateRegion(Int128 Size) {
+  if (Size < 0 || !Mem.fits(static_cast<uint64_t>(Size)))
+    return mem::PointerValue::null();
+  return Mem.allocateRegion(static_cast<uint64_t>(Size), 16);
+}
 
 void Evaluator::bindSlot(int Slot, Value &&V) {
   if (!UndoFrames.empty() && SlotStamp[Slot] != FrameEpoch) {
@@ -355,6 +371,8 @@ Evaluator::Res Evaluator::applyScopeDiff(
   for (const ScopeObject &O : SaveScope) {
     if (In(RunScope, O.Obj))
       continue;
+    if (!Mem.fits(Env.sizeOf(O.Ty)))
+      return objectTooLarge(O.Ty, Prog.Syms.nameOf(O.Obj));
     mem::PointerValue P =
         Mem.allocateObject(O.Ty, Prog.Syms.nameOf(O.Obj), /*Static=*/false);
     if (!Frames.empty())
@@ -383,6 +401,10 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
 
   if (!budget())
     return budgetError();
+  DepthGuard Nest(EvalDepth, MaxEvalDepth);
+  if (!Nest)
+    return error(fmt("evaluation nests deeper than {0} levels (MaxEvalDepth)",
+                     MaxEvalDepth));
 
   switch (E.K) {
   case ExprKind::Sym: {
@@ -1057,6 +1079,8 @@ Evaluator::Res Evaluator::evalJump(const Expr &E, Symbol Label,
 Evaluator::Res Evaluator::evalAction(const Expr &E) {
   switch (E.Act) {
   case ActionKind::Create: {
+    if (!Mem.fits(Env.sizeOf(E.Cty)))
+      return objectTooLarge(E.Cty, E.Str);
     mem::PointerValue P = Mem.allocateObject(E.Cty, E.Str, /*Static=*/false);
     if (!Frames.empty())
       Frames.back().Created.push_back(P);
@@ -1069,9 +1093,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     auto IV = asInteger(S.V);
     if (!IV)
       return error("alloc with non-integer size");
-    mem::PointerValue P =
-        Mem.allocateRegion(static_cast<uint64_t>(IV->V), 16);
-    return Res(Value::pointer(P));
+    return Res(Value::pointer(allocateRegion(IV->V)));
   }
   case ActionKind::Kill: {
     Value PTmp;

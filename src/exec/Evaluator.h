@@ -36,6 +36,17 @@
 
 namespace cerb::exec {
 
+/// Nesting depth of Evaluator::eval: Core subexpressions plus the bodies
+/// of the calls in progress (sum(390) of tests/test_robustness.cpp, a
+/// loop and two ifs per call, nests 12,111 levels). Past it the path ends
+/// as an Error outcome instead of overflowing the host stack. It counts
+/// depth, not bytes, so no outcome depends on the build or on `ulimit -s`.
+/// Sized to support::ThreadPool::StackBytes: a level takes about 0.9 KB
+/// of stack in an optimised GCC 12 build and 9.7 KB in an unoptimised
+/// ASan one, so 20,000 levels fit in 256 MiB with room for the shallower
+/// walks (evalPure, jump routing) above them.
+inline constexpr unsigned MaxEvalDepth = 20'000;
+
 struct ExecLimits {
   uint64_t MaxSteps = 20'000'000; ///< evaluation step budget
   unsigned MaxCallDepth = 400;
@@ -124,6 +135,7 @@ private:
   std::string Out;
   uint64_t Steps = 0;
   unsigned CallDepth = 0;
+  unsigned EvalDepth = 0; ///< eval() frames in progress (MaxEvalDepth)
 
   /// One recorded memory action for the race check.
   struct ActRec {
@@ -194,6 +206,12 @@ private:
     Sig.DeadlineHit = DeadlineHit;
     return R;
   }
+  /// The path's end when a declared object does not fit the allocation
+  /// budget (mem::Memory::MaxAllocatedBytes).
+  Res objectTooLarge(const ail::CType &Ty, const std::string &Name);
+  /// A heap region of \p Size bytes (malloc), or a null pointer when the
+  /// size is negative or past the allocation budget (C11 7.22.3p1).
+  mem::PointerValue allocateRegion(Int128 Size);
   Res exitSig(OutcomeKind Kind, int Code, std::string Msg = "") {
     Sig.ExitKind = Kind;
     Sig.ExitCode = Code;

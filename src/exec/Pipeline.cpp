@@ -34,7 +34,7 @@ uint64_t cerb::exec::FrontendOptions::fingerprint() const {
   // the knob set changes so old fingerprints cannot alias new option
   // vectors. The lowering pass version is mixed in so a lowering change
   // re-keys cached artifacts too.
-  static constexpr const char kFrontendVersion[] = "cerb-frontend/3";
+  static constexpr const char kFrontendVersion[] = "cerb-frontend/4";
   uint64_t H = 0xcbf29ce484222325ull;
   for (const char *P = kFrontendVersion; *P; ++P) {
     H ^= static_cast<unsigned char>(*P);
@@ -141,7 +141,7 @@ uint64_t cerb::exec::semanticsFingerprint() {
   // Bump with any change to elaboration or dynamics that can alter an
   // observable outcome: the new fingerprint orphans (never corrupts) every
   // result the serve cache persisted under the old semantics.
-  static constexpr const char kSemanticsVersion[] = "cerb-semantics/1";
+  static constexpr const char kSemanticsVersion[] = "cerb-semantics/2";
   static const uint64_t FP = [] {
     uint64_t H = 0xcbf29ce484222325ull;
     auto Mix = [&H](uint64_t V) {

@@ -151,13 +151,10 @@ cerb::fuzz::runCampaign(const CampaignOptions &Opts,
     }
   }
 
+  // Even one job runs on the pool: evaluations need its fixed stack.
   unsigned Jobs = Opts.Jobs ? Opts.Jobs
                             : std::max(1u, std::thread::hardware_concurrency());
-  if (Jobs <= 1 || Fresh.size() <= 1) {
-    for (uint64_t Seed : Fresh)
-      runSeed(Seed, Opts, Policies,
-              &R.Entries[(Seed - Opts.FirstSeed) * PerSeed]);
-  } else {
+  {
     ThreadPool Pool(Jobs);
     for (uint64_t Seed : Fresh)
       Pool.submit([&, Seed] {

@@ -263,8 +263,10 @@ void Memory::beginStaticLayout(
 MemByte *Memory::poolBytes(uint64_t N) {
   if (BytePool.empty() || PoolUsed + N > PoolCap) {
     // Doubling from a 64-byte floor keeps the chunk count logarithmic in
-    // the bytes handed out.
-    PoolCap = std::max<size_t>({N, 2 * PoolCap, 64});
+    // the bytes handed out; capping the doubling keeps the unused tail of
+    // the last chunk small next to MaxAllocatedBytes.
+    constexpr size_t MaxChunk = size_t(1) << 16;
+    PoolCap = std::max<size_t>({N, std::min(2 * PoolCap, MaxChunk), 64});
     BytePool.push_back(std::make_unique<MemByte[]>(PoolCap));
     PoolUsed = 0;
   }
@@ -281,6 +283,8 @@ PointerValue Memory::allocateObject(const CType &Ty, std::string Name,
     trace::instant("mem.alloc", "mem", Name);
   uint64_t Size = Env.sizeOf(Ty);
   uint64_t Align = Env.alignOf(Ty);
+  assert(fits(Size) && "object past the allocation budget");
+  Allocated += charge(Size);
   uint64_t Base;
   auto Planned =
       PlannedAddr.empty() ? PlannedAddr.end() : PlannedAddr.find(Name);
@@ -315,6 +319,8 @@ PointerValue Memory::allocateRegion(uint64_t Size, uint64_t Align) {
   static trace::Counter CntAllocs("mem.allocs");
   CntAllocs.add();
   trace::instant("mem.alloc", "mem");
+  assert(fits(Size) && "region past the allocation budget");
+  Allocated += charge(Size);
   uint64_t Base = align(NextAddr, std::max<uint64_t>(Align, 1));
   NextAddr = Base + std::max<uint64_t>(Size, 1);
 

@@ -143,11 +143,24 @@ public:
   // Allocation (Core create/alloc/kill actions, §5.7)
   //===------------------------------------------------------------------===//
 
+  /// The most bytes one execution may allocate, in simulated bytes:
+  /// objects and heap regions alike, freed or killed ones included (their
+  /// storage is never reused). Callers ask fits() first; past the budget
+  /// malloc, calloc and realloc return a null pointer (C11 7.22.3p1), and
+  /// a declared object ends the path as an Error.
+  static constexpr uint64_t MaxAllocatedBytes = uint64_t(4) << 20;
+  /// Would allocating \p Size more bytes stay within MaxAllocatedBytes?
+  bool fits(uint64_t Size) const {
+    return charge(Size) <= MaxAllocatedBytes - Allocated;
+  }
+
   /// Creates an object of type \p Ty. Static-storage objects are zero-
-  /// initialised; automatic objects start with unspecified bytes.
+  /// initialised; automatic objects start with unspecified bytes. The
+  /// caller has checked fits(sizeof Ty).
   PointerValue allocateObject(const ail::CType &Ty, std::string Name,
                               bool Static);
   /// Creates an untyped region (malloc). Size 0 returns a unique pointer.
+  /// The caller has checked fits(Size).
   PointerValue allocateRegion(uint64_t Size, uint64_t Align);
   /// Marks an allocation immutable (string literals, after their
   /// initialisation has run).
@@ -237,6 +250,10 @@ private:
   std::vector<std::unique_ptr<MemByte[]>> BytePool;
   size_t PoolUsed = 0, PoolCap = 0;
   MemByte *poolBytes(uint64_t N);
+  /// Simulated bytes allocated so far (see MaxAllocatedBytes). Even an
+  /// empty allocation costs a byte, so a malloc(0) loop is bounded too.
+  uint64_t Allocated = 0;
+  static uint64_t charge(uint64_t Size) { return Size ? Size : 1; }
   /// Staging buffer for store() serialization, reused across stores so a
   /// scalar store does not heap-allocate.
   std::vector<MemByte> StoreScratch;

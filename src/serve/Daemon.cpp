@@ -2,7 +2,6 @@
 
 #include "serve/Daemon.h"
 
-#include "support/FaultInjector.h"
 #include "trace/Trace.h"
 
 #include <poll.h>
@@ -11,7 +10,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 using namespace cerb;
 using namespace cerb::serve;
@@ -71,25 +69,17 @@ Daemon::~Daemon() {
 ExpectedVoid Daemon::start() {
   if (Started)
     return err("daemon already started");
-  if (Cfg.SocketPath.empty() && Cfg.TcpPort < 0 && Cfg.InheritedUnixFd < 0)
+  if (Cfg.SocketPath.empty() && Cfg.TcpPort < 0)
     return err("daemon has no listener (need a socket path or a TCP port)");
 
-  if (Cfg.InheritedUnixFd >= 0) {
-    // Worker mode: adopt the supervisor's canonical listening socket. The
-    // description is shared by every worker, so it must be non-blocking —
-    // poll() wakes all of them per connection and only one accept() wins;
-    // the losers need EAGAIN, not a blocked accept that never sees drain.
-    ListenUnix = net::Fd(Cfg.InheritedUnixFd);
-    net::setNonBlocking(ListenUnix.get());
-  } else if (!Cfg.SocketPath.empty()) {
+  if (!Cfg.SocketPath.empty()) {
     auto L = net::listenUnix(Cfg.SocketPath);
     if (!L)
       return L.takeError();
     ListenUnix = std::move(*L);
   }
   if (Cfg.TcpPort >= 0) {
-    auto L = net::listenTcp(static_cast<uint16_t>(Cfg.TcpPort), &BoundTcpPort,
-                            64, Cfg.TcpReuseport);
+    auto L = net::listenTcp(static_cast<uint16_t>(Cfg.TcpPort), &BoundTcpPort);
     if (!L)
       return L.takeError();
     ListenTcp = std::move(*L);
@@ -300,10 +290,6 @@ bool Daemon::handleFrame(const std::shared_ptr<Conn> &C,
       return send(*C, rejectResponse(Req->Id, "error",
                                      "shutdown op disabled on this daemon"));
     bool Ok = send(*C, okSimpleResponse(Req->Id, "stopping", "true"));
-    // Supervised worker: hand the shutdown to the supervisor so the whole
-    // pool drains, not just the worker that happened to read the frame.
-    if (Cfg.ShutdownDelegate && Cfg.ShutdownDelegate())
-      return Ok;
     requestDrain();
     return Ok;
   }
@@ -418,12 +404,6 @@ bool Daemon::handleFrame(const std::shared_ptr<Conn> &C,
 }
 
 std::string Daemon::evalBody(const EvalRequest &Q, std::string ProbedKey) {
-  // The worker-crash drill: a supervised pool must survive a worker dying
-  // mid-eval (restart + client retry = zero drops, replies byte-identical
-  // because re-evaluation is deterministic). _Exit skips every destructor
-  // — as close to kill -9 as an injector can get from inside.
-  if (fault::shouldFail("worker.crash"))
-    std::_Exit(86);
   const bool AlreadyMissed = !ProbedKey.empty();
   std::string Key = AlreadyMissed ? std::move(ProbedKey)
                                   : cacheKeyMaterial(Q);
@@ -525,7 +505,7 @@ DaemonSnapshot Daemon::snapshot() const {
   return Out;
 }
 
-std::string Daemon::statsJson(bool IncludeExtra) const {
+std::string Daemon::statsJson() const {
   DaemonSnapshot D = snapshot();
   CacheStats CS = Results.stats();
   auto N = [](uint64_t V) { return std::to_string(V); };
@@ -563,12 +543,6 @@ std::string Daemon::statsJson(bool IncludeExtra) const {
   J += ", \"bytes\": " + N(CC.Bytes);
   J += ", \"entries\": " + N(CC.Entries);
   J += ", \"budget_bytes\": " + N(Compiles.byteBudget());
-  J += "}";
-  if (IncludeExtra && Cfg.StatsExtra) {
-    std::string Extra = Cfg.StatsExtra();
-    if (!Extra.empty())
-      J += ", " + Extra;
-  }
-  J += "}";
+  J += "}}";
   return J;
 }

@@ -55,7 +55,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -93,26 +92,6 @@ struct DaemonConfig {
   /// that only trusts signals can turn it off.
   bool EnableShutdownOp = true;
   bool Quiet = true;
-
-  // --- Supervised-worker mode (serve/Supervisor.h) ---------------------
-  /// Adopt this descriptor as the unix-domain listener instead of binding
-  /// SocketPath (the supervisor binds once and passes the fd to every
-  /// worker over SCM_RIGHTS; ownership transfers to the daemon). Leave
-  /// SocketPath empty in that case so drain does not unlink the
-  /// supervisor's socket file.
-  int InheritedUnixFd = -1;
-  /// Bind the TCP listener with SO_REUSEPORT: each worker binds its own
-  /// socket on the same concrete port and the kernel spreads accepts.
-  bool TcpReuseport = false;
-  /// Extra JSON members appended to the `stats` reply (after the local
-  /// counters) — the worker's hook for splicing in the supervisor's
-  /// aggregated `workers:` section. Must return either an empty string or
-  /// valid `"key": value, ...` members without the surrounding braces.
-  std::function<std::string()> StatsExtra;
-  /// When set, the `shutdown` op calls this instead of draining locally; a
-  /// true return means the shutdown was delegated (the supervisor will
-  /// drain the whole pool), false falls back to the local drain.
-  std::function<bool()> ShutdownDelegate;
 };
 
 /// Point-in-time operational numbers (the `stats` op serializes these).
@@ -159,11 +138,8 @@ public:
   uint16_t tcpPort() const { return BoundTcpPort; }
 
   DaemonSnapshot snapshot() const;
-  /// The `stats` reply body. IncludeExtra splices in Cfg.StatsExtra (the
-  /// supervisor's aggregated workers section); the supervisor's own `snap`
-  /// probe asks for the local-only form — a worker answering a snap with
-  /// the aggregated form would recurse into the supervisor forever.
-  std::string statsJson(bool IncludeExtra = true) const;
+  /// The `stats` reply body.
+  std::string statsJson() const;
   const ResultCache &cache() const { return Results; }
   const exec::CompileCache &compileCache() const { return Compiles; }
   unsigned threadCount() const { return Pool ? Pool->threadCount() : 0; }

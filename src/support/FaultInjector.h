@@ -39,10 +39,6 @@
 ///   socket.accept socket.connect
 ///   cache.disk_read cache.disk_write cache.torn cache.rename
 ///   protocol.decode
-///   proc.fork (supervisor spawn fails with the scheduled errno)
-///   worker.crash (a worker _Exit()s mid-eval — the supervised-pool
-///   crash-restart drill; fatal by design, arm it only against a
-///   supervised daemon subprocess)
 ///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_SUPPORT_FAULTINJECTOR_H

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -106,15 +105,12 @@ Expected<Fd> cerb::net::listenUnix(const std::string &Path, int Backlog) {
 }
 
 Expected<Fd> cerb::net::listenTcp(uint16_t Port, uint16_t *OutPort,
-                                  int Backlog, bool Reuseport) {
+                                  int Backlog) {
   Fd Sock(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!Sock.valid())
     return sysErr("socket");
   int One = 1;
   ::setsockopt(Sock.get(), SOL_SOCKET, SO_REUSEADDR, &One, sizeof One);
-  if (Reuseport &&
-      ::setsockopt(Sock.get(), SOL_SOCKET, SO_REUSEPORT, &One, sizeof One) != 0)
-    return sysErr("setsockopt SO_REUSEPORT");
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -176,82 +172,6 @@ Expected<Fd> cerb::net::connectTcp(uint16_t Port) {
     return sysErr("connect 127.0.0.1:" + std::to_string(Port));
   armNoSigpipe(Sock.get());
   return Sock;
-}
-
-Expected<std::pair<Fd, Fd>> cerb::net::socketPair() {
-  int Raw[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Raw) != 0)
-    return sysErr("socketpair");
-  armNoSigpipe(Raw[0]);
-  armNoSigpipe(Raw[1]);
-  return std::make_pair(Fd(Raw[0]), Fd(Raw[1]));
-}
-
-bool cerb::net::sendFdMsg(int Sock, char Tag, int FdToSend) {
-  struct iovec IoV = {&Tag, 1};
-  struct msghdr Msg{};
-  Msg.msg_iov = &IoV;
-  Msg.msg_iovlen = 1;
-  // CMSG_SPACE is not a constant expression on every libc; a fixed buffer
-  // sized for one int is.
-  alignas(struct cmsghdr) char Ctl[CMSG_SPACE(sizeof(int))];
-  if (FdToSend >= 0) {
-    std::memset(Ctl, 0, sizeof Ctl);
-    Msg.msg_control = Ctl;
-    Msg.msg_controllen = CMSG_LEN(sizeof(int));
-    struct cmsghdr *C = CMSG_FIRSTHDR(&Msg);
-    C->cmsg_level = SOL_SOCKET;
-    C->cmsg_type = SCM_RIGHTS;
-    C->cmsg_len = CMSG_LEN(sizeof(int));
-    std::memcpy(CMSG_DATA(C), &FdToSend, sizeof(int));
-  }
-  ssize_t N;
-  do {
-#ifdef MSG_NOSIGNAL
-    N = ::sendmsg(Sock, &Msg, MSG_NOSIGNAL);
-#else
-    N = ::sendmsg(Sock, &Msg, 0);
-#endif
-  } while (N < 0 && errno == EINTR);
-  return N == 1;
-}
-
-int cerb::net::recvFdMsg(int Sock, char *OutTag, Fd *OutFd) {
-  char Tag = 0;
-  struct iovec IoV = {&Tag, 1};
-  struct msghdr Msg{};
-  Msg.msg_iov = &IoV;
-  Msg.msg_iovlen = 1;
-  alignas(struct cmsghdr) char Ctl[CMSG_SPACE(sizeof(int))];
-  Msg.msg_control = Ctl;
-  Msg.msg_controllen = sizeof Ctl;
-  ssize_t N;
-  do
-    N = ::recvmsg(Sock, &Msg, MSG_CMSG_CLOEXEC);
-  while (N < 0 && errno == EINTR);
-  if (N < 0)
-    return -1;
-  if (N == 0)
-    return 0;
-  if (OutTag)
-    *OutTag = Tag;
-  Fd Got;
-  for (struct cmsghdr *C = CMSG_FIRSTHDR(&Msg); C; C = CMSG_NXTHDR(&Msg, C)) {
-    if (C->cmsg_level == SOL_SOCKET && C->cmsg_type == SCM_RIGHTS &&
-        C->cmsg_len >= CMSG_LEN(sizeof(int))) {
-      int Raw = -1;
-      std::memcpy(&Raw, CMSG_DATA(C), sizeof(int));
-      Got = Fd(Raw);
-    }
-  }
-  if (OutFd)
-    *OutFd = std::move(Got);
-  return 1;
-}
-
-bool cerb::net::setNonBlocking(int FdRaw) {
-  int Flags = ::fcntl(FdRaw, F_GETFL, 0);
-  return Flags >= 0 && ::fcntl(FdRaw, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
 Fd cerb::net::acceptOn(int ListenFd) {

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 namespace cerb::net {
 
@@ -73,34 +72,9 @@ private:
 Expected<Fd> listenUnix(const std::string &Path, int Backlog = 64);
 
 /// Binds and listens on 127.0.0.1:\p Port (Port 0 = kernel-assigned; read
-/// it back with \p OutPort). With \p Reuseport, SO_REUSEPORT is set before
-/// bind so N worker processes can each bind the same concrete port and let
-/// the kernel load-balance accepts across them (the TCP half of the
-/// supervised worker pool).
+/// it back with \p OutPort).
 Expected<Fd> listenTcp(uint16_t Port, uint16_t *OutPort = nullptr,
-                       int Backlog = 64, bool Reuseport = false);
-
-/// A connected AF_UNIX SOCK_STREAM pair (CLOEXEC both ends): the
-/// supervisor<->worker control channel. Frames (writeFrame/readFrame) work
-/// on it unchanged.
-Expected<std::pair<Fd, Fd>> socketPair();
-
-/// Sends one byte of \p Tag plus (when \p FdToSend >= 0) that descriptor
-/// as SCM_RIGHTS ancillary data. The receiver gets its own descriptor for
-/// the same open file description — how workers adopt the supervisor's
-/// canonical unix-domain listening socket.
-bool sendFdMsg(int Sock, char Tag, int FdToSend);
-
-/// Receives a sendFdMsg message: returns the tag byte and stores the
-/// passed descriptor (invalid Fd when the message carried none) in
-/// \p OutFd. 0 on EOF, -1 on error, 1 on success.
-int recvFdMsg(int Sock, char *OutTag, Fd *OutFd);
-
-/// Sets O_NONBLOCK. On a shared listening socket this is a property of the
-/// open file description — setting it once covers every worker's copy —
-/// and it is what keeps N workers poll()ing one accept queue from blocking
-/// inside accept() when a sibling wins the race to a connection.
-bool setNonBlocking(int FdRaw);
+                       int Backlog = 64);
 
 /// Connects to a unix-domain socket.
 Expected<Fd> connectUnix(const std::string &Path);

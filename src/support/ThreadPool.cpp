@@ -6,15 +6,50 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 using namespace cerb;
+
+namespace {
+struct WorkerStart {
+  ThreadPool *Pool;
+  unsigned Me;
+  void (ThreadPool::*Loop)(unsigned);
+};
+
+void *startWorker(void *Arg) {
+  WorkerStart S = *static_cast<WorkerStart *>(Arg);
+  delete static_cast<WorkerStart *>(Arg);
+  (S.Pool->*S.Loop)(S.Me);
+  return nullptr;
+}
+} // namespace
 
 ThreadPool::ThreadPool(unsigned ThreadCount) {
   ThreadCount = std::max(1u, ThreadCount);
   Queues.resize(ThreadCount);
   Workers.reserve(ThreadCount);
-  for (unsigned I = 0; I < ThreadCount; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+  pthread_attr_t Attr;
+  pthread_attr_init(&Attr);
+  pthread_attr_setstacksize(&Attr, StackBytes);
+  for (unsigned I = 0; I < ThreadCount; ++I) {
+    pthread_t T;
+    auto *S = new WorkerStart{this, I, &ThreadPool::workerLoop};
+    if (int E = pthread_create(&T, &Attr, startWorker, S)) {
+      delete S;
+      // Fewer workers still drain every deque (idle ones steal); none
+      // would leave submitted tasks unrun.
+      if (Workers.empty()) {
+        std::fprintf(stderr, "cerb: cannot start a pool thread: %s\n",
+                     std::strerror(E));
+        std::abort();
+      }
+      break;
+    }
+    Workers.push_back(T);
+  }
+  pthread_attr_destroy(&Attr);
 }
 
 ThreadPool::~ThreadPool() {
@@ -24,8 +59,8 @@ ThreadPool::~ThreadPool() {
     Stop = true;
   }
   CV.notify_all();
-  for (std::thread &T : Workers)
-    T.join();
+  for (pthread_t T : Workers)
+    pthread_join(T, nullptr);
 }
 
 void ThreadPool::enqueueLocked(Item I) {

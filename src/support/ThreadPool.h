@@ -26,6 +26,12 @@
 /// operations are nowhere near the contention point and the single lock
 /// keeps the sleep/wake protocol trivially correct.
 ///
+/// Every worker gets the same stack, StackBytes, set here rather than
+/// inherited from RLIMIT_STACK: compiles and evaluations run on pool
+/// threads, and their recursion budgets (support/DepthGuard.h, the
+/// evaluator's MaxEvalDepth) are sized to it, so no outcome depends on
+/// `ulimit -s`.
+///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_SUPPORT_THREADPOOL_H
 #define CERB_SUPPORT_THREADPOOL_H
@@ -35,13 +41,18 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
+
+#include <pthread.h>
 
 namespace cerb {
 
 class ThreadPool {
 public:
+  /// Stack size of every worker thread (address space only: pages are
+  /// touched as the recursion reaches them).
+  static constexpr size_t StackBytes = size_t(256) << 20;
+
   /// A subset of the pool's tasks that can be waited on independently.
   /// Create one per nested fan-out; must outlive its tasks. Movable-nothing:
   /// the pool holds pointers to it.
@@ -100,7 +111,7 @@ private:
   void runItem(Item &I, std::unique_lock<std::mutex> &L);
 
   std::vector<std::deque<Item>> Queues;
-  std::vector<std::thread> Workers;
+  std::vector<pthread_t> Workers;
   mutable std::mutex M;
   std::condition_variable CV;     ///< wakes idle workers
   std::condition_variable DoneCV; ///< wakes wait()ers and group helpers

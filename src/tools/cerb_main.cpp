@@ -19,8 +19,8 @@
 #include "oracle/Report.h"
 #include "serve/Client.h"
 #include "serve/Daemon.h"
-#include "serve/Supervisor.h"
 #include "support/FaultInjector.h"
+#include "support/ThreadPool.h"
 #include "trace/Trace.h"
 
 #include <csignal>
@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -115,18 +116,6 @@ int usage(const char *Prog) {
                "  --max-queue N          admission bound on queued+running "
                "evals\n"
                "                         (serve; default 256)\n"
-               "  --workers N            serve: pre-fork N supervised worker\n"
-               "                         processes sharing the listener and\n"
-               "                         the disk cache (0 = single process,\n"
-               "                         the default)\n"
-               "  --restart-limit K      serve --workers: abandon a worker\n"
-               "                         slot after K restarts inside the\n"
-               "                         flap window (default 5)\n"
-               "  --restart-window-ms N  serve --workers: the flap-detection\n"
-               "                         window (default 30000)\n"
-               "  --restart-base-ms N    serve --workers: base restart "
-               "backoff,\n"
-               "                         doubling per attempt (default 100)\n"
                "  --mem-cache N          in-memory result-cache entries "
                "(serve;\n"
                "                         default 1024)\n"
@@ -197,10 +186,6 @@ struct Options {
   // serve / query
   std::string SocketPath;
   int TcpPort = -1;
-  unsigned Workers = 0; ///< 0 = single-process daemon; N = supervised pool
-  unsigned RestartLimit = 5;
-  uint64_t RestartWindowMs = 30000;
-  uint64_t RestartBaseMs = 100;
   std::string CacheDir;
   uint64_t MaxQueue = 256;
   uint64_t MemCache = 1024;
@@ -372,27 +357,6 @@ std::optional<std::vector<std::string>> parseArgs(int Argc, char **Argv,
       if (!V)
         return std::nullopt;
       O.TcpPort = static_cast<int>(std::strtol(V->c_str(), nullptr, 0));
-    } else if (A == "--workers") {
-      auto V = Value("--workers");
-      if (!V)
-        return std::nullopt;
-      O.Workers = static_cast<unsigned>(std::strtoul(V->c_str(), nullptr, 0));
-    } else if (A == "--restart-limit") {
-      auto V = Value("--restart-limit");
-      if (!V)
-        return std::nullopt;
-      O.RestartLimit =
-          static_cast<unsigned>(std::strtoul(V->c_str(), nullptr, 0));
-    } else if (A == "--restart-window-ms") {
-      auto V = Value("--restart-window-ms");
-      if (!V)
-        return std::nullopt;
-      O.RestartWindowMs = std::strtoull(V->c_str(), nullptr, 0);
-    } else if (A == "--restart-base-ms") {
-      auto V = Value("--restart-base-ms");
-      if (!V)
-        return std::nullopt;
-      O.RestartBaseMs = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--cache-dir") {
       auto V = Value("--cache-dir");
       if (!V)
@@ -967,6 +931,16 @@ int cmdFuzz(const Options &O) {
   return 0;
 }
 
+/// Runs \p Cmd on a pool thread: evaluations need the pool's fixed stack
+/// (support/ThreadPool.h), whatever `ulimit -s` gave the main thread.
+int onPoolThread(const std::function<int()> &Cmd) {
+  int RC = 0;
+  ThreadPool Pool(1);
+  Pool.submit([&] { RC = Cmd(); });
+  Pool.wait();
+  return RC;
+}
+
 /// `cerb reduce file.c`: ddmin-minimize a divergent program against the
 /// differential oracle, preserving its triage signature.
 int cmdReduce(const std::string &Path, const Options &O) {
@@ -1060,40 +1034,6 @@ int cmdServe(const Options &O) {
   SA.sa_handler = onTermSignal;
   sigemptyset(&SA.sa_mask);
   std::signal(SIGPIPE, SIG_IGN); // a vanished client must not kill cerbd
-
-  // --workers N: the supervised pre-forked pool (serve/Supervisor.h). The
-  // supervisor binds the listeners, forks the workers, and turns SIGTERM
-  // into a rolling cross-process drain.
-  if (O.Workers > 0) {
-    serve::SupervisorConfig SC;
-    SC.Worker = std::move(DC);
-    SC.Workers = O.Workers;
-    SC.RestartLimit = O.RestartLimit;
-    SC.RestartWindowMs = O.RestartWindowMs;
-    SC.RestartBaseMs = O.RestartBaseMs;
-    SC.Seed = O.Seed;
-    SC.Quiet = O.Quiet;
-    // A freshly forked worker must not inherit the supervisor's signal
-    // plumbing: its own daemon installs worker-side handlers, and until
-    // then the default disposition is the correct one.
-    SC.ChildInit = [] {
-      GDrainFd.store(-1, std::memory_order_relaxed);
-      std::signal(SIGTERM, SIG_DFL);
-      std::signal(SIGINT, SIG_DFL);
-    };
-    serve::Supervisor S(std::move(SC));
-    auto Started = S.start();
-    if (!Started) {
-      std::fprintf(stderr, "cerb: %s\n", Started.error().str().c_str());
-      return 1;
-    }
-    GDrainFd.store(S.drainFd(), std::memory_order_relaxed);
-    sigaction(SIGTERM, &SA, nullptr);
-    sigaction(SIGINT, &SA, nullptr);
-    int RC = S.run();
-    GDrainFd.store(-1, std::memory_order_relaxed);
-    return RC;
-  }
 
   serve::Daemon D(std::move(DC));
   auto Started = D.start();
@@ -1300,7 +1240,8 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "cerb: reduce requires exactly one file\n");
       return 2;
     }
-    return Finish(cmdReduce(Positional->front(), O));
+    return Finish(
+        onPoolThread([&] { return cmdReduce(Positional->front(), O); }));
   }
   if (Cmd == "serve") {
     if (!Positional->empty()) {

@@ -58,8 +58,10 @@ void Registry::add(Counter *C) {
 Registry::Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> L(M);
   Snapshot S;
+  // Several counters may share a name (one per call site counting the
+  // same event); the name's value is their sum.
   for (const Counter *C : Counters)
-    S[C->name()] = C->value();
+    S[C->name()] += C->value();
   return S;
 }
 

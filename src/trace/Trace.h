@@ -108,7 +108,8 @@ class Registry {
 public:
   static Registry &instance();
 
-  /// name -> value, sorted (std::map order).
+  /// name -> value, sorted (std::map order). Counters registered under
+  /// the same name are summed.
   using Snapshot = std::map<std::string, uint64_t>;
   Snapshot snapshot() const;
 

@@ -2,6 +2,7 @@
 
 #include "typing/TypeCheck.h"
 
+#include "support/DepthGuard.h"
 #include "support/Format.h"
 
 #include <cassert>
@@ -126,6 +127,9 @@ private:
   /// flat map works across scopes.
   std::map<unsigned, CType> ObjTypes;
   CType CurrentReturnTy;
+  /// Depth of the recursive walk (support/DepthGuard.h).
+  unsigned Depth = 0;
+  DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
 
   //===------------------------------------------------------------------===//
   // Expressions
@@ -184,6 +188,9 @@ Expected<CType> Checker::checkValue(AilExpr &E) {
 }
 
 ExpectedVoid Checker::check(AilExpr &E) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("typecheck", E.Loc);
   switch (E.Kind) {
   case AilExprKind::Var: {
     auto It = ObjTypes.find(E.Sym.Id);
@@ -661,6 +668,9 @@ ExpectedVoid Checker::checkMember(AilExpr &E) {
 //===----------------------------------------------------------------------===//
 
 ExpectedVoid Checker::checkInit(const CType &Ty, AilInit &Init) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("typecheck", Init.Loc);
   if (!Init.isList()) {
     CERB_TRY(From, checkValue(*Init.E));
     return checkAssignable(Ty, From, *Init.E, Init.Loc);
@@ -698,6 +708,9 @@ ExpectedVoid Checker::checkInit(const CType &Ty, AilInit &Init) {
 ExpectedVoid Checker::checkSwitchBody(AilStmt &S, const CType &CtrlTy,
                                       std::set<Int128> &Seen,
                                       bool &SawDefault) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("typecheck", S.Loc);
   // Walk the statement tree, stopping at nested switches.
   if (S.Kind == AilStmtKind::Switch) {
     // Still need to type-check the nested switch itself.
@@ -754,6 +767,9 @@ ExpectedVoid Checker::checkSwitchBody(AilStmt &S, const CType &CtrlTy,
 }
 
 ExpectedVoid Checker::checkStmt(AilStmt &S) {
+  DepthGuard G = guard();
+  if (!G)
+    return G.error("typecheck", S.Loc);
   switch (S.Kind) {
   case AilStmtKind::Expr:
     if (S.E)

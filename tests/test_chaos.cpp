@@ -24,14 +24,11 @@
 #include "serve/Daemon.h"
 #include "serve/Protocol.h"
 #include "support/FaultInjector.h"
-#include "support/Process.h"
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <cstdlib>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -470,156 +467,6 @@ TEST(ServeChaos, BatchRoundUnderSeededFaultSchedule) {
   EXPECT_EQ(FdsBefore, FdsAfter)
       << "fd leak under faults (before=" << FdsBefore
       << " after=" << FdsAfter << " seed=" << Seed << ")";
-}
-
-TEST(ServeChaos, WorkerPoolSoakUnderCrashFaults) {
-  // The cross-process analogue of the soak: a real `cerb serve --workers 4`
-  // pool (spawned binary — kill -9-grade crashes need process isolation)
-  // with the worker.crash fault firing inside evalBody at a bounded rate.
-  // Workers die mid-request; the supervisor restarts them; retrying
-  // clients must lose nothing and every completed reply must be
-  // byte-identical to a fault-free golden run. --restart-limit is set far
-  // above the crash budget: this round soaks recovery, not the breaker
-  // (test_workers.cpp pins the breaker semantics).
-  const uint64_t Seed = envU64("CERB_CHAOS_SEED", 1);
-  const uint64_t DeadlineMs = envU64("CERB_CHAOS_DEADLINE_MS", 75000) * 2;
-  Watchdog Dog(DeadlineMs, Seed);
-
-  constexpr unsigned PoolClients = 6;
-  constexpr unsigned PoolCalls = 16; // per client
-
-  TempDir T;
-  // Phase 1 — golden run, no faults, in-process daemon: canonical bytes.
-  std::map<unsigned, std::string> Golden;
-  {
-    DaemonConfig Cfg;
-    Cfg.SocketPath = T.str("golden.sock");
-    Cfg.Threads = 2;
-    Cfg.MaxQueue = 64;
-    Cfg.Cache.Dir.clear();
-    Daemon D(std::move(Cfg));
-    ASSERT_TRUE(static_cast<bool>(D.start()));
-    SoakResult G = runFleet(T.str("golden.sock"), Seed, nullptr, &Golden);
-    D.requestDrain();
-    ASSERT_EQ(D.waitUntilDrained(), 0);
-    ASSERT_EQ(G.Failed, 0u);
-    ASSERT_EQ(Golden.size(), NumSources);
-  }
-
-  // Phase 2 — the pool, workers crashing under a seeded schedule. The
-  // crash probability is low enough that four workers with fast restarts
-  // absorb it, high enough that several restarts happen per soak.
-  const std::string Sock = T.str("pool.sock");
-  std::string FaultSpec =
-      "seed=" + std::to_string(Seed) + ";worker.crash,p=0.05";
-  pid_t Pool = ::fork();
-  ASSERT_GE(Pool, 0);
-  if (Pool == 0) {
-    ::setenv("CERB_FAULTS", FaultSpec.c_str(), 1);
-    std::string Cache = T.str("cache");
-    ::execl(CERB_BIN, CERB_BIN, "serve", "--socket", Sock.c_str(), "--jobs",
-            "1", "--workers", "4", "--cache-dir", Cache.c_str(),
-            "--restart-base-ms", "5", "--restart-limit", "64",
-            (char *)nullptr);
-    std::_Exit(127);
-  }
-
-  // Readiness: ping until the pool answers (pings do not evaluate, so
-  // they never crash a worker).
-  bool Ready = false;
-  for (int I = 0; I < 1500 && !Ready; ++I) {
-    RetryPolicy RP;
-    RP.MaxAttempts = 1;
-    RP.CallTimeoutMs = 2000;
-    auto C = Client::connect(Sock, -1, RP);
-    if (C) {
-      auto R = C->callParsed(serializeSimpleRequest(Op::Ping, "ready"));
-      Ready = R && R->Status == "ok";
-    }
-    if (!Ready)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  if (!Ready) {
-    ::kill(Pool, SIGKILL);
-    int St = 0;
-    ::waitpid(Pool, &St, 0);
-    FAIL() << "worker pool never became ready";
-  }
-
-  // The fleet: generous retries — a crash costs an attempt, never a call.
-  SoakResult R;
-  {
-    std::mutex Mu;
-    std::vector<std::thread> Fleet;
-    for (unsigned Tid = 0; Tid < PoolClients; ++Tid) {
-      Fleet.emplace_back([&, Tid] {
-        RetryPolicy RP;
-        RP.MaxAttempts = 10;
-        RP.BaseDelayMs = 2;
-        RP.MaxDelayMs = 50;
-        RP.TotalDeadlineMs = 30000;
-        RP.CallTimeoutMs = 5000;
-        RP.Seed = Seed ^ (Tid * 0x9e3779b97f4a7c15ull);
-        auto C = Client::connect(Sock, -1, RP);
-        for (unsigned I = 0; I < PoolCalls; ++I) {
-          unsigned SrcIdx = (Tid * PoolCalls + I) % NumSources;
-          if (!C) {
-            C = Client::connect(Sock, -1, RP);
-            if (!C) {
-              std::lock_guard<std::mutex> L(Mu);
-              ++R.Failed;
-              continue;
-            }
-          }
-          // NoCache: every call must traverse evalBody (the crash site);
-          // cached replies would dodge the faults entirely.
-          EvalRequest Q = chaosRequest(SrcIdx);
-          Q.NoCache = true;
-          auto Resp = C->callRetryParsed(serializeEvalRequest(Q));
-          std::lock_guard<std::mutex> L(Mu);
-          if (!Resp || Resp->Status != "ok") {
-            ++R.Failed;
-            continue;
-          }
-          ++R.Ok;
-          auto It = Golden.find(SrcIdx);
-          if (It == Golden.end() || It->second != Resp->Report)
-            ++R.Mismatched;
-        }
-      });
-    }
-    for (std::thread &Th : Fleet)
-      Th.join();
-  }
-
-  EXPECT_EQ(R.Ok + R.Failed, uint64_t(PoolClients) * PoolCalls);
-  EXPECT_EQ(R.Failed, 0u)
-      << "worker crashes must cost retries, not requests (seed=" << Seed
-      << ")";
-  EXPECT_EQ(R.Mismatched, 0u)
-      << "reply bytes drifted across worker restarts (seed=" << Seed << ")";
-
-  // Clean rolling drain under the same fault schedule.
-  ASSERT_EQ(::kill(Pool, SIGTERM), 0);
-  int St = -1;
-  for (int I = 0; I < 1500; ++I) {
-    int Got = 0;
-    pid_t W = ::waitpid(Pool, &Got, WNOHANG);
-    if (W == Pool) {
-      St = Got;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  if (St == -1) {
-    ::kill(Pool, SIGKILL);
-    int Got = 0;
-    ::waitpid(Pool, &Got, 0);
-    FAIL() << "pool did not drain on SIGTERM";
-  }
-  EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0)
-      << "pool drain exited " << proc::describeStatus(St) << " (seed=" << Seed
-      << ")";
 }
 
 TEST(ServeChaos, SoakIsDeterministicPerSeedSite) {

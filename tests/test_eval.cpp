@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/Pipeline.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -305,6 +306,37 @@ int f(int n) {
 int main(void) { return f(2); }
 )",
              189);
+}
+
+TEST(EvalControl, DeepRecursionInsideTheCallDepthLimit) {
+  // 390 calls, under MaxCallDepth (400), each nesting a loop and two ifs:
+  // deeper than an 8 MiB stack holds. Evaluations run on pool threads,
+  // whose fixed stack the evaluation depth budget is sized to (host gcc
+  // gives 213).
+  Outcome O;
+  {
+    ThreadPool Pool(1);
+    Pool.submit([&] {
+      O = run(R"(
+int sum(int n) {
+  int s = 0;
+  if (n > 0) {
+    for (int i = 0; i < 1; i++) {
+      if (n % 2 == 0) {
+        s = n + sum(n - 1);
+      } else {
+        s = n + sum(n - 1);
+      }
+    }
+  }
+  return s;
+}
+int main(void) { return sum(390) % 256; }
+)");
+    });
+  }
+  EXPECT_EQ(O.Kind, OutcomeKind::Exit) << O.str();
+  EXPECT_EQ(O.ExitCode, 213);
 }
 
 TEST(EvalControl, MainFallingOffReturnsZero) {

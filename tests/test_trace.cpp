@@ -115,6 +115,20 @@ TEST(TraceRegistry, DeltaKeepsNonzeroEntriesOnly) {
   EXPECT_FALSE(D.count("test.delta.still"));
 }
 
+TEST(TraceRegistry, SameNamedCountersAreSummed) {
+  // Two call sites counting one event each own a counter of that name.
+  static trace::Counter First("test.shared");
+  static trace::Counter Second("test.shared");
+
+  trace::Registry::Snapshot Before = trace::Registry::instance().snapshot();
+  First.add(3);
+  Second.add(4);
+  trace::Registry::Snapshot After = trace::Registry::instance().snapshot();
+
+  EXPECT_EQ(After["test.shared"], First.value() + Second.value());
+  EXPECT_EQ(trace::Registry::delta(Before, After)["test.shared"], 7u);
+}
+
 TEST(TraceRegistry, DeltaPrefixFilterSelectsNamespace) {
   static trace::Counter In("testpfx.inside");
   static trace::Counter Out("test.outside");
