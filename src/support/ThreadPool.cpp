@@ -11,20 +11,17 @@
 
 using namespace cerb;
 
-namespace {
-struct WorkerStart {
+struct ThreadPool::WorkerStart {
   ThreadPool *Pool;
   unsigned Me;
-  void (ThreadPool::*Loop)(unsigned);
 };
 
-void *startWorker(void *Arg) {
+void *ThreadPool::startWorker(void *Arg) {
   WorkerStart S = *static_cast<WorkerStart *>(Arg);
   delete static_cast<WorkerStart *>(Arg);
-  (S.Pool->*S.Loop)(S.Me);
+  S.Pool->workerLoop(S.Me);
   return nullptr;
 }
-} // namespace
 
 ThreadPool::ThreadPool(unsigned ThreadCount) {
   ThreadCount = std::max(1u, ThreadCount);
@@ -35,7 +32,7 @@ ThreadPool::ThreadPool(unsigned ThreadCount) {
   pthread_attr_setstacksize(&Attr, StackBytes);
   for (unsigned I = 0; I < ThreadCount; ++I) {
     pthread_t T;
-    auto *S = new WorkerStart{this, I, &ThreadPool::workerLoop};
+    auto *S = new WorkerStart{this, I};
     if (int E = pthread_create(&T, &Attr, startWorker, S)) {
       delete S;
       // Fewer workers still drain every deque (idle ones steal); none

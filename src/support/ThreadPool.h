@@ -98,6 +98,9 @@ private:
     TaskGroup *Group = nullptr;
   };
 
+  struct WorkerStart;
+  /// pthread entry point: runs workerLoop for the WorkerStart it owns.
+  static void *startWorker(void *Arg);
   void workerLoop(unsigned Me);
   void enqueueLocked(Item I);
   /// Pops a task for worker \p Me (own back, then steal a victim's front).

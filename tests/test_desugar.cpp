@@ -260,6 +260,21 @@ int main(void) { return 0; }
 )")
                 .IsoClause,
             "6.7.2.3p1");
+  // A tag redefined inside its own member list, and a struct containing
+  // itself, would each give the type no finite size.
+  EXPECT_EQ(desugarErr(R"(
+struct s { struct s { int x; } y; };
+int main(void) { return 0; }
+)")
+                .IsoClause,
+            "6.7.2.3p1");
+  EXPECT_EQ(desugarErr(R"(
+struct s { struct s y[2]; };
+struct s v;
+int main(void) { return 0; }
+)")
+                .IsoClause,
+            "6.7.2.1p3");
 }
 
 TEST(Desugar, DuplicateLabelRejected) {

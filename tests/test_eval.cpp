@@ -365,6 +365,9 @@ int main(void) {
 }
 )",
              3);
+  // A scalar initializer in more than one pair of braces (host gcc: 12).
+  expectExit("int main(void) { int a[2] = {{{7}}, 5}; return a[0] + a[1]; }",
+             12);
 }
 
 TEST(EvalObjects, MultidimensionalArrays) {
