@@ -222,6 +222,11 @@ bool intOf(const Value &V, Int128 &Out) {
 }
 } // namespace
 
+Evaluator::Res Evaluator::tooDeep() {
+  return error(fmt("evaluation nests deeper than {0} levels (MaxEvalDepth)",
+                   MaxEvalDepth));
+}
+
 Evaluator::Res Evaluator::objectTooLarge(const CType &Ty,
                                          const std::string &Name) {
   return error(fmt("object '{0}' of {1} bytes exceeds the allocation budget "
@@ -403,8 +408,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     return budgetError();
   DepthGuard Nest(EvalDepth, MaxEvalDepth);
   if (!Nest)
-    return error(fmt("evaluation nests deeper than {0} levels (MaxEvalDepth)",
-                     MaxEvalDepth));
+    return tooDeep();
 
   switch (E.K) {
   case ExprKind::Sym: {

@@ -206,6 +206,8 @@ private:
     Sig.DeadlineHit = DeadlineHit;
     return R;
   }
+  /// The path's end past MaxEvalDepth.
+  [[gnu::cold]] Res tooDeep();
   /// The path's end when a declared object does not fit the allocation
   /// budget (mem::Memory::MaxAllocatedBytes).
   Res objectTooLarge(const ail::CType &Ty, const std::string &Name);

@@ -23,8 +23,10 @@
 namespace cerb {
 
 /// Nesting depth of the parser's descent and of the walks over Cabs and
-/// Ail: one level per nested statement, initializer brace, declarator and
-/// (sub)expression.
+/// Ail. The parser counts every entry point it nests through, so a level
+/// of parentheses costs four (assignment, conditional, cast and unary
+/// expression) and a block one: about 1,000 nested parentheses, 4,000
+/// nested blocks or a 4,000-term operator chain fit.
 inline constexpr unsigned MaxSyntaxDepth = 4096;
 /// Nesting depth of the walks over Core (rewrite, lowering, checking).
 /// Elaboration nests a few Core nodes per C construct.
@@ -44,8 +46,10 @@ public:
 
   explicit operator bool() const { return Depth <= Limit; }
 
-  /// The diagnostic naming the walk and its limit.
-  StaticError error(const char *Walk, SourceLoc Loc = SourceLoc()) const {
+  /// The diagnostic naming the walk and its limit. Cold and out of line,
+  /// so the walks' hot paths carry only the counter.
+  [[gnu::cold, gnu::noinline]] StaticError
+  error(const char *Walk, SourceLoc Loc = SourceLoc()) const {
     return err(std::string(Walk) + ": nesting deeper than " +
                    std::to_string(Limit) + " levels (implementation limit)",
                Loc, "5.2.4.1");
