@@ -272,6 +272,7 @@ TEST(Robustness, OneDaemonSurvivesEveryShape) {
     if (S.Name == "sum390")
       Cold = Report;
   }
+  EXPECT_NE(Cold.find("exit(213)"), std::string::npos) << Cold;
   EXPECT_TRUE(Ping()) << "the daemon died";
   EXPECT_EQ(Eval({"sum390", Sum390}), Cold) << "warm reply differs";
 
