@@ -3,6 +3,7 @@
 #include "ail/CType.h"
 
 #include <algorithm>
+#include <cstdint>
 
 using namespace cerb;
 using namespace cerb::ail;
@@ -300,6 +301,21 @@ Int128 ImplEnv::convert(IntKind K, Int128 V) const {
   return static_cast<Int128>(U);
 }
 
+// Sizes saturate instead of wrapping round 2^64, so a type too large for
+// the address space stays too large for every allocation and access
+// check rather than passing for a small one.
+static uint64_t addSat(uint64_t A, uint64_t B) {
+  uint64_t R;
+  return __builtin_add_overflow(A, B, &R) ? UINT64_MAX : R;
+}
+static uint64_t mulSat(uint64_t A, uint64_t B) {
+  uint64_t R;
+  return __builtin_mul_overflow(A, B, &R) ? UINT64_MAX : R;
+}
+static uint64_t alignUp(uint64_t N, uint64_t A) {
+  return addSat(N, A - 1) / A * A;
+}
+
 uint64_t ImplEnv::sizeOf(const CType &Ty) const {
   assert(Ty.isValid() && "sizeOf invalid type");
   switch (Ty.kind()) {
@@ -311,7 +327,7 @@ uint64_t ImplEnv::sizeOf(const CType &Ty) const {
     return 8;
   case CTypeKind::Array: {
     assert(Ty.arraySize() && "sizeOf incomplete array");
-    return *Ty.arraySize() * sizeOf(Ty.element());
+    return mulSat(*Ty.arraySize(), sizeOf(Ty.element()));
   }
   case CTypeKind::Function:
     assert(false && "sizeOf function type");
@@ -325,10 +341,9 @@ uint64_t ImplEnv::sizeOf(const CType &Ty) const {
     for (const TagMember &M : D.Members) {
       uint64_t A = alignOf(M.Ty);
       MaxAlign = std::max(MaxAlign, A);
-      Off = (Off + A - 1) / A * A;
-      Off += sizeOf(M.Ty);
+      Off = addSat(alignUp(Off, A), sizeOf(M.Ty));
     }
-    return (Off + MaxAlign - 1) / MaxAlign * MaxAlign;
+    return alignUp(Off, MaxAlign);
   }
   case CTypeKind::Union: {
     const TagDef &D = Tags.get(Ty.tag());
@@ -340,7 +355,7 @@ uint64_t ImplEnv::sizeOf(const CType &Ty) const {
     }
     if (Size == 0)
       return 1;
-    return (Size + MaxAlign - 1) / MaxAlign * MaxAlign;
+    return alignUp(Size, MaxAlign);
   }
   }
   return 1;
@@ -378,11 +393,10 @@ uint64_t ImplEnv::offsetOf(unsigned Tag, size_t MemberIdx) const {
     return 0;
   uint64_t Off = 0;
   for (size_t I = 0; I <= MemberIdx; ++I) {
-    uint64_t A = alignOf(D.Members[I].Ty);
-    Off = (Off + A - 1) / A * A;
+    Off = alignUp(Off, alignOf(D.Members[I].Ty));
     if (I == MemberIdx)
       return Off;
-    Off += sizeOf(D.Members[I].Ty);
+    Off = addSat(Off, sizeOf(D.Members[I].Ty));
   }
   return Off;
 }

@@ -116,9 +116,12 @@ private:
   std::vector<size_t> ScopeStarts;
   /// Depth of the recursive descent: every entry point that the input can
   /// nest (statements, declarators, initializers, struct bodies and the
-  /// expression levels) holds a guard().
+  /// expression levels) holds a guard(), and each loop that builds a
+  /// left-deep chain (comma, binary and postfix operators) holds a
+  /// chain() that deepens by a level per operator.
   unsigned Depth = 0;
   DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
+  DepthGuard chain() { return DepthGuard(Depth, MaxSyntaxDepth, 0); }
   StaticError tooDeep(const DepthGuard &G) const {
     return G.error("parser", cur().Loc);
   }
@@ -750,7 +753,10 @@ static std::optional<BinaryOp> compoundOpOf(Tok K) {
 Expected<CabsExprPtr> Parser::parseExpr() {
   CERB_TRY(Lhs, parseAssignExpr());
   CabsExprPtr Cur = std::move(Lhs);
+  DepthGuard Chain = chain();
   while (at(Tok::Comma)) {
+    if (!Chain.deeper())
+      return tooDeep(Chain);
     SourceLoc L = take().Loc;
     CERB_TRY(Rhs, parseAssignExpr());
     auto E = makeExpr(CabsExprKind::Comma, L);
@@ -802,10 +808,13 @@ Expected<CabsExprPtr> Parser::parseCondExpr() {
 Expected<CabsExprPtr> Parser::parseBinaryExpr(int MinPrec) {
   CERB_TRY(Lhs, parseCastExpr());
   CabsExprPtr Cur = std::move(Lhs);
+  DepthGuard Chain = chain();
   for (;;) {
     int Prec = precedenceOf(cur().Kind);
     if (Prec < MinPrec || Prec == 0)
       return Cur;
+    if (!Chain.deeper())
+      return tooDeep(Chain);
     Tok OpTok = cur().Kind;
     SourceLoc L = take().Loc;
     CERB_TRY(Rhs, parseBinaryExpr(Prec + 1));
@@ -904,10 +913,25 @@ Expected<CabsExprPtr> Parser::parseUnaryExpr() {
   }
 }
 
+static bool isPostfixOp(Tok K) {
+  switch (K) {
+  case Tok::LBracket: case Tok::LParen: case Tok::Dot: case Tok::Arrow:
+  case Tok::PlusPlus: case Tok::MinusMinus:
+    return true;
+  default:
+    return false;
+  }
+}
+
 Expected<CabsExprPtr> Parser::parsePostfixExpr() {
   CERB_TRY(Base, parsePrimaryExpr());
   CabsExprPtr Cur = std::move(Base);
+  DepthGuard Chain = chain();
   for (;;) {
+    if (!isPostfixOp(cur().Kind))
+      return Cur;
+    if (!Chain.deeper())
+      return tooDeep(Chain);
     SourceLoc L = cur().Loc;
     if (accept(Tok::LBracket)) {
       CERB_TRY(Idx, parseExpr());
@@ -949,16 +973,12 @@ Expected<CabsExprPtr> Parser::parsePostfixExpr() {
       Cur = std::move(E);
       continue;
     }
-    if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
-      bool Inc = cur().Kind == Tok::PlusPlus;
-      take();
-      auto E = makeExpr(CabsExprKind::Unary, L);
-      E->UOp = Inc ? UnaryOp::PostInc : UnaryOp::PostDec;
-      E->Kids.push_back(std::move(Cur));
-      Cur = std::move(E);
-      continue;
-    }
-    return Cur;
+    bool Inc = cur().Kind == Tok::PlusPlus;
+    take();
+    auto E = makeExpr(CabsExprKind::Unary, L);
+    E->UOp = Inc ? UnaryOp::PostInc : UnaryOp::PostDec;
+    E->Kids.push_back(std::move(Cur));
+    Cur = std::move(E);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include "elab/Elaborate.h"
 
+#include "mem/Memory.h"
 #include "support/DepthGuard.h"
 #include "support/Format.h"
 #include "typing/TypeCheck.h"
@@ -220,6 +221,17 @@ ExprPtr seq(ExprPtr A, ExprPtr B, bool SeqPoint = false) {
   return mkLetStrong(Pattern::wild(), std::move(A), std::move(B), SeqPoint);
 }
 
+/// The scalars \p Init initializes: elabInitStores nests the rest of the
+/// block at least a Core level deeper for each.
+size_t initLeaves(const AilInit &Init) {
+  if (!Init.isList())
+    return 1;
+  size_t N = 0;
+  for (const AilInit &Sub : Init.List)
+    N += initLeaves(Sub);
+  return N;
+}
+
 mem::ArithOp arithOpOf(BinaryOp Op) {
   switch (Op) {
   case BinaryOp::Add: return mem::ArithOp::Add;
@@ -268,6 +280,18 @@ private:
   /// Depth of the recursive walk (support/DepthGuard.h).
   unsigned Depth = 0;
   DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
+  /// Core levels that flat input nests around what is being elaborated:
+  /// each statement of a block nests the rest of the block a level
+  /// deeper, a declaration one more per initialized scalar, and a
+  /// function's parameters and a switch's cases one each. Without it a
+  /// long block would recurse through elabStmtSeq, and build a Core tree
+  /// (freed recursively), as deep as it is long. The Core check refuses
+  /// Core deeper than MaxCoreDepth, and these levels are a lower bound
+  /// of that depth.
+  unsigned CoreNest = 0;
+  DepthGuard nest(size_t Levels) {
+    return DepthGuard(CoreNest, MaxCoreDepth, Levels);
+  }
 
   /// `Base'N` with N the new symbol's id. Built in place: most names fit
   /// the short-string buffer, so this usually allocates nothing.
@@ -388,7 +412,8 @@ private:
   Expected<ExprPtr> elabStmt(const AilStmt &S);
   /// Elaborates Stmts[I..] with \p Tail as the continuation (the block's
   /// kill chain goes there, nested inside every declaration's binding so
-  /// Core stays lexically scoped).
+  /// Core stays lexically scoped). Recurses once per statement, each
+  /// holding its nest() levels.
   Expected<ExprPtr> elabStmtSeq(const std::vector<ail::AilStmtPtr> &Stmts,
                                 size_t I, ExprPtr Tail);
   Expected<ExprPtr> elabBlock(const AilStmt &S);

@@ -175,7 +175,7 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
     auto N = IntArg(0);
     if (!N)
       return error("malloc with a bad size");
-    return Res(Value::specified(Value::pointer(allocateRegion(N->V))));
+    return Res(Value::specified(Value::pointer(Mem.allocateRegion(N->V))));
   }
   case ail::Builtin::Calloc: {
     auto N = IntArg(0), S = IntArg(1);
@@ -186,7 +186,7 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
     if (N->V >= 0 && S->V >= 0 &&
         (N->V == 0 || S->V <= Int128(UINT64_MAX) / N->V))
       Total = N->V * S->V;
-    mem::PointerValue P = allocateRegion(Total);
+    mem::PointerValue P = Mem.allocateRegion(Total);
     if (P.isNull())
       return Res(Value::specified(Value::pointer(P)));
     if (auto R = Mem.setBytes(P, 0, static_cast<uint64_t>(Total)); !R)
@@ -281,12 +281,12 @@ Evaluator::Res Evaluator::callBuiltin(ail::Builtin B,
     if (!P || !N)
       return error("realloc with bad arguments");
     if (P->isNull())
-      return Res(Value::specified(Value::pointer(allocateRegion(N->V))));
+      return Res(Value::specified(Value::pointer(Mem.allocateRegion(N->V))));
     if (!P->Prov.isAlloc())
       return UB(mem::undef(mem::UBKind::FreeInvalidPointer,
                            "realloc of a pointer with no allocation"));
     // Past the budget the old block stays as it is (7.22.3.5p4).
-    mem::PointerValue NewP = allocateRegion(N->V);
+    mem::PointerValue NewP = Mem.allocateRegion(N->V);
     if (NewP.isNull())
       return Res(Value::specified(Value::pointer(NewP)));
     uint64_t NewSize = static_cast<uint64_t>(N->V);

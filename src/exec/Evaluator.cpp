@@ -135,10 +135,10 @@ Outcome Evaluator::runImpl() {
     Layout.emplace_back(G.Ty, Prog.Syms.nameOf(G.Name));
   Mem.beginStaticLayout(Layout);
   for (const CoreGlobal &G : Prog.Globals) {
-    if (!Mem.fits(Env.sizeOf(G.Ty)))
-      return Finish(objectTooLarge(G.Ty, Prog.Syms.nameOf(G.Name)));
     mem::PointerValue P =
         Mem.allocateObject(G.Ty, Prog.Syms.nameOf(G.Name), /*Static=*/true);
+    if (P.isNull())
+      return Finish(objectTooLarge(G.Ty, Prog.Syms.nameOf(G.Name)));
     Slots[G.Slot] = Value::pointer(P);
     SlotBound[G.Slot] = 1;
   }
@@ -232,12 +232,6 @@ Evaluator::Res Evaluator::objectTooLarge(const CType &Ty,
   return error(fmt("object '{0}' of {1} bytes exceeds the allocation budget "
                    "of {2} bytes",
                    Name, Env.sizeOf(Ty), mem::Memory::MaxAllocatedBytes));
-}
-
-mem::PointerValue Evaluator::allocateRegion(Int128 Size) {
-  if (Size < 0 || !Mem.fits(static_cast<uint64_t>(Size)))
-    return mem::PointerValue::null();
-  return Mem.allocateRegion(static_cast<uint64_t>(Size), 16);
 }
 
 void Evaluator::bindSlot(int Slot, Value &&V) {
@@ -376,10 +370,10 @@ Evaluator::Res Evaluator::applyScopeDiff(
   for (const ScopeObject &O : SaveScope) {
     if (In(RunScope, O.Obj))
       continue;
-    if (!Mem.fits(Env.sizeOf(O.Ty)))
-      return objectTooLarge(O.Ty, Prog.Syms.nameOf(O.Obj));
     mem::PointerValue P =
         Mem.allocateObject(O.Ty, Prog.Syms.nameOf(O.Obj), /*Static=*/false);
+    if (P.isNull())
+      return objectTooLarge(O.Ty, Prog.Syms.nameOf(O.Obj));
     if (!Frames.empty())
       Frames.back().Created.push_back(P);
     bindSlot(O.Slot, Value::pointer(P));
@@ -1083,9 +1077,9 @@ Evaluator::Res Evaluator::evalJump(const Expr &E, Symbol Label,
 Evaluator::Res Evaluator::evalAction(const Expr &E) {
   switch (E.Act) {
   case ActionKind::Create: {
-    if (!Mem.fits(Env.sizeOf(E.Cty)))
-      return objectTooLarge(E.Cty, E.Str);
     mem::PointerValue P = Mem.allocateObject(E.Cty, E.Str, /*Static=*/false);
+    if (P.isNull())
+      return objectTooLarge(E.Cty, E.Str);
     if (!Frames.empty())
       Frames.back().Created.push_back(P);
     return Res(Value::pointer(P));
@@ -1097,7 +1091,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     auto IV = asInteger(S.V);
     if (!IV)
       return error("alloc with non-integer size");
-    return Res(Value::pointer(allocateRegion(IV->V)));
+    return Res(Value::pointer(Mem.allocateRegion(IV->V)));
   }
   case ActionKind::Kill: {
     Value PTmp;

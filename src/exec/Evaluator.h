@@ -211,9 +211,6 @@ private:
   /// The path's end when a declared object does not fit the allocation
   /// budget (mem::Memory::MaxAllocatedBytes).
   Res objectTooLarge(const ail::CType &Ty, const std::string &Name);
-  /// A heap region of \p Size bytes (malloc), or a null pointer when the
-  /// size is negative or past the allocation budget (C11 7.22.3p1).
-  mem::PointerValue allocateRegion(Int128 Size);
   Res exitSig(OutcomeKind Kind, int Code, std::string Msg = "") {
     Sig.ExitKind = Kind;
     Sig.ExitCode = Code;

@@ -277,14 +277,14 @@ MemByte *Memory::poolBytes(uint64_t N) {
 
 PointerValue Memory::allocateObject(const CType &Ty, std::string Name,
                                     bool Static) {
+  uint64_t Size = Env.sizeOf(Ty);
+  if (!charge(Size))
+    return PointerValue::null();
   static trace::Counter CntAllocs("mem.allocs");
   CntAllocs.add();
   if (trace::enabled())
     trace::instant("mem.alloc", "mem", Name);
-  uint64_t Size = Env.sizeOf(Ty);
   uint64_t Align = Env.alignOf(Ty);
-  assert(fits(Size) && "object past the allocation budget");
-  Allocated += charge(Size);
   uint64_t Base;
   auto Planned =
       PlannedAddr.empty() ? PlannedAddr.end() : PlannedAddr.find(Name);
@@ -315,12 +315,14 @@ PointerValue Memory::allocateObject(const CType &Ty, std::string Name,
   return P;
 }
 
-PointerValue Memory::allocateRegion(uint64_t Size, uint64_t Align) {
+PointerValue Memory::allocateRegion(Int128 RequestedSize, uint64_t Align) {
+  if (RequestedSize < 0 || RequestedSize > Int128(MaxAllocatedBytes) ||
+      !charge(static_cast<uint64_t>(RequestedSize)))
+    return PointerValue::null();
+  uint64_t Size = static_cast<uint64_t>(RequestedSize);
   static trace::Counter CntAllocs("mem.allocs");
   CntAllocs.add();
   trace::instant("mem.alloc", "mem");
-  assert(fits(Size) && "region past the allocation budget");
-  Allocated += charge(Size);
   uint64_t Base = align(NextAddr, std::max<uint64_t>(Align, 1));
   NextAddr = Base + std::max<uint64_t>(Size, 1);
 
@@ -391,14 +393,21 @@ MemRes<Unit> Memory::freeRegion(const PointerValue &P) {
 // Access resolution
 //===----------------------------------------------------------------------===//
 
+/// Does [Addr, Addr+Size) lie within [Base, Base+Len)? Computed without
+/// wrapping round 2^64, so an address near the top of the address space,
+/// or a huge size, cannot pass for an access inside a low object.
+static bool within(uint64_t Addr, uint64_t Size, uint64_t Base,
+                   uint64_t Len) {
+  return Addr >= Base && Size <= Len && Addr - Base <= Len - Size;
+}
+
 std::optional<uint64_t> Memory::findByAddress(uint64_t Addr,
                                               uint64_t Size) const {
   for (size_t I = Allocs.size(); I-- > 0;) {
     const Allocation &A = Allocs[I];
     if (!A.Alive)
       continue;
-    if (Addr >= A.Base && Addr + Size <= A.Base + A.Size &&
-        (A.Size > 0 || Size == 0))
+    if (within(Addr, Size, A.Base, A.Size) && (A.Size > 0 || Size == 0))
       return I;
   }
   return std::nullopt;
@@ -418,7 +427,7 @@ MemRes<uint64_t> Memory::resolveAccess(const PointerValue &P, uint64_t Size,
     // Distinguish dead objects for a better diagnostic.
     for (size_t I = 0; I < Allocs.size(); ++I) {
       const Allocation &A = Allocs[I];
-      if (!A.Alive && P.Addr >= A.Base && P.Addr + Size <= A.Base + A.Size)
+      if (!A.Alive && within(P.Addr, Size, A.Base, A.Size))
         return undef(UBKind::AccessDeadObject,
                      fmt("storage of dead object '{0}'", A.Name));
     }
@@ -435,7 +444,7 @@ MemRes<uint64_t> Memory::resolveAccess(const PointerValue &P, uint64_t Size,
   if (!A.Alive)
     return undef(UBKind::AccessDeadObject,
                  fmt("object '{0}' is no longer live", A.Name));
-  if (P.Addr < A.Base || P.Addr + Size > A.Base + A.Size)
+  if (!within(P.Addr, Size, A.Base, A.Size))
     return undef(
         UBKind::AccessOutOfBounds,
         fmt("[{0}, {0}+{1}) is outside '{2}' = [{3}, {3}+{4})", P.Addr, Size,
@@ -450,7 +459,7 @@ MemRes<Unit> Memory::checkCheriAccess(const PointerValue &P,
   if (!P.Cap || !P.Cap->Tag)
     return undef(UBKind::CapabilityTagViolation,
                  "dereference of a capability without a valid tag");
-  if (P.Addr < P.Cap->Base || P.Addr + Size > P.Cap->Base + P.Cap->Length)
+  if (!within(P.Addr, Size, P.Cap->Base, P.Cap->Length))
     return undef(UBKind::AccessOutOfBounds,
                  "CHERI bounds check failed (hardware-enforced)");
   return Unit{};

@@ -145,23 +145,20 @@ public:
 
   /// The most bytes one execution may allocate, in simulated bytes:
   /// objects and heap regions alike, freed or killed ones included (their
-  /// storage is never reused). Callers ask fits() first; past the budget
-  /// malloc, calloc and realloc return a null pointer (C11 7.22.3p1), and
-  /// a declared object ends the path as an Error.
+  /// storage is never reused). An allocation past it gets a null pointer:
+  /// malloc, calloc and realloc return that (C11 7.22.3p1), and a
+  /// declared object ends the path as an Error.
   static constexpr uint64_t MaxAllocatedBytes = uint64_t(4) << 20;
-  /// Would allocating \p Size more bytes stay within MaxAllocatedBytes?
-  bool fits(uint64_t Size) const {
-    return charge(Size) <= MaxAllocatedBytes - Allocated;
-  }
 
-  /// Creates an object of type \p Ty. Static-storage objects are zero-
-  /// initialised; automatic objects start with unspecified bytes. The
-  /// caller has checked fits(sizeof Ty).
+  /// Creates an object of type \p Ty, or returns a null pointer past
+  /// MaxAllocatedBytes. Static-storage objects are zero-initialised;
+  /// automatic objects start with unspecified bytes.
   PointerValue allocateObject(const ail::CType &Ty, std::string Name,
                               bool Static);
-  /// Creates an untyped region (malloc). Size 0 returns a unique pointer.
-  /// The caller has checked fits(Size).
-  PointerValue allocateRegion(uint64_t Size, uint64_t Align);
+  /// Creates an untyped region (malloc, aligned like max_align_t by
+  /// default). Size 0 returns a unique pointer; a negative size, or one
+  /// past MaxAllocatedBytes, a null pointer.
+  PointerValue allocateRegion(Int128 Size, uint64_t Align = 16);
   /// Marks an allocation immutable (string literals, after their
   /// initialisation has run).
   void markReadOnly(const PointerValue &P);
@@ -253,7 +250,15 @@ private:
   /// Simulated bytes allocated so far (see MaxAllocatedBytes). Even an
   /// empty allocation costs a byte, so a malloc(0) loop is bounded too.
   uint64_t Allocated = 0;
-  static uint64_t charge(uint64_t Size) { return Size ? Size : 1; }
+  /// Counts \p Size more bytes against MaxAllocatedBytes; false, counting
+  /// nothing, when they do not fit.
+  bool charge(uint64_t Size) {
+    uint64_t N = Size ? Size : 1;
+    if (N > MaxAllocatedBytes - Allocated)
+      return false;
+    Allocated += N;
+    return true;
+  }
   /// Staging buffer for store() serialization, reused across stores so a
   /// scalar store does not heap-allocate.
   std::vector<MemByte> StoreScratch;

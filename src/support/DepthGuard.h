@@ -6,6 +6,9 @@
 /// constant limit, so a deeply nested program gets a static diagnostic
 /// instead of overflowing the host stack. A walk owns one counter; each
 /// recursive entry point holds a DepthGuard for the length of the call.
+/// So does each loop that builds a tree as deep as its input is long (a
+/// left-deep operator chain, the Core of a block's statements), since
+/// that tree is walked and freed recursively afterwards.
 ///
 /// The limits are implementation limits in the sense of C11 5.2.4.1,
 /// which requires only 63 nested parentheses and 127 nested blocks. They
@@ -18,6 +21,8 @@
 
 #include "support/Expected.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 
 namespace cerb {
@@ -25,26 +30,38 @@ namespace cerb {
 /// Nesting depth of the parser's descent and of the walks over Cabs and
 /// Ail. The parser counts every entry point it nests through, so a level
 /// of parentheses costs four (assignment, conditional, cast and unary
-/// expression) and a block one: about 1,000 nested parentheses, 4,000
-/// nested blocks or a 4,000-term operator chain fit.
+/// expression), a block one and an operator of a chain one: about 1,000
+/// nested parentheses, 4,000 nested blocks or a 4,000-term operator chain
+/// fit.
 inline constexpr unsigned MaxSyntaxDepth = 4096;
 /// Nesting depth of the walks over Core (rewrite, lowering, checking).
-/// Elaboration nests a few Core nodes per C construct.
+/// Elaboration nests a few Core nodes per C construct, and one or more
+/// per statement of a block, initialized scalar or parameter, which it
+/// counts against this limit too.
 inline constexpr unsigned MaxCoreDepth = 4 * MaxSyntaxDepth;
 
-/// One level of a depth-budgeted walk. The guard counts itself in on
-/// construction and out on destruction; it is false when this level is
-/// past the limit, and the caller then returns error().
+/// Levels of a depth-budgeted walk. The guard counts its levels (one by
+/// default) in on construction and out on destruction; it is false when
+/// they reach past the limit, and the caller then returns error(). A
+/// loop that nests its result one level deeper each time round (a
+/// left-deep operator chain) adds a level per round with deeper().
 class DepthGuard {
 public:
-  DepthGuard(unsigned &Depth, unsigned Limit) : Depth(Depth), Limit(Limit) {
-    ++Depth;
+  DepthGuard(unsigned &Depth, unsigned Limit, size_t Levels = 1)
+      : Depth(Depth), Limit(Limit),
+        Levels(static_cast<unsigned>(std::min<size_t>(Levels, Limit + 1))) {
+    Depth += this->Levels;
   }
-  ~DepthGuard() { --Depth; }
+  ~DepthGuard() { Depth -= Levels; }
   DepthGuard(const DepthGuard &) = delete;
   DepthGuard &operator=(const DepthGuard &) = delete;
 
   explicit operator bool() const { return Depth <= Limit; }
+  /// One more level, held until the guard ends; false past the limit.
+  bool deeper() {
+    ++Levels;
+    return ++Depth <= Limit;
+  }
 
   /// The diagnostic naming the walk and its limit. Cold and out of line,
   /// so the walks' hot paths carry only the counter.
@@ -58,6 +75,7 @@ public:
 private:
   unsigned &Depth;
   unsigned Limit;
+  unsigned Levels;
 };
 
 } // namespace cerb

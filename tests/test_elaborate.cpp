@@ -8,8 +8,14 @@
 
 #include "core/Core.h"
 #include "exec/Pipeline.h"
+#include "support/DepthGuard.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace cerb;
 using namespace cerb::core;
@@ -91,6 +97,53 @@ TEST(Elaborate, IndetNumberingIsPerProgram) {
   EXPECT_EQ(printProgram(compileOk(Src)), First);
   EXPECT_NE(First.find("indet[1]("), std::string::npos) << First;
   EXPECT_NE(First.find("indet[2]("), std::string::npos) << First;
+}
+
+TEST(Elaborate, FlatInputCountsTowardsTheCoreDepthLimit) {
+  // Each statement of a block nests the rest of it a Core level deeper,
+  // and each initialized scalar and each parameter does too. Past
+  // MaxCoreDepth elaboration refuses, before its recursion over the block
+  // or the Core tree (freed recursively) grows with the input.
+  auto Repeat = [](const std::string &S, unsigned N) {
+    std::string Out;
+    for (unsigned I = 0; I < N; ++I)
+      Out += S;
+    return Out;
+  };
+  std::string Params = "int p0";
+  for (unsigned I = 1; I < 2 * MaxCoreDepth; ++I)
+    Params += ", int p" + std::to_string(I);
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"block", "int main(void) { int x = 0; " +
+                    Repeat("x; ", 2 * MaxCoreDepth) + "return 0; }"},
+      {"nested blocks", "int main(void) { int x = 0; " +
+                            Repeat("{ " + Repeat("x; ", 3000), 6) +
+                            Repeat("} ", 6) + "return 0; }"},
+      {"initializer", "int a[" + std::to_string(2 * MaxCoreDepth) + "] = {" +
+                          Repeat("0, ", 2 * MaxCoreDepth) +
+                          "}; int main(void) { return a[0]; }"},
+      {"parameters",
+       "int f(" + Params + ") { return p0; } int main(void) { return 0; }"},
+      {"half a block", "int main(void) { int x = 0; " +
+                           Repeat("x; ", MaxCoreDepth / 2) + "return 0; }"},
+  };
+  std::vector<std::string> Results(Cases.size());
+  {
+    // The pool thread's stack is the one the limits are sized to.
+    ThreadPool Pool(1);
+    for (size_t I = 0; I < Cases.size(); ++I)
+      Pool.submit([&, I] {
+        auto P = exec::compile(Cases[I].second);
+        Results[I] = P ? "compiled" : P.error().str();
+      });
+    Pool.wait();
+  }
+  for (size_t I = 0; I + 1 < Cases.size(); ++I)
+    EXPECT_NE(
+        Results[I].find("elaborate: nesting deeper than 16384 levels"),
+        std::string::npos)
+        << Cases[I].first << ": " << Results[I];
+  EXPECT_EQ(Results.back(), "compiled");
 }
 
 TEST(Elaborate, WhileBecomesSaveRun) {

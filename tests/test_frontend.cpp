@@ -2,6 +2,7 @@
 
 #include "cabs/Lexer.h"
 #include "cabs/Parser.h"
+#include "support/DepthGuard.h"
 
 #include <gtest/gtest.h>
 
@@ -321,6 +322,28 @@ TEST(Parser, ErrorsCiteIsoClauses) {
   auto R = parseTranslationUnit("int f(void) { return 1 }");
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_NE(R.error().str().find("expected"), std::string::npos);
+}
+
+TEST(Parser, OperatorChainsCountTowardsTheDepthLimit) {
+  // A loop builds each left-deep chain, a level per operator, and counts
+  // the levels: the tree the parser returns is never deeper than
+  // MaxSyntaxDepth, so freeing it cannot run out of stack.
+  for (const char *Op : {"+x", ", x", "[0]", "()", ".m", "->m", "++"}) {
+    auto Source = [&](unsigned N) {
+      std::string S = "int f(void) { return (x";
+      for (unsigned I = 0; I < N; ++I)
+        S += Op;
+      return S + "); }";
+    };
+    EXPECT_TRUE(static_cast<bool>(
+        parseTranslationUnit(Source(MaxSyntaxDepth - 16))))
+        << Op;
+    auto R = parseTranslationUnit(Source(MaxSyntaxDepth));
+    ASSERT_FALSE(static_cast<bool>(R)) << Op;
+    EXPECT_NE(R.error().str().find("parser: nesting deeper than 4096 levels"),
+              std::string::npos)
+        << Op << ": " << R.error().str();
+  }
 }
 
 TEST(Parser, RejectsBitfields) {

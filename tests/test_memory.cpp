@@ -280,6 +280,41 @@ TEST_F(MemFixture, FinishArithSubtractionKillsProvenance) {
 // Heap discipline
 //===----------------------------------------------------------------------===//
 
+TEST_F(MemFixture, AllocationsPastTheBudgetGetANullPointer) {
+  // Memory enforces MaxAllocatedBytes itself: every request past it gets
+  // a null pointer, and the evaluator passes that on (malloc) or ends the
+  // path (a declared object).
+  const uint64_t Max = Memory::MaxAllocatedBytes;
+  Memory M = make(MemoryPolicy::defacto());
+  EXPECT_TRUE(M.allocateRegion(-1).isNull());
+  EXPECT_TRUE(M.allocateRegion(Int128(1) << 64).isNull());
+  EXPECT_TRUE(M.allocateRegion(Max + 1).isNull());
+  EXPECT_TRUE(
+      M.allocateObject(CType::makeArray(CType::charTy(), Max + 1), "a", false)
+          .isNull());
+  EXPECT_TRUE(M.allocations().empty());
+  EXPECT_FALSE(M.allocateRegion(0).isNull());
+  EXPECT_FALSE(M.allocateObject(CType::intTy(), "x", false).isNull());
+}
+
+TEST_F(MemFixture, AccessesNearTheTopOfTheAddressSpaceDoNotWrap) {
+  // [Addr, Addr+Size) once wrapped round 2^64 and passed for an access
+  // inside a low object, which then read the host's memory at offset
+  // Addr - Base.
+  for (const char *Name : {"defacto", "concrete"}) {
+    Memory M = make(*MemoryPolicy::byName(Name));
+    PointerValue X = M.allocateObject(CType::intTy(), "x", false);
+    PointerValue Top = X;
+    Top.Addr = UINT64_MAX - 1;
+    auto L = M.load(CType::intTy(), Top);
+    ASSERT_FALSE(static_cast<bool>(L)) << Name;
+    EXPECT_EQ(L.ub().Kind, UBKind::AccessOutOfBounds) << Name;
+    auto S = M.setBytes(X, 0, UINT64_MAX);
+    ASSERT_FALSE(static_cast<bool>(S)) << Name;
+    EXPECT_EQ(S.ub().Kind, UBKind::AccessOutOfBounds) << Name;
+  }
+}
+
 TEST_F(MemFixture, FreeDisciplines) {
   Memory M = make(MemoryPolicy::defacto());
   PointerValue H = M.allocateRegion(16, 16);

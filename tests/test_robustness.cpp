@@ -5,12 +5,18 @@
 // outcome, and never with a signal:
 //
 //   - nesting past the front end's depth limit (support/DepthGuard.h):
-//     parentheses, a `+` chain, blocks, a declarator's `*`s and a braced
-//     initializer;
+//     parentheses, `+`, comma and subscript chains, blocks, a
+//     declarator's `*`s and a braced initializer;
+//   - flat input that elaboration nests past MaxCoreDepth: a block's
+//     statements, an initializer's elements, a function's parameters;
 //   - evaluation nested past exec::MaxEvalDepth, and sum(390), which is
 //     inside MaxCallDepth but deeper than an 8 MiB stack holds;
 //   - allocations past mem::Memory::MaxAllocatedBytes, and a malloc/free
-//     loop that once peaked at 2 GiB.
+//     loop that once peaked at 2 GiB; a zero-initialized array past it,
+//     whose zero value the elaborator once built in full; a type whose
+//     size overflows 2^64;
+//   - accesses whose [address, address + size) wraps round 2^64, which
+//     once read and wrote the host's memory.
 //
 // The shapes go through the real `cerb run` (with the default stack and
 // under `ulimit -s unlimited`) and through one `cerb serve` process, which
@@ -88,12 +94,30 @@ std::vector<Shape> shapes() {
     Chain += "+x";
   S.push_back({"chain", "int main(void) { int x = 1; return " + Chain +
                             "; }\n"});
+  std::string Commas = "x";
+  for (unsigned I = 1; I < Deep; ++I)
+    Commas += ", x";
+  S.push_back({"comma_chain", "int main(void) { int x = 1; return (" +
+                                  Commas + "); }\n"});
+  S.push_back({"subscript_chain", "int main(void) { int x[1] = {0}; return x" +
+                                      repeat("[0]", Deep) + "; }\n"});
   S.push_back({"blocks", "int main(void) { " + repeat("{", Deep) +
                              repeat("}", Deep) + " return 0; }\n"});
   S.push_back({"stars", "int main(void) { int " + repeat("*", Deep) +
                             "p = 0; return 0; }\n"});
   S.push_back({"init", "int main(void) { int a[1] = " + repeat("{", Deep) +
                            "0" + repeat("}", Deep) + "; return 0; }\n"});
+  const unsigned Flat = 10 * MaxCoreDepth;
+  S.push_back({"flat_block", "int main(void) { int x = 0; " +
+                                 repeat("x; ", Flat) + "return 0; }\n"});
+  S.push_back({"flat_init", "int main(void) { int a[" + std::to_string(Flat) +
+                                "] = {" + repeat("0, ", Flat) +
+                                "}; return a[0]; }\n"});
+  std::string Params = "int p0";
+  for (unsigned I = 1; I < Flat; ++I)
+    Params += ", int p" + std::to_string(I);
+  S.push_back({"flat_params", "int f(" + Params + ") { return p0; }\n"
+                              "int main(void) { return 0; }\n"});
   // 390 calls, each nesting 600 ifs (at least one level each): past ten
   // times MaxEvalDepth in all.
   const unsigned Nest = 600;
@@ -122,6 +146,27 @@ std::vector<Shape> shapes() {
                "int main(void) { char a[" + std::to_string(Big) +
                    "]; a[0] = 1; return a[0]; }\n",
                true});
+  S.push_back({"zero_init",
+               "int main(void) { char a[" + std::to_string(Big) +
+                   "] = {0}; return a[0]; }\n",
+               true});
+  S.push_back({"huge_type",
+               "int main(void) { char a[1099511627776][16777216] = {{0}}; "
+               "return sizeof a == 0; }\n",
+               true});
+  S.push_back({"wrapped_access",
+               "int main(void) {\n"
+               "  int x = 5;\n"
+               "  char *q = (char *)&x;\n"
+               "  q += 0xFFFFFFFFFFFFFFFEul - (unsigned long)q;\n"
+               "  return *(int *)q;\n"
+               "}\n"});
+  S.push_back({"memset_huge", "#include <string.h>\n"
+                              "int main(void) {\n"
+                              "  char b[4];\n"
+                              "  memset(b, 0, (unsigned long)-1);\n"
+                              "  return b[0];\n"
+                              "}\n"});
   S.push_back({"malloc_free_loop",
                "#include <stdlib.h>\nint main(void) {\n"
                "  for (int i = 0; i < 20000; i++) {\n"
@@ -167,6 +212,7 @@ bool ranToAnEnd(const std::string &Output) {
   // A compile diagnostic or a report line for the job.
   return Output.find("compile_error") != std::string::npos ||
          Output.find("error(") != std::string::npos ||
+         Output.find("undef[") != std::string::npos ||
          Output.find("exit(") != std::string::npos;
 }
 

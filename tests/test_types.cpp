@@ -59,6 +59,18 @@ TEST_F(TypesFixture, ArraySizes) {
   EXPECT_EQ(Env.alignOf(A), 4u);
 }
 
+TEST_F(TypesFixture, SizesSaturateInsteadOfWrapping) {
+  // 2^40 * 2^24 bytes wrapped to 0, and an object of that type was then
+  // created with no bytes; a zero value for it never finished building.
+  CType Row = CType::makeArray(CType::charTy(), uint64_t(1) << 24);
+  EXPECT_EQ(Env.sizeOf(CType::makeArray(Row, uint64_t(1) << 40)), UINT64_MAX);
+  CType Half = CType::makeArray(CType::charTy(), uint64_t(1) << 63);
+  unsigned Tag = Tags.createTag(false, "big");
+  Tags.complete(Tag, {{"a", Half}, {"b", Half}, {"c", CType::intTy()}});
+  EXPECT_GE(Env.sizeOf(CType::makeStruct(Tag)), uint64_t(1) << 63);
+  EXPECT_GE(Env.offsetOf(Tag, 2), uint64_t(1) << 63);
+}
+
 TEST_F(TypesFixture, IntegerRanges) {
   EXPECT_EQ(Env.maxOf(IntKind::Int), Int128(2147483647));
   EXPECT_EQ(Env.minOf(IntKind::Int), Int128(-2147483647) - 1);
