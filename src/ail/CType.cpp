@@ -3,7 +3,6 @@
 #include "ail/CType.h"
 
 #include <algorithm>
-#include <cstdint>
 
 using namespace cerb;
 using namespace cerb::ail;
@@ -301,9 +300,8 @@ Int128 ImplEnv::convert(IntKind K, Int128 V) const {
   return static_cast<Int128>(U);
 }
 
-// Sizes saturate instead of wrapping round 2^64, so a type too large for
-// the address space stays too large for every allocation and access
-// check rather than passing for a small one.
+// Sizes saturate instead of wrapping round 2^64: a type too large for the
+// address space must not pass an allocation or access check as a small one.
 static uint64_t addSat(uint64_t A, uint64_t B) {
   uint64_t R;
   return __builtin_add_overflow(A, B, &R) ? UINT64_MAX : R;

@@ -104,7 +104,6 @@ public:
   }
   bool isUnsigned() const { return isInteger() && isUnsignedKind(intKind()); }
   bool isSigned() const { return isInteger() && !isUnsignedKind(intKind()); }
-  bool isBool() const { return isInteger() && intKind() == IntKind::Bool; }
   /// Any of the three char types (for the "character type" escape hatches).
   bool isCharacter() const {
     return isInteger() && (intKind() == IntKind::Char ||
@@ -161,7 +160,6 @@ public:
   static CType intTy() { return makeInteger(IntKind::Int); }
   static CType uintTy() { return makeInteger(IntKind::UInt); }
   static CType charTy() { return makeInteger(IntKind::Char); }
-  static CType boolTy() { return makeInteger(IntKind::Bool); }
   static CType sizeTy() { return makeInteger(IntKind::ULong); }
   static CType ptrdiffTy() { return makeInteger(IntKind::Long); }
   static CType uintptrTy() { return makeInteger(IntKind::ULong); }
@@ -245,9 +243,6 @@ public:
   /// range; modulo reduction for unsigned; nullopt for out-of-range signed
   /// (our chosen impl-defined behaviour is "no trap, wrap" — see flag).
   Int128 convert(IntKind K, Int128 V) const;
-
-  /// Is plain char signed? (Impl-defined; true, matching x86-64 Linux.)
-  bool charIsSigned() const { return true; }
 
   const TagTable &tags() const { return Tags; }
 

@@ -913,24 +913,13 @@ Expected<CabsExprPtr> Parser::parseUnaryExpr() {
   }
 }
 
-static bool isPostfixOp(Tok K) {
-  switch (K) {
-  case Tok::LBracket: case Tok::LParen: case Tok::Dot: case Tok::Arrow:
-  case Tok::PlusPlus: case Tok::MinusMinus:
-    return true;
-  default:
-    return false;
-  }
-}
-
 Expected<CabsExprPtr> Parser::parsePostfixExpr() {
   CERB_TRY(Base, parsePrimaryExpr());
   CabsExprPtr Cur = std::move(Base);
   DepthGuard Chain = chain();
-  for (;;) {
-    if (!isPostfixOp(cur().Kind))
-      return Cur;
-    if (!Chain.deeper())
+  for (bool First = true;; First = false) {
+    // Each operator, built in the round before, nests the chain deeper.
+    if (!First && !Chain.deeper())
       return tooDeep(Chain);
     SourceLoc L = cur().Loc;
     if (accept(Tok::LBracket)) {
@@ -973,12 +962,16 @@ Expected<CabsExprPtr> Parser::parsePostfixExpr() {
       Cur = std::move(E);
       continue;
     }
-    bool Inc = cur().Kind == Tok::PlusPlus;
-    take();
-    auto E = makeExpr(CabsExprKind::Unary, L);
-    E->UOp = Inc ? UnaryOp::PostInc : UnaryOp::PostDec;
-    E->Kids.push_back(std::move(Cur));
-    Cur = std::move(E);
+    if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
+      bool Inc = cur().Kind == Tok::PlusPlus;
+      take();
+      auto E = makeExpr(CabsExprKind::Unary, L);
+      E->UOp = Inc ? UnaryOp::PostInc : UnaryOp::PostDec;
+      E->Kids.push_back(std::move(Cur));
+      Cur = std::move(E);
+      continue;
+    }
+    return Cur;
   }
 }
 

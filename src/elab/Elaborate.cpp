@@ -221,8 +221,7 @@ ExprPtr seq(ExprPtr A, ExprPtr B, bool SeqPoint = false) {
   return mkLetStrong(Pattern::wild(), std::move(A), std::move(B), SeqPoint);
 }
 
-/// The scalars \p Init initializes: elabInitStores nests the rest of the
-/// block at least a Core level deeper for each.
+/// The scalars \p Init initializes; elabInitStores nests a Core level each.
 size_t initLeaves(const AilInit &Init) {
   if (!Init.isList())
     return 1;
@@ -280,14 +279,10 @@ private:
   /// Depth of the recursive walk (support/DepthGuard.h).
   unsigned Depth = 0;
   DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
-  /// Core levels that flat input nests around what is being elaborated:
-  /// each statement of a block nests the rest of the block a level
-  /// deeper, a declaration one more per initialized scalar, and a
-  /// function's parameters and a switch's cases one each. Without it a
-  /// long block would recurse through elabStmtSeq, and build a Core tree
-  /// (freed recursively), as deep as it is long. The Core check refuses
-  /// Core deeper than MaxCoreDepth, and these levels are a lower bound
-  /// of that depth.
+  /// Core levels that flat input nests: each statement of a block (and
+  /// initialized scalar), parameter and switch case nests the rest a
+  /// level deeper. A lower bound of the depth the Core check refuses past
+  /// MaxCoreDepth; counted so elabStmtSeq and the Core tree stay bounded.
   unsigned CoreNest = 0;
   DepthGuard nest(size_t Levels) {
     return DepthGuard(CoreNest, MaxCoreDepth, Levels);

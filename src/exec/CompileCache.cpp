@@ -114,11 +114,6 @@ CompileCache::get(const std::string &Source, const FrontendOptions &FE,
   return Out;
 }
 
-void CompileCache::setByteBudget(uint64_t NewBudget) {
-  std::lock_guard<std::mutex> L(M);
-  Budget = NewBudget;
-}
-
 uint64_t CompileCache::byteBudget() const {
   std::lock_guard<std::mutex> L(M);
   return Budget;

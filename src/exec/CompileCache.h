@@ -81,9 +81,6 @@ public:
     return get(Source, FrontendOptions(), OutHit);
   }
 
-  /// Changes the byte budget; an over-budget cache evicts on the next miss,
-  /// not eagerly.
-  void setByteBudget(uint64_t Bytes);
   uint64_t byteBudget() const;
 
   uint64_t hits() const;

@@ -393,9 +393,8 @@ MemRes<Unit> Memory::freeRegion(const PointerValue &P) {
 // Access resolution
 //===----------------------------------------------------------------------===//
 
-/// Does [Addr, Addr+Size) lie within [Base, Base+Len)? Computed without
-/// wrapping round 2^64, so an address near the top of the address space,
-/// or a huge size, cannot pass for an access inside a low object.
+/// Does [Addr, Addr+Size) lie within [Base, Base+Len)? Without wrapping
+/// round 2^64, which let an address near 2^64 pass for a low object's.
 static bool within(uint64_t Addr, uint64_t Size, uint64_t Base,
                    uint64_t Len) {
   return Addr >= Base && Size <= Len && Addr - Base <= Len - Size;

@@ -6,9 +6,8 @@
 /// constant limit, so a deeply nested program gets a static diagnostic
 /// instead of overflowing the host stack. A walk owns one counter; each
 /// recursive entry point holds a DepthGuard for the length of the call.
-/// So does each loop that builds a tree as deep as its input is long (a
-/// left-deep operator chain, the Core of a block's statements), since
-/// that tree is walked and freed recursively afterwards.
+/// So does each loop that builds a tree as deep as its input is long,
+/// since that tree is walked and freed recursively afterwards.
 ///
 /// The limits are implementation limits in the sense of C11 5.2.4.1,
 /// which requires only 63 nested parentheses and 127 nested blocks. They
@@ -22,7 +21,6 @@
 #include "support/Expected.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <string>
 
 namespace cerb {
@@ -30,26 +28,23 @@ namespace cerb {
 /// Nesting depth of the parser's descent and of the walks over Cabs and
 /// Ail. The parser counts every entry point it nests through, so a level
 /// of parentheses costs four (assignment, conditional, cast and unary
-/// expression), a block one and an operator of a chain one: about 1,000
-/// nested parentheses, 4,000 nested blocks or a 4,000-term operator chain
-/// fit.
+/// expression), a block or a chain's operator one: about 1,000 nested
+/// parentheses, 4,000 nested blocks or a 4,000-term chain fit.
 inline constexpr unsigned MaxSyntaxDepth = 4096;
 /// Nesting depth of the walks over Core (rewrite, lowering, checking).
-/// Elaboration nests a few Core nodes per C construct, and one or more
-/// per statement of a block, initialized scalar or parameter, which it
-/// counts against this limit too.
+/// Elaboration nests a few Core nodes per C construct; it counts flat
+/// input (statements, initialized scalars, parameters) against it too.
 inline constexpr unsigned MaxCoreDepth = 4 * MaxSyntaxDepth;
 
-/// Levels of a depth-budgeted walk. The guard counts its levels (one by
-/// default) in on construction and out on destruction; it is false when
-/// they reach past the limit, and the caller then returns error(). A
-/// loop that nests its result one level deeper each time round (a
-/// left-deep operator chain) adds a level per round with deeper().
+/// Levels (one by default) of a depth-budgeted walk, counted in on
+/// construction and out on destruction. The guard is false past the
+/// limit, and the caller then returns error(). A loop that nests its
+/// result a level deeper each round adds one with deeper().
 class DepthGuard {
 public:
   DepthGuard(unsigned &Depth, unsigned Limit, size_t Levels = 1)
       : Depth(Depth), Limit(Limit),
-        Levels(static_cast<unsigned>(std::min<size_t>(Levels, Limit + 1))) {
+        Levels(std::min<size_t>(Levels, Limit + 1)) {
     Depth += this->Levels;
   }
   ~DepthGuard() { Depth -= Levels; }

@@ -218,17 +218,6 @@ size_t cerb::trace::internal::threadBufferCount() {
   return C.Buffers.size();
 }
 
-uint64_t cerb::trace::internal::droppedEvents() {
-  Collector &C = collector();
-  std::lock_guard<std::mutex> L(C.M);
-  uint64_t N = 0;
-  for (auto &B : C.Buffers) {
-    std::lock_guard<std::mutex> BL(B->M);
-    N += B->Dropped;
-  }
-  return N;
-}
-
 //===----------------------------------------------------------------------===//
 // Session control
 //===----------------------------------------------------------------------===//

@@ -61,8 +61,6 @@ void recordInstant(const char *Name, const char *Cat, std::string Detail);
 /// Number of per-thread event buffers ever created (test hook: the
 /// disabled-mode no-allocation guarantee is "this does not grow").
 size_t threadBufferCount();
-/// Events discarded because a thread buffer hit its cap.
-uint64_t droppedEvents();
 } // namespace internal
 
 /// Is event recording armed? One relaxed load; safe from any thread.
