@@ -118,7 +118,8 @@ private:
   /// nest (statements, declarators, initializers, struct bodies and the
   /// expression levels) holds a guard(), and each loop that builds a
   /// left-deep chain (comma, binary and postfix operators) holds a
-  /// chain() that deepens by a level per operator.
+  /// chain() that deepens by a level per operator once it is built, so
+  /// that its operands do not count it.
   unsigned Depth = 0;
   DepthGuard guard() { return DepthGuard(Depth, MaxSyntaxDepth); }
   DepthGuard chain() { return DepthGuard(Depth, MaxSyntaxDepth, 0); }
@@ -755,14 +756,14 @@ Expected<CabsExprPtr> Parser::parseExpr() {
   CabsExprPtr Cur = std::move(Lhs);
   DepthGuard Chain = chain();
   while (at(Tok::Comma)) {
-    if (!Chain.deeper())
-      return tooDeep(Chain);
     SourceLoc L = take().Loc;
     CERB_TRY(Rhs, parseAssignExpr());
     auto E = makeExpr(CabsExprKind::Comma, L);
     E->Kids.push_back(std::move(Cur));
     E->Kids.push_back(std::move(Rhs));
     Cur = std::move(E);
+    if (!Chain.deeper())
+      return tooDeep(Chain);
   }
   return Cur;
 }
@@ -813,8 +814,6 @@ Expected<CabsExprPtr> Parser::parseBinaryExpr(int MinPrec) {
     int Prec = precedenceOf(cur().Kind);
     if (Prec < MinPrec || Prec == 0)
       return Cur;
-    if (!Chain.deeper())
-      return tooDeep(Chain);
     Tok OpTok = cur().Kind;
     SourceLoc L = take().Loc;
     CERB_TRY(Rhs, parseBinaryExpr(Prec + 1));
@@ -823,6 +822,8 @@ Expected<CabsExprPtr> Parser::parseBinaryExpr(int MinPrec) {
     E->Kids.push_back(std::move(Cur));
     E->Kids.push_back(std::move(Rhs));
     Cur = std::move(E);
+    if (!Chain.deeper())
+      return tooDeep(Chain);
   }
 }
 
@@ -918,7 +919,7 @@ Expected<CabsExprPtr> Parser::parsePostfixExpr() {
   CabsExprPtr Cur = std::move(Base);
   DepthGuard Chain = chain();
   for (bool First = true;; First = false) {
-    // Each operator, built in the round before, nests the chain deeper.
+    // The operator built in the round before nests the chain deeper.
     if (!First && !Chain.deeper())
       return tooDeep(Chain);
     SourceLoc L = cur().Loc;

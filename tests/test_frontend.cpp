@@ -344,6 +344,15 @@ TEST(Parser, OperatorChainsCountTowardsTheDepthLimit) {
               std::string::npos)
         << Op << ": " << R.error().str();
   }
+  // An operator counts once built, so its operands do not: a level of
+  // x+(...) or f(...) costs what a level of parentheses does (four).
+  for (const char *Open : {"x+(", "f("}) {
+    std::string Nest = "int f(void) { return ";
+    for (unsigned I = 0; I < 1000; ++I)
+      Nest += Open;
+    Nest += "x" + std::string(1000, ')') + "; }";
+    EXPECT_TRUE(static_cast<bool>(parseTranslationUnit(Nest))) << Open;
+  }
 }
 
 TEST(Parser, RejectsBitfields) {
