@@ -3,6 +3,7 @@
 #include "cabs/Lexer.h"
 #include "cabs/Parser.h"
 #include "support/DepthGuard.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -327,31 +328,46 @@ TEST(Parser, ErrorsCiteIsoClauses) {
 TEST(Parser, OperatorChainsCountTowardsTheDepthLimit) {
   // A loop builds each left-deep chain, a level per operator, and counts
   // the levels: the tree the parser returns is never deeper than
-  // MaxSyntaxDepth, so freeing it cannot run out of stack.
-  for (const char *Op : {"+x", ", x", "[0]", "()", ".m", "->m", "++"}) {
-    auto Source = [&](unsigned N) {
+  // MaxSyntaxDepth, so freeing it cannot run out of stack. An operator
+  // counts once built, so its operands do not: a level of x+(...) or
+  // f(...) costs what a level of parentheses does (four).
+  struct Case {
+    std::string Source;
+    bool Refused;
+    std::string Result;
+  };
+  std::vector<Case> Cases;
+  for (const char *Op : {"+x", ", x", "[0]", "()", ".m", "->m", "++"})
+    for (unsigned N : {MaxSyntaxDepth - 16, MaxSyntaxDepth}) {
       std::string S = "int f(void) { return (x";
       for (unsigned I = 0; I < N; ++I)
         S += Op;
-      return S + "); }";
-    };
-    EXPECT_TRUE(static_cast<bool>(
-        parseTranslationUnit(Source(MaxSyntaxDepth - 16))))
-        << Op;
-    auto R = parseTranslationUnit(Source(MaxSyntaxDepth));
-    ASSERT_FALSE(static_cast<bool>(R)) << Op;
-    EXPECT_NE(R.error().str().find("parser: nesting deeper than 4096 levels"),
-              std::string::npos)
-        << Op << ": " << R.error().str();
-  }
-  // An operator counts once built, so its operands do not: a level of
-  // x+(...) or f(...) costs what a level of parentheses does (four).
+      Cases.push_back({S + "); }", N == MaxSyntaxDepth, ""});
+    }
   for (const char *Open : {"x+(", "f("}) {
-    std::string Nest = "int f(void) { return ";
+    std::string S = "int f(void) { return ";
     for (unsigned I = 0; I < 1000; ++I)
-      Nest += Open;
-    Nest += "x" + std::string(1000, ')') + "; }";
-    EXPECT_TRUE(static_cast<bool>(parseTranslationUnit(Nest))) << Open;
+      S += Open;
+    Cases.push_back({S + "x" + std::string(1000, ')') + "; }", false, ""});
+  }
+  {
+    // The pool thread's stack is the one the limits are sized to.
+    ThreadPool Pool(1);
+    Pool.submit([&] {
+      for (Case &C : Cases) {
+        auto R = parseTranslationUnit(C.Source);
+        C.Result = R ? "parsed" : R.error().str();
+      }
+    });
+    Pool.wait();
+  }
+  for (const Case &C : Cases) {
+    if (C.Refused)
+      EXPECT_NE(C.Result.find("parser: nesting deeper than 4096 levels"),
+                std::string::npos)
+          << C.Source.substr(0, 40) << ": " << C.Result;
+    else
+      EXPECT_EQ(C.Result, "parsed") << C.Source.substr(0, 40);
   }
 }
 
