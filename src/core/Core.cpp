@@ -196,25 +196,6 @@ void Value::copyFrom(const Value &O) {
   }
 }
 
-void Value::stealFrom(Value &O) noexcept {
-  K = O.K;
-  Flags = O.Flags;
-  PK = O.PK;
-  CapRef = O.CapRef;
-  AllocId = O.AllocId;
-  if (hasType()) {
-    new (&Ty) CType(std::move(O.Ty));
-    O.Ty.~CType();
-  } else if (isBoxed()) {
-    B = O.B;
-  } else {
-    Bits = O.Bits;
-  }
-  O.K = ValueKind::Unit;
-  O.Flags = 0;
-  O.Bits = 0;
-}
-
 void Value::freeBox() {
   if (K == ValueKind::BytesV) {
     std::destroy_n(reinterpret_cast<mem::MemByte *>(B + 1), B->N);

@@ -105,18 +105,28 @@ public:
   Value(const Value &O) { copyFrom(O); }
   Value(Value &&O) noexcept { stealFrom(O); }
   Value &operator=(const Value &O) {
-    if (this != &O) {
+    if (this == &O)
+      return *this;
+    if (isBoxed() || O.isBoxed()) {
       Value Tmp(O); // O may live inside this value's own box
       destroy();
       stealFrom(Tmp);
+    } else {
+      destroy(); // copying a scalar or a ctype cannot throw
+      copyFrom(O);
     }
     return *this;
   }
   Value &operator=(Value &&O) noexcept {
-    if (this != &O) {
+    if (this == &O)
+      return *this;
+    if (isBoxed()) {
       Value Tmp(std::move(O));
       destroy();
       stealFrom(Tmp);
+    } else {
+      destroy();
+      stealFrom(O);
     }
     return *this;
   }
@@ -229,7 +239,24 @@ private:
     return K == ValueKind::Ctype || K == ValueKind::Unspecified;
   }
   void copyFrom(const Value &O);
-  void stealFrom(Value &O) noexcept;
+  void stealFrom(Value &O) noexcept {
+    K = O.K;
+    Flags = O.Flags;
+    PK = O.PK;
+    CapRef = O.CapRef;
+    AllocId = O.AllocId;
+    if (hasType()) {
+      new (&Ty) CType(std::move(O.Ty));
+      O.Ty.~CType();
+    } else if (isBoxed()) {
+      B = O.B;
+    } else {
+      Bits = O.Bits;
+    }
+    O.K = ValueKind::Unit;
+    O.Flags = 0;
+    O.Bits = 0;
+  }
   void destroy() {
     if (isBoxed())
       freeBox();

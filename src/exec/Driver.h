@@ -5,21 +5,23 @@
 /// select whether to perform an exhaustive search for all allowed
 /// executions or pseudorandomly explore single execution paths" (§5.1).
 /// Here the "monad" is the Scheduler: the exhaustive driver enumerates all
-/// decision vectors by replaying TraceScheduler prefixes; the random driver
-/// seeds a RandomScheduler.
+/// decision vectors; the random driver seeds a RandomScheduler.
 ///
 /// The exhaustive driver is a *parallel frontier explorer*: the decision
-/// tree is partitioned into disjoint subtrees identified by decision-vector
-/// prefixes. A worker claims a prefix, replays it (continuing leftmost
-/// beyond the prefix, which visits the subtree's leftmost leaf), and
-/// publishes every newly discovered sibling subtree — one prefix per
-/// untried alternative at each choice point beyond the claimed prefix —
-/// back onto the frontier. Each leaf is visited exactly once, outcomes are
-/// deduplicated by a 64-bit hash in a striped hash set, the path budget is
-/// claimed through one atomic reservation counter, and the distinct set is
-/// canonically sorted — so the result is thread-count-independent (see
-/// ExhaustiveResult's contract and DESIGN.md §"Parallel exhaustive
-/// exploration").
+/// tree is partitioned into disjoint subtrees, each the set of decision
+/// vectors extending a prefix. A worker claims one, runs its leftmost
+/// leaf, and at every fresh choice point publishes each untried
+/// alternative back onto the frontier as a new subtree. An item is a copy
+/// of the machine taken at the choice point (Evaluator's copy
+/// constructor) when that is cheaper than the replay it saves and fits
+/// its share of a fixed budget (mem::Memory::SnapshotBytesPerStep and
+/// SnapshotBudgetBytes); past either, it is the prefix, replayed from main.
+/// At most MaxPaths - (paths claimed) items are ever pending. Each leaf is
+/// visited exactly once, outcomes are deduplicated by a 64-bit hash in a
+/// striped hash set, the path budget is claimed through one atomic
+/// reservation counter, and the distinct set is canonically sorted — so
+/// the result is thread-count-independent (see ExhaustiveResult's
+/// contract and DESIGN.md §"Parallel exhaustive exploration").
 ///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_EXEC_DRIVER_H

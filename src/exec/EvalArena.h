@@ -3,16 +3,17 @@
 /// \file
 /// A per-thread pool of the transient buffers one evaluation churns
 /// through: the slot-environment frame (NumSlots Values per Evaluator),
-/// its bound/stamp bitmaps, and procedure-call argument vectors. The
-/// exhaustive explorer constructs one Evaluator per explored path —
-/// thousands per job — and without recycling every one of those paid a
-/// fresh round of global-allocator traffic for identically-sized buffers.
+/// its bound/stamp bitmaps, and the procedure-call argument buffer. The
+/// exhaustive explorer constructs or copies one Evaluator per explored
+/// path — thousands per job — and without recycling every one of those
+/// paid a fresh round of global-allocator traffic for identically-sized
+/// buffers.
 ///
-/// Lifetime rules (see DESIGN.md "Core lowering & evaluator fast path"):
-///  - the pool is thread-local; an Evaluator leases buffers in its
-///    constructor and returns them in its destructor, both on the thread
-///    that owns it (Evaluator is neither copyable nor movable, and every
-///    driver constructs/runs/destroys it in one scope);
+/// Lifetime rules (see DESIGN.md "Core lowering & the evaluator"):
+///  - the pool is thread-local, and an Evaluator touches it only in its
+///    constructors (leasing from the constructing thread's pool) and its
+///    destructor (returning to the destroying thread's), never while it
+///    runs; so a copy taken on one thread may run and die on another;
 ///  - leased buffers are cleared on take, so no value ever leaks from one
 ///    evaluation into another — recycling is capacity-only and therefore
 ///    invisible to observable behaviour;

@@ -2,6 +2,8 @@
 
 #include "exec/Evaluator.h"
 
+#include "exec/EvalArena.h"
+
 #include "support/DepthGuard.h"
 #include "support/Format.h"
 #include "trace/Trace.h"
@@ -48,30 +50,97 @@ std::string Outcome::str() const {
   return "?";
 }
 
+
 //===----------------------------------------------------------------------===//
 // Construction / top level
 //===----------------------------------------------------------------------===//
 
 Evaluator::Evaluator(const CoreProgram &Prog, Scheduler &Sched,
                      mem::MemoryPolicy Policy, ExecLimits Limits)
-    : Prog(Prog), Env(Prog.Tags), Sched(Sched),
-      Mem(Env, Sched, std::move(Policy)), Limits(Limits),
-      Arena(EvalArena::threadLocal()) {
+    : Prog(Prog), Sched(&Sched),
+      Mem(ail::ImplEnv(Prog.Tags), std::move(Policy)), Limits(Limits) {
+  EvalArena &Arena = EvalArena::threadLocal();
   Slots = Arena.takeValues();
   Slots.resize(Prog.NumSlots);
   SlotBound = Arena.takeBytes();
   SlotBound.resize(Prog.NumSlots, 0);
   SlotStamp = Arena.takeStamps();
   SlotStamp.resize(Prog.NumSlots, 0);
+  CallArgs = Arena.takeValues();
+  Stack.reserve(InitialFrames);
+}
+
+Evaluator::Evaluator(const Evaluator &O, Scheduler &Sched)
+    : Prog(O.Prog), Sched(&Sched), Mem(O.Mem), Limits(O.Limits),
+      Events(O.Events), UndoLog(O.UndoLog), UndoVals(O.UndoVals),
+      UndoFrames(O.UndoFrames), EpochCounter(O.EpochCounter),
+      FrameEpoch(O.FrameEpoch), Caps(O.Caps), Out(O.Out), Steps(O.Steps),
+      CallDepth(O.CallDepth), EvalDepth(O.EvalDepth),
+      DeadlineHit(O.DeadlineHit), Acts(O.Acts), Sig(O.Sig), Stack(O.Stack),
+      BranchRanges(O.BranchRanges), Pending(O.Pending), Created(O.Created),
+      M(O.M), Cur(O.Cur), Result(O.Result), JumpLabel(O.JumpLabel),
+      JumpScope(O.JumpScope), ChoiceN(O.ChoiceN), ChoiceTag(O.ChoiceTag),
+      Chosen(O.Chosen) {
+  EvalArena &Arena = EvalArena::threadLocal();
+  Slots = Arena.takeValues();
+  Slots = O.Slots;
+  SlotBound = Arena.takeBytes();
+  SlotBound = O.SlotBound;
+  SlotStamp = Arena.takeStamps();
+  SlotStamp = O.SlotStamp;
+  CallArgs = Arena.takeValues();
 }
 
 Evaluator::~Evaluator() {
-  // Retire the slot-frame buffers to the thread's pool: the exhaustive
-  // explorer builds one Evaluator per path, and these are its largest
-  // fixed-shape allocations.
+  // Retire the slot-frame and argument buffers to this thread's pool: the
+  // exhaustive explorer builds or copies one Evaluator per explored path,
+  // and these are its largest fixed-shape allocations.
+  EvalArena &Arena = EvalArena::threadLocal();
   Arena.give(std::move(Slots));
   Arena.give(std::move(SlotBound));
   Arena.give(std::move(SlotStamp));
+  Arena.give(std::move(CallArgs));
+}
+
+namespace {
+/// Heap bytes a copy of \p V allocates: its boxes, recursively. A slot
+/// keeps a loaded struct's byte image until it is rebound.
+uint64_t boxBytes(const Value &V) {
+  switch (V.innerKind()) {
+  case ValueKind::BytesV:
+    return V.bytes().size() * sizeof(mem::MemByte);
+  case ValueKind::Tuple:
+  case ValueKind::List:
+  case ValueKind::ArrayV:
+  case ValueKind::StructV:
+  case ValueKind::UnionV: {
+    uint64_t N = 0;
+    for (const Value &E : V.elems())
+      N += sizeof(Value) + boxBytes(E);
+    return N;
+  }
+  default:
+    return 0;
+  }
+}
+} // namespace
+
+uint64_t Evaluator::stateBytes() const {
+  uint64_t Boxes = boxBytes(Result.V);
+  for (const Value &V : Slots)
+    Boxes += boxBytes(V);
+  for (const Value &V : UndoVals)
+    Boxes += boxBytes(V);
+  for (const Frame &F : Stack)
+    Boxes += boxBytes(F.V);
+  return sizeof(Evaluator) + Mem.stateBytes() + Boxes +
+         Slots.size() * (sizeof(Value) + sizeof(uint8_t) + sizeof(uint64_t)) +
+         UndoLog.size() * sizeof(UndoRec) + UndoVals.size() * sizeof(Value) +
+         UndoFrames.size() * sizeof(UndoFrame) + Out.size() +
+         Acts.size() * sizeof(ActRec) + Stack.size() * sizeof(Frame) +
+         BranchRanges.size() * sizeof(ActRange) +
+         Pending.size() * sizeof(uint32_t) +
+         Created.size() * sizeof(mem::PointerValue);
 }
 
 Outcome Evaluator::run() {
@@ -88,86 +157,67 @@ Outcome Evaluator::run() {
 }
 
 Outcome Evaluator::runImpl() {
-  Outcome O;
-  if (!Prog.Lowered) {
-    // Without slots every binding would index SlotStamp at -1.
-    O.Kind = OutcomeKind::Error;
-    O.Message = "program was not lowered: run core::lower before evaluating";
-    return O;
-  }
-
-  auto Finish = [&](Res R) {
-    O.Stdout = Out;
-    switch (R.K) {
-    case Res::Val:
-    case Res::RetSig: {
-      O.Kind = OutcomeKind::Exit;
-      auto IV = asInteger(R.V);
-      O.ExitCode = IV ? static_cast<int>(IV->V) : 0;
-      return O;
-    }
-    case Res::UndefSig:
-      O.Kind = OutcomeKind::Undef;
-      O.UB = Sig.UB;
-      return O;
-    case Res::ExitSig:
-      O.Kind = Sig.ExitKind;
-      O.ExitCode = Sig.ExitCode;
-      O.Message = Sig.Err;
-      return O;
-    case Res::RunSig:
+  if (M == Mode::Start) {
+    if (!Prog.Lowered) {
+      // Without slots every binding would index SlotStamp at -1.
+      Outcome O;
       O.Kind = OutcomeKind::Error;
-      O.Message = "run signal escaped the program";
-      return O;
-    case Res::ErrSig:
-      O.Kind = Sig.DeadlineHit    ? OutcomeKind::Timeout
-               : Sig.StepLimitHit ? OutcomeKind::StepLimit
-                                  : OutcomeKind::Error;
-      O.Message = Sig.Err;
+      O.Message = "program was not lowered: run core::lower before evaluating";
       return O;
     }
+    // Static storage: plan the layout, create every object, bind its
+    // symbol.
+    std::vector<std::pair<CType, std::string>> Layout;
+    for (const CoreGlobal &G : Prog.Globals)
+      Layout.emplace_back(G.Ty, Prog.Syms.nameOf(G.Name));
+    Mem.beginStaticLayout(Layout);
+    for (const CoreGlobal &G : Prog.Globals) {
+      mem::PointerValue P = Mem.allocateObject(
+          G.Ty, Prog.Syms.nameOf(G.Name), /*Static=*/true);
+      if (P.isNull())
+        return finish(objectTooLarge(G.Ty, Prog.Syms.nameOf(G.Name)));
+      Slots[G.Slot] = Value::pointer(P);
+      SlotBound[G.Slot] = 1;
+    }
+    Stack.emplace_back(Frame::Program, nullptr, /*Counted=*/false);
+    resumeProgram(Stack.back());
+  }
+  drive();
+  return finish(std::move(Result));
+}
+
+Outcome Evaluator::finish(Res R) {
+  Outcome O;
+  O.Stdout = Out;
+  switch (R.K) {
+  case Res::Val:
+  case Res::RetSig: {
+    O.Kind = OutcomeKind::Exit;
+    auto IV = asInteger(R.V);
+    O.ExitCode = IV ? static_cast<int>(IV->V) : 0;
     return O;
-  };
-
-  // Static storage: plan the layout, create every object, bind its symbol.
-  std::vector<std::pair<CType, std::string>> Layout;
-  for (const CoreGlobal &G : Prog.Globals)
-    Layout.emplace_back(G.Ty, Prog.Syms.nameOf(G.Name));
-  Mem.beginStaticLayout(Layout);
-  for (const CoreGlobal &G : Prog.Globals) {
-    mem::PointerValue P =
-        Mem.allocateObject(G.Ty, Prog.Syms.nameOf(G.Name), /*Static=*/true);
-    if (P.isNull())
-      return Finish(objectTooLarge(G.Ty, Prog.Syms.nameOf(G.Name)));
-    Slots[G.Slot] = Value::pointer(P);
-    SlotBound[G.Slot] = 1;
   }
-
-  // Initialisers, in declaration order.
-  for (const CoreGlobal &G : Prog.Globals) {
-    if (G.Init) {
-      size_t ActBase = Acts.size();
-      Frames.push_back(Frame{});
-      Res R = eval(*G.Init);
-      Frames.pop_back();
-      Acts.resize(ActBase);
-      if (!R.isValue())
-        return Finish(std::move(R));
-    }
-    if (G.ReadOnly) {
-      // String literals become immutable once initialised (6.4.5p7).
-      auto P = asPointer(Slots[G.Slot]);
-      if (P)
-        Mem.markReadOnly(*P);
-    }
-  }
-
-  if (!Prog.MainProc.isValid()) {
+  case Res::UndefSig:
+    O.Kind = OutcomeKind::Undef;
+    O.UB = Sig.UB;
+    return O;
+  case Res::ExitSig:
+    O.Kind = Sig.ExitKind;
+    O.ExitCode = Sig.ExitCode;
+    O.Message = Sig.Err;
+    return O;
+  case Res::RunSig:
     O.Kind = OutcomeKind::Error;
-    O.Message = "program has no main function";
+    O.Message = "run signal escaped the program";
+    return O;
+  case Res::ErrSig:
+    O.Kind = Sig.DeadlineHit    ? OutcomeKind::Timeout
+             : Sig.StepLimitHit ? OutcomeKind::StepLimit
+                                : OutcomeKind::Error;
+    O.Message = Sig.Err;
     return O;
   }
-  return Finish(callProc(Prog.MainProc, {}, SourceLoc()));
+  return O;
 }
 
 //===----------------------------------------------------------------------===//
@@ -231,7 +281,7 @@ Evaluator::Res Evaluator::objectTooLarge(const CType &Ty,
                                          const std::string &Name) {
   return error(fmt("object '{0}' of {1} bytes exceeds the allocation budget "
                    "of {2} bytes",
-                   Name, Env.sizeOf(Ty), mem::Memory::MaxAllocatedBytes));
+                   Name, env().sizeOf(Ty), mem::Memory::MaxAllocatedBytes));
 }
 
 void Evaluator::bindSlot(int Slot, Value &&V) {
@@ -321,6 +371,7 @@ Evaluator::conflict(ActRange A, ActRange B, bool OnlyNegLeft) const {
   return std::nullopt;
 }
 
+
 // hasEffects lives in core:: so that core::lower can set every node's
 // cache before a program is shared across evaluator threads.
 using core::hasEffects;
@@ -374,21 +425,791 @@ Evaluator::Res Evaluator::applyScopeDiff(
         Mem.allocateObject(O.Ty, Prog.Syms.nameOf(O.Obj), /*Static=*/false);
     if (P.isNull())
       return objectTooLarge(O.Ty, Prog.Syms.nameOf(O.Obj));
-    if (!Frames.empty())
-      Frames.back().Created.push_back(P);
+    Created.push_back(P);
     bindSlot(O.Slot, Value::pointer(P));
   }
   return Res();
 }
 
 //===----------------------------------------------------------------------===//
-// Main dispatch
+// The machine
 //===----------------------------------------------------------------------===//
 
-Evaluator::Res Evaluator::eval(const Expr &E) {
+void Evaluator::drive() {
+  for (;;) {
+    switch (M) {
+    case Mode::Eval:
+      evalStep(*Cur);
+      break;
+    case Mode::Jump:
+      jumpStep(*Cur);
+      break;
+    case Mode::Choose:
+      Chosen = Sched->choose(ChoiceN, ChoiceTag);
+      resume();
+      break;
+    case Mode::Return:
+      resume();
+      break;
+    case Mode::Start:
+    case Mode::Done:
+      return;
+    }
+  }
+}
+
+void Evaluator::evalStep(const Expr &E) {
   // Lowering-proved effect-free subtree: run the Res-free interpreter.
   // A null return (operand-kind surprise) falls through to the general
-  // switch, which re-evaluates — harmless, the subtree has no effects.
+  // path, which re-evaluates — harmless, the subtree has no effects.
+  if (E.ValueOnly) {
+    Value Tmp;
+    const Value *P = evalPure(E, Tmp);
+    if (P == &Tmp)
+      return retValue(std::move(Tmp));
+    if (P)
+      return retValue(*P);
+  }
+  if (!budget())
+    return ret(budgetError());
+  if (EvalDepth >= MaxEvalDepth)
+    return ret(tooDeep());
+  ++EvalDepth; // E's level: its frame holds it, or done() releases it
+
+  switch (E.K) {
+  case ExprKind::ELet:
+  case ExprKind::LetWeak:
+  case ExprKind::LetStrong:
+    return enterLet(E);
+  case ExprKind::EIf:
+    return enterIf(E);
+  case ExprKind::ECase:
+    return enterCase(E);
+  case ExprKind::Unseq:
+  case ExprKind::Par:
+    return enterUnseq(E);
+  case ExprKind::Indet:
+  case ExprKind::Bound:
+    // Operationally transparent: indeterminate sequencing is realised by
+    // the scheduler's choice of unseq evaluation order (see DESIGN.md).
+    push(Frame::Pass, E, true);
+    return evalNext(*E.Kids[0]);
+  case ExprKind::Nd:
+    push(Frame::Nd, E, true);
+    return choose(static_cast<unsigned>(E.Kids.size()), "nd");
+  case ExprKind::Save:
+    push(Frame::Save, E, true);
+    return evalNext(*E.Kids[0]);
+  case ExprKind::PtrOp:
+    return enterPtrOp(E);
+
+  case ExprKind::ProcCall: {
+    CallArgs.clear();
+    for (const ExprPtr &K : E.Kids) {
+      // Arguments are overwhelmingly slot reads after lowering: copy
+      // them out of the environment directly, skipping the Res plumbing.
+      if (K->ValueOnly) {
+        Value Tmp;
+        if (const Value *P = evalPure(*K, Tmp)) {
+          CallArgs.push_back(P == &Tmp ? std::move(Tmp) : Value(*P));
+          continue;
+        }
+      }
+      Res R = evalLeaf(*K);
+      if (!R.isValue())
+        return done(std::move(R));
+      CallArgs.push_back(std::move(R.V));
+    }
+    return enterCall(E.Sym, E.Loc, true);
+  }
+  case ExprKind::CallPtr: {
+    Res F = evalLeaf(*E.Kids[0]);
+    if (!F.isValue())
+      return done(std::move(F));
+    auto PV = asPointer(F.V);
+    if (!PV || !PV->isFunction()) {
+      auto U = mem::undef(mem::UBKind::AccessNull,
+                          "call through a non-function pointer value");
+      U.Loc = E.Loc;
+      return done(undef(std::move(U)));
+    }
+    CallArgs.clear();
+    for (size_t I = 1; I < E.Kids.size(); ++I) {
+      Res R = evalLeaf(*E.Kids[I]);
+      if (!R.isValue())
+        return done(std::move(R));
+      CallArgs.push_back(std::move(R.V));
+    }
+    return enterCall(Symbol{*PV->FuncSym}, E.Loc, true);
+  }
+
+  default: // evalNext evaluates leaves itself
+    return done(leafBody(E));
+  }
+}
+
+void Evaluator::jumpStep(const Expr &E) {
+  if (!budget())
+    return ret(budgetError());
+  switch (E.K) {
+  case ExprKind::Save:
+    if (E.Sym == JumpLabel) {
+      // The target: enter its body with the scope difference applied.
+      Res D = applyScopeDiff(*JumpScope, E.Scope);
+      if (!D.isValue())
+        return ret(std::move(D));
+      push(Frame::Save, E, false);
+      return evalNext(*E.Kids[0]);
+    }
+    // The target is nested inside another save's body.
+    push(Frame::SaveJump, E, false);
+    return jumpNext(*E.Kids[0], JumpLabel, JumpScope);
+  case ExprKind::PureLet:
+  case ExprKind::ELet:
+  case ExprKind::LetWeak:
+  case ExprKind::LetStrong:
+    if (containsSave(*E.Kids[0], JumpLabel)) {
+      push(Frame::LetJump, E, false);
+      return jumpNext(*E.Kids[0], JumpLabel, JumpScope);
+    }
+    // Skip the binding entirely (the label lies in the continuation).
+    return jumpNext(*E.Kids[1], JumpLabel, JumpScope);
+  case ExprKind::PureIf:
+  case ExprKind::EIf:
+    for (uint32_t I : {1u, 2u})
+      if (containsSave(*E.Kids[I], JumpLabel)) {
+        push(Frame::If, E, false);
+        Stack.back().Idx = I;
+        return jumpNext(*E.Kids[I], JumpLabel, JumpScope);
+      }
+    return ret(error("jump target vanished in if"));
+  case ExprKind::Case:
+  case ExprKind::ECase:
+    for (const auto &[Pat, Body] : E.Branches)
+      if (containsSave(*Body, JumpLabel))
+        return jumpNext(*Body, JumpLabel, JumpScope);
+    return ret(error("jump target vanished in case"));
+  default:
+    return ret(error("jump routed through an unexpected Core construct"));
+  }
+}
+
+void Evaluator::resume() {
+  Frame &F = Stack.back();
+  switch (F.K) {
+  case Frame::Program:
+    return resumeProgram(F);
+  case Frame::Call:
+    return resumeCall(F);
+  case Frame::Let:
+    return resumeLet(F);
+  case Frame::LetJump:
+    return resumeLetJump(F);
+  case Frame::If: {
+    // A run out of one branch may target a save in the other.
+    const Expr &Other = *F.E->Kids[F.Idx == 1 ? 2 : 1];
+    if (Result.K == Res::RunSig && containsSave(Other, Sig.RunLabel)) {
+      F.K = Frame::Pass;
+      return jumpToRunLabel(Other);
+    }
+    return pop();
+  }
+  case Frame::Case: {
+    // Forward/backward jumps across case branches.
+    if (Result.K == Res::RunSig) {
+      const Expr *Body = F.E->Branches[F.Idx].second.get();
+      for (const auto &[Pat2, Body2] : F.E->Branches)
+        if (Body2.get() != Body && containsSave(*Body2, Sig.RunLabel)) {
+          F.K = Frame::Pass;
+          return jumpToRunLabel(*Body2);
+        }
+    }
+    return pop();
+  }
+  case Frame::Save:
+    return resumeSave(F);
+  case Frame::SaveJump: {
+    const Expr &E = *F.E;
+    if (Result.K == Res::RunSig && Sig.RunLabel == E.Sym) {
+      Res D = applyScopeDiff(*Sig.RunScope, E.Scope);
+      if (!D.isValue()) {
+        pop();
+        return ret(std::move(D));
+      }
+      // Re-enter this save normally.
+      F.K = Frame::Save;
+      return evalNext(*E.Kids[0]);
+    }
+    return pop();
+  }
+  case Frame::Unseq:
+    if (F.Phase == 2 ? unseqRun(F, Chosen) : unseqTake(F)) {
+      if (F.Phase == 0)
+        return unseqScan(F, F.Idx + 1);
+      unseqPick(F);
+    }
+    return;
+  case Frame::Nd:
+    F.K = Frame::Pass;
+    return evalNext(*F.E->Kids[Chosen]);
+  case Frame::PtrEq: {
+    // Alternative 1 takes provenance into account: not equal.
+    bool Eq = Chosen != 1;
+    bool IsEq = F.E->POp == PtrOpKind::PtrEq;
+    pop();
+    return ret(Res(Value::boolean(IsEq ? Eq : !Eq)));
+  }
+  case Frame::Pass:
+    return pop();
+  }
+}
+
+void Evaluator::resumeProgram(Frame &F) {
+  // Phases: 0 = global F.Idx is next, 1 = its initialiser returned, 2 =
+  // main returned.
+  if (F.Phase == 1) {
+    // The initialiser's objects live on; its actions are done with.
+    Created.resize(F.B);
+    Acts.resize(F.A);
+  }
+  if (F.Phase == 2 || !Result.isValue()) {
+    pop();
+    M = Mode::Done;
+    return;
+  }
+  // Initialisers, in declaration order.
+  for (; F.Idx < Prog.Globals.size(); ++F.Idx, F.Phase = 0) {
+    const CoreGlobal &G = Prog.Globals[F.Idx];
+    if (G.Init && F.Phase == 0) {
+      F.A = Acts.size();
+      F.B = Created.size();
+      F.Phase = 1;
+      return evalNext(*G.Init);
+    }
+    // String literals become immutable once initialised (6.4.5p7).
+    if (G.ReadOnly)
+      if (auto P = asPointer(Slots[G.Slot]))
+        Mem.markReadOnly(*P);
+  }
+  if (!Prog.MainProc.isValid()) {
+    pop();
+    Result = error("program has no main function");
+    M = Mode::Done;
+    return;
+  }
+  F.Phase = 2;
+  CallArgs.clear();
+  enterCall(Prog.MainProc, SourceLoc(), /*Counted=*/false);
+}
+
+//===----------------------------------------------------------------------===//
+// Sequencing
+//===----------------------------------------------------------------------===//
+
+void Evaluator::enterLet(const Expr &E) {
+  // Fast path for the dominant shape lowering produces: `let <sym> =
+  // <ValueOnly expr> in k`. The bound value comes straight out of the
+  // pure interpreter into the slot — no Res round-trip, no signal or
+  // jump handling (a ValueOnly subtree contains no Save and performs no
+  // actions, so the weak-let race check is vacuous). A nullptr bail falls
+  // through to the general path, which is safe to re-run because the
+  // subtree is effect-free.
+  size_t Base = Acts.size();
+  if (E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
+    Value Tmp;
+    if (const Value *P = evalPure(*E.Kids[0], Tmp)) {
+      bindSlot(E.Pat.Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
+      push(Frame::Let, E, true);
+      Frame &F = Stack.back();
+      F.Phase = 3;
+      F.A = Base;
+      if (operand(*E.Kids[1]))
+        resumeLet(F);
+      return;
+    }
+  }
+  push(Frame::Let, E, true);
+  Frame &F = Stack.back();
+  F.A = Base;
+  if (operand(*E.Kids[0]))
+    resumeLet(F);
+}
+
+void Evaluator::resumeLet(Frame &F) {
+  // Phases: 0 = the first operand (or a backward jump into it) returned,
+  // 1 = a forward jump into the body returned, 2 = the body returned,
+  // 3 = the body of a fast-path let returned.
+  //
+  // SeqPoint marks a statement boundary: the accumulated footprints can
+  // never take part in any unsequenced-race check above, so they are
+  // discarded. On the action stack, e1's footprint is [A, B) and e2's is
+  // [B, end); a strong let's and a weak let's both stay in the enclosing
+  // footprint.
+  const Expr &E = *F.E;
+  bool Weak = E.K == ExprKind::LetWeak;
+  bool Discard = E.SeqPoint;
+  size_t Base = F.A;
+  switch (F.Phase) {
+  case 0:
+    if (!Result.isValue()) {
+      if (Result.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel)) {
+        // Forward jump into the continuation (the pattern stays unbound;
+        // the elaboration never places labels under value-carrying
+        // bindings that are read after the label).
+        F.Phase = 1;
+        return jumpToRunLabel(*E.Kids[1]);
+      }
+      break;
+    }
+    // The bound value is moved out of Result, not deep-copied.
+    if (!matchPatternMove(E.Pat, std::move(Result.V))) {
+      if (Discard || Weak)
+        Acts.resize(Base);
+      pop();
+      return ret(error("let pattern mismatch"));
+    }
+    F.B = Acts.size();
+    F.Phase = 2;
+    if (operand(*E.Kids[1]))
+      resumeLet(F);
+    return;
+  case 2:
+    if (Result.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel)) {
+      // Backward jump into the (already completed) first part, which
+      // extends e1's footprint; a weak or discarding let forgets e2's.
+      if (Discard || Weak)
+        Acts.resize(F.B);
+      F.Phase = 0;
+      return jumpToRunLabel(*E.Kids[0]);
+    }
+    if (Weak && !Discard) {
+      // §5.6: only e1's *positive* actions are sequenced before e2; a
+      // conflict between e1's negative actions and e2 is an unsequenced
+      // race.
+      if (auto U = conflict({Base, F.B}, {F.B, Acts.size()},
+                            /*OnlyNegLeft=*/true)) {
+        Acts.resize(Base);
+        pop();
+        return ret(undef(std::move(*U)));
+      }
+    }
+    break;
+  default:
+    break;
+  }
+  if (Discard)
+    Acts.resize(Base);
+  pop();
+}
+
+void Evaluator::resumeLetJump(Frame &F) {
+  // Phases: 0 = the jump into the first operand returned, 1 = the body
+  // returned. A run out of either may target the other: that jump holds
+  // no frame.
+  const Expr &E = *F.E;
+  if (F.Phase == 0) {
+    if (!Result.isValue()) {
+      pop();
+      if (Result.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel))
+        return jumpToRunLabel(*E.Kids[1]);
+      return;
+    }
+    if (!matchPatternMove(E.Pat, std::move(Result.V))) {
+      pop();
+      return ret(error("let pattern mismatch after jump"));
+    }
+    F.Phase = 1;
+    return evalNext(*E.Kids[1]);
+  }
+  pop();
+  if (Result.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel))
+    jumpToRunLabel(*E.Kids[0]);
+}
+
+void Evaluator::enterIf(const Expr &E) {
+  Res C = evalLeaf(*E.Kids[0]);
+  if (!C.isValue())
+    return done(std::move(C));
+  if (C.V.kind() != ValueKind::True && C.V.kind() != ValueKind::False)
+    return done(error("if on a non-boolean"));
+  uint32_t Taken = C.V.isTrue() ? 1 : 2;
+  push(Frame::If, E, true);
+  Stack.back().Idx = Taken;
+  if (operand(*E.Kids[Taken]))
+    resume();
+}
+
+void Evaluator::enterCase(const Expr &E) {
+  // The scrutinee is usually a slot read or pure boolean after lowering:
+  // read it in place, no Res.
+  Value STmp;
+  const Value *SO =
+      E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], STmp) : nullptr;
+  Res S;
+  if (!SO) {
+    S = evalLeaf(*E.Kids[0]);
+    if (!S.isValue())
+      return done(std::move(S));
+    SO = &S.V;
+  }
+  for (size_t I = 0; I < E.Branches.size(); ++I)
+    if (matchPattern(E.Branches[I].first, *SO)) {
+      push(Frame::Case, E, true);
+      Stack.back().Idx = static_cast<uint32_t>(I);
+      if (operand(*E.Branches[I].second))
+        resume();
+      return;
+    }
+  done(error("no matching Core case branch"));
+}
+
+void Evaluator::syntacticOrder(size_t Base, ActRange *Ranges, size_t N) {
+  // The branches' footprints tile [Base, end) in evaluation order; when
+  // that already is syntactic order there is nothing to move.
+  size_t Pos = Base;
+  bool Sorted = true;
+  for (size_t I = 0; I < N && Sorted; ++I) {
+    if (Ranges[I].Begin == Ranges[I].End)
+      continue;
+    Sorted = Ranges[I].Begin == Pos;
+    Pos = Ranges[I].End;
+  }
+  if (Sorted)
+    return;
+  ActScratch.assign(Acts.begin() + Base, Acts.end());
+  size_t Dst = Base;
+  for (size_t I = 0; I < N; ++I) {
+    size_t Len = Ranges[I].End - Ranges[I].Begin;
+    auto Src = ActScratch.begin() + (Ranges[I].Begin - Base);
+    std::copy(Src, Src + Len, Acts.begin() + Dst);
+    Ranges[I] = {Dst, Dst + Len};
+    Dst += Len;
+  }
+}
+
+// An Unseq frame runs unseq and par alike. Each branch's footprint is the
+// range of the action stack it appended (kept in BranchRanges, N per
+// frame), and its value goes straight into the result tuple (F.V). Phases:
+// 0 = an effect-free branch runs, 1 = a scheduled branch runs, 2 = the
+// scheduler's pick is awaited. F.Idx is the running branch, F.A the action
+// stack at entry, F.B at the running branch's start, F.Aux the base of the
+// frame's Pending list.
+
+void Evaluator::enterUnseq(const Expr &E) {
+  size_t N = E.Kids.size();
+  bool Par = E.K == ExprKind::Par;
+  size_t Base = Acts.size();
+  push(Frame::Unseq, E, true);
+  Frame &F = Stack.back();
+  F.A = Base;
+  F.Aux = static_cast<uint32_t>(Pending.size());
+  if (Par || N != 1)
+    F.V = Value::tuple(N);
+  BranchRanges.resize(BranchRanges.size() + N, ActRange{Base, Base});
+  if (!Par)
+    return unseqScan(F, 0);
+  // Restricted concurrency (§5.2: threads only with a more restricted
+  // memory object model): branches run in a scheduler-chosen order; any
+  // cross-thread conflicting non-atomic accesses are a data race (UB).
+  for (size_t I = 0; I < N; ++I)
+    Pending.push_back(static_cast<uint32_t>(I));
+  unseqPick(F);
+}
+
+void Evaluator::unseqScan(Frame &F, size_t From) {
+  // Effect-free branches evaluate in syntactic order: their order is
+  // unobservable, so exploring it would only multiply identical paths.
+  const Expr &E = *F.E;
+  for (size_t I = From; I < E.Kids.size(); ++I) {
+    if (hasEffects(*E.Kids[I])) {
+      Pending.push_back(static_cast<uint32_t>(I));
+      continue;
+    }
+    F.Idx = static_cast<uint32_t>(I);
+    F.B = Acts.size();
+    F.Phase = 0;
+    if (!operand(*E.Kids[I]) || !unseqTake(F))
+      return;
+  }
+  unseqPick(F);
+}
+
+void Evaluator::unseqPick(Frame &F) {
+  // The scheduler picks the branch order among the effectful ones;
+  // action-granularity interleaving is unnecessary for observable
+  // outcomes because cross-branch conflicts are unsequenced races (UB) —
+  // see DESIGN.md.
+  for (size_t NRem; (NRem = Pending.size() - F.Aux) != 0;) {
+    if (NRem > 1) {
+      F.Phase = 2;
+      return choose(static_cast<unsigned>(NRem),
+                    F.E->K == ExprKind::Par ? "par" : "unseq-order");
+    }
+    if (!unseqRun(F, 0))
+      return;
+  }
+
+  const Expr &E = *F.E;
+  size_t N = E.Kids.size();
+  ActRange *Ranges = &BranchRanges[BranchRanges.size() - N];
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = I + 1; J < N; ++J)
+      if (auto U = conflict(Ranges[I], Ranges[J], /*OnlyNegLeft=*/false)) {
+        if (E.K == ExprKind::Par)
+          U->Kind = mem::UBKind::DataRace;
+        Acts.resize(F.A);
+        popUnseq(F);
+        return ret(undef(std::move(*U)));
+      }
+  // The merged footprint lists the branches in syntactic order, whatever
+  // order the scheduler ran them in.
+  syntacticOrder(F.A, Ranges, N);
+  Value V = std::move(F.V);
+  popUnseq(F);
+  retValue(std::move(V));
+}
+
+bool Evaluator::unseqRun(Frame &F, unsigned PickIdx) {
+  // Close the gap in place (order must be preserved: the scheduler's
+  // choice points enumerate identically to an erase()-based list).
+  auto It = Pending.begin() + F.Aux + PickIdx;
+  F.Idx = *It;
+  Pending.erase(It);
+  F.B = Acts.size();
+  F.Phase = 1;
+  return operand(*F.E->Kids[F.Idx]) && unseqTake(F);
+}
+
+bool Evaluator::unseqTake(Frame &F) {
+  const Expr &E = *F.E;
+  size_t N = E.Kids.size();
+  ActRange *Ranges = &BranchRanges[BranchRanges.size() - N];
+  Ranges[F.Idx] = {F.B, Acts.size()};
+  if (!Result.isValue()) {
+    if (E.K == ExprKind::Par)
+      Acts.resize(F.A);
+    else
+      syntacticOrder(F.A, Ranges, N);
+    popUnseq(F);
+    return false;
+  }
+  (E.K == ExprKind::Par || N != 1 ? F.V.elems()[F.Idx] : F.V) =
+      std::move(Result.V);
+  return true;
+}
+
+void Evaluator::popUnseq(Frame &F) {
+  BranchRanges.resize(BranchRanges.size() - F.E->Kids.size());
+  Pending.resize(F.Aux);
+  pop();
+}
+
+//===----------------------------------------------------------------------===//
+// save / run (§5.8)
+//===----------------------------------------------------------------------===//
+
+void Evaluator::resumeSave(Frame &F) {
+  const Expr &Save = *F.E;
+  if (Result.K == Res::RunSig && Sig.RunLabel == Save.Sym) {
+    Res D = applyScopeDiff(*Sig.RunScope, Save.Scope);
+    if (!D.isValue()) {
+      pop();
+      return ret(std::move(D));
+    }
+    return evalNext(*Save.Kids[0]); // re-enter the save body (loops)
+  }
+  if (Result.K == Res::RunSig && containsSave(*Save.Kids[0], Sig.RunLabel)) {
+    F.K = Frame::Pass;
+    return jumpToRunLabel(*Save.Kids[0]);
+  }
+  pop();
+}
+
+//===----------------------------------------------------------------------===//
+// Procedure calls
+//===----------------------------------------------------------------------===//
+
+void Evaluator::enterCall(Symbol S, SourceLoc Loc, bool Counted) {
+  auto Finish = [&](Res R) {
+    if (Counted)
+      --EvalDepth;
+    ret(std::move(R));
+  };
+  auto BIt = Prog.Builtins.find(S.Id);
+  if (BIt != Prog.Builtins.end())
+    return Finish(callBuiltin(BIt->second, CallArgs, Loc));
+
+  const CoreProc *Proc = Prog.findProc(S);
+  if (!Proc)
+    return Finish(
+        error(fmt("call to undefined function '{0}'", Prog.Syms.nameOf(S))));
+  if (Proc->Params.size() != CallArgs.size())
+    return Finish(
+        error(fmt("arity mismatch calling '{0}'", Prog.Syms.nameOf(S))));
+  if (++CallDepth > Limits.MaxCallDepth) {
+    --CallDepth;
+    return Finish(error("call depth limit exceeded (runaway recursion)"));
+  }
+
+  UndoFrames.push_back(
+      UndoFrame{UndoLog.size(), UndoVals.size(), ++EpochCounter});
+  FrameEpoch = EpochCounter;
+  for (size_t I = 0; I < CallArgs.size(); ++I)
+    bindSlot(Proc->ParamSlots[I], std::move(CallArgs[I]));
+
+  // Function bodies are indeterminately sequenced w.r.t. the caller's
+  // expression: the body's footprint is discarded, not shared (§5.6).
+  Stack.emplace_back(Frame::Call, Proc->Body.get(), Counted);
+  Frame &F = Stack.back();
+  F.Idx = S.Id;
+  F.A = Acts.size();
+  F.B = Created.size();
+  evalNext(*Proc->Body);
+}
+
+void Evaluator::resumeCall(Frame &F) {
+  Acts.resize(F.A);
+  // End of lifetime for everything this call created and has not yet
+  // freed/killed (§5.7).
+  for (size_t I = F.B; I < Created.size(); ++I) {
+    const mem::PointerValue &P = Created[I];
+    if (P.Prov.isAlloc() && Mem.allocations()[P.Prov.AllocId].Alive)
+      (void)Mem.killObject(P);
+  }
+  Created.resize(F.B);
+  // Restore the caller's bindings. The log is replayed in reverse: a slot
+  // may carry duplicate records when an inner frame's stamp went stale,
+  // and reverse order applies the frame-entry value last (see SlotStamp).
+  size_t Base = UndoFrames.back().Base;
+  for (size_t I = UndoLog.size(); I > Base; --I) {
+    UndoRec &U = UndoLog[I - 1];
+    if (U.ValIdx >= 0) {
+      Slots[U.Slot] = std::move(UndoVals[U.ValIdx]);
+      SlotBound[U.Slot] = 1;
+    } else {
+      SlotBound[U.Slot] = 0;
+    }
+  }
+  UndoLog.resize(Base);
+  UndoVals.resize(UndoFrames.back().ValsBase);
+  UndoFrames.pop_back();
+  FrameEpoch = UndoFrames.empty() ? 0 : UndoFrames.back().Epoch;
+  --CallDepth;
+  Symbol S{F.Idx};
+  pop();
+
+  if (Result.K == Res::RetSig)
+    Result.K = Res::Val;
+  else if (Result.K == Res::RunSig)
+    ret(error(fmt("goto to a label outside function '{0}'",
+                  Prog.Syms.nameOf(S))));
+  // A value (bodies end in Ret) or a signal passes up as it is.
+}
+
+//===----------------------------------------------------------------------===//
+// Pointer operations
+//===----------------------------------------------------------------------===//
+
+void Evaluator::enterPtrOp(const Expr &E) {
+  // Every pointer operation takes one or two operands.
+  Value Ops[2];
+  for (size_t I = 0; I < E.Kids.size(); ++I) {
+    Res R = evalLeaf(*E.Kids[I]);
+    if (!R.isValue())
+      return done(std::move(R));
+    if (I < 2)
+      Ops[I] = std::move(R.V);
+  }
+  auto UB = [&](mem::UndefinedBehaviour U) {
+    U.Loc = E.Loc;
+    return undef(std::move(U));
+  };
+  switch (E.POp) {
+  case PtrOpKind::PtrEq:
+  case PtrOpKind::PtrNe: {
+    auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
+    if (!A || !B)
+      return done(error("pointer equality on non-pointers"));
+    if (A->Prov.isAlloc() && B->Prov.isAlloc() && !(A->Prov == B->Prov) &&
+        A->Addr == B->Addr)
+      ++Events.ProvenanceEqConsulted;
+    bool Eq = false;
+    switch (Mem.ptrEq(*A, *B)) {
+    case mem::PtrEquality::Unequal:
+      break;
+    case mem::PtrEquality::Equal:
+      Eq = true;
+      break;
+    case mem::PtrEquality::EitherWay:
+      push(Frame::PtrEq, E, true);
+      return choose(2, "ptr-eq-provenance");
+    }
+    return done(Res(Value::boolean(E.POp == PtrOpKind::PtrEq ? Eq : !Eq)));
+  }
+  case PtrOpKind::PtrLt:
+  case PtrOpKind::PtrGt:
+  case PtrOpKind::PtrLe:
+  case PtrOpKind::PtrGe: {
+    auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
+    if (!A || !B)
+      return done(error("pointer comparison on non-pointers"));
+    unsigned Op = E.POp == PtrOpKind::PtrLt   ? 0
+                  : E.POp == PtrOpKind::PtrGt ? 1
+                  : E.POp == PtrOpKind::PtrLe ? 2
+                                              : 3;
+    auto R = Mem.ptrRel(Op, *A, *B);
+    if (!R)
+      return done(UB(R.takeUB()));
+    return done(Res(Value::boolean(R->V != 0)));
+  }
+  case PtrOpKind::PtrDiff: {
+    auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
+    if (!A || !B)
+      return done(error("ptrdiff on non-pointers"));
+    auto R = Mem.ptrDiff(E.Cty, *A, *B);
+    if (!R)
+      return done(UB(R.takeUB()));
+    return done(Res(Value::integer(*R)));
+  }
+  case PtrOpKind::IntFromPtr: {
+    auto P = asPointer(Ops[0]);
+    if (!P)
+      return done(error("intFromPtr on a non-pointer"));
+    auto R = Mem.intFromPtr(E.Cty, *P);
+    if (!R)
+      return done(UB(R.takeUB()));
+    return done(Res(Value::integer(*R)));
+  }
+  case PtrOpKind::PtrFromInt: {
+    auto I = asInteger(Ops[0]);
+    if (!I)
+      return done(error("ptrFromInt on a non-integer"));
+    auto R = Mem.ptrFromInt(*I);
+    if (!R)
+      return done(UB(R.takeUB()));
+    return done(Res(Value::pointer(*R)));
+  }
+  case PtrOpKind::PtrValidForDeref: {
+    auto P = asPointer(Ops[0]);
+    if (!P)
+      return done(error("ptrValidForDeref on a non-pointer"));
+    return done(Res(Value::boolean(Mem.validForDeref(E.Cty, *P))));
+  }
+  case PtrOpKind::CastPtr: {
+    auto P = asPointer(Ops[0]);
+    if (!P)
+      return done(error("cast_ptr on a non-pointer"));
+    return done(Res(Value::pointer(Mem.castPointer(E.Cty, *P))));
+  }
+  }
+  done(error("bad pointer operation"));
+}
+
+//===----------------------------------------------------------------------===//
+// Pure leaves
+//===----------------------------------------------------------------------===//
+
+Evaluator::Res Evaluator::evalLeaf(const Expr &E) {
   if (E.ValueOnly) {
     Value Tmp;
     const Value *P = evalPure(E, Tmp);
@@ -397,13 +1218,15 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     if (P)
       return Res(*P);
   }
-
   if (!budget())
     return budgetError();
   DepthGuard Nest(EvalDepth, MaxEvalDepth);
   if (!Nest)
     return tooDeep();
+  return leafBody(E);
+}
 
+Evaluator::Res Evaluator::leafBody(const Expr &E) {
   switch (E.K) {
   case ExprKind::Sym: {
     int S = E.Slot;
@@ -431,7 +1254,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
   case ExprKind::Tuple: {
     Value T = Value::tuple(E.Kids.size());
     for (size_t I = 0; I < E.Kids.size(); ++I) {
-      Res R = eval(*E.Kids[I]);
+      Res R = evalLeaf(*E.Kids[I]);
       if (!R.isValue())
         return R;
       T.elems()[I] = std::move(R.V);
@@ -439,7 +1262,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     return Res(std::move(T));
   }
   case ExprKind::SpecifiedE: {
-    Res R = eval(*E.Kids[0]);
+    Res R = evalLeaf(*E.Kids[0]);
     if (!R.isValue())
       return R;
     return Res(Value::specified(std::move(R.V)));
@@ -447,36 +1270,25 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
   case ExprKind::UnspecifiedE:
     return Res(Value::unspecified(E.Cty));
 
-  case ExprKind::Case:
-  case ExprKind::ECase: {
-    // The scrutinee is usually a slot read or pure boolean after
-    // lowering: read it in place, no Res.
+  case ExprKind::Case: {
     Value STmp;
     const Value *SO =
         E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], STmp) : nullptr;
     Res S;
     if (!SO) {
-      S = eval(*E.Kids[0]);
+      S = evalLeaf(*E.Kids[0]);
       if (!S.isValue())
         return S;
       SO = &S.V;
     }
     for (const auto &[Pat, Body] : E.Branches)
-      if (matchPattern(Pat, *SO)) {
-        Res R = eval(*Body);
-        // Forward/backward jumps across case branches.
-        if (R.K == Res::RunSig)
-          for (const auto &[Pat2, Body2] : E.Branches)
-            if (Body2.get() != Body.get() &&
-                containsSave(*Body2, Sig.RunLabel))
-              return evalJump(*Body2, Sig.RunLabel, *Sig.RunScope);
-        return R;
-      }
+      if (matchPattern(Pat, *SO))
+        return evalLeaf(*Body);
     return error("no matching Core case branch");
   }
 
   case ExprKind::Not: {
-    Res R = eval(*E.Kids[0]);
+    Res R = evalLeaf(*E.Kids[0]);
     if (!R.isValue())
       return R;
     if (R.V.kind() != ValueKind::True && R.V.kind() != ValueKind::False)
@@ -485,10 +1297,10 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
   }
 
   case ExprKind::Binop: {
-    Res A = eval(*E.Kids[0]);
+    Res A = evalLeaf(*E.Kids[0]);
     if (!A.isValue())
       return A;
-    Res B = eval(*E.Kids[1]);
+    Res B = evalLeaf(*E.Kids[1]);
     if (!B.isValue())
       return B;
     if (E.BOp == CoreBinop::And || E.BOp == CoreBinop::Or) {
@@ -542,26 +1354,26 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
   }
 
   case ExprKind::ConvInt: {
-    Res R = eval(*E.Kids[0]);
+    Res R = evalLeaf(*E.Kids[0]);
     if (!R.isValue())
       return R;
     auto IV = asInteger(R.V);
     if (!IV)
       return error("conv_int on a non-integer");
-    mem::IntegerValue OutV(Env.convert(E.Cty.intKind(), IV->V), IV->Prov);
-    if (IV->Cap && Env.widthOf(E.Cty.intKind()) == 64)
+    mem::IntegerValue OutV(env().convert(E.Cty.intKind(), IV->V), IV->Prov);
+    if (IV->Cap && env().widthOf(E.Cty.intKind()) == 64)
       OutV.Cap = IV->Cap;
     return Res(Value::integer(OutV));
   }
 
   case ExprKind::FinishArith: {
-    Res A = eval(*E.Kids[0]);
+    Res A = evalLeaf(*E.Kids[0]);
     if (!A.isValue())
       return A;
-    Res B = eval(*E.Kids[1]);
+    Res B = evalLeaf(*E.Kids[1]);
     if (!B.isValue())
       return B;
-    Res N = eval(*E.Kids[2]);
+    Res N = evalLeaf(*E.Kids[2]);
     if (!N.isValue())
       return N;
     auto IA = asInteger(A.V), IB = asInteger(B.V), IN = asInteger(N.V);
@@ -575,7 +1387,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
   case ExprKind::IsSigned:
   case ExprKind::IsUnsigned:
   case ExprKind::IsScalar: {
-    Res R = eval(*E.Kids[0]);
+    Res R = evalLeaf(*E.Kids[0]);
     if (!R.isValue())
       return R;
     if (R.V.kind() != ValueKind::Ctype)
@@ -597,10 +1409,10 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     return evalPureCall(E);
 
   case ExprKind::ArrayShiftE: {
-    Res P = eval(*E.Kids[0]);
+    Res P = evalLeaf(*E.Kids[0]);
     if (!P.isValue())
       return P;
-    Res I = eval(*E.Kids[1]);
+    Res I = evalLeaf(*E.Kids[1]);
     if (!I.isValue())
       return I;
     auto PV = asPointer(P.V);
@@ -621,7 +1433,7 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     return Res(Value::pointer(*R));
   }
   case ExprKind::MemberShiftE: {
-    Res P = eval(*E.Kids[0]);
+    Res P = evalLeaf(*E.Kids[0]);
     if (!P.isValue())
       return P;
     auto PV = asPointer(P.V);
@@ -630,448 +1442,74 @@ Evaluator::Res Evaluator::eval(const Expr &E) {
     return Res(Value::pointer(Mem.memberShift(*PV, E.Tag, E.MemberIdx)));
   }
 
-  case ExprKind::PureLet:
-  case ExprKind::ELet:
-  case ExprKind::LetWeak:
-  case ExprKind::LetStrong:
-    return evalLet(E);
-
-  case ExprKind::PureIf:
-  case ExprKind::EIf: {
-    Res C = eval(*E.Kids[0]);
+  case ExprKind::PureLet: {
+    // Both operands are pure: no actions to discard and no run signal.
+    if (E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
+      Value Tmp;
+      if (const Value *P = evalPure(*E.Kids[0], Tmp)) {
+        bindSlot(E.Pat.Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
+        return evalLeaf(*E.Kids[1]);
+      }
+    }
+    Res R1 = evalLeaf(*E.Kids[0]);
+    if (!R1.isValue())
+      return R1;
+    if (!matchPatternMove(E.Pat, std::move(R1.V)))
+      return error("let pattern mismatch");
+    return evalLeaf(*E.Kids[1]);
+  }
+  case ExprKind::PureIf: {
+    Res C = evalLeaf(*E.Kids[0]);
     if (!C.isValue())
       return C;
     if (C.V.kind() != ValueKind::True && C.V.kind() != ValueKind::False)
       return error("if on a non-boolean");
-    size_t Taken = C.V.isTrue() ? 1 : 2;
-    Res R = eval(*E.Kids[Taken]);
-    if (R.K == Res::RunSig) {
-      size_t Other = Taken == 1 ? 2 : 1;
-      if (containsSave(*E.Kids[Other], Sig.RunLabel))
-        return evalJump(*E.Kids[Other], Sig.RunLabel, *Sig.RunScope);
-    }
-    return R;
+    return evalLeaf(*E.Kids[C.V.isTrue() ? 1 : 2]);
   }
 
-  case ExprKind::PtrOp:
-    return evalPtrOp(E);
   case ExprKind::Action:
     return evalAction(E);
-
   case ExprKind::LetAtomic: {
     // Evaluate the first action, bind, evaluate the second; the value is
     // the first action's (the loaded old value for postfix ++/--).
-    Res A = eval(*E.Kids[0]);
+    Res A = evalLeaf(*E.Kids[0]);
     if (!A.isValue())
       return A;
     if (!matchPattern(E.Pat, A.V))
       return error("let atomic pattern mismatch");
-    Res B = eval(*E.Kids[1]);
+    Res B = evalLeaf(*E.Kids[1]);
     if (!B.isValue())
       return B;
     return A;
   }
-
-  case ExprKind::Unseq:
-    return evalUnseq(E);
-
-  case ExprKind::Indet:
-  case ExprKind::Bound:
-    // Operationally transparent: indeterminate sequencing is realised by
-    // the scheduler's choice of unseq evaluation order (see DESIGN.md).
-    return eval(*E.Kids[0]);
-
-  case ExprKind::Nd: {
-    unsigned Pick = Sched.choose(static_cast<unsigned>(E.Kids.size()), "nd");
-    return eval(*E.Kids[Pick]);
-  }
-
-  case ExprKind::ProcCall: {
-    std::vector<Value> Args = Arena.takeValues();
-    for (const ExprPtr &K : E.Kids) {
-      // Arguments are overwhelmingly slot reads after lowering: copy
-      // them out of the environment directly, skipping the Res plumbing.
-      if (K->ValueOnly) {
-        Value Tmp;
-        if (const Value *P = evalPure(*K, Tmp)) {
-          Args.push_back(P == &Tmp ? std::move(Tmp) : Value(*P));
-          continue;
-        }
-      }
-      Res R = eval(*K);
-      if (!R.isValue())
-        return R;
-      Args.push_back(std::move(R.V));
-    }
-    return callProc(E.Sym, std::move(Args), E.Loc);
-  }
-  case ExprKind::CallPtr: {
-    Res F = eval(*E.Kids[0]);
-    if (!F.isValue())
-      return F;
-    auto PV = asPointer(F.V);
-    if (!PV || !PV->isFunction()) {
-      auto U = mem::undef(mem::UBKind::AccessNull,
-                          "call through a non-function pointer value");
-      U.Loc = E.Loc;
-      return undef(std::move(U));
-    }
-    std::vector<Value> Args = Arena.takeValues();
-    for (size_t I = 1; I < E.Kids.size(); ++I) {
-      Res R = eval(*E.Kids[I]);
-      if (!R.isValue())
-        return R;
-      Args.push_back(std::move(R.V));
-    }
-    return callProc(Symbol{*PV->FuncSym}, std::move(Args), E.Loc);
-  }
-
   case ExprKind::Ret: {
-    Res R = eval(*E.Kids[0]);
+    Res R = evalLeaf(*E.Kids[0]);
     if (!R.isValue())
       return R;
     R.K = Res::RetSig;
     return R;
   }
-
-  case ExprKind::Save:
-    return evalSaveBody(E, /*ApplyDiffFirst=*/false, nullptr);
-
   case ExprKind::Run:
     Sig.RunLabel = E.Sym;
     Sig.RunScope = &E.Scope;
     return Res(Res::RunSig);
-
-  case ExprKind::Par:
-    return evalPar(E);
   case ExprKind::Wait: {
-    Res R = eval(*E.Kids[0]);
+    Res R = evalLeaf(*E.Kids[0]);
     if (!R.isValue())
       return R;
     return Res(); // par joins implicitly
   }
-  }
-  return error("unhandled Core expression kind");
-}
 
-//===----------------------------------------------------------------------===//
-// Sequencing
-//===----------------------------------------------------------------------===//
-
-Evaluator::Res Evaluator::evalLet(const Expr &E) {
-  bool Weak = E.K == ExprKind::LetWeak;
-  // SeqPoint marks a statement boundary: the accumulated footprints can
-  // never take part in any unsequenced-race check above, so they are
-  // discarded. On the action stack, e1's footprint is [Base, Mid) and
-  // e2's is [Mid, end); a strong let's and a weak let's both stay in the
-  // enclosing footprint.
-  bool Discard = E.SeqPoint;
-  size_t Base = Acts.size();
-
-  // Fast path for the dominant shape lowering produces: `let <sym> =
-  // <ValueOnly expr> in k`. The bound value comes straight out of the
-  // pure interpreter into the slot — no Res round-trip, no signal or
-  // jump handling (a ValueOnly subtree contains no Save and performs no
-  // actions, so the weak-let race check is vacuous). A nullptr bail falls
-  // through to the general path, which is safe to re-run because the
-  // subtree is effect-free.
-  if (E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
-    Value Tmp;
-    if (const Value *P = evalPure(*E.Kids[0], Tmp)) {
-      bindSlot(E.Pat.Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
-      Res R2 = eval(*E.Kids[1]);
-      if (Discard)
-        Acts.resize(Base);
-      return R2;
-    }
-  }
-
-  Res R1 = eval(*E.Kids[0]);
-  for (;;) {
-    if (!R1.isValue()) {
-      if (R1.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel)) {
-        // Forward jump into the continuation (the pattern stays unbound;
-        // the elaboration never places labels under value-carrying
-        // bindings that are read after the label).
-        R1 = evalJump(*E.Kids[1], Sig.RunLabel, *Sig.RunScope);
-      }
-      if (Discard)
-        Acts.resize(Base);
-      return R1;
-    }
-    // The bound value is moved out of R1.V, not deep-copied (R1 is only
-    // ever overwritten below).
-    if (!matchPatternMove(E.Pat, std::move(R1.V))) {
-      if (Discard || Weak)
-        Acts.resize(Base);
-      return error("let pattern mismatch");
-    }
-
-    size_t Mid = Acts.size();
-    Res R2 = eval(*E.Kids[1]);
-
-    if (R2.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel)) {
-      // Backward jump into the (already completed) first part, which
-      // extends e1's footprint; a weak or discarding let forgets e2's.
-      if (Discard || Weak)
-        Acts.resize(Mid);
-      R1 = evalJump(*E.Kids[0], Sig.RunLabel, *Sig.RunScope);
-      continue;
-    }
-
-    if (Weak && !Discard) {
-      // §5.6: only e1's *positive* actions are sequenced before e2; a
-      // conflict between e1's negative actions and e2 is an unsequenced
-      // race.
-      if (auto U = conflict({Base, Mid}, {Mid, Acts.size()},
-                            /*OnlyNegLeft=*/true)) {
-        Acts.resize(Base);
-        return undef(std::move(*U));
-      }
-    }
-    if (Discard)
-      Acts.resize(Base);
-    return R2;
-  }
-}
-
-void Evaluator::syntacticOrder(size_t Base, ActRange *Ranges, size_t N) {
-  // The branches' footprints tile [Base, end) in evaluation order; when
-  // that already is syntactic order there is nothing to move.
-  size_t Pos = Base;
-  bool Sorted = true;
-  for (size_t I = 0; I < N && Sorted; ++I) {
-    if (Ranges[I].Begin == Ranges[I].End)
-      continue;
-    Sorted = Ranges[I].Begin == Pos;
-    Pos = Ranges[I].End;
-  }
-  if (Sorted)
-    return;
-  ActScratch.assign(Acts.begin() + Base, Acts.end());
-  size_t Dst = Base;
-  for (size_t I = 0; I < N; ++I) {
-    size_t Len = Ranges[I].End - Ranges[I].Begin;
-    auto Src = ActScratch.begin() + (Ranges[I].Begin - Base);
-    std::copy(Src, Src + Len, Acts.begin() + Dst);
-    Ranges[I] = {Dst, Dst + Len};
-    Dst += Len;
-  }
-}
-
-Evaluator::Res Evaluator::evalUnseq(const Expr &E) {
-  // Unseq nodes are overwhelmingly small (the operands of one C
-  // operator): small arities keep their bookkeeping in stack scratch, the
-  // heap path exists only for unusually wide nodes. Each branch's
-  // footprint is the range of the action stack it appended, and its value
-  // goes straight into the result tuple.
-  size_t N = E.Kids.size();
-  constexpr size_t StkN = 4;
-  ActRange RangeStk[StkN];
-  size_t RemStk[StkN];
-  std::vector<ActRange> RangeHeap;
-  std::vector<size_t> RemHeap;
-  ActRange *Ranges = RangeStk;
-  size_t *Remaining = RemStk;
-  if (N > StkN) {
-    RangeHeap.resize(N);
-    RemHeap.resize(N);
-    Ranges = RangeHeap.data();
-    Remaining = RemHeap.data();
-  }
-  Value Result = N == 1 ? Value() : Value::tuple(N);
-  Value *Values = N == 1 ? &Result : Result.elems().data();
-  size_t Base = Acts.size();
-  for (size_t I = 0; I < N; ++I)
-    Ranges[I] = {Base, Base};
-  size_t NRem = 0;
-
-  // Effect-free branches evaluate in syntactic order: their order is
-  // unobservable, so exploring it would only multiply identical paths.
-  for (size_t I = 0; I < N; ++I) {
-    if (hasEffects(*E.Kids[I])) {
-      Remaining[NRem++] = I;
-      continue;
-    }
-    size_t Begin = Acts.size();
-    Res R = eval(*E.Kids[I]);
-    Ranges[I] = {Begin, Acts.size()};
-    if (!R.isValue()) {
-      syntacticOrder(Base, Ranges, N);
-      return R;
-    }
-    Values[I] = std::move(R.V);
-  }
-
-  // The scheduler picks the branch order among the effectful ones;
-  // action-granularity interleaving is unnecessary for observable
-  // outcomes because cross-branch conflicts are unsequenced races (UB) —
-  // see DESIGN.md.
-  while (NRem > 0) {
-    unsigned PickIdx =
-        NRem == 1 ? 0
-                  : Sched.choose(static_cast<unsigned>(NRem), "unseq-order");
-    size_t I = Remaining[PickIdx];
-    // Close the gap in place (order must be preserved: the scheduler's
-    // choice points enumerate identically to the erase()-based version).
-    for (size_t J = PickIdx; J + 1 < NRem; ++J)
-      Remaining[J] = Remaining[J + 1];
-    --NRem;
-    size_t Begin = Acts.size();
-    Res R = eval(*E.Kids[I]);
-    Ranges[I] = {Begin, Acts.size()};
-    if (!R.isValue()) {
-      syntacticOrder(Base, Ranges, N);
-      return R;
-    }
-    Values[I] = std::move(R.V);
-  }
-
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = I + 1; J < N; ++J)
-      if (auto U = conflict(Ranges[I], Ranges[J], /*OnlyNegLeft=*/false)) {
-        Acts.resize(Base);
-        return undef(std::move(*U));
-      }
-  // The merged footprint lists the branches in syntactic order, whatever
-  // order the scheduler ran them in.
-  syntacticOrder(Base, Ranges, N);
-  return Res(std::move(Result));
-}
-
-Evaluator::Res Evaluator::evalPar(const Expr &E) {
-  // Restricted concurrency (§5.2: threads only with a more restricted
-  // memory object model): branches run in a scheduler-chosen order; any
-  // cross-thread conflicting non-atomic accesses are a data race (UB).
-  size_t N = E.Kids.size();
-  size_t Base = Acts.size();
-  Value Result = Value::tuple(N);
-  std::vector<ActRange> Ranges(N, ActRange{Base, Base});
-  std::vector<size_t> Remaining;
-  for (size_t I = 0; I < N; ++I)
-    Remaining.push_back(I);
-  while (!Remaining.empty()) {
-    unsigned PickIdx =
-        Remaining.size() == 1
-            ? 0
-            : Sched.choose(static_cast<unsigned>(Remaining.size()), "par");
-    size_t I = Remaining[PickIdx];
-    Remaining.erase(Remaining.begin() + PickIdx);
-    size_t Begin = Acts.size();
-    Res R = eval(*E.Kids[I]);
-    Ranges[I] = {Begin, Acts.size()};
-    if (!R.isValue()) {
-      Acts.resize(Base);
-      return R;
-    }
-    Result.elems()[I] = std::move(R.V);
-  }
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = I + 1; J < N; ++J)
-      if (auto U = conflict(Ranges[I], Ranges[J], false)) {
-        U->Kind = mem::UBKind::DataRace;
-        Acts.resize(Base);
-        return undef(std::move(*U));
-      }
-  syntacticOrder(Base, Ranges.data(), N);
-  return Res(std::move(Result));
-}
-
-//===----------------------------------------------------------------------===//
-// save / run (§5.8)
-//===----------------------------------------------------------------------===//
-
-Evaluator::Res Evaluator::evalSaveBody(
-    const Expr &Save, bool ApplyDiffFirst,
-    const std::vector<ScopeObject> *RunScope) {
-  if (ApplyDiffFirst) {
-    Res D = applyScopeDiff(*RunScope, Save.Scope);
-    if (!D.isValue())
-      return D;
-  }
-  for (;;) {
-    Res R = eval(*Save.Kids[0]);
-    if (R.K == Res::RunSig && Sig.RunLabel == Save.Sym) {
-      Res D = applyScopeDiff(*Sig.RunScope, Save.Scope);
-      if (!D.isValue())
-        return D;
-      continue; // re-enter the save body (loops)
-    }
-    if (R.K == Res::RunSig && containsSave(*Save.Kids[0], Sig.RunLabel))
-      return evalJump(*Save.Kids[0], Sig.RunLabel, *Sig.RunScope);
-    return R;
-  }
-}
-
-Evaluator::Res Evaluator::evalJump(const Expr &E, Symbol Label,
-                                   const std::vector<ScopeObject> &RunScope) {
-  if (!budget())
-    return budgetError();
-  switch (E.K) {
-  case ExprKind::Save:
-    if (E.Sym == Label)
-      return evalSaveBody(E, /*ApplyDiffFirst=*/true, &RunScope);
-    // The target is nested inside another save's body.
-    for (;;) {
-      Res R = evalJump(*E.Kids[0], Label, RunScope);
-      if (R.K == Res::RunSig && Sig.RunLabel == E.Sym) {
-        Res D = applyScopeDiff(*Sig.RunScope, E.Scope);
-        if (!D.isValue())
-          return D;
-        // Re-enter this save normally.
-        return evalSaveBody(E, false, nullptr);
-      }
-      return R;
-    }
-  case ExprKind::PureLet:
-  case ExprKind::ELet:
-  case ExprKind::LetWeak:
-  case ExprKind::LetStrong: {
-    if (containsSave(*E.Kids[0], Label)) {
-      Res R1 = evalJump(*E.Kids[0], Label, RunScope);
-      if (!R1.isValue()) {
-        if (R1.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel))
-          return evalJump(*E.Kids[1], Sig.RunLabel, *Sig.RunScope);
-        return R1;
-      }
-      if (!matchPatternMove(E.Pat, std::move(R1.V)))
-        return error("let pattern mismatch after jump");
-      Res R2 = eval(*E.Kids[1]);
-      if (R2.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel))
-        return evalJump(*E.Kids[0], Sig.RunLabel, *Sig.RunScope);
-      return R2;
-    }
-    // Skip the binding entirely (the label lies in the continuation).
-    return evalJump(*E.Kids[1], Label, RunScope);
-  }
-  case ExprKind::PureIf:
-  case ExprKind::EIf: {
-    for (size_t I : {size_t(1), size_t(2)})
-      if (containsSave(*E.Kids[I], Label)) {
-        Res R = evalJump(*E.Kids[I], Label, RunScope);
-        if (R.K == Res::RunSig) {
-          size_t Other = I == 1 ? 2 : 1;
-          if (containsSave(*E.Kids[Other], Sig.RunLabel))
-            return evalJump(*E.Kids[Other], Sig.RunLabel, *Sig.RunScope);
-        }
-        return R;
-      }
-    return error("jump target vanished in if");
-  }
-  case ExprKind::Case:
-  case ExprKind::ECase: {
-    for (const auto &[Pat, Body] : E.Branches)
-      if (containsSave(*Body, Label))
-        return evalJump(*Body, Label, RunScope);
-    return error("jump target vanished in case");
-  }
   default:
-    return error("jump routed through an unexpected Core construct");
+    // A control construct in operand position: core::typeCheck refuses
+    // every such program, so only an unchecked one gets here.
+    return error(fmt("effectful Core construct in a pure context at {0}",
+                     E.Loc.str()));
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Actions and pointer operations
+// Actions
 //===----------------------------------------------------------------------===//
 
 Evaluator::Res Evaluator::evalAction(const Expr &E) {
@@ -1080,12 +1518,11 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     mem::PointerValue P = Mem.allocateObject(E.Cty, E.Str, /*Static=*/false);
     if (P.isNull())
       return objectTooLarge(E.Cty, E.Str);
-    if (!Frames.empty())
-      Frames.back().Created.push_back(P);
+    Created.push_back(P);
     return Res(Value::pointer(P));
   }
   case ActionKind::Alloc: {
-    Res S = eval(*E.Kids[0]);
+    Res S = evalLeaf(*E.Kids[0]);
     if (!S.isValue())
       return S;
     auto IV = asInteger(S.V);
@@ -1099,7 +1536,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
         E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = eval(*E.Kids[0]);
+      P = evalLeaf(*E.Kids[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
@@ -1115,7 +1552,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     return Res();
   }
   case ActionKind::Free: {
-    Res P = eval(*E.Kids[0]);
+    Res P = evalLeaf(*E.Kids[0]);
     if (!P.isValue())
       return P;
     auto PV = asPointer(P.V);
@@ -1136,7 +1573,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
         E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = eval(*E.Kids[0]);
+      P = evalLeaf(*E.Kids[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
@@ -1157,7 +1594,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
       U.Loc = E.Loc;
       return undef(std::move(U));
     }
-    Acts.push_back(ActRec{PV->Addr, PV->Addr + Env.sizeOf(E.Cty),
+    Acts.push_back(ActRec{PV->Addr, PV->Addr + env().sizeOf(E.Cty),
                           /*Write=*/false, E.NegPolarity, E.AtomicAccess,
                           E.Loc});
     return Res(memToValue(*R));
@@ -1168,7 +1605,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
         E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = eval(*E.Kids[0]);
+      P = evalLeaf(*E.Kids[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
@@ -1177,7 +1614,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
         E.Kids[1]->ValueOnly ? evalPure(*E.Kids[1], VTmp) : nullptr;
     Res V;
     if (!VO) {
-      V = eval(*E.Kids[1]);
+      V = evalLeaf(*E.Kids[1]);
       if (!V.isValue())
         return V;
       VO = &V.V;
@@ -1198,101 +1635,13 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
       U.Loc = E.Loc;
       return undef(std::move(U));
     }
-    Acts.push_back(ActRec{PV->Addr, PV->Addr + Env.sizeOf(E.Cty),
+    Acts.push_back(ActRec{PV->Addr, PV->Addr + env().sizeOf(E.Cty),
                           /*Write=*/true, E.NegPolarity, E.AtomicAccess,
                           E.Loc});
     return Res();
   }
   }
   return error("bad memory action");
-}
-
-Evaluator::Res Evaluator::evalPtrOp(const Expr &E) {
-  // Every pointer operation takes one or two operands.
-  Value Ops[2];
-  for (size_t I = 0; I < E.Kids.size(); ++I) {
-    Res R = eval(*E.Kids[I]);
-    if (!R.isValue())
-      return R;
-    if (I < 2)
-      Ops[I] = std::move(R.V);
-  }
-  auto UB = [&](mem::UndefinedBehaviour U) {
-    U.Loc = E.Loc;
-    return undef(std::move(U));
-  };
-  switch (E.POp) {
-  case PtrOpKind::PtrEq:
-  case PtrOpKind::PtrNe: {
-    auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
-    if (!A || !B)
-      return error("pointer equality on non-pointers");
-    if (A->Prov.isAlloc() && B->Prov.isAlloc() && !(A->Prov == B->Prov) &&
-        A->Addr == B->Addr)
-      ++Events.ProvenanceEqConsulted;
-    auto R = Mem.ptrEq(*A, *B);
-    if (!R)
-      return UB(R.takeUB());
-    bool Eq = R->V != 0;
-    return Res(Value::boolean(E.POp == PtrOpKind::PtrEq ? Eq : !Eq));
-  }
-  case PtrOpKind::PtrLt:
-  case PtrOpKind::PtrGt:
-  case PtrOpKind::PtrLe:
-  case PtrOpKind::PtrGe: {
-    auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
-    if (!A || !B)
-      return error("pointer comparison on non-pointers");
-    unsigned Op = E.POp == PtrOpKind::PtrLt   ? 0
-                  : E.POp == PtrOpKind::PtrGt ? 1
-                  : E.POp == PtrOpKind::PtrLe ? 2
-                                              : 3;
-    auto R = Mem.ptrRel(Op, *A, *B);
-    if (!R)
-      return UB(R.takeUB());
-    return Res(Value::boolean(R->V != 0));
-  }
-  case PtrOpKind::PtrDiff: {
-    auto A = asPointer(Ops[0]), B = asPointer(Ops[1]);
-    if (!A || !B)
-      return error("ptrdiff on non-pointers");
-    auto R = Mem.ptrDiff(E.Cty, *A, *B);
-    if (!R)
-      return UB(R.takeUB());
-    return Res(Value::integer(*R));
-  }
-  case PtrOpKind::IntFromPtr: {
-    auto P = asPointer(Ops[0]);
-    if (!P)
-      return error("intFromPtr on a non-pointer");
-    auto R = Mem.intFromPtr(E.Cty, *P);
-    if (!R)
-      return UB(R.takeUB());
-    return Res(Value::integer(*R));
-  }
-  case PtrOpKind::PtrFromInt: {
-    auto I = asInteger(Ops[0]);
-    if (!I)
-      return error("ptrFromInt on a non-integer");
-    auto R = Mem.ptrFromInt(*I);
-    if (!R)
-      return UB(R.takeUB());
-    return Res(Value::pointer(*R));
-  }
-  case PtrOpKind::PtrValidForDeref: {
-    auto P = asPointer(Ops[0]);
-    if (!P)
-      return error("ptrValidForDeref on a non-pointer");
-    return Res(Value::boolean(Mem.validForDeref(E.Cty, *P)));
-  }
-  case PtrOpKind::CastPtr: {
-    auto P = asPointer(Ops[0]);
-    if (!P)
-      return error("cast_ptr on a non-pointer");
-    return Res(Value::pointer(Mem.castPointer(E.Cty, *P)));
-  }
-  }
-  return error("bad pointer operation");
 }
 
 //===----------------------------------------------------------------------===//
@@ -1311,7 +1660,7 @@ std::optional<Value> Evaluator::tryPureFn(PureFn F,
     auto IV = asInteger(*Args[1]);
     if (!IV)
       return std::nullopt;
-    return Value::boolean(Env.inRange(Args[0]->cty().intKind(), IV->V));
+    return Value::boolean(env().inRange(Args[0]->cty().intKind(), IV->V));
   }
   case PureFn::ShrArith: {
     auto A = asInteger(*Args[0]), B = asInteger(*Args[1]);
@@ -1334,14 +1683,14 @@ std::optional<Value> Evaluator::tryPureFn(PureFn F,
     if (!A || !B)
       return std::nullopt;
     ail::IntKind K = Args[0]->cty().intKind();
-    unsigned W = Env.widthOf(K);
+    unsigned W = env().widthOf(K);
     UInt128 Mask = W >= 128 ? ~UInt128(0) : (UInt128(1) << W) - 1;
     UInt128 X = static_cast<UInt128>(A->V) & Mask;
     UInt128 Y = static_cast<UInt128>(B->V) & Mask;
     UInt128 R = F == PureFn::BwAnd   ? (X & Y)
                 : F == PureFn::BwOr ? (X | Y)
                                      : (X ^ Y);
-    return Value::integer(Env.convert(K, static_cast<Int128>(R)));
+    return Value::integer(env().convert(K, static_cast<Int128>(R)));
   }
   case PureFn::BwCompl: {
     if (N != 2 || Args[0]->kind() != ValueKind::Ctype)
@@ -1350,10 +1699,10 @@ std::optional<Value> Evaluator::tryPureFn(PureFn F,
     if (!A)
       return std::nullopt;
     ail::IntKind K = Args[0]->cty().intKind();
-    unsigned W = Env.widthOf(K);
+    unsigned W = env().widthOf(K);
     UInt128 Mask = W >= 128 ? ~UInt128(0) : (UInt128(1) << W) - 1;
     UInt128 R = (~static_cast<UInt128>(A->V)) & Mask;
-    return Value::integer(Env.convert(K, static_cast<Int128>(R)));
+    return Value::integer(env().convert(K, static_cast<Int128>(R)));
   }
   case PureFn::None:
     break;
@@ -1472,8 +1821,8 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
     auto IV = asInteger(*KV);
     if (!IV)
       return nullptr;
-    mem::IntegerValue OutV(Env.convert(E.Cty.intKind(), IV->V), IV->Prov);
-    if (IV->Cap && Env.widthOf(E.Cty.intKind()) == 64)
+    mem::IntegerValue OutV(env().convert(E.Cty.intKind(), IV->V), IV->Prov);
+    if (IV->Cap && env().widthOf(E.Cty.intKind()) == 64)
       OutV.Cap = IV->Cap;
     Tmp = Value::integer(OutV);
     return &Tmp;
@@ -1576,7 +1925,7 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E) {
     Args = Heap.data();
   }
   for (size_t I = 0; I < N; ++I) {
-    Res R = eval(*E.Kids[I]);
+    Res R = evalLeaf(*E.Kids[I]);
     if (!R.isValue())
       return R;
     Args[I] = std::move(R.V);
@@ -1609,80 +1958,4 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E) {
     break;
   }
   return error(fmt("unknown pure builtin '{0}'", E.Str));
-}
-
-//===----------------------------------------------------------------------===//
-// Procedure calls and the standard library (see Builtins.cpp for printf)
-//===----------------------------------------------------------------------===//
-
-Evaluator::Res Evaluator::callProc(Symbol S, std::vector<Value> Args,
-                                   SourceLoc Loc) {
-  auto BIt = Prog.Builtins.find(S.Id);
-  if (BIt != Prog.Builtins.end())
-    {
-      Res R = callBuiltin(BIt->second, Args, Loc);
-      Arena.give(std::move(Args));
-      return R;
-    }
-
-  const CoreProc *Proc = Prog.findProc(S);
-  if (!Proc)
-    return error(fmt("call to undefined function '{0}'",
-                          Prog.Syms.nameOf(S)));
-  if (Proc->Params.size() != Args.size())
-    return error(fmt("arity mismatch calling '{0}'",
-                          Prog.Syms.nameOf(S)));
-  if (++CallDepth > Limits.MaxCallDepth) {
-    --CallDepth;
-    return error("call depth limit exceeded (runaway recursion)");
-  }
-
-  UndoFrames.push_back(
-      UndoFrame{UndoLog.size(), UndoVals.size(), ++EpochCounter});
-  FrameEpoch = EpochCounter;
-  for (size_t I = 0; I < Args.size(); ++I)
-    bindSlot(Proc->ParamSlots[I], std::move(Args[I]));
-
-  Frames.push_back(Frame{});
-  // Function bodies are indeterminately sequenced w.r.t. the caller's
-  // expression: the body's footprint is discarded, not shared (§5.6).
-  size_t ActBase = Acts.size();
-  Res R = eval(*Proc->Body);
-  Acts.resize(ActBase);
-  // End of lifetime for everything this frame created and has not yet
-  // freed/killed (§5.7).
-  for (const mem::PointerValue &P : Frames.back().Created) {
-    if (P.Prov.isAlloc() && Mem.allocations()[P.Prov.AllocId].Alive)
-      (void)Mem.killObject(P);
-  }
-  Frames.pop_back();
-  // Restore the caller's bindings. The log is replayed in reverse: a slot
-  // may carry duplicate records when an inner frame's stamp went stale,
-  // and reverse order applies the frame-entry value last (see Evaluator.h
-  // SlotStamp).
-  size_t Base = UndoFrames.back().Base;
-  for (size_t I = UndoLog.size(); I > Base; --I) {
-    UndoRec &U = UndoLog[I - 1];
-    if (U.ValIdx >= 0) {
-      Slots[U.Slot] = std::move(UndoVals[U.ValIdx]);
-      SlotBound[U.Slot] = 1;
-    } else {
-      SlotBound[U.Slot] = 0;
-    }
-  }
-  UndoLog.resize(Base);
-  UndoVals.resize(UndoFrames.back().ValsBase);
-  UndoFrames.pop_back();
-  FrameEpoch = UndoFrames.empty() ? 0 : UndoFrames.back().Epoch;
-  --CallDepth;
-  Arena.give(std::move(Args)); // retire the argument buffer
-
-  if (R.K == Res::RetSig) {
-    R.K = Res::Val;
-    return R;
-  }
-  if (R.K == Res::RunSig)
-    return error(fmt("goto to a label outside function '{0}'",
-                          Prog.Syms.nameOf(S)));
-  return R; // value (shouldn't happen: bodies end in Ret), or a signal
 }

@@ -49,9 +49,11 @@ struct Outcome {
 struct ExploreStats {
   /// Most subtree prefixes ever simultaneously queued on the frontier.
   uint64_t FrontierHighWater = 0;
-  /// Scheduler choices re-driven from claimed prefixes across all runs —
-  /// the price of replay-based work-sharing (0 when the program has a
-  /// single path).
+  /// Scheduler choices re-driven from claimed prefixes across all runs:
+  /// choices, not evaluation steps, despite the name. Items that resume a
+  /// copied machine replay none, so this counts only the subtrees whose
+  /// copy did not pay or did not fit the snapshot budget (0 when the
+  /// program has a single path).
   uint64_t ReplayedSteps = 0;
   /// Pool steals during the exploration. Only attributable when the
   /// explorer owns its pool; 0 in shared-pool mode (the oracle reports the

@@ -240,8 +240,27 @@ uint64_t MemoryPolicy::fingerprint() const {
 // Construction / allocation
 //===----------------------------------------------------------------------===//
 
-Memory::Memory(const ail::ImplEnv &Env, Scheduler &Sched, MemoryPolicy Policy)
-    : Env(Env), Sched(Sched), Policy(std::move(Policy)) {}
+Memory::Memory(const ail::ImplEnv &Env, MemoryPolicy Policy)
+    : Env(Env), Policy(std::move(Policy)) {}
+
+Memory::Memory(const Memory &Other)
+    : Env(Other.Env), Policy(Other.Policy), Allocs(Other.Allocs),
+      NextAddr(Other.NextAddr), PlannedAddr(Other.PlannedAddr),
+      Allocated(Other.Allocated) {
+  size_t Total = 0;
+  for (const Allocation &A : Allocs)
+    Total += A.Size;
+  if (Total) {
+    BytePool.push_back(std::make_unique<MemByte[]>(Total));
+    PoolCap = PoolUsed = Total;
+  }
+  MemByte *Dst = Total ? BytePool.back().get() : nullptr;
+  for (Allocation &A : Allocs) {
+    std::copy(A.Bytes, A.Bytes + A.Size, Dst); // still the original's bytes
+    A.Bytes = Dst;
+    Dst += A.Size;
+  }
+}
 
 void Memory::beginStaticLayout(
     const std::vector<std::pair<CType, std::string>> &Objects) {
@@ -791,9 +810,10 @@ MemRes<Unit> Memory::store(const CType &Ty, const PointerValue &P,
 // Pointer operations
 //===----------------------------------------------------------------------===//
 
-MemRes<IntegerValue> Memory::ptrEq(const PointerValue &A,
-                                   const PointerValue &B) {
-  auto Result = [](bool V) { return IntegerValue(V ? 1 : 0); };
+PtrEquality Memory::ptrEq(const PointerValue &A, const PointerValue &B) const {
+  auto Result = [](bool V) {
+    return V ? PtrEquality::Equal : PtrEquality::Unequal;
+  };
   if (A.isFunction() || B.isFunction())
     return Result(A.isFunction() && B.isFunction() &&
                   *A.FuncSym == *B.FuncSym);
@@ -811,9 +831,8 @@ MemRes<IntegerValue> Memory::ptrEq(const PointerValue &A,
     // Q2: same representation, different provenance: the implementation may
     // take provenance into account. Modelled as a nondeterministic choice
     // (§2.1: "soundly modelled by making a nondeterministic choice at each
-    // such comparison").
-    if (Sched.choose(2, "ptr-eq-provenance") == 1)
-      return Result(false);
+    // such comparison"), which the evaluator makes.
+    return PtrEquality::EitherWay;
   }
   return Result(AddrEqual);
 }

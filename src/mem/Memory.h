@@ -29,9 +29,9 @@
 #include "mem/UB.h"
 #include "mem/Value.h"
 #include "support/Expected.h"
-#include "support/Scheduler.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -132,10 +132,20 @@ struct Allocation {
   MemByte *Bytes = nullptr;
 };
 
-/// The memory state of one execution.
+/// The answer of Memory::ptrEq. Q2: under EqMayConsultProvenance, two
+/// pointers with equal addresses and different provenances may compare
+/// either way; the caller resolves that choice.
+enum class PtrEquality { Unequal, Equal, EitherWay };
+
+/// The memory state of one execution. It is a plain value: it holds its
+/// own ImplEnv and no reference to its evaluator, so a copy (the explorer
+/// copies a whole machine at a choice point) owns every byte it reads.
 class Memory {
 public:
-  Memory(const ail::ImplEnv &Env, Scheduler &Sched, MemoryPolicy Policy);
+  Memory(const ail::ImplEnv &Env, MemoryPolicy Policy);
+  /// Copies every allocation into a byte pool of the copy's own and
+  /// rebases each Allocation::Bytes into it.
+  Memory(const Memory &Other);
 
   const MemoryPolicy &policy() const { return Policy; }
 
@@ -149,6 +159,14 @@ public:
   /// malloc, calloc and realloc return that (C11 7.22.3p1), and a
   /// declared object ends the path as an Error.
   static constexpr uint64_t MaxAllocatedBytes = uint64_t(4) << 20;
+  /// The exhaustive explorer (exec/Driver.cpp) copies a machine at a
+  /// choice point instead of replaying its path later only while the copy
+  /// is cheap: its state bytes must fit the credit of SnapshotBytesPerStep
+  /// per evaluation step the path has run since it last copied, and a
+  /// share of SnapshotBudgetBytes split evenly over the path budget (at
+  /// most that many items are ever pending).
+  static constexpr uint64_t SnapshotBytesPerStep = 64;
+  static constexpr uint64_t SnapshotBudgetBytes = uint64_t(256) << 20;
 
   /// Creates an object of type \p Ty, or returns a null pointer past
   /// MaxAllocatedBytes. Static-storage objects are zero-initialised;
@@ -179,7 +197,7 @@ public:
   // Pointer operations (Core ptrop, Fig. 2)
   //===------------------------------------------------------------------===//
 
-  MemRes<IntegerValue> ptrEq(const PointerValue &A, const PointerValue &B);
+  PtrEquality ptrEq(const PointerValue &A, const PointerValue &B) const;
   /// Op is one of Lt/Gt/Le/Ge by index 0..3.
   MemRes<IntegerValue> ptrRel(unsigned Op, const PointerValue &A,
                               const PointerValue &B);
@@ -225,14 +243,18 @@ public:
 
   const std::vector<Allocation> &allocations() const { return Allocs; }
   const ail::ImplEnv &env() const { return Env; }
+  /// About the bytes a copy of this state takes.
+  uint64_t stateBytes() const {
+    return sizeof(Memory) + Allocs.size() * sizeof(Allocation) +
+           Allocated * sizeof(MemByte);
+  }
   /// Reserves layout so that the *next* N static objects are laid out
   /// adjacently in reverse order (see MemoryPolicy::ReverseGlobalLayout).
   void beginStaticLayout(const std::vector<std::pair<ail::CType, std::string>>
                              &Objects);
 
 private:
-  const ail::ImplEnv &Env;
-  Scheduler &Sched;
+  ail::ImplEnv Env;
   MemoryPolicy Policy;
   std::vector<Allocation> Allocs;
   uint64_t NextAddr = 0x1000;

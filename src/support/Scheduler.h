@@ -2,10 +2,13 @@
 ///
 /// \file
 /// Every dynamic nondeterministic choice in the semantics — Core `nd`,
-/// unsequenced evaluation order, memory-model latitude (e.g. whether pointer
-/// equality consults provenance, Q2) — is resolved by asking a Scheduler.
-/// The exhaustive driver (§5.1 "exhaustive search for all allowed
-/// executions") enumerates decision vectors by replay; the random driver
+/// unsequenced and par evaluation order, memory-model latitude (whether
+/// pointer equality consults provenance, Q2, which the memory model
+/// reports and the evaluator asks) — is resolved by asking a Scheduler.
+/// The evaluator asks between steps, so a scheduler may copy the machine
+/// inside choose(): the exhaustive driver (§5.1 "exhaustive search for all
+/// allowed executions", exec/Driver.cpp) resumes such copies, or replays
+/// decision-vector prefixes where copying does not pay; the random driver
 /// picks pseudorandomly ("pseudorandomly explore single execution paths").
 ///
 //===----------------------------------------------------------------------===//
@@ -55,8 +58,8 @@ private:
   uint64_t State;
 };
 
-/// Replays a recorded prefix of choices, then picks 0 and records; used by
-/// the exhaustive driver's DFS over decision vectors.
+/// Replays a recorded prefix of choices, then picks 0 and records: the
+/// decision vector of a path and how to run it again.
 class TraceScheduler final : public Scheduler {
 public:
   explicit TraceScheduler(std::vector<unsigned> Prefix)
@@ -78,10 +81,7 @@ public:
   /// The number of alternatives at each choice point this run.
   const std::vector<unsigned> &widths() const { return Widths; }
   /// How many choices were replayed from the prefix (vs freshly taken).
-  /// The explorer sums this across runs as its redundant-work metric.
   size_t replayedChoices() const { return std::min(Next, Prefix.size()); }
-  /// The claimed prefix length (the subtree root's depth for exploration).
-  size_t prefixLength() const { return Prefix.size(); }
 
 private:
   std::vector<unsigned> Prefix;

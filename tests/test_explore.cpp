@@ -8,11 +8,15 @@
 //    TraceScheduler reproduces its outcome and trace exactly;
 //  - budgets: path-budget truncation and wall-clock deadlines stop the
 //    exploration with thread-count-independent counters;
+//  - snapshots: resuming machines copied at choice points finds what a
+//    prefix-replaying DFS finds, at every path budget, and the frontier
+//    never holds more items than the budget can still claim;
 //  - substrate: ThreadPool task groups (helping wait, nested fan-out) and
 //    the striped outcome-hash set.
 //
 //===----------------------------------------------------------------------===//
 
+#include "conc/Conc.h"
 #include "exec/Pipeline.h"
 #include "support/StripedHashSet.h"
 #include "support/ThreadPool.h"
@@ -20,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <thread>
 
@@ -129,9 +134,11 @@ TEST(Explore, SharedPoolMatchesOwnedPool) {
 }
 
 TEST(Explore, StatsCountReplayedWork) {
-  // 3 indeterminately sequenced pairs -> 8 leaves; every non-root subtree
-  // claim replays its prefix, so replayed choices must be non-zero and
-  // identical across thread counts for a completed exploration.
+  // 3 indeterminately sequenced pairs -> 8 leaves; the calls between the
+  // choice points are too short to pay for copying the machine, so every
+  // non-root subtree claim replays its prefix: replayed choices must be
+  // non-zero and identical across thread counts for a completed
+  // exploration.
   ExhaustiveResult R1 = explore(NondetSources[3], 1);
   ExhaustiveResult R8 = explore(NondetSources[3], 8);
   EXPECT_EQ(R1.PathsExplored, 8u);
@@ -252,6 +259,245 @@ TEST(Explore, DeadlineAbandonsRemainingFrontier) {
     ExhaustiveResult R = runExhaustive(*Prog, Opts);
     EXPECT_TRUE(R.TimedOut) << "jobs=" << Jobs;
     EXPECT_LE(R.PathsExplored, 8u) << "jobs=" << Jobs;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Snapshots: the explorer resumes copied machines instead of replaying
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The algorithm the copying explorer replaced: a LIFO DFS over
+/// decision-vector prefixes, every path replayed from main through a
+/// TraceScheduler, the path budget checked before each claim.
+struct DfsResult {
+  std::vector<std::string> Distinct; ///< sorted Outcome::str()s
+  uint64_t PathsExplored = 0;
+  bool Truncated = false;
+};
+
+DfsResult prefixDfs(const core::CoreProgram &Prog, const RunOptions &Opts) {
+  DfsResult R;
+  std::set<std::string> Seen;
+  std::vector<std::vector<unsigned>> Frontier{{}};
+  while (!Frontier.empty()) {
+    std::vector<unsigned> Prefix = std::move(Frontier.back());
+    Frontier.pop_back();
+    if (R.PathsExplored == Opts.MaxPaths) {
+      R.Truncated = true;
+      break;
+    }
+    ++R.PathsExplored;
+    TraceScheduler Sched(Prefix);
+    Evaluator Eval(Prog, Sched, Opts.Policy, Opts.Limits);
+    Seen.insert(Eval.run().str());
+    const auto &Trace = Sched.trace();
+    const auto &Widths = Sched.widths();
+    for (size_t I = Prefix.size(); I < Trace.size(); ++I)
+      for (unsigned J = Trace[I] + 1; J < Widths[I]; ++J) {
+        std::vector<unsigned> Sub(Trace.begin(), Trace.begin() + I);
+        Sub.push_back(J);
+        Frontier.push_back(std::move(Sub));
+      }
+  }
+  R.Distinct.assign(Seen.begin(), Seen.end());
+  return R;
+}
+
+std::vector<std::string> outcomeStrs(const ExhaustiveResult &R) {
+  std::vector<std::string> Out;
+  for (const Outcome &O : R.Distinct)
+    Out.push_back(O.str());
+  return Out;
+}
+
+/// runExhaustive must find what prefixDfs finds: serially at every path
+/// budget from 1 to the leaf count (which paths a truncated run explores
+/// depends on the frontier's order), and on 4 explore jobs at the full
+/// budget.
+void expectMatchesDfs(const core::CoreProgram &Prog, RunOptions Opts,
+                      const std::string &What) {
+  Opts.MaxPaths = 4096;
+  DfsResult Full = prefixDfs(Prog, Opts);
+  ASSERT_FALSE(Full.Truncated) << What;
+  for (uint64_t Budget = 1; Budget <= Full.PathsExplored; ++Budget) {
+    Opts.MaxPaths = Budget;
+    Opts.ExploreJobs = 1;
+    DfsResult Ref = prefixDfs(Prog, Opts);
+    ExhaustiveResult Got = runExhaustive(Prog, Opts);
+    EXPECT_EQ(outcomeStrs(Got), Ref.Distinct) << What << " budget " << Budget;
+    EXPECT_EQ(Got.PathsExplored, Ref.PathsExplored)
+        << What << " budget " << Budget;
+    EXPECT_EQ(Got.Truncated, Ref.Truncated) << What << " budget " << Budget;
+  }
+  Opts.MaxPaths = 4096;
+  Opts.ExploreJobs = 4;
+  ExhaustiveResult Pooled = runExhaustive(Prog, Opts);
+  EXPECT_EQ(outcomeStrs(Pooled), Full.Distinct) << What << " on 4 jobs";
+  EXPECT_EQ(Pooled.PathsExplored, Full.PathsExplored) << What << " on 4 jobs";
+  EXPECT_FALSE(Pooled.Truncated) << What << " on 4 jobs";
+}
+
+/// Three indeterminately sequenced call pairs after enough work that the
+/// steps run between choice points pay for copying the machine.
+const char *CopyFriendly = R"(
+#include <stdio.h>
+unsigned g[16];
+unsigned f(unsigned x) {
+  unsigned s = 0u;
+  for (unsigned i = 0u; i < 16u; i++) { s = s + g[i] * x; g[i] = g[i] + (s ^ x); }
+  return s;
+}
+int main(void) {
+  for (unsigned i = 0u; i < 16u; i++) g[i] = i * 7u + 3u;
+  unsigned t = f(1u) + f(2u);
+  t = t * 7u + (f(3u) + f(4u));
+  t = t * 7u + (f(5u) + f(6u));
+  printf("%u\n", t);
+  return 0;
+}
+)";
+
+/// Leftmost, recording the step at which each choice is made.
+class StepRecorder final : public Scheduler {
+public:
+  Evaluator *Eval = nullptr;
+  std::vector<uint64_t> At;
+  unsigned choose(unsigned N, const char *Tag) override {
+    At.push_back(Eval->steps());
+    return 0;
+  }
+};
+
+} // namespace
+
+TEST(ExploreSnapshot, MatchesPrefixDfs) {
+  for (const char *Src : NondetSources) {
+    auto Prog = compile(Src);
+    ASSERT_TRUE(static_cast<bool>(Prog));
+    expectMatchesDfs(*Prog, RunOptions(), Src);
+  }
+
+  namespace fs = std::filesystem;
+  std::vector<fs::path> Corpus;
+  for (const auto &Entry :
+       fs::directory_iterator(std::string(CERB_SOURCE_DIR) + "/tests/corpus"))
+    if (Entry.path().extension() == ".c")
+      Corpus.push_back(Entry.path());
+  std::sort(Corpus.begin(), Corpus.end());
+  EXPECT_EQ(Corpus.size(), 12u);
+  for (const fs::path &Path : Corpus) {
+    auto Src = readSourceFile(Path.string());
+    ASSERT_TRUE(static_cast<bool>(Src)) << Path;
+    auto Prog = compile(*Src);
+    if (!Prog)
+      continue; // a reproducer of a compile error has no paths
+    for (const mem::MemoryPolicy &P : mem::MemoryPolicy::allPresets()) {
+      RunOptions Opts;
+      Opts.Policy = P;
+      expectMatchesDfs(*Prog, Opts, Path.filename().string() + " " + P.Name);
+    }
+  }
+
+  auto Par = conc::buildSharedCounterProgram(
+      0, {conc::ThreadSpec{{1, 2}}, conc::ThreadSpec{{3}},
+          conc::ThreadSpec{{4}, /*ReadsOnly=*/true}});
+  expectMatchesDfs(Par, RunOptions(), "par");
+
+  // A step budget that runs out after the first choice point: every path
+  // resumed from a copy must stop at the same step as its replay would.
+  auto Prog = compile(CopyFriendly);
+  ASSERT_TRUE(static_cast<bool>(Prog));
+  StepRecorder Rec;
+  Evaluator Eval(*Prog, Rec, mem::MemoryPolicy::defacto());
+  Rec.Eval = &Eval;
+  ASSERT_EQ(Eval.run().Kind, OutcomeKind::Exit);
+  ASSERT_EQ(Rec.At.size(), 3u);
+  RunOptions Opts;
+  Opts.Limits.MaxSteps = (Rec.At[1] + Eval.steps()) / 2;
+  ASSERT_GT(Opts.Limits.MaxSteps, Rec.At[1]);
+  expectMatchesDfs(*Prog, Opts, "step limit after a choice point");
+  ExhaustiveResult R = runExhaustive(*Prog, Opts);
+  EXPECT_EQ(R.Stats.ReplayedSteps, 0u) << "no path resumed a copy";
+}
+
+TEST(ExploreSnapshot, CopiesReplaceReplay) {
+  // Every item beyond the root is a copy, so no choice is replayed.
+  auto Prog = compile(CopyFriendly);
+  ASSERT_TRUE(static_cast<bool>(Prog));
+  DfsResult Ref = prefixDfs(*Prog, RunOptions());
+  for (unsigned Jobs : {1u, 4u}) {
+    ExhaustiveResult R = explore(CopyFriendly, Jobs);
+    EXPECT_EQ(R.PathsExplored, 8u) << "jobs=" << Jobs;
+    EXPECT_EQ(outcomeStrs(R), Ref.Distinct) << "jobs=" << Jobs;
+    EXPECT_EQ(R.Stats.ReplayedSteps, 0u) << "jobs=" << Jobs;
+  }
+}
+
+TEST(ExploreSnapshot, ReplaysPastTheShare) {
+  // A 256 KiB global puts the machine's state far past its share of the
+  // snapshot budget, so every item is a prefix replayed from main.
+  const char *Src = R"(
+#include <stdio.h>
+char big[262144];
+int g;
+int f(int x) { g = g * 10 + x; return 0; }
+int main(void) {
+  big[0] = 1;
+  f(1) + f(2);
+  f(3) + f(4);
+  f(5) + f(6);
+  printf("%d\n", g);
+  return big[0] - 1;
+}
+)";
+  auto Prog = compile(Src);
+  ASSERT_TRUE(static_cast<bool>(Prog));
+  LeftmostScheduler Sched;
+  Evaluator Eval(*Prog, Sched, mem::MemoryPolicy::defacto());
+  ASSERT_EQ(Eval.run().Kind, OutcomeKind::Exit);
+  EXPECT_GT(Eval.stateBytes(), mem::Memory::SnapshotBudgetBytes /
+                                   RunOptions().MaxPaths);
+
+  ExhaustiveResult R1 = explore(Src, 1);
+  ExhaustiveResult R4 = explore(Src, 4);
+  EXPECT_EQ(R1.PathsExplored, 8u);
+  EXPECT_EQ(R1.Distinct.size(), 8u);
+  EXPECT_GT(R1.Stats.ReplayedSteps, 0u);
+  EXPECT_GT(R4.Stats.ReplayedSteps, 0u);
+  EXPECT_EQ(fingerprint(R1), fingerprint(R4));
+}
+
+TEST(ExploreSnapshot, FrontierStaysWithinTheBudget) {
+  // 2,000 choice points on the leftmost path, 8 paths of budget: at most
+  // 8 items may ever be pending (serially the newest, which LIFO reaches
+  // first), and the counters keep their meaning.
+  const char *Src = R"(
+int g;
+int f(int x) { g = x; return x; }
+int main(void) {
+  int s = 0;
+  for (int i = 0; i < 2000; i++)
+    s += f(1) + f(2);
+  return s % 256;
+}
+)";
+  auto Prog = compile(Src);
+  ASSERT_TRUE(static_cast<bool>(Prog));
+  for (unsigned Jobs : {1u, 4u}) {
+    RunOptions Opts;
+    Opts.MaxPaths = 8;
+    Opts.ExploreJobs = Jobs;
+    ExhaustiveResult R = runExhaustive(*Prog, Opts);
+    EXPECT_EQ(R.PathsExplored, 8u) << "jobs=" << Jobs;
+    EXPECT_TRUE(R.Truncated) << "jobs=" << Jobs;
+    EXPECT_LE(R.Stats.FrontierHighWater, 8u) << "jobs=" << Jobs;
+    if (Jobs == 1) {
+      Opts.MaxPaths = 8;
+      DfsResult Ref = prefixDfs(*Prog, Opts);
+      EXPECT_EQ(outcomeStrs(R), Ref.Distinct);
+    }
   }
 }
 

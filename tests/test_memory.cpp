@@ -14,9 +14,8 @@ namespace {
 struct MemFixture : ::testing::Test {
   ail::TagTable Tags;
   ail::ImplEnv Env{Tags};
-  LeftmostScheduler Sched;
 
-  Memory make(MemoryPolicy P) { return Memory(Env, Sched, P); }
+  Memory make(MemoryPolicy P) { return Memory(Env, P); }
 };
 
 MemValue intVal(Int128 V, Provenance P = Provenance::empty()) {
@@ -40,8 +39,7 @@ protected:
 TEST_P(MemRoundtrip, IntStoreLoad) {
   ail::TagTable Tags;
   ail::ImplEnv Env(Tags);
-  LeftmostScheduler Sched;
-  Memory M(Env, Sched, policy());
+  Memory M(Env, policy());
   PointerValue P = M.allocateObject(CType::intTy(), "x", false);
   ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), P, intVal(1234))));
   auto R = M.load(CType::intTy(), P);
@@ -52,8 +50,7 @@ TEST_P(MemRoundtrip, IntStoreLoad) {
 TEST_P(MemRoundtrip, NegativeValuesSignExtend) {
   ail::TagTable Tags;
   ail::ImplEnv Env(Tags);
-  LeftmostScheduler Sched;
-  Memory M(Env, Sched, policy());
+  Memory M(Env, policy());
   CType Sh = CType::makeInteger(IntKind::Short);
   PointerValue P = M.allocateObject(Sh, "s", false);
   ASSERT_TRUE(static_cast<bool>(
@@ -66,8 +63,7 @@ TEST_P(MemRoundtrip, NegativeValuesSignExtend) {
 TEST_P(MemRoundtrip, PointerStoreLoadKeepsProvenance) {
   ail::TagTable Tags;
   ail::ImplEnv Env(Tags);
-  LeftmostScheduler Sched;
-  Memory M(Env, Sched, policy());
+  Memory M(Env, policy());
   CType IntPtr = CType::makePointer(CType::intTy());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Cell = M.allocateObject(IntPtr, "p", false);
@@ -82,6 +78,30 @@ TEST_P(MemRoundtrip, PointerStoreLoadKeepsProvenance) {
 INSTANTIATE_TEST_SUITE_P(AllPolicies, MemRoundtrip,
                          ::testing::Values("concrete", "defacto",
                                            "strict-iso", "cheri"));
+
+TEST_F(MemFixture, CopyOwnsItsBytes) {
+  // The explorer copies a machine's memory at a choice point; the copy and
+  // the original must then evolve independently.
+  Memory M = make(MemoryPolicy::defacto());
+  PointerValue X = M.allocateObject(CType::intTy(), "x", false);
+  PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
+  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), X, intVal(1))));
+  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), Y, intVal(2))));
+  Memory C(M);
+  ASSERT_EQ(C.allocations().size(), 2u);
+  for (size_t I = 0; I < 2; ++I)
+    EXPECT_NE(C.allocations()[I].Bytes, M.allocations()[I].Bytes);
+  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), X, intVal(10))));
+  ASSERT_TRUE(static_cast<bool>(C.store(CType::intTy(), Y, intVal(20))));
+  EXPECT_EQ(M.load(CType::intTy(), X)->IV.V, Int128(10));
+  EXPECT_EQ(M.load(CType::intTy(), Y)->IV.V, Int128(2));
+  EXPECT_EQ(C.load(CType::intTy(), X)->IV.V, Int128(1));
+  EXPECT_EQ(C.load(CType::intTy(), Y)->IV.V, Int128(20));
+  // New objects land after the copied ones, at the same addresses.
+  PointerValue Z = M.allocateObject(CType::intTy(), "z", false);
+  PointerValue ZC = C.allocateObject(CType::intTy(), "z", false);
+  EXPECT_EQ(Z.Addr, ZC.Addr);
+}
 
 //===----------------------------------------------------------------------===//
 // Provenance checks (de facto model)
@@ -408,9 +428,8 @@ TEST_F(MemFixture, CheriExactEquality) {
   PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
   PointerValue XPlus = X;
   XPlus.Addr = Y.Addr; // same address as y, x's capability
-  auto R = M.ptrEq(XPlus, Y);
-  ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_EQ(R->V, Int128(0)); // metadata differs -> not equal
+  // Metadata differs -> not equal.
+  EXPECT_EQ(M.ptrEq(XPlus, Y), PtrEquality::Unequal);
 }
 
 TEST_F(MemFixture, CheriByteCopyStripsTag) {

@@ -151,8 +151,7 @@ class SerializeRoundtrip : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SerializeRoundtrip, IntValuesOfEveryKind) {
   ail::TagTable Tags;
   ail::ImplEnv Env(Tags);
-  LeftmostScheduler Sched;
-  mem::Memory M(Env, Sched, mem::MemoryPolicy::defacto());
+  mem::Memory M(Env, mem::MemoryPolicy::defacto());
   MiniRng R(GetParam());
 
   const ail::IntKind Kinds[] = {
@@ -181,8 +180,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerializeRoundtrip,
 TEST(Properties, AllocationsNeverOverlap) {
   ail::TagTable Tags;
   ail::ImplEnv Env(Tags);
-  LeftmostScheduler Sched;
-  mem::Memory M(Env, Sched, mem::MemoryPolicy::defacto());
+  mem::Memory M(Env, mem::MemoryPolicy::defacto());
   MiniRng R(42);
   for (int I = 0; I < 200; ++I) {
     if (R.next() % 2)

@@ -15,6 +15,8 @@
 //     loop that once peaked at 2 GiB; a zero-initialized array past it,
 //     whose zero value the elaborator once built in full; a type whose
 //     size overflows 2^64;
+//   - a loop of 32,000 choice points, whose explorer frontier once peaked
+//     at 2 GiB;
 //   - accesses whose [address, address + size) wraps round 2^64, which
 //     once read and wrote the host's memory.
 //
@@ -56,7 +58,10 @@ namespace {
 struct Shape {
   std::string Name;
   std::string Source;
-  bool Memory = false; ///< bounded by the allocation budget
+  bool Memory = false; ///< a memory shape: its peak RSS is checked
+  /// Path budget, 0 for the default; a shape with one samples no random
+  /// paths past it.
+  uint64_t MaxPaths = 0;
 };
 
 std::string repeat(const std::string &S, unsigned N) {
@@ -176,6 +181,17 @@ std::vector<Shape> shapes() {
                "  return 0;\n"
                "}\n",
                true});
+  // 32,000 choice points on one path: each once published a prefix that
+  // copied the trace so far, O(D^2) bytes in all (2 GiB here).
+  S.push_back({"choice_loop",
+               "int g;\nint f(int x) { g = x; return x; }\n"
+               "int main(void) {\n"
+               "  int s = 0;\n"
+               "  for (int i = 0; i < 32000; i++)\n"
+               "    s += f(1) + f(2);\n"
+               "  return s % 256;\n"
+               "}\n",
+               true, 8});
   return S;
 }
 
@@ -193,12 +209,17 @@ struct TempDir {
   std::string str(const std::string &Leaf) const { return (Dir / Leaf); }
 };
 
-/// `cerb run FILE` through the shell; returns the exit status the shell
-/// saw (128 + N for a signal) and the combined output.
-std::pair<int, std::string> runCerb(const std::string &File,
+/// `cerb run` of shape \p S, written to \p File, through the shell;
+/// returns the exit status the shell saw (128 + N for a signal) and the
+/// combined output.
+std::pair<int, std::string> runCerb(const std::string &File, const Shape &S,
                                     bool UnlimitedStack) {
   std::string Cmd = UnlimitedStack ? "ulimit -s unlimited && " : "";
-  Cmd += "\"" CERB_BIN "\" run \"" + File + "\" --jobs 2 2>&1; echo \"rc=$?\"";
+  Cmd += "\"" CERB_BIN "\" run \"" + File + "\" --jobs 2";
+  if (S.MaxPaths)
+    Cmd += " --max-paths " + std::to_string(S.MaxPaths) +
+           " --fallback-samples 0";
+  Cmd += " 2>&1; echo \"rc=$?\"";
   auto Out = captureCommand(Cmd, 300000);
   if (!Out)
     return {-1, ""};
@@ -233,7 +254,7 @@ TEST(Robustness, NoShapeRaisesASignal) {
   // The memory shapes first: the children's peak RSS is then theirs.
   for (const Shape &S : All)
     if (S.Memory) {
-      auto [RC, Out] = runCerb(T.str(S.Name + ".c"), false);
+      auto [RC, Out] = runCerb(T.str(S.Name + ".c"), S, false);
       EXPECT_TRUE(RC == 0 || RC == 1) << S.Name << " rc=" << RC << "\n" << Out;
       EXPECT_TRUE(ranToAnEnd(Out)) << S.Name << "\n" << Out;
     }
@@ -247,7 +268,7 @@ TEST(Robustness, NoShapeRaisesASignal) {
     if (Unlimited && Sanitized)
       continue;
     for (const Shape &S : All) {
-      auto [RC, Out] = runCerb(T.str(S.Name + ".c"), Unlimited);
+      auto [RC, Out] = runCerb(T.str(S.Name + ".c"), S, Unlimited);
       EXPECT_TRUE(RC == 0 || RC == 1)
           << S.Name << (Unlimited ? " (ulimit -s unlimited)" : "")
           << " rc=" << RC << "\n"
@@ -297,6 +318,10 @@ TEST(Robustness, OneDaemonSurvivesEveryShape) {
     Q.Name = S.Name;
     Q.Source = S.Source;
     Q.Policies = {mem::MemoryPolicy::defacto()};
+    if (S.MaxPaths) {
+      Q.Limits.MaxPaths = S.MaxPaths;
+      Q.Limits.FallbackSamples = 0;
+    }
     serve::RetryPolicy RP;
     RP.CallTimeoutMs = 300000;
     auto C = serve::Client::connect(Sock, -1, RP);
