@@ -713,6 +713,88 @@ ExprPtr core::cloneExpr(const Expr &E) {
   return Out;
 }
 
+namespace {
+/// A heap buffer of \p N bytes, plus a flat 16 for the allocator's header
+/// and rounding; an empty buffer is no allocation.
+uint64_t heapBlock(uint64_t N) { return N ? N + 16 : 0; }
+
+/// A string's heap buffer: none while it fits the in-object one.
+uint64_t stringBytes(const std::string &S) {
+  static const size_t InlineChars = std::string().capacity();
+  return S.capacity() > InlineChars ? heapBlock(S.capacity() + 1) : 0;
+}
+
+/// Patterns nest only as deep as the tuples they take apart.
+uint64_t patternBytes(const Pattern &P) {
+  uint64_t N = heapBlock(P.Subs.capacity() * sizeof(Pattern));
+  for (const Pattern &Sub : P.Subs)
+    N += patternBytes(Sub);
+  return N;
+}
+
+/// A std::map node holding a \p T: the tree's colour and three links,
+/// then the element.
+template <typename T> uint64_t mapNode() { return heapBlock(32 + sizeof(T)); }
+} // namespace
+
+uint64_t Value::heapBytes() const {
+  if (!isBoxed())
+    return 0;
+  if (K == ValueKind::BytesV)
+    return heapBlock(sizeof(Box) + B->N * sizeof(mem::MemByte));
+  uint64_t N = heapBlock(sizeof(Box) + B->N * sizeof(Value));
+  for (const Value &Elem : elems())
+    N += Elem.heapBytes();
+  return N;
+}
+
+uint64_t core::programBytes(const CoreProgram &P) {
+  uint64_t N = heapBlock(P.ConstPool.capacity() * sizeof(Value)) +
+               heapBlock(P.Syms.size() * sizeof(std::string)) +
+               heapBlock(P.Syms.size() * sizeof(ail::SymbolKind)) +
+               heapBlock(P.Tags.size() * sizeof(ail::TagDef)) +
+               heapBlock(P.Globals.capacity() * sizeof(CoreGlobal)) +
+               P.Builtins.size() * mapNode<std::pair<unsigned, ail::Builtin>>();
+  for (const Value &V : P.ConstPool)
+    N += V.heapBytes();
+  for (unsigned Id = 0; Id < P.Syms.size(); ++Id)
+    N += stringBytes(P.Syms.nameOf(Symbol{Id}));
+  for (unsigned Tag = 0; Tag < P.Tags.size(); ++Tag) {
+    const ail::TagDef &D = P.Tags.get(Tag);
+    N += stringBytes(D.Name) +
+         heapBlock(D.Members.capacity() * sizeof(ail::TagMember));
+    for (const ail::TagMember &M : D.Members)
+      N += stringBytes(M.Name);
+  }
+  std::vector<const Expr *> Todo;
+  for (const auto &[Id, Proc] : P.Procs) {
+    N += mapNode<std::pair<unsigned, CoreProc>>() +
+         heapBlock(Proc.Params.capacity() * sizeof(Proc.Params[0])) +
+         heapBlock(Proc.ParamSlots.capacity() * sizeof(int));
+    if (Proc.Body)
+      Todo.push_back(Proc.Body.get());
+  }
+  for (const CoreGlobal &G : P.Globals)
+    if (G.Init)
+      Todo.push_back(G.Init.get());
+  while (!Todo.empty()) {
+    const Expr &E = *Todo.back();
+    Todo.pop_back();
+    N += heapBlock(sizeof(Expr)) + E.V.heapBytes() + stringBytes(E.Str) +
+         patternBytes(E.Pat) +
+         heapBlock(E.Kids.capacity() * sizeof(ExprPtr)) +
+         heapBlock(E.Branches.capacity() * sizeof(E.Branches[0])) +
+         heapBlock(E.Scope.capacity() * sizeof(ScopeObject));
+    for (const ExprPtr &K : E.Kids)
+      Todo.push_back(K.get());
+    for (const auto &[Pat, Body] : E.Branches) {
+      N += patternBytes(Pat);
+      Todo.push_back(Body.get());
+    }
+  }
+  return N;
+}
+
 //===----------------------------------------------------------------------===//
 // Core-to-Core rewrites
 //===----------------------------------------------------------------------===//

@@ -218,6 +218,11 @@ public:
 
   std::string str() const;
 
+  /// The heap bytes this value's boxes hold (0 for an inline value),
+  /// counted as core::programBytes counts a buffer. Recurses into the
+  /// elements, as deep as copying or destroying the value does.
+  uint64_t heapBytes() const;
+
 private:
   /// Header of the heap block of an aggregate; the elements (Values, or
   /// MemBytes for BytesV) follow it in the same allocation.
@@ -563,6 +568,17 @@ std::string coreGrammarSummary();
 
 /// Deep copy of a Core expression.
 ExprPtr cloneExpr(const Expr &E);
+
+/// The heap bytes \p P's Core holds, counted from the program alone so the
+/// count is the same on every run: per node, sizeof(Expr) plus the buffers
+/// its Kids, Branches (with their patterns), let pattern, Scope, Str and
+/// the boxes of its value V own; plus the constant pool with its boxes,
+/// the symbol and tag tables, the globals and the procedures. Each buffer
+/// also counts a flat 16 bytes for the allocator's header and rounding.
+/// C type nodes, shared between handles, are not counted. Walks nodes
+/// with an explicit stack (they nest up to MaxCoreDepth).
+/// exec::CompileCache charges a resident program this much.
+uint64_t programBytes(const CoreProgram &P);
 
 /// True iff \p E is a pure Core expression (fits the `pe` layer of Fig. 2).
 bool isPureExpr(const Expr &E);

@@ -35,24 +35,19 @@ uint64_t CompileCache::hashSource(std::string_view Src) {
 }
 
 void CompileCache::enforceBudgetLocked() {
-  while (Budget && Bytes > Budget) {
-    // Least-recently-used among evictable entries: published (Ready) and
-    // unobserved (no blocked waiters). In-flight entries are pinned — the
-    // compiling thread and its waiters hold references into the map.
-    auto Victim = Map.end();
-    for (auto It = Map.begin(); It != Map.end(); ++It) {
-      Slot &S = It->second;
-      if (!S.Ready || S.Waiters)
-        continue;
-      if (Victim == Map.end() || S.LastUse < Victim->second.LastUse)
-        Victim = It;
-    }
-    if (Victim == Map.end())
-      return; // everything resident is pinned; retry on the next miss
+  // Walk from the least recently used end. In-flight entries and entries
+  // with blocked waiters are pinned (their threads hold references to the
+  // Slot), so the walk skips at most one entry per such thread.
+  auto It = Lru.end();
+  while (Budget && Bytes > Budget && It != Lru.begin()) {
+    --It;
+    if (!It->Ready || It->Waiters)
+      continue;
     static trace::Counter CntEvictions("oracle.cache_evictions");
     CntEvictions.add();
-    Bytes -= Victim->second.Charge;
-    Map.erase(Victim);
+    Bytes -= It->Charge;
+    Map.erase(It->Key);
+    It = Lru.erase(It);
     ++Evictions;
   }
 }
@@ -60,16 +55,15 @@ void CompileCache::enforceBudgetLocked() {
 std::shared_ptr<const CompiledUnit>
 CompileCache::get(const std::string &Source, const FrontendOptions &FE,
                   bool *OutHit) {
+  std::string Key = keyFor(Source, FE);
   std::unique_lock<std::mutex> L(M);
-  auto [It, Inserted] = Map.try_emplace(keyFor(Source, FE));
-  // Element references survive rehashing; iterators do not.
-  Slot &S = It->second;
-  if (!Inserted) {
+  if (auto Found = Map.find(Key); Found != Map.end()) {
     static trace::Counter CntHits("oracle.cache_hits");
     CntHits.add();
     trace::instant("oracle.cache-hit", "oracle");
     ++Hits;
-    S.LastUse = ++UseClock;
+    Lru.splice(Lru.begin(), Lru, Found->second);
+    Slot &S = Lru.front();
     if (OutHit)
       *OutHit = true;
     if (!S.Ready) {
@@ -84,20 +78,20 @@ CompileCache::get(const std::string &Source, const FrontendOptions &FE,
   static trace::Counter CntMisses("oracle.cache_misses");
   CntMisses.add();
   ++Misses;
-  S.Charge = entryCharge(Source.size());
-  S.LastUse = ++UseClock;
-  Bytes += S.Charge;
-  // Make room *before* compiling: the new in-flight entry is pinned
-  // (!Ready), so it can only displace published peers, never itself.
-  enforceBudgetLocked();
+  Slot &S = Lru.emplace_front();
+  S.Key = std::move(Key);
+  Map.emplace(S.Key, Lru.begin());
   if (OutHit)
     *OutHit = false;
   L.unlock();
 
   auto Unit = std::make_shared<CompiledUnit>();
   Unit->SourceHash = hashSource(Source);
+  uint64_t Charge = entryCharge(Source.size());
   auto R = exec::compileWithStats(Source, FE);
   if (R) {
+    if (Budget)
+      Charge += core::programBytes(R->Prog);
     Unit->Prog = std::make_shared<const core::CoreProgram>(std::move(R->Prog));
     Unit->Rewrites = R->Rewrites;
     Unit->Timings = R->Timings;
@@ -107,16 +101,15 @@ CompileCache::get(const std::string &Source, const FrontendOptions &FE,
 
   L.lock();
   S.Unit = std::move(Unit);
+  S.Charge = Charge;
+  Bytes += Charge;
+  // Still unpublished, so pinned: the budget can only displace peers.
+  enforceBudgetLocked();
   S.Ready = true;
-  auto Out = S.Unit; // copy under the lock; rehashing invalidates iterators
+  auto Out = S.Unit;
   L.unlock();
   CV.notify_all();
   return Out;
-}
-
-uint64_t CompileCache::byteBudget() const {
-  std::lock_guard<std::mutex> L(M);
-  return Budget;
 }
 
 uint64_t CompileCache::hits() const {

@@ -18,10 +18,20 @@
 ///    entries and entries with blocked waiters are pinned — eviction can
 ///    never dangle a reference another thread still holds.
 ///
-/// Accounting is deterministic on purpose: an entry is charged
-/// entryCharge(source bytes) = source bytes + a fixed overhead constant,
-/// not the (allocator-dependent) size of the compiled Core program, so
-/// tests can force exact eviction patterns.
+/// Accounting: a budgeted cache charges an entry what it holds,
+/// entryCharge(source bytes) plus core::programBytes of its compiled
+/// program, so the budget bounds the memory resident programs take. The
+/// charge is counted from the program itself, not read from the
+/// allocator, so it is the same on every run. It is taken once the
+/// compile ends but before the entry is published, while it is still
+/// pinned: enforcing the budget then cannot evict the unit the caller is
+/// about to return. A failed compile is charged entryCharge alone; so is
+/// every entry of an unbudgeted cache, which never walks its programs.
+///
+/// Eviction is O(1) in the resident entries: entries sit in a list in
+/// use order (a lookup moves its entry to the front), and a victim is the
+/// back-most entry that is not pinned, so the walk skips at most the
+/// pinned entries, one per thread compiling or waiting.
 ///
 /// Safety: compile() lowers the program, which sets its dynamics caches,
 /// so the shared CoreProgram is never written after publication and may be
@@ -34,9 +44,11 @@
 #include "exec/Pipeline.h"
 
 #include <condition_variable>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace cerb::exec {
@@ -58,7 +70,7 @@ struct CompileCacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Evictions = 0;
-  uint64_t Bytes = 0;   ///< charged bytes currently resident
+  uint64_t Bytes = 0;   ///< charged bytes of the resident entries
   uint64_t Entries = 0; ///< resident entries (published + in-flight)
 };
 
@@ -81,7 +93,7 @@ public:
     return get(Source, FrontendOptions(), OutHit);
   }
 
-  uint64_t byteBudget() const;
+  uint64_t byteBudget() const { return Budget; }
 
   uint64_t hits() const;
   uint64_t misses() const;
@@ -91,9 +103,8 @@ public:
   /// FNV-1a 64-bit hash of source text (the report's stable job key).
   static uint64_t hashSource(std::string_view Src);
 
-  /// The deterministic byte charge of one entry: source bytes plus a fixed
-  /// per-entry overhead (the map/unit bookkeeping, flat-rated so eviction
-  /// order is a pure function of the insertion/use sequence).
+  /// The charge of an entry before its program: source bytes plus a fixed
+  /// per-entry overhead (the key, map and unit bookkeeping).
   static constexpr uint64_t EntryOverheadBytes = 256;
   static uint64_t entryCharge(size_t SourceBytes) {
     return static_cast<uint64_t>(SourceBytes) + EntryOverheadBytes;
@@ -101,23 +112,26 @@ public:
 
 private:
   struct Slot {
+    std::string Key;
     bool Ready = false;
     std::shared_ptr<const CompiledUnit> Unit;
-    uint64_t Charge = 0;
-    uint64_t LastUse = 0;  ///< LRU stamp (monotonic use clock)
-    uint64_t Waiters = 0;  ///< threads blocked on Ready; pins the slot
+    uint64_t Charge = 0;  ///< 0 until the compile ends
+    uint64_t Waiters = 0; ///< threads blocked on Ready; pins the slot
   };
 
-  /// Evicts least-recently-used *evictable* entries (Ready, no waiters)
-  /// until Bytes <= Budget or nothing evictable remains. Caller holds M.
+  /// Evicts from the least-recently-used end, skipping pinned entries (not
+  /// Ready, or with waiters), until Bytes <= Budget or nothing evictable
+  /// remains. Caller holds M.
   void enforceBudgetLocked();
 
   mutable std::mutex M;
   std::condition_variable CV;
-  std::unordered_map<std::string, Slot> Map;
-  uint64_t Budget = 0; ///< 0 = unbounded
+  /// Use order, most recent first. List nodes never move, so references to
+  /// a Slot (and the map's views of its Key) live until it is evicted.
+  std::list<Slot> Lru;
+  std::unordered_map<std::string_view, std::list<Slot>::iterator> Map;
+  const uint64_t Budget = 0; ///< 0 = unbounded; fixed, so read unlocked
   uint64_t Bytes = 0;
-  uint64_t UseClock = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t Evictions = 0;

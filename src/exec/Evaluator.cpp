@@ -59,47 +59,40 @@ Evaluator::Evaluator(const CoreProgram &Prog, Scheduler &Sched,
                      mem::MemoryPolicy Policy, ExecLimits Limits)
     : Prog(Prog), Sched(&Sched),
       Mem(ail::ImplEnv(Prog.Tags), std::move(Policy)), Limits(Limits) {
-  EvalArena &Arena = EvalArena::threadLocal();
-  Slots = Arena.takeValues();
+  forEachLeased([](auto &Buf) { EvalArena::take(Buf); });
   Slots.resize(Prog.NumSlots);
-  SlotBound = Arena.takeBytes();
   SlotBound.resize(Prog.NumSlots, 0);
-  SlotStamp = Arena.takeStamps();
   SlotStamp.resize(Prog.NumSlots, 0);
-  CallArgs = Arena.takeValues();
   Stack.reserve(InitialFrames);
 }
 
 Evaluator::Evaluator(const Evaluator &O, Scheduler &Sched)
     : Prog(O.Prog), Sched(&Sched), Mem(O.Mem), Limits(O.Limits),
-      Events(O.Events), UndoLog(O.UndoLog), UndoVals(O.UndoVals),
-      UndoFrames(O.UndoFrames), EpochCounter(O.EpochCounter),
+      Events(O.Events), EpochCounter(O.EpochCounter),
       FrameEpoch(O.FrameEpoch), Caps(O.Caps), Out(O.Out), Steps(O.Steps),
       CallDepth(O.CallDepth), EvalDepth(O.EvalDepth),
-      DeadlineHit(O.DeadlineHit), Acts(O.Acts), Sig(O.Sig), Stack(O.Stack),
-      BranchRanges(O.BranchRanges), Pending(O.Pending), Created(O.Created),
-      M(O.M), Cur(O.Cur), Result(O.Result), JumpLabel(O.JumpLabel),
-      JumpScope(O.JumpScope), ChoiceN(O.ChoiceN), ChoiceTag(O.ChoiceTag),
-      Chosen(O.Chosen) {
-  EvalArena &Arena = EvalArena::threadLocal();
-  Slots = Arena.takeValues();
+      DeadlineHit(O.DeadlineHit), Sig(O.Sig), M(O.M), Cur(O.Cur),
+      Result(O.Result), JumpLabel(O.JumpLabel), JumpScope(O.JumpScope),
+      ChoiceN(O.ChoiceN), ChoiceTag(O.ChoiceTag), Chosen(O.Chosen) {
+  // Copy the state into leased buffers: assignment keeps their capacity.
+  forEachLeased([](auto &Buf) { EvalArena::take(Buf); });
   Slots = O.Slots;
-  SlotBound = Arena.takeBytes();
   SlotBound = O.SlotBound;
-  SlotStamp = Arena.takeStamps();
   SlotStamp = O.SlotStamp;
-  CallArgs = Arena.takeValues();
+  UndoLog = O.UndoLog;
+  UndoVals = O.UndoVals;
+  UndoFrames = O.UndoFrames;
+  Acts = O.Acts;
+  Stack = O.Stack;
+  BranchRanges = O.BranchRanges;
+  Pending = O.Pending;
+  Created = O.Created;
 }
 
 Evaluator::~Evaluator() {
-  // Retire the slot-frame and argument buffers to this thread's pool: the
-  // exhaustive explorer builds or copies one Evaluator per explored path,
-  // and these are its largest fixed-shape allocations.
-  EvalArena &Arena = EvalArena::threadLocal();
-  Arena.give(std::move(Slots));
-  Arena.give(std::move(SlotBound));
-  Arena.give(std::move(SlotStamp));
-  Arena.give(std::move(CallArgs));
+  // Retire every buffer to this thread's pool: the exhaustive explorer
+  // builds or copies one Evaluator per explored path.
+  forEachLeased([](auto &Buf) { EvalArena::give(Buf); });
 }
 
 namespace {

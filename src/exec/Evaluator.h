@@ -222,9 +222,10 @@ private:
   /// index, so it is a flat Value array plus a bound bitmap. Recursion
   /// must not clobber the caller's bindings, so each call frame logs the
   /// value a slot had at frame entry the first time the frame rebinds it
-  /// (frame-epoch stamps find that first write). The three arrays are
-  /// leased from the constructing thread's EvalArena and returned to the
-  /// destroying thread's.
+  /// (frame-epoch stamps find that first write). These, like every
+  /// vector of the machine state below, are leased from the constructing
+  /// thread's EvalArena and returned to the destroying thread's
+  /// (forEachLeased).
   std::vector<core::Value> Slots;  ///< slot -> current value
   std::vector<uint8_t> SlotBound;  ///< slot currently bound?
   /// Last frame epoch that pushed an undo record for the slot. Epochs are
@@ -277,6 +278,23 @@ private:
   /// Scratch buffers, not part of the state a copy takes.
   std::vector<ActRec> ActScratch;    ///< syntacticOrder
   std::vector<core::Value> CallArgs; ///< arguments of the call entered
+
+  /// Applies \p F to every buffer leased from EvalArena.
+  template <class Fn> void forEachLeased(Fn F) {
+    F(Slots);
+    F(SlotBound);
+    F(SlotStamp);
+    F(UndoLog);
+    F(UndoVals);
+    F(UndoFrames);
+    F(Acts);
+    F(Stack);
+    F(BranchRanges);
+    F(Pending);
+    F(Created);
+    F(ActScratch);
+    F(CallArgs);
+  }
 
   const ail::ImplEnv &env() const { return Mem.env(); }
 

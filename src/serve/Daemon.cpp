@@ -57,7 +57,7 @@ trace::Counter &cntBadFrames() {
 
 Daemon::Daemon(DaemonConfig Cfg)
     : Cfg(std::move(Cfg)), Results(this->Cfg.Cache),
-      Compiles(this->Cfg.CompileCacheMb * 1024 * 1024) {}
+      Compiles(this->Cfg.CompileCacheMb << 20) {}
 
 Daemon::~Daemon() {
   if (Started && !Drained) {
@@ -71,6 +71,11 @@ ExpectedVoid Daemon::start() {
     return err("daemon already started");
   if (Cfg.SocketPath.empty() && Cfg.TcpPort < 0)
     return err("daemon has no listener (need a socket path or a TCP port)");
+  // The constructor sized the compile cache in bytes; past this the count
+  // wrapped, and a wrapped budget can read 0 (unbounded).
+  if (Cfg.CompileCacheMb > DaemonConfig::MaxCompileCacheMb)
+    return err("compile cache budget of " + std::to_string(Cfg.CompileCacheMb) +
+               " MiB overflows a 64-bit byte count");
 
   if (!Cfg.SocketPath.empty()) {
     auto L = net::listenUnix(Cfg.SocketPath);

@@ -55,6 +55,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -85,9 +86,15 @@ struct DaemonConfig {
   uint64_t ReadTimeoutMs = 0;
   CacheConfig Cache;
   /// LRU byte budget of the daemon-resident compile cache, in MiB
-  /// (`--compile-cache-mb`; 0 = unbounded). Charges are deterministic
-  /// (source bytes + fixed overhead, see exec::CompileCache::entryCharge).
+  /// (`--compile-cache-mb`; 0 = unbounded). With a budget, an entry is
+  /// charged the bytes its compiled Core program holds plus its source
+  /// bytes (see exec::CompileCache), so this bounds the memory the cache
+  /// keeps; an unbounded cache charges, and its `bytes` stat counts, the
+  /// source bytes and a fixed overhead only. start() refuses a count above
+  /// MaxCompileCacheMb.
   uint64_t CompileCacheMb = 256;
+  /// The largest CompileCacheMb whose byte count fits 64 bits.
+  static constexpr uint64_t MaxCompileCacheMb = UINT64_MAX >> 20;
   /// Honour the `shutdown` op (tests and the CLI default); a deployment
   /// that only trusts signals can turn it off.
   bool EnableShutdownOp = true;

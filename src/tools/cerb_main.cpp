@@ -28,10 +28,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -121,9 +124,12 @@ int usage(const char *Prog) {
                "                         default 1024)\n"
                "  --compile-cache-mb N   serve: LRU byte budget of the "
                "daemon-\n"
-               "                         resident compile cache (default "
-               "256,\n"
-               "                         0 = unbounded)\n"
+               "                         resident compile cache, charged "
+               "the\n"
+               "                         heap each compiled program holds\n"
+               "                         (default 256; 0 = unbounded, "
+               "charged\n"
+               "                         source bytes only)\n"
                "  --server ADDR          suite: evaluate on a running "
                "daemon\n"
                "                         over one pipelined batch (unix "
@@ -216,6 +222,26 @@ void splitCommas(const std::string &S, std::vector<std::string> &Out) {
   }
 }
 
+/// Reads all of \p Text as a count for \p Flag: decimal digits only (no
+/// sign, base prefix, space or trailing text), at most \p Max. Otherwise
+/// prints a diagnostic and returns nullopt, which is a usage error.
+std::optional<uint64_t> parseCount(const char *Flag, const std::string &Text,
+                                   uint64_t Max) {
+  uint64_t N = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, N);
+  if (Ec != std::errc() || Stop != End || N > Max) {
+    std::fprintf(stderr, "cerb: %s needs a whole number from 0 to %llu, "
+                         "not '%s'\n",
+                 Flag, static_cast<unsigned long long>(Max), Text.c_str());
+    return std::nullopt;
+  }
+  return N;
+}
+
+/// Port numbers (`--tcp-port`, `--server tcp:PORT`).
+constexpr uint64_t MaxPort = 65535;
+
 /// Parses flags from argv[From..]; returns the positional arguments, or
 /// nullopt on a malformed/unknown flag (after printing a diagnostic).
 std::optional<std::vector<std::string>> parseArgs(int Argc, char **Argv,
@@ -229,6 +255,20 @@ std::optional<std::vector<std::string>> parseArgs(int Argc, char **Argv,
         return std::nullopt;
       }
       return std::string(Argv[++I]);
+    };
+    // A numeric flag's value, checked whole against \p Max and the range
+    // of the field it sets.
+    auto Count = [&](auto &Field,
+                     uint64_t Max = std::numeric_limits<uint64_t>::max()) {
+      using T = std::remove_reference_t<decltype(Field)>;
+      auto V = Value(A.c_str());
+      auto N = V ? parseCount(A.c_str(), *V,
+                              std::min<uint64_t>(
+                                  Max, std::numeric_limits<T>::max()))
+                 : std::nullopt;
+      if (N)
+        Field = static_cast<T>(*N);
+      return N.has_value();
     };
     if (A == "--policy" || A == "--policies") {
       auto V = Value(A.c_str());
@@ -246,41 +286,26 @@ std::optional<std::vector<std::string>> parseArgs(int Argc, char **Argv,
       }
       O.ExecMode = *M;
     } else if (A == "--seed") {
-      auto V = Value("--seed");
-      if (!V)
+      if (!Count(O.Seed))
         return std::nullopt;
-      O.Seed = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--jobs") {
-      auto V = Value("--jobs");
-      if (!V)
+      if (!Count(O.Jobs))
         return std::nullopt;
-      O.Jobs = static_cast<unsigned>(std::strtoul(V->c_str(), nullptr, 0));
     } else if (A == "--explore-jobs") {
-      auto V = Value("--explore-jobs");
-      if (!V)
+      if (!Count(O.ExploreJobs))
         return std::nullopt;
-      O.ExploreJobs =
-          static_cast<unsigned>(std::strtoul(V->c_str(), nullptr, 0));
     } else if (A == "--max-paths") {
-      auto V = Value("--max-paths");
-      if (!V)
+      if (!Count(O.Budget.MaxPaths))
         return std::nullopt;
-      O.Budget.MaxPaths = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--max-steps") {
-      auto V = Value("--max-steps");
-      if (!V)
+      if (!Count(O.Budget.Limits.MaxSteps))
         return std::nullopt;
-      O.Budget.Limits.MaxSteps = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--deadline-ms") {
-      auto V = Value("--deadline-ms");
-      if (!V)
+      if (!Count(O.Budget.DeadlineMs))
         return std::nullopt;
-      O.Budget.DeadlineMs = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--fallback-samples") {
-      auto V = Value("--fallback-samples");
-      if (!V)
+      if (!Count(O.Budget.FallbackSamples))
         return std::nullopt;
-      O.Budget.FallbackSamples = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--report") {
       auto V = Value("--report");
       if (!V)
@@ -307,34 +332,34 @@ std::optional<std::vector<std::string>> parseArgs(int Argc, char **Argv,
       if (!V)
         return std::nullopt;
       size_t Dots = V->find("..");
+      const uint64_t Max = std::numeric_limits<uint64_t>::max();
+      std::optional<uint64_t> First = 1, Last;
       if (Dots == std::string::npos) {
-        O.FirstSeed = 1;
-        O.LastSeed = std::strtoull(V->c_str(), nullptr, 0);
+        Last = parseCount("--seeds", *V, Max);
       } else {
-        O.FirstSeed = std::strtoull(V->substr(0, Dots).c_str(), nullptr, 0);
-        O.LastSeed = std::strtoull(V->substr(Dots + 2).c_str(), nullptr, 0);
+        First = parseCount("--seeds", V->substr(0, Dots), Max);
+        Last = First ? parseCount("--seeds", V->substr(Dots + 2), Max)
+                     : std::nullopt;
       }
+      if (!Last)
+        return std::nullopt;
+      O.FirstSeed = *First;
+      O.LastSeed = *Last;
       if (O.LastSeed < O.FirstSeed) {
         std::fprintf(stderr, "cerb: empty seed range '%s'\n", V->c_str());
         return std::nullopt;
       }
     } else if (A == "--size") {
-      auto V = Value("--size");
-      if (!V)
+      if (!Count(O.GenSize))
         return std::nullopt;
-      O.GenSize = static_cast<unsigned>(std::strtoul(V->c_str(), nullptr, 0));
     } else if (A == "--no-reduce") {
       O.Reduce = false;
     } else if (A == "--reduce-tests") {
-      auto V = Value("--reduce-tests");
-      if (!V)
+      if (!Count(O.Reduction.MaxTests))
         return std::nullopt;
-      O.Reduction.MaxTests = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--reduce-deadline-ms") {
-      auto V = Value("--reduce-deadline-ms");
-      if (!V)
+      if (!Count(O.Reduction.DeadlineMs))
         return std::nullopt;
-      O.Reduction.DeadlineMs = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--corpus") {
       auto V = Value("--corpus");
       if (!V)
@@ -353,72 +378,48 @@ std::optional<std::vector<std::string>> parseArgs(int Argc, char **Argv,
         return std::nullopt;
       O.SocketPath = *V;
     } else if (A == "--tcp-port") {
-      auto V = Value("--tcp-port");
-      if (!V)
+      if (!Count(O.TcpPort, MaxPort))
         return std::nullopt;
-      O.TcpPort = static_cast<int>(std::strtol(V->c_str(), nullptr, 0));
     } else if (A == "--cache-dir") {
       auto V = Value("--cache-dir");
       if (!V)
         return std::nullopt;
       O.CacheDir = *V;
     } else if (A == "--max-queue") {
-      auto V = Value("--max-queue");
-      if (!V)
+      if (!Count(O.MaxQueue))
         return std::nullopt;
-      O.MaxQueue = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--compile-cache-mb") {
-      auto V = Value("--compile-cache-mb");
-      if (!V)
+      if (!Count(O.CompileCacheMb, serve::DaemonConfig::MaxCompileCacheMb))
         return std::nullopt;
-      O.CompileCacheMb = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--server") {
       auto V = Value("--server");
       if (!V)
         return std::nullopt;
       O.ServerAddr = *V;
     } else if (A == "--pipeline-depth") {
-      auto V = Value("--pipeline-depth");
-      if (!V)
+      if (!Count(O.PipelineDepth))
         return std::nullopt;
-      O.PipelineDepth =
-          static_cast<unsigned>(std::strtoul(V->c_str(), nullptr, 0));
     } else if (A == "--mem-cache") {
-      auto V = Value("--mem-cache");
-      if (!V)
+      if (!Count(O.MemCache))
         return std::nullopt;
-      O.MemCache = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--max-conns") {
-      auto V = Value("--max-conns");
-      if (!V)
+      if (!Count(O.MaxConns))
         return std::nullopt;
-      O.MaxConns = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--idle-timeout-ms") {
-      auto V = Value("--idle-timeout-ms");
-      if (!V)
+      if (!Count(O.IdleTimeoutMs))
         return std::nullopt;
-      O.IdleTimeoutMs = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--read-timeout-ms") {
-      auto V = Value("--read-timeout-ms");
-      if (!V)
+      if (!Count(O.ReadTimeoutMs))
         return std::nullopt;
-      O.ReadTimeoutMs = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--retries") {
-      auto V = Value("--retries");
-      if (!V)
+      if (!Count(O.QueryRetries))
         return std::nullopt;
-      O.QueryRetries = static_cast<unsigned>(
-          std::strtoul(V->c_str(), nullptr, 0));
     } else if (A == "--retry-deadline-ms") {
-      auto V = Value("--retry-deadline-ms");
-      if (!V)
+      if (!Count(O.RetryDeadlineMs))
         return std::nullopt;
-      O.RetryDeadlineMs = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--call-timeout-ms") {
-      auto V = Value("--call-timeout-ms");
-      if (!V)
+      if (!Count(O.CallTimeoutMs))
         return std::nullopt;
-      O.CallTimeoutMs = std::strtoull(V->c_str(), nullptr, 0);
     } else if (A == "--faults") {
       auto V = Value("--faults");
       if (!V)
@@ -633,8 +634,10 @@ int cmdSuiteServer(const std::string &Target, const Options &O) {
   int Port = -1;
   if (O.ServerAddr.rfind("tcp:", 0) == 0) {
     SocketPath.clear();
-    Port = static_cast<int>(
-        std::strtol(O.ServerAddr.c_str() + 4, nullptr, 0));
+    auto N = parseCount("--server tcp:", O.ServerAddr.substr(4), MaxPort);
+    if (!N)
+      return 2;
+    Port = static_cast<int>(*N);
   }
   auto Policies = resolvePolicies(O.PolicyNames, /*DefaultAll=*/true);
   if (!Policies)

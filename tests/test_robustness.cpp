@@ -24,6 +24,10 @@
 // under `ulimit -s unlimited`) and through one `cerb serve` process, which
 // must still answer afterwards.
 //
+// The same binary's numeric options must refuse any value that is not a
+// whole decimal number in range (they once read garbage as 0, a negative
+// number as a wrapped one and `12x` as 12).
+//
 //===----------------------------------------------------------------------===//
 
 #include "exec/Evaluator.h"
@@ -209,9 +213,20 @@ struct TempDir {
   std::string str(const std::string &Leaf) const { return (Dir / Leaf); }
 };
 
-/// `cerb run` of shape \p S, written to \p File, through the shell;
-/// returns the exit status the shell saw (128 + N for a signal) and the
-/// combined output.
+/// Runs \p Cmd through the shell; returns the exit status the shell saw
+/// (128 + N for a signal) and the combined output, or -1 past \p TimeoutMs.
+std::pair<int, std::string> shellStatus(std::string Cmd, uint64_t TimeoutMs) {
+  Cmd += " 2>&1; echo \"rc=$?\"";
+  auto Out = captureCommand(Cmd, TimeoutMs);
+  if (!Out)
+    return {-1, ""};
+  size_t At = Out->rfind("rc=");
+  if (At == std::string::npos)
+    return {-1, *Out};
+  return {std::atoi(Out->c_str() + At + 3), Out->substr(0, At)};
+}
+
+/// `cerb run` of shape \p S, written to \p File.
 std::pair<int, std::string> runCerb(const std::string &File, const Shape &S,
                                     bool UnlimitedStack) {
   std::string Cmd = UnlimitedStack ? "ulimit -s unlimited && " : "";
@@ -219,14 +234,7 @@ std::pair<int, std::string> runCerb(const std::string &File, const Shape &S,
   if (S.MaxPaths)
     Cmd += " --max-paths " + std::to_string(S.MaxPaths) +
            " --fallback-samples 0";
-  Cmd += " 2>&1; echo \"rc=$?\"";
-  auto Out = captureCommand(Cmd, 300000);
-  if (!Out)
-    return {-1, ""};
-  size_t At = Out->rfind("rc=");
-  if (At == std::string::npos)
-    return {-1, *Out};
-  return {std::atoi(Out->c_str() + At + 3), Out->substr(0, At)};
+  return shellStatus(Cmd, 300000);
 }
 
 bool ranToAnEnd(const std::string &Output) {
@@ -351,4 +359,44 @@ TEST(Robustness, OneDaemonSurvivesEveryShape) {
   int St = 0;
   ASSERT_EQ(::waitpid(Pid, &St, 0), Pid);
   EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0) << "status " << St;
+}
+
+TEST(CliOptions, NumericValuesMustBeWholeNumbersInRange) {
+  // A numeric option takes decimal digits only, all of its text, within
+  // the range of what it sets; anything else is a usage error (exit 2),
+  // never a silent 0, a wrapped value or a prefix.
+  TempDir T;
+  std::string File = T.str("t.c");
+  std::ofstream(File) << "int main(void) { return 3; }\n";
+  std::string Run = "\"" CERB_BIN "\" run \"" + File + "\" ";
+  std::string Serve = "\"" CERB_BIN "\" serve --socket \"" +
+                      T.str("d.sock") + "\" ";
+  const std::vector<std::string> Refused = {
+      Run + "--max-steps abc",
+      Run + "--max-steps -1",
+      Run + "--max-steps 12x",
+      Run + "--max-steps 0x10",
+      Run + "--max-steps ''",
+      Run + "--max-steps ' 7'",
+      Run + "--max-steps 18446744073709551616",
+      Run + "--jobs 4294967296",
+      Run + "--seed +5",
+      Serve + "--compile-cache-mb abc",
+      // 2^44 MiB is 2^64 bytes: the byte budget would wrap to 0, unbounded.
+      Serve + "--compile-cache-mb 17592186044416",
+      Serve + "--tcp-port 65536",
+      "\"" CERB_BIN "\" suite defacto --server tcp:80x",
+      "\"" CERB_BIN "\" fuzz --seeds 1..2x",
+  };
+  for (const std::string &Cmd : Refused) {
+    // A value read as 0 or a prefix would start a run (or a daemon that
+    // never exits: the timeout catches it).
+    auto [RC, Out] = shellStatus(Cmd, 60000);
+    EXPECT_EQ(RC, 2) << Cmd << "\n" << Out;
+    EXPECT_NE(Out.find("needs a whole number"), std::string::npos)
+        << Cmd << "\n" << Out;
+  }
+  auto [RC, Out] = shellStatus(Run + "--max-steps 18446744073709551615", 60000);
+  EXPECT_EQ(RC, 0) << Out;
+  EXPECT_NE(Out.find("exit(3)"), std::string::npos) << Out;
 }

@@ -17,6 +17,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "defacto/Suite.h"
 #include "exec/CompileCache.h"
 #include "serve/Client.h"
 #include "serve/Daemon.h"
@@ -32,6 +33,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -118,6 +120,24 @@ uint64_t fnv64(std::string_view S) {
   return H;
 }
 
+/// The charge a budgeted cache takes for \p Src, read from stats().Bytes
+/// after one insert: budgets in these tests are sized from it.
+uint64_t measuredCharge(const std::string &Src) {
+  exec::CompileCache Probe(std::numeric_limits<uint64_t>::max());
+  EXPECT_TRUE(Probe.get(Src)->ok());
+  return Probe.stats().Bytes;
+}
+
+/// Core nodes of a tree (small test programs: recursion is fine here).
+uint64_t coreNodes(const core::Expr &E) {
+  uint64_t N = 1;
+  for (const core::ExprPtr &K : E.Kids)
+    N += coreNodes(*K);
+  for (const auto &[Pat, Body] : E.Branches)
+    N += coreNodes(*Body);
+  return N;
+}
+
 std::string hex64(uint64_t V) {
   static const char *Digits = "0123456789abcdef";
   std::string S(16, '0');
@@ -163,16 +183,14 @@ TEST(CompileCacheUnit, FrontendOptionsAreKeyMaterial) {
 
 TEST(CompileCacheUnit, LruEvictionRespectsTheByteBudget) {
   std::string S0 = batchSource(0), S1 = batchSource(1), S2 = batchSource(2);
-  ASSERT_EQ(S0.size(), S1.size());
-  ASSERT_EQ(S1.size(), S2.size());
-  const uint64_t One = exec::CompileCache::entryCharge(S0.size());
+  const uint64_t One = measuredCharge(S0);
 
   // Budget for exactly two entries: the third insert evicts the LRU.
   exec::CompileCache C(2 * One);
   ASSERT_TRUE(C.get(S0)->ok());
   ASSERT_TRUE(C.get(S1)->ok());
   EXPECT_EQ(C.stats().Entries, 2u);
-  EXPECT_EQ(C.stats().Bytes, 2 * One);
+  EXPECT_EQ(C.stats().Bytes, 2 * One) << "the programs are charged alike";
 
   ASSERT_TRUE(C.get(S0)->ok()); // S0 is now MRU; S1 is the victim
   ASSERT_TRUE(C.get(S2)->ok());
@@ -190,9 +208,9 @@ TEST(CompileCacheUnit, LruEvictionRespectsTheByteBudget) {
 
 TEST(CompileCacheUnit, CounterDeltasMatchAForcedPattern) {
   std::string S0 = batchSource(0), S1 = batchSource(1), S2 = batchSource(2);
-  exec::CompileCache C(2 * exec::CompileCache::entryCharge(S0.size()));
+  exec::CompileCache C(2 * measuredCharge(S0));
   // Forced pattern: M M H H M(evict) H M(evict) — counters must track it
-  // exactly (accounting is deterministic by design; see EntryOverheadBytes).
+  // exactly (a charge is counted from the program, the same every run).
   C.get(S0);              // miss
   C.get(S1);              // miss
   C.get(S0);              // hit
@@ -205,6 +223,87 @@ TEST(CompileCacheUnit, CounterDeltasMatchAForcedPattern) {
   EXPECT_EQ(S.Hits, 3u);
   EXPECT_EQ(S.Evictions, 2u);
   EXPECT_EQ(S.Entries, 2u);
+}
+
+TEST(CompileCacheUnit, ChargeCoversTheCompiledProgram) {
+  // A budgeted cache charges what an entry holds: at least one Expr per
+  // Core node of its program, on top of the source.
+  const std::string Src = "int f(int x) { return x * 2; }\n"
+                          "int main(void) {\n"
+                          "  int s = 0;\n"
+                          "  for (int i = 0; i < 4; i++)\n"
+                          "    s += f(i);\n"
+                          "  return s;\n"
+                          "}\n";
+  exec::CompileCache C(std::numeric_limits<uint64_t>::max());
+  auto U = C.get(Src);
+  ASSERT_TRUE(U->ok()) << U->Error;
+  uint64_t Nodes = 0;
+  for (const auto &[Id, Proc] : U->Prog->Procs)
+    Nodes += coreNodes(*Proc.Body);
+  for (const core::CoreGlobal &G : U->Prog->Globals)
+    if (G.Init)
+      Nodes += coreNodes(*G.Init);
+  ASSERT_GT(Nodes, 20u);
+  EXPECT_GE(C.stats().Bytes, exec::CompileCache::entryCharge(Src.size()) +
+                                 sizeof(core::Expr) * Nodes);
+
+  // An unbudgeted cache (the oracle's, per batch) never walks a program.
+  exec::CompileCache Unbounded;
+  ASSERT_TRUE(Unbounded.get(Src)->ok());
+  EXPECT_EQ(Unbounded.stats().Bytes,
+            exec::CompileCache::entryCharge(Src.size()));
+}
+
+TEST(CompileCacheUnit, ChargeCoversAZeroFilledArray) {
+  // A braced initialiser pre-fills its object with one zero value, a Core
+  // Value per element in one heap box, from a source of a few dozen bytes.
+  const std::string Src = "int main(void) {\n"
+                          "  char a[100000] = {0};\n"
+                          "  return a[99999];\n"
+                          "}\n";
+  exec::CompileCache C(std::numeric_limits<uint64_t>::max());
+  ASSERT_TRUE(C.get(Src)->ok());
+  EXPECT_GE(C.stats().Bytes, 100000 * sizeof(core::Value));
+}
+
+TEST(CompileCacheUnit, ConcurrentMissesEvictOnlyPublishedEntries) {
+  // Eight threads cycle through six sources under a two-entry budget, so
+  // most lookups miss and evict while other threads' entries are in
+  // flight or waited on. Evicting one of those would leave its compiling
+  // thread or its waiters holding a dead slot: a sanitizer report, or a
+  // unit compiled from another source.
+  constexpr unsigned Sources = 6, Threads = 8, Rounds = 12;
+  std::vector<std::string> Src;
+  for (unsigned I = 0; I < Sources + 1; ++I)
+    Src.push_back(batchSource(I) + "// " + std::to_string(I) + "\n");
+  const uint64_t Budget = 2 * measuredCharge(Src[0]);
+  exec::CompileCache C(Budget);
+  std::vector<unsigned> Wrong(Threads, 0);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned R = 0; R < Rounds; ++R) {
+        const std::string &S = Src[(T / 2 + R) % Sources];
+        auto U = C.get(S);
+        Wrong[T] += !U || !U->ok() ||
+                    U->SourceHash != exec::CompileCache::hashSource(S);
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  for (unsigned T = 0; T < Threads; ++T)
+    EXPECT_EQ(Wrong[T], 0u) << "thread " << T;
+  exec::CompileCacheStats S = C.stats();
+  EXPECT_EQ(S.Hits + S.Misses, uint64_t{Threads} * Rounds);
+  EXPECT_GT(S.Evictions, 0u);
+  EXPECT_EQ(S.Misses - S.Evictions, S.Entries)
+      << "every miss made one entry and every eviction removed one";
+
+  // With nothing pinned, the next miss brings the cache within budget.
+  ASSERT_TRUE(C.get(Src[Sources])->ok());
+  EXPECT_LE(C.stats().Bytes, Budget);
+  EXPECT_LE(C.stats().Entries, 2u);
 }
 
 TEST(CompileCacheUnit, UnboundedCacheNeverEvicts) {
@@ -674,5 +773,50 @@ TEST(BatchDaemon, StatsExposeCompileCacheCounters) {
       << "4 tiny sources sit far under a 1 MiB budget";
   EXPECT_EQ(CC->get("entries")->asU64(), 4u);
   EXPECT_GT(CC->get("bytes")->asU64(), 0u);
+  F.drain();
+}
+
+TEST(BatchDaemon, CompileCacheBudgetPastSixtyFourBitsIsRefused) {
+  // 2^44 MiB is 2^64 bytes: the byte budget would wrap to 0, unbounded.
+  DaemonFixture F(/*Threads=*/1, /*MaxQueue=*/8,
+                  /*CompileCacheMb=*/uint64_t{1} << 44);
+  auto S = F.D->start();
+  ASSERT_FALSE(static_cast<bool>(S));
+  EXPECT_NE(S.error().str().find("overflows"), std::string::npos)
+      << S.error().str();
+}
+
+TEST(BatchDaemon, CompileCacheStaysWithinItsBudget) {
+  // 100 distinct suite sources against a 1 MiB budget: charged for the
+  // programs they hold they cannot all stay, and once the batch is done
+  // the resident charge is within the budget.
+  DaemonFixture F(/*Threads=*/2, /*MaxQueue=*/128, /*CompileCacheMb=*/1);
+  ASSERT_TRUE(static_cast<bool>(F.D->start()));
+  Client C = F.client();
+  const std::vector<defacto::TestCase> &Suite = defacto::testSuite();
+  std::vector<EvalRequest> Reqs;
+  for (unsigned I = 0; I < 100; ++I) {
+    const defacto::TestCase &T = Suite[I % Suite.size()];
+    EvalRequest Q;
+    Q.Id = "c" + std::to_string(I);
+    Q.Name = T.Name;
+    Q.Source = T.Source + "// copy " + std::to_string(I) + "\n";
+    Q.Policies = {mem::MemoryPolicy::defacto()};
+    Reqs.push_back(std::move(Q));
+  }
+  auto R = C.callBatch(Reqs);
+  ASSERT_TRUE(static_cast<bool>(R)) << R.error().Message;
+
+  auto Raw = C.call(serializeSimpleRequest(Op::Stats, "s"));
+  ASSERT_TRUE(static_cast<bool>(Raw));
+  auto Doc = json::parse(*Raw);
+  ASSERT_TRUE(Doc.has_value());
+  const json::Value *CC = Doc->get("stats")->get("compile_cache");
+  ASSERT_NE(CC, nullptr);
+  EXPECT_EQ(CC->get("misses")->asU64(), 100u);
+  EXPECT_LE(CC->get("bytes")->asU64(), CC->get("budget_bytes")->asU64());
+  EXPECT_LT(CC->get("entries")->asU64(), 100u);
+  EXPECT_EQ(CC->get("entries")->asU64() + CC->get("evictions")->asU64(),
+            100u);
   F.drain();
 }
