@@ -211,11 +211,41 @@ unsigned TagTable::createTag(bool IsUnion, std::string Name) {
   return static_cast<unsigned>(Defs.size() - 1);
 }
 
+// Sizes saturate instead of wrapping round 2^64: a type too large for the
+// address space must not pass an allocation or access check as a small one.
+static uint64_t addSat(uint64_t A, uint64_t B) {
+  uint64_t R;
+  return __builtin_add_overflow(A, B, &R) ? UINT64_MAX : R;
+}
+static uint64_t mulSat(uint64_t A, uint64_t B) {
+  uint64_t R;
+  return __builtin_mul_overflow(A, B, &R) ? UINT64_MAX : R;
+}
+static uint64_t alignUp(uint64_t N, uint64_t A) {
+  return addSat(N, A - 1) / A * A;
+}
+
 void TagTable::complete(unsigned Tag, std::vector<TagMember> Members) {
   TagDef &D = get(Tag);
   assert(!D.Complete && "completing an already-complete tag");
   D.Members = std::move(Members);
   D.Complete = true;
+  // Member tags are complete, so their layouts are known: one pass lays
+  // this one out, and no query ever walks the members again.
+  ImplEnv Env(*this);
+  uint64_t End = 0;
+  D.Offsets.reserve(D.Members.size());
+  for (const TagMember &M : D.Members) {
+    uint64_t A = Env.alignOf(M.Ty);
+    uint64_t S = M.Ty.isArray() && !M.Ty.arraySize() ? 0 : Env.sizeOf(M.Ty);
+    D.Align = std::max(D.Align, A);
+    uint64_t Off = D.IsUnion ? 0 : alignUp(End, A);
+    D.Offsets.push_back(Off);
+    End = D.IsUnion ? std::max(End, S) : addSat(Off, S);
+  }
+  // Empty structs and unions are a GNU extension with size 0; avoid 0.
+  D.Size = End == 0 && (D.IsUnion || D.Members.empty()) ? 1
+                                                        : alignUp(End, D.Align);
 }
 
 const TagDef &TagTable::get(unsigned Tag) const {
@@ -300,20 +330,6 @@ Int128 ImplEnv::convert(IntKind K, Int128 V) const {
   return static_cast<Int128>(U);
 }
 
-// Sizes saturate instead of wrapping round 2^64: a type too large for the
-// address space must not pass an allocation or access check as a small one.
-static uint64_t addSat(uint64_t A, uint64_t B) {
-  uint64_t R;
-  return __builtin_add_overflow(A, B, &R) ? UINT64_MAX : R;
-}
-static uint64_t mulSat(uint64_t A, uint64_t B) {
-  uint64_t R;
-  return __builtin_mul_overflow(A, B, &R) ? UINT64_MAX : R;
-}
-static uint64_t alignUp(uint64_t N, uint64_t A) {
-  return addSat(N, A - 1) / A * A;
-}
-
 uint64_t ImplEnv::sizeOf(const CType &Ty) const {
   assert(Ty.isValid() && "sizeOf invalid type");
   switch (Ty.kind()) {
@@ -330,30 +346,11 @@ uint64_t ImplEnv::sizeOf(const CType &Ty) const {
   case CTypeKind::Function:
     assert(false && "sizeOf function type");
     return 1;
-  case CTypeKind::Struct: {
-    const TagDef &D = Tags.get(Ty.tag());
-    assert(D.Complete && "sizeOf incomplete struct");
-    if (D.Members.empty())
-      return 1; // empty structs are a GNU extension with size 0; avoid 0
-    uint64_t Off = 0, MaxAlign = 1;
-    for (const TagMember &M : D.Members) {
-      uint64_t A = alignOf(M.Ty);
-      MaxAlign = std::max(MaxAlign, A);
-      Off = addSat(alignUp(Off, A), sizeOf(M.Ty));
-    }
-    return alignUp(Off, MaxAlign);
-  }
+  case CTypeKind::Struct:
   case CTypeKind::Union: {
     const TagDef &D = Tags.get(Ty.tag());
-    assert(D.Complete && "sizeOf incomplete union");
-    uint64_t Size = 0, MaxAlign = 1;
-    for (const TagMember &M : D.Members) {
-      Size = std::max(Size, sizeOf(M.Ty));
-      MaxAlign = std::max(MaxAlign, alignOf(M.Ty));
-    }
-    if (Size == 0)
-      return 1;
-    return alignUp(Size, MaxAlign);
+    assert(D.Complete && "sizeOf incomplete struct or union");
+    return D.Size;
   }
   }
   return 1;
@@ -373,28 +370,14 @@ uint64_t ImplEnv::alignOf(const CType &Ty) const {
   case CTypeKind::Function:
     return 1;
   case CTypeKind::Struct:
-  case CTypeKind::Union: {
-    const TagDef &D = Tags.get(Ty.tag());
-    uint64_t MaxAlign = 1;
-    for (const TagMember &M : D.Members)
-      MaxAlign = std::max(MaxAlign, alignOf(M.Ty));
-    return MaxAlign;
-  }
+  case CTypeKind::Union:
+    return Tags.get(Ty.tag()).Align;
   }
   return 1;
 }
 
 uint64_t ImplEnv::offsetOf(unsigned Tag, size_t MemberIdx) const {
   const TagDef &D = Tags.get(Tag);
-  assert(MemberIdx < D.Members.size() && "offsetOf member out of range");
-  if (D.IsUnion)
-    return 0;
-  uint64_t Off = 0;
-  for (size_t I = 0; I <= MemberIdx; ++I) {
-    Off = alignUp(Off, alignOf(D.Members[I].Ty));
-    if (I == MemberIdx)
-      return Off;
-    Off = addSat(Off, sizeOf(D.Members[I].Ty));
-  }
-  return Off;
+  assert(MemberIdx < D.Offsets.size() && "offsetOf member out of range");
+  return D.Offsets[MemberIdx];
 }

@@ -188,6 +188,11 @@ struct TagDef {
   std::string Name; ///< source tag name; may be synthesised for anonymous
   std::vector<TagMember> Members;
   bool Complete = false; ///< false while only forward-declared
+  /// The layout, computed once by TagTable::complete; ImplEnv answers
+  /// sizeof, _Alignof and offsetof from it.
+  uint64_t Size = 0;
+  uint64_t Align = 1;
+  std::vector<uint64_t> Offsets; ///< per member (all 0 in a union)
 
   /// Index of \p Name in Members, or nullopt.
   std::optional<size_t> memberIndex(std::string_view MemberName) const;
@@ -198,7 +203,8 @@ class TagTable {
 public:
   /// Creates a new (incomplete) tag; returns its id.
   unsigned createTag(bool IsUnion, std::string Name);
-  /// Completes \p Tag with \p Members.
+  /// Completes \p Tag with \p Members, which must be complete types
+  /// (a trailing array without a size counts as empty), and lays it out.
   void complete(unsigned Tag, std::vector<TagMember> Members);
 
   const TagDef &get(unsigned Tag) const;

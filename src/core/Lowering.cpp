@@ -13,6 +13,8 @@
 
 #include "support/DepthGuard.h"
 
+#include <unordered_map>
+
 using namespace cerb;
 using namespace cerb::core;
 
@@ -30,6 +32,9 @@ struct LowerCtx {
   /// which runs next, refuses such a program.
   unsigned Depth = 0;
   bool TooDeep = false; ///< annotation stopped short of some node
+  /// ConstPool indices by poolHash of their value, so interning a literal
+  /// costs O(1) expected rather than a scan of the pool.
+  std::unordered_multimap<size_t, int> PoolIndex;
 
   explicit LowerCtx(CoreProgram &P)
       : P(P), Env(P.Tags), SlotOf(P.Syms.size(), -1) {}
@@ -338,16 +343,69 @@ bool poolEqual(const Value &A, const Value &B) {
   }
 }
 
+/// Hashes a C type by its structure, as operator== compares it: two
+/// handles on equal types hash alike whichever nodes they hold.
+size_t typeHash(const CType &T) {
+  if (!T.isValid())
+    return 0;
+  size_t H = static_cast<size_t>(T.kind()) + 1;
+  auto Mix = [&](size_t V) { H = (H ^ V) * 0x100000001b3ull; };
+  switch (T.kind()) {
+  case ail::CTypeKind::Void:
+    break;
+  case ail::CTypeKind::Integer:
+    Mix(static_cast<size_t>(T.intKind()));
+    break;
+  case ail::CTypeKind::Pointer:
+    Mix(typeHash(T.pointee()));
+    break;
+  case ail::CTypeKind::Array:
+    Mix(T.arraySize() ? *T.arraySize() + 1 : 0);
+    Mix(typeHash(T.element()));
+    break;
+  case ail::CTypeKind::Function:
+    Mix(typeHash(T.returnType()));
+    Mix(T.isVariadic());
+    for (const CType &P : T.paramTypes())
+      Mix(typeHash(P));
+    break;
+  case ail::CTypeKind::Struct:
+  case ail::CTypeKind::Union:
+    Mix(T.tag());
+    break;
+  }
+  return H;
+}
+
+/// Agrees with poolEqual: equal pooled values hash alike.
+size_t poolHash(const Value &V) {
+  size_t H = static_cast<size_t>(V.kind()) * 0x9e3779b97f4a7c15ull;
+  switch (V.kind()) {
+  case ValueKind::Function:
+    return H ^ V.funcSym();
+  case ValueKind::Ctype:
+    return H ^ typeHash(V.cty());
+  case ValueKind::Integer:
+    return H ^ static_cast<size_t>(V.num()) ^
+           static_cast<size_t>(UInt128(V.num()) >> 64) * 31;
+  default:
+    return H;
+  }
+}
+
 void internValue(Expr &E, LowerCtx &Ctx) {
   if (!poolable(E.V))
     return;
-  for (size_t I = 0; I < Ctx.P.ConstPool.size(); ++I)
-    if (poolEqual(Ctx.P.ConstPool[I], E.V)) {
-      E.PoolIdx = static_cast<int>(I);
+  size_t H = poolHash(E.V);
+  auto [It, End] = Ctx.PoolIndex.equal_range(H);
+  for (; It != End; ++It)
+    if (poolEqual(Ctx.P.ConstPool[It->second], E.V)) {
+      E.PoolIdx = It->second;
       ++Ctx.Stats.ConstsInterned;
       return;
     }
   E.PoolIdx = static_cast<int>(Ctx.P.ConstPool.size());
+  Ctx.PoolIndex.emplace(H, E.PoolIdx);
   Ctx.P.ConstPool.push_back(E.V);
 }
 
