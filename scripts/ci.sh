@@ -48,6 +48,10 @@ run_label tier1
 # tests/test_lowering.cpp): also part of tier-1, re-run by label so the
 # recorded outcome contract cannot silently drop out.
 run_label lowering
+# The printed-Core contract (label `core_print`, tests/test_core_print.cpp):
+# Core printed after elaboration and after the whole compile, lowering
+# statistics and constant pools against tests/goldens/core_print.golden.
+run_label core_print
 run_label slow
 run_label fuzz
 run_label serve_batch

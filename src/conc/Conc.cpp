@@ -16,92 +16,59 @@ core::CoreProgram cerb::conc::buildSharedCounterProgram(
   Prog.MainProc = MainSym;
   CType IntTy = CType::intTy();
 
+  ExprArena &A = Prog.Arena;
   auto MkSym = [&](Symbol S) {
-    auto E = Expr::make(ExprKind::Sym);
+    Expr *E = A.make(ExprKind::Sym);
     E->Sym = S;
+    return E;
+  };
+  auto MkLet = [&](Pattern Pat, Expr *E1, Expr *E2) {
+    Expr *Let = A.make(ExprKind::LetStrong, SourceLoc(), {E1, E2});
+    A.setPattern(*Let, Pat);
+    return Let;
+  };
+  auto MkAction = [&](ActionKind Act, std::initializer_list<Expr *> Kids) {
+    Expr *E = A.make(ExprKind::Action, SourceLoc(), Kids);
+    E->Act = Act;
+    E->Cty = IntTy;
     return E;
   };
 
   // Thread bodies.
-  auto Par = Expr::make(ExprKind::Par);
+  std::vector<Expr *> Bodies;
   for (const ThreadSpec &T : Threads) {
-    ExprPtr Body = Expr::make(ExprKind::Skip);
-    auto Seq = [&](ExprPtr Action) {
-      auto Let = Expr::make(ExprKind::LetStrong);
-      Let->Pat = Pattern::wild();
-      Let->Kids.push_back(std::move(Action));
-      Let->Kids.push_back(std::move(Body));
-      Body = std::move(Let);
-    };
+    Expr *Body = A.make(ExprKind::Skip);
     for (auto It = T.Stores.rbegin(); It != T.Stores.rend(); ++It) {
-      if (T.ReadsOnly) {
-        auto Load = Expr::make(ExprKind::Action);
-        Load->Act = ActionKind::Load;
-        Load->Cty = IntTy;
-        Load->AtomicAccess = T.Atomic;
-        Load->Kids.push_back(MkSym(SharedPtr));
-        Seq(std::move(Load));
-      } else {
-        auto Store = Expr::make(ExprKind::Action);
-        Store->Act = ActionKind::Store;
-        Store->Cty = IntTy;
-        Store->AtomicAccess = T.Atomic;
-        Store->Kids.push_back(MkSym(SharedPtr));
-        Store->Kids.push_back(
-            Expr::make(ExprKind::Val));
-        Store->Kids.back()->V = Value::integer(*It);
-        Seq(std::move(Store));
-      }
+      Expr *Access =
+          T.ReadsOnly
+              ? MkAction(ActionKind::Load, {MkSym(SharedPtr)})
+              : MkAction(ActionKind::Store,
+                         {MkSym(SharedPtr), A.val(Value::integer(*It))});
+      Access->AtomicAccess = T.Atomic;
+      Body = MkLet(Pattern::wild(), Access, Body);
     }
-    Par->Kids.push_back(std::move(Body));
+    Bodies.push_back(Body);
   }
+  Expr *Par = A.make(ExprKind::Par, SourceLoc(), Bodies);
 
   // main: create shared; store Initial; par(...); load; return.
-  auto Create = Expr::make(ExprKind::Action);
-  Create->Act = ActionKind::Create;
-  Create->Cty = IntTy;
-  Create->Str = "shared";
-
-  auto Init = Expr::make(ExprKind::Action);
-  Init->Act = ActionKind::Store;
-  Init->Cty = IntTy;
-  Init->Kids.push_back(MkSym(SharedPtr));
-  Init->Kids.push_back(Expr::make(ExprKind::Val));
-  Init->Kids.back()->V = Value::integer(Initial);
-
+  Expr *Create = MkAction(ActionKind::Create, {});
+  A.setStr(*Create, "shared");
+  Expr *Init = MkAction(ActionKind::Store, {MkSym(SharedPtr),
+                                            A.val(Value::integer(Initial))});
   Symbol LoadedSym = Prog.Syms.create("final", ail::SymbolKind::Object);
-  auto Load = Expr::make(ExprKind::Action);
-  Load->Act = ActionKind::Load;
-  Load->Cty = IntTy;
-  Load->Kids.push_back(MkSym(SharedPtr));
+  Expr *Load = MkAction(ActionKind::Load, {MkSym(SharedPtr)});
+  Expr *Ret = A.make(ExprKind::Ret, SourceLoc(), {MkSym(LoadedSym)});
 
-  auto Ret = Expr::make(ExprKind::Ret);
-  Ret->Kids.push_back(MkSym(LoadedSym));
-
-  auto L3 = Expr::make(ExprKind::LetStrong);
-  L3->Pat = Pattern::sym(LoadedSym);
-  L3->Kids.push_back(std::move(Load));
-  L3->Kids.push_back(std::move(Ret));
-
-  auto L2 = Expr::make(ExprKind::LetStrong);
-  L2->Pat = Pattern::wild();
-  L2->Kids.push_back(std::move(Par));
-  L2->Kids.push_back(std::move(L3));
-
-  auto L1 = Expr::make(ExprKind::LetStrong);
-  L1->Pat = Pattern::wild();
-  L1->Kids.push_back(std::move(Init));
-  L1->Kids.push_back(std::move(L2));
-
-  auto L0 = Expr::make(ExprKind::LetStrong);
-  L0->Pat = Pattern::sym(SharedPtr);
-  L0->Kids.push_back(std::move(Create));
-  L0->Kids.push_back(std::move(L1));
+  Expr *L3 = MkLet(Pattern::sym(LoadedSym), Load, Ret);
+  Expr *L2 = MkLet(Pattern::wild(), Par, L3);
+  Expr *L1 = MkLet(Pattern::wild(), Init, L2);
+  Expr *L0 = MkLet(Pattern::sym(SharedPtr), Create, L1);
 
   CoreProc Main;
   Main.Name = MainSym;
   Main.ReturnTy = IntTy;
-  Main.Body = std::move(L0);
+  Main.Body = L0;
   Prog.Procs.emplace(MainSym.Id, std::move(Main));
   core::lower(Prog);
   return Prog;

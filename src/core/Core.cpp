@@ -336,16 +336,184 @@ std::string Pattern::str(const ail::SymbolTable &Syms) const {
     return Syms.nameOf(S);
   case PatKind::Tuple: {
     std::vector<std::string> Parts;
-    for (const Pattern &P : Subs)
+    for (const Pattern &P : subs())
       Parts.push_back(P.str(Syms));
     return "(" + join(Parts, ", ") + ")";
   }
   case PatKind::SpecifiedP:
-    return "Specified(" + Subs[0].str(Syms) + ")";
+    return "Specified(" + subs()[0].str(Syms) + ")";
   case PatKind::UnspecifiedP:
     return "Unspecified(_)";
   }
   return "?";
+}
+
+//===----------------------------------------------------------------------===//
+// The node arena
+//===----------------------------------------------------------------------===//
+
+struct alignas(16) ExprArena::Chunks::Header {
+  Header *Prev;
+  size_t Size; ///< usable bytes after the header
+  size_t Used;
+};
+
+namespace {
+/// Chunk sizes: the first of each list is small, so a small program holds
+/// little; each next one doubles up to the cap, which keeps chunks below
+/// the allocator's mmap threshold (128 KiB by default), so a freed chunk
+/// goes back to the heap for the next compile instead of to the kernel.
+constexpr size_t FirstChunk = 1024;
+constexpr size_t MaxChunk = 64 * 1024;
+} // namespace
+
+ExprArena::Chunks &ExprArena::Chunks::operator=(Chunks &&O) noexcept {
+  if (this != &O) {
+    release();
+    Head = O.Head;
+    O.Head = nullptr;
+  }
+  return *this;
+}
+
+ExprArena::Chunks::~Chunks() { release(); }
+
+void ExprArena::Chunks::release() {
+  while (Head) {
+    Header *Prev = Head->Prev;
+    ::operator delete(Head);
+    Head = Prev;
+  }
+}
+
+void *ExprArena::Chunks::alloc(size_t N, size_t Align) {
+  if (Head) {
+    size_t Off = (Head->Used + Align - 1) & ~(Align - 1);
+    if (Off + N <= Head->Size) {
+      Head->Used = Off + N;
+      return reinterpret_cast<char *>(Head + 1) + Off;
+    }
+  }
+  size_t Size = std::max(Head ? std::min(2 * Head->Size, MaxChunk) : FirstChunk,
+                         N);
+  Head = new (::operator new(sizeof(Header) + Size)) Header{Head, Size, N};
+  return Head + 1;
+}
+
+uint64_t ExprArena::Chunks::bytes() const {
+  uint64_t N = 0;
+  for (const Header *H = Head; H; H = H->Prev)
+    N += sizeof(Header) + H->Size + 16;
+  return N;
+}
+
+/// Every allocation from a list that holds only Ts is a whole number of
+/// Ts, so each chunk's used bytes are an array of them.
+template <typename T, typename F>
+void ExprArena::Chunks::forEach(F &&Fn) const {
+  for (const Header *H = Head; H; H = H->Prev) {
+    T *P = reinterpret_cast<T *>(const_cast<Header *>(H) + 1);
+    for (size_t I = 0; I < H->Used / sizeof(T); ++I)
+      Fn(P[I]);
+  }
+}
+
+ExprArena::ExprArena(ExprArena &&O) noexcept
+    : Nodes(std::move(O.Nodes)), Auxes(std::move(O.Auxes)),
+      Scopes(std::move(O.Scopes)), Raw(std::move(O.Raw)) {}
+
+ExprArena &ExprArena::operator=(ExprArena &&O) noexcept {
+  if (this != &O) {
+    destroyObjects();
+    Nodes = std::move(O.Nodes);
+    Auxes = std::move(O.Auxes);
+    Scopes = std::move(O.Scopes);
+    Raw = std::move(O.Raw);
+  }
+  return *this;
+}
+
+ExprArena::~ExprArena() { destroyObjects(); }
+
+void ExprArena::destroyObjects() {
+  Nodes.forEach<Expr>([](Expr &E) { E.~Expr(); });
+  Auxes.forEach<ExprAux>([](ExprAux &A) { A.~ExprAux(); });
+  Scopes.forEach<ScopeObject>([](ScopeObject &O) { O.~ScopeObject(); });
+}
+
+Expr *ExprArena::make(ExprKind K, SourceLoc Loc,
+                      std::span<Expr *const> Kids) {
+  Expr *E = new (alloc<Expr>(Nodes, 1)) Expr();
+  E->K = K;
+  E->Loc = Loc;
+  setKids(*E, Kids);
+  return E;
+}
+
+Expr *ExprArena::val(Value V, SourceLoc Loc) {
+  Expr *E = make(ExprKind::Val, Loc);
+  aux(*E).V = std::move(V);
+  return E;
+}
+
+ExprAux &ExprArena::aux(Expr &E) {
+  if (!E.Aux)
+    E.Aux = new (alloc<ExprAux>(Auxes, 1)) ExprAux();
+  return *E.Aux;
+}
+
+void ExprArena::setKids(Expr &E, std::span<Expr *const> Kids) {
+  E.NumKids = static_cast<uint32_t>(Kids.size());
+  E.KidData = Kids.empty() ? nullptr : alloc<Expr *>(Raw, Kids.size());
+  std::copy(Kids.begin(), Kids.end(), E.KidData);
+}
+
+void ExprArena::setBranches(Expr &E, std::span<const Branch> Branches) {
+  E.NumBranches = static_cast<uint32_t>(Branches.size());
+  E.BranchData =
+      Branches.empty() ? nullptr : alloc<Branch>(Raw, Branches.size());
+  std::copy(Branches.begin(), Branches.end(), E.BranchData);
+}
+
+void ExprArena::setPattern(Expr &E, const Pattern &P) {
+  E.Pat = new (alloc<Pattern>(Raw, 1)) Pattern(P);
+}
+
+void ExprArena::setStr(Expr &E, std::string_view S) {
+  char *P = alloc<char>(Raw, S.size());
+  std::copy(S.begin(), S.end(), P);
+  aux(E).Str = std::string_view(P, S.size());
+}
+
+std::span<ScopeObject> ExprArena::setScope(Expr &E, size_t N) {
+  ScopeObject *P = alloc<ScopeObject>(Scopes, N);
+  std::uninitialized_default_construct_n(P, N);
+  return aux(E).Scope = std::span<ScopeObject>(P, N);
+}
+
+Pattern ExprArena::tuplePattern(std::span<const Pattern> Subs) {
+  Pattern P;
+  P.K = PatKind::Tuple;
+  P.NumSubs = static_cast<uint32_t>(Subs.size());
+  P.SubData = alloc<Pattern>(Raw, Subs.size());
+  std::copy(Subs.begin(), Subs.end(), P.SubData);
+  return P;
+}
+
+Pattern ExprArena::specifiedPattern(const Pattern &Sub) {
+  Pattern P = tuplePattern(std::span<const Pattern>(&Sub, 1));
+  P.K = PatKind::SpecifiedP;
+  return P;
+}
+
+uint64_t ExprArena::bytes() const {
+  return Nodes.bytes() + Auxes.bytes() + Scopes.bytes() + Raw.bytes();
+}
+
+uint64_t ExprArena::valueBoxBytes() const {
+  uint64_t N = 0;
+  Auxes.forEach<ExprAux>([&](const ExprAux &A) { N += A.V.heapBytes(); });
+  return N;
 }
 
 std::string_view core::coreBinopSpelling(CoreBinop Op) {
@@ -372,8 +540,6 @@ std::string_view core::coreBinopSpelling(CoreBinop Op) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::string ind(unsigned N) { return std::string(2 * N, ' '); }
 
 std::string_view ptrOpName(PtrOpKind K) {
   switch (K) {
@@ -422,175 +588,249 @@ std::string_view arithOpName(mem::ArithOp Op) {
 
 } // namespace
 
+namespace {
+
+/// Appends printed Core to one buffer, so printing is linear in its output
+/// however deep the tree nests.
+class Printer {
+public:
+  Printer(const ail::SymbolTable &Syms, std::string &Out)
+      : Syms(Syms), Out(Out) {}
+
+  void print(const Expr &E, unsigned Indent) {
+    auto Kid = [&](size_t I) { print(*E.kids()[I], Indent); };
+    auto Call = [&](std::string_view Name) {
+      Out += Name;
+      Out += '(';
+      kids(E, Indent);
+      Out += ')';
+    };
+    switch (E.K) {
+    case ExprKind::Sym:
+      Out += Syms.nameOf(E.Sym);
+      return;
+    case ExprKind::Val:
+      Out += E.value().str();
+      return;
+    case ExprKind::ImplConst:
+      Out.append("<").append(E.str()).append(">");
+      return;
+    case ExprKind::Undef:
+      Out.append("undef(").append(mem::ubName(E.UB)).append(")");
+      return;
+    case ExprKind::ErrorE:
+      Out.append("error(\"").append(E.str()).append("\")");
+      return;
+    case ExprKind::Tuple:
+      return Call("");
+    case ExprKind::SpecifiedE:
+      return Call("Specified");
+    case ExprKind::UnspecifiedE:
+      Out.append("Unspecified('").append(E.Cty.str()).append("')");
+      return;
+    case ExprKind::Case:
+    case ExprKind::ECase:
+      Out += "case ";
+      Kid(0);
+      Out += " with\n";
+      for (const Branch &B : E.branches()) {
+        ind(Indent + 1);
+        Out.append("| ").append(B.Pat.str(Syms)).append(" =>\n");
+        ind(Indent + 2);
+        print(*B.Body, Indent + 2);
+        Out += '\n';
+      }
+      ind(Indent);
+      Out += "end";
+      return;
+    case ExprKind::ArrayShiftE:
+      Out += "array_shift(";
+      Kid(0);
+      Out.append(", '").append(E.Cty.str()).append("', ");
+      Kid(1);
+      Out += ')';
+      return;
+    case ExprKind::MemberShiftE:
+      Out += "member_shift(";
+      Kid(0);
+      Out += fmt(", tag#{0}.{1})", E.tag(), E.memberIdx());
+      return;
+    case ExprKind::Not:
+      return Call("not");
+    case ExprKind::Binop:
+      Out += '(';
+      Kid(0);
+      Out.append(" ").append(coreBinopSpelling(E.BOp)).append(" ");
+      Kid(1);
+      Out += ')';
+      return;
+    case ExprKind::PureCall:
+      return Call(E.str());
+    case ExprKind::PureLet:
+    case ExprKind::ELet:
+      return let(E, "let ", Indent);
+    case ExprKind::PureIf:
+    case ExprKind::EIf:
+      Out += "if ";
+      Kid(0);
+      Out += " then\n";
+      ind(Indent + 1);
+      print(*E.kids()[1], Indent + 1);
+      Out += '\n';
+      ind(Indent);
+      Out += "else\n";
+      ind(Indent + 1);
+      print(*E.kids()[2], Indent + 1);
+      return;
+    case ExprKind::IsInteger:
+      return Call("is_integer");
+    case ExprKind::IsSigned:
+      return Call("is_signed");
+    case ExprKind::IsUnsigned:
+      return Call("is_unsigned");
+    case ExprKind::IsScalar:
+      return Call("is_scalar");
+    case ExprKind::FinishArith:
+      Out.append("finish_arith[")
+          .append(arithOpName(E.AOp))
+          .append(", '")
+          .append(E.Cty.str())
+          .append("']");
+      return Call("");
+    case ExprKind::ConvInt:
+      Out.append("conv_int('").append(E.Cty.str()).append("', ");
+      Kid(0);
+      Out += ')';
+      return;
+    case ExprKind::PtrOp:
+      Out.append("ptrop(").append(ptrOpName(E.POp));
+      if (E.POp == PtrOpKind::IntFromPtr || E.POp == PtrOpKind::PtrFromInt)
+        Out.append("['").append(E.Cty.str()).append("']");
+      Out += ", ";
+      kids(E, Indent);
+      Out += ')';
+      return;
+    case ExprKind::Action: {
+      if (E.NegPolarity)
+        Out += "neg(";
+      Out.append(actionName(E.Act)).append("(");
+      bool First = true;
+      if (E.Act == ActionKind::Create || E.Act == ActionKind::Store ||
+          E.Act == ActionKind::Load) {
+        Out.append("'").append(E.Cty.str()).append("'");
+        First = false;
+      }
+      for (const Expr *K : E.kids()) {
+        if (!First)
+          Out += ", ";
+        First = false;
+        print(*K, Indent);
+      }
+      if (E.AtomicAccess)
+        Out += First ? "seq_cst" : ", seq_cst";
+      Out += E.NegPolarity ? "))" : ")";
+      return;
+    }
+    case ExprKind::Skip:
+      Out += "skip";
+      return;
+    case ExprKind::ProcCall:
+      Out.append("pcall(").append(Syms.nameOf(E.Sym));
+      if (E.NumKids)
+        Out += ", ";
+      kids(E, Indent);
+      Out += ')';
+      return;
+    case ExprKind::CallPtr:
+      return Call("pcall_indirect");
+    case ExprKind::Ret:
+      return Call("return");
+    case ExprKind::Unseq:
+      return Call("unseq");
+    case ExprKind::LetWeak:
+      return let(E, "let weak ", Indent);
+    case ExprKind::LetStrong:
+      return let(E, "let strong ", Indent);
+    case ExprKind::LetAtomic:
+      Out.append("let atomic ").append(E.Pat->str(Syms)).append(" = ");
+      Kid(0);
+      Out += " in ";
+      Kid(1);
+      return;
+    case ExprKind::Indet:
+      Out += fmt("indet[{0}]", E.indetId());
+      return Call("");
+    case ExprKind::Bound:
+      Out += fmt("bound[{0}]", E.indetId());
+      return Call("");
+    case ExprKind::Nd:
+      return Call("nd");
+    case ExprKind::Save: {
+      Out.append("save ").append(Syms.nameOf(E.Sym)).append("(");
+      bool First = true;
+      for (const ScopeObject &O : E.scope()) {
+        if (!First)
+          Out += ", ";
+        First = false;
+        Out.append(Syms.nameOf(O.Obj)).append(": '").append(O.Ty.str());
+        Out += '\'';
+      }
+      Out += ") in\n";
+      ind(Indent + 1);
+      print(*E.kids()[0], Indent + 1);
+      return;
+    }
+    case ExprKind::Run:
+      Out.append("run ").append(Syms.nameOf(E.Sym)).append("()");
+      return;
+    case ExprKind::Par:
+      return Call("par");
+    case ExprKind::Wait:
+      return Call("wait");
+    }
+    Out += '?';
+  }
+
+private:
+  const ail::SymbolTable &Syms;
+  std::string &Out;
+
+  void ind(unsigned N) { Out.append(2 * N, ' '); }
+  /// The kids, comma-separated.
+  void kids(const Expr &E, unsigned Indent) {
+    for (size_t I = 0; I < E.NumKids; ++I) {
+      if (I)
+        Out += ", ";
+      print(*E.kids()[I], Indent);
+    }
+  }
+  void let(const Expr &E, std::string_view Keyword, unsigned Indent) {
+    Out.append(Keyword).append(E.Pat->str(Syms)).append(" = ");
+    print(*E.kids()[0], Indent);
+    Out += " in\n";
+    ind(Indent);
+    print(*E.kids()[1], Indent);
+  }
+};
+
+} // namespace
+
 std::string core::printExpr(const Expr &E, const ail::SymbolTable &Syms,
                             unsigned Indent) {
-  auto Kid = [&](size_t I) { return printExpr(*E.Kids[I], Syms, Indent); };
-  auto KidI = [&](size_t I, unsigned Extra) {
-    return printExpr(*E.Kids[I], Syms, Indent + Extra);
-  };
-  switch (E.K) {
-  case ExprKind::Sym:
-    return Syms.nameOf(E.Sym);
-  case ExprKind::Val:
-    return E.V.str();
-  case ExprKind::ImplConst:
-    return "<" + E.Str + ">";
-  case ExprKind::Undef:
-    return fmt("undef({0})", mem::ubName(E.UB));
-  case ExprKind::ErrorE:
-    return fmt("error(\"{0}\")", E.Str);
-  case ExprKind::Tuple: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    return "(" + join(Parts, ", ") + ")";
-  }
-  case ExprKind::SpecifiedE:
-    return "Specified(" + Kid(0) + ")";
-  case ExprKind::UnspecifiedE:
-    return "Unspecified('" + E.Cty.str() + "')";
-  case ExprKind::Case:
-  case ExprKind::ECase: {
-    std::string Out = "case " + Kid(0) + " with\n";
-    for (const auto &[Pat, Body] : E.Branches)
-      Out += ind(Indent + 1) + "| " + Pat.str(Syms) + " =>\n" +
-             ind(Indent + 2) + printExpr(*Body, Syms, Indent + 2) + "\n";
-    Out += ind(Indent) + "end";
-    return Out;
-  }
-  case ExprKind::ArrayShiftE:
-    return fmt("array_shift({0}, '{1}', {2})", Kid(0), E.Cty.str(), Kid(1));
-  case ExprKind::MemberShiftE:
-    return fmt("member_shift({0}, tag#{1}.{2})", Kid(0), E.Tag, E.MemberIdx);
-  case ExprKind::Not:
-    return "not(" + Kid(0) + ")";
-  case ExprKind::Binop:
-    return "(" + Kid(0) + " " + std::string(coreBinopSpelling(E.BOp)) + " " +
-           Kid(1) + ")";
-  case ExprKind::PureCall: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    return E.Str + "(" + join(Parts, ", ") + ")";
-  }
-  case ExprKind::PureLet:
-    return "let " + E.Pat.str(Syms) + " = " + Kid(0) + " in\n" +
-           ind(Indent) + KidI(1, 0);
-  case ExprKind::PureIf:
-  case ExprKind::EIf:
-    return "if " + Kid(0) + " then\n" + ind(Indent + 1) + KidI(1, 1) + "\n" +
-           ind(Indent) + "else\n" + ind(Indent + 1) + KidI(2, 1);
-  case ExprKind::IsInteger:
-    return "is_integer(" + Kid(0) + ")";
-  case ExprKind::IsSigned:
-    return "is_signed(" + Kid(0) + ")";
-  case ExprKind::IsUnsigned:
-    return "is_unsigned(" + Kid(0) + ")";
-  case ExprKind::IsScalar:
-    return "is_scalar(" + Kid(0) + ")";
-  case ExprKind::FinishArith:
-    return fmt("finish_arith[{0}, '{1}']({2}, {3}, {4})",
-               arithOpName(E.AOp), E.Cty.str(), Kid(0), Kid(1), Kid(2));
-  case ExprKind::ConvInt:
-    return fmt("conv_int('{0}', {1})", E.Cty.str(), Kid(0));
-  case ExprKind::PtrOp: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    std::string Name = std::string(ptrOpName(E.POp));
-    if (E.POp == PtrOpKind::IntFromPtr || E.POp == PtrOpKind::PtrFromInt)
-      Name += fmt("['{0}']", E.Cty.str());
-    return "ptrop(" + Name + ", " + join(Parts, ", ") + ")";
-  }
-  case ExprKind::Action: {
-    std::vector<std::string> Parts;
-    if (E.Act == ActionKind::Create)
-      Parts.push_back("'" + E.Cty.str() + "'");
-    if (E.Act == ActionKind::Store || E.Act == ActionKind::Load)
-      Parts.push_back("'" + E.Cty.str() + "'");
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    if (E.AtomicAccess)
-      Parts.push_back("seq_cst");
-    std::string Out =
-        std::string(actionName(E.Act)) + "(" + join(Parts, ", ") + ")";
-    if (E.NegPolarity)
-      return "neg(" + Out + ")";
-    return Out;
-  }
-  case ExprKind::Skip:
-    return "skip";
-  case ExprKind::ELet:
-    return "let " + E.Pat.str(Syms) + " = " + Kid(0) + " in\n" +
-           ind(Indent) + KidI(1, 0);
-  case ExprKind::ProcCall: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    return "pcall(" + Syms.nameOf(E.Sym) +
-           (Parts.empty() ? "" : ", " + join(Parts, ", ")) + ")";
-  }
-  case ExprKind::CallPtr: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    return "pcall_indirect(" + join(Parts, ", ") + ")";
-  }
-  case ExprKind::Ret:
-    return "return(" + Kid(0) + ")";
-  case ExprKind::Unseq: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    return "unseq(" + join(Parts, ", ") + ")";
-  }
-  case ExprKind::LetWeak:
-    return "let weak " + E.Pat.str(Syms) + " = " + Kid(0) + " in\n" +
-           ind(Indent) + KidI(1, 0);
-  case ExprKind::LetStrong:
-    return "let strong " + E.Pat.str(Syms) + " = " + Kid(0) + " in\n" +
-           ind(Indent) + KidI(1, 0);
-  case ExprKind::LetAtomic:
-    return "let atomic " + E.Pat.str(Syms) + " = " + Kid(0) + " in " +
-           Kid(1);
-  case ExprKind::Indet:
-    return fmt("indet[{0}](", E.IndetId) + Kid(0) + ")";
-  case ExprKind::Bound:
-    return fmt("bound[{0}](", E.IndetId) + Kid(0) + ")";
-  case ExprKind::Nd: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    return "nd(" + join(Parts, ", ") + ")";
-  }
-  case ExprKind::Save: {
-    std::string Out = "save " + Syms.nameOf(E.Sym) + "(";
-    std::vector<std::string> Objs;
-    for (const ScopeObject &O : E.Scope)
-      Objs.push_back(Syms.nameOf(O.Obj) + ": '" + O.Ty.str() + "'");
-    Out += join(Objs, ", ") + ") in\n" + ind(Indent + 1) + KidI(0, 1);
-    return Out;
-  }
-  case ExprKind::Run:
-    return "run " + Syms.nameOf(E.Sym) + "()";
-  case ExprKind::Par: {
-    std::vector<std::string> Parts;
-    for (size_t I = 0; I < E.Kids.size(); ++I)
-      Parts.push_back(Kid(I));
-    return "par(" + join(Parts, ", ") + ")";
-  }
-  case ExprKind::Wait:
-    return "wait(" + Kid(0) + ")";
-  }
-  return "?";
+  std::string Out;
+  Printer(Syms, Out).print(E, Indent);
+  return Out;
 }
 
 std::string core::printProgram(const CoreProgram &P) {
   std::string Out;
+  Printer Print(P.Syms, Out);
   for (const CoreGlobal &G : P.Globals) {
     Out += fmt("glob {0}: '{1}'", P.Syms.nameOf(G.Name), G.Ty.str());
-    if (G.Init)
-      Out += " :=\n  " + printExpr(*G.Init, P.Syms, 1);
+    if (G.Init) {
+      Out += " :=\n  ";
+      Print.print(*G.Init, 1);
+    }
     Out += "\n\n";
   }
   for (const auto &[Id, Proc] : P.Procs) {
@@ -600,7 +840,7 @@ std::string core::printProgram(const CoreProgram &P) {
     Out += fmt("proc {0}({1}): eff loaded '{2}' :=\n  ",
                P.Syms.nameOf(Proc.Name), join(Params, ", "),
                Proc.ReturnTy.str());
-    Out += printExpr(*Proc.Body, P.Syms, 1);
+    Print.print(*Proc.Body, 1);
     Out += "\n\n";
   }
   return Out;
@@ -680,36 +920,43 @@ PureFn core::pureFnByName(std::string_view Name) {
   return PureFn::None;
 }
 
-ExprPtr core::cloneExpr(const Expr &E) {
-  auto Out = std::make_unique<Expr>();
-  Out->K = E.K;
-  Out->Loc = E.Loc;
-  Out->Sym = E.Sym;
-  Out->V = E.V;
-  Out->UB = E.UB;
-  Out->Str = E.Str;
-  Out->BOp = E.BOp;
-  Out->AOp = E.AOp;
-  Out->POp = E.POp;
-  Out->Act = E.Act;
-  Out->NegPolarity = E.NegPolarity;
-  Out->AtomicAccess = E.AtomicAccess;
-  Out->Cty = E.Cty;
-  Out->Tag = E.Tag;
-  Out->MemberIdx = E.MemberIdx;
-  Out->IndetId = E.IndetId;
-  Out->SeqPoint = E.SeqPoint;
-  Out->Slot = E.Slot;
-  Out->PoolIdx = E.PoolIdx;
-  Out->SaveMask = E.SaveMask;
-  Out->Pure = E.Pure;
-  Out->ValueOnly = E.ValueOnly;
-  Out->Pat = E.Pat;
-  Out->Scope = E.Scope;
-  for (const ExprPtr &K : E.Kids)
-    Out->Kids.push_back(cloneExpr(*K));
-  for (const auto &[Pat, Body] : E.Branches)
-    Out->Branches.emplace_back(Pat, cloneExpr(*Body));
+namespace {
+Pattern clonePattern(ExprArena &A, const Pattern &P) {
+  if (!P.NumSubs)
+    return P;
+  std::vector<Pattern> Subs;
+  for (const Pattern &Sub : P.subs())
+    Subs.push_back(clonePattern(A, Sub));
+  Pattern Out = A.tuplePattern(Subs);
+  Out.K = P.K;
+  return Out;
+}
+} // namespace
+
+Expr *core::cloneExpr(ExprArena &A, const Expr &E) {
+  Expr *Out = A.make(E.K, E.Loc);
+  *Out = E; // the inline fields; what E points to is copied below
+  Out->Pat = nullptr;
+  Out->Aux = nullptr;
+  std::vector<Expr *> Kids;
+  for (const Expr *K : E.kids())
+    Kids.push_back(cloneExpr(A, *K));
+  A.setKids(*Out, Kids);
+  std::vector<Branch> Branches;
+  for (const Branch &B : E.branches())
+    Branches.push_back({clonePattern(A, B.Pat), cloneExpr(A, *B.Body)});
+  A.setBranches(*Out, Branches);
+  if (E.Pat)
+    A.setPattern(*Out, clonePattern(A, *E.Pat));
+  if (E.Aux) {
+    A.setStr(*Out, E.Aux->Str);
+    std::ranges::copy(E.Aux->Scope, A.setScope(*Out, E.Aux->Scope.size()).begin());
+    ExprAux &X = A.aux(*Out);
+    X.V = E.Aux->V;
+    X.Tag = E.Aux->Tag;
+    X.MemberIdx = E.Aux->MemberIdx;
+    X.IndetId = E.Aux->IndetId;
+  }
   return Out;
 }
 
@@ -722,14 +969,6 @@ uint64_t heapBlock(uint64_t N) { return N ? N + 16 : 0; }
 uint64_t stringBytes(const std::string &S) {
   static const size_t InlineChars = std::string().capacity();
   return S.capacity() > InlineChars ? heapBlock(S.capacity() + 1) : 0;
-}
-
-/// Patterns nest only as deep as the tuples they take apart.
-uint64_t patternBytes(const Pattern &P) {
-  uint64_t N = heapBlock(P.Subs.capacity() * sizeof(Pattern));
-  for (const Pattern &Sub : P.Subs)
-    N += patternBytes(Sub);
-  return N;
 }
 
 /// A std::map node holding a \p T: the tree's colour and three links,
@@ -762,37 +1001,16 @@ uint64_t core::programBytes(const CoreProgram &P) {
   for (unsigned Tag = 0; Tag < P.Tags.size(); ++Tag) {
     const ail::TagDef &D = P.Tags.get(Tag);
     N += stringBytes(D.Name) +
-         heapBlock(D.Members.capacity() * sizeof(ail::TagMember));
+         heapBlock(D.Members.capacity() * sizeof(ail::TagMember)) +
+         heapBlock(D.Offsets.capacity() * sizeof(uint64_t));
     for (const ail::TagMember &M : D.Members)
       N += stringBytes(M.Name);
   }
-  std::vector<const Expr *> Todo;
-  for (const auto &[Id, Proc] : P.Procs) {
+  for (const auto &[Id, Proc] : P.Procs)
     N += mapNode<std::pair<unsigned, CoreProc>>() +
          heapBlock(Proc.Params.capacity() * sizeof(Proc.Params[0])) +
          heapBlock(Proc.ParamSlots.capacity() * sizeof(int));
-    if (Proc.Body)
-      Todo.push_back(Proc.Body.get());
-  }
-  for (const CoreGlobal &G : P.Globals)
-    if (G.Init)
-      Todo.push_back(G.Init.get());
-  while (!Todo.empty()) {
-    const Expr &E = *Todo.back();
-    Todo.pop_back();
-    N += heapBlock(sizeof(Expr)) + E.V.heapBytes() + stringBytes(E.Str) +
-         patternBytes(E.Pat) +
-         heapBlock(E.Kids.capacity() * sizeof(ExprPtr)) +
-         heapBlock(E.Branches.capacity() * sizeof(E.Branches[0])) +
-         heapBlock(E.Scope.capacity() * sizeof(ScopeObject));
-    for (const ExprPtr &K : E.Kids)
-      Todo.push_back(K.get());
-    for (const auto &[Pat, Body] : E.Branches) {
-      N += patternBytes(Pat);
-      Todo.push_back(Body.get());
-    }
-  }
-  return N;
+  return N + P.Arena.bytes() + P.Arena.valueBoxBytes();
 }
 
 //===----------------------------------------------------------------------===//
@@ -804,19 +1022,20 @@ namespace {
 bool isValueExpr(const Expr &E) { return E.K == ExprKind::Val; }
 
 /// Past MaxCoreDepth the deeper nodes are left as they are; core::typeCheck
-/// refuses such a program.
-void rewriteExpr(ExprPtr &E, RewriteStats &Stats, unsigned &Depth) {
+/// refuses such a program. A node a rewrite drops stays in the arena until
+/// the program goes.
+void rewriteExpr(Expr *&E, RewriteStats &Stats, unsigned &Depth) {
   DepthGuard G(Depth, MaxCoreDepth);
   if (!G)
     return;
-  for (ExprPtr &K : E->Kids)
+  for (Expr *&K : E->kids())
     rewriteExpr(K, Stats, Depth);
-  for (auto &[Pat, Body] : E->Branches)
-    rewriteExpr(Body, Stats, Depth);
+  for (Branch &B : E->branches())
+    rewriteExpr(B.Body, Stats, Depth);
 
   switch (E->K) {
   case ExprKind::Unseq:
-    if (E->Kids.size() == 1) {
+    if (E->NumKids == 1) {
       // unseq(e) has the sequencing of e itself, but reduces to a 1-tuple;
       // our elaboration only emits singleton unseqs bound by tuple patterns
       // of width 1, which it never does — collapse is safe only when some
@@ -827,34 +1046,30 @@ void rewriteExpr(ExprPtr &E, RewriteStats &Stats, unsigned &Depth) {
     break;
   case ExprKind::PureIf:
   case ExprKind::EIf:
-    if (E->Kids[0]->K == ExprKind::Val) {
-      bool Cond = E->Kids[0]->V.isTrue();
-      ExprPtr Taken = std::move(E->Kids[Cond ? 1 : 2]);
-      E = std::move(Taken);
+    if (E->kids()[0]->K == ExprKind::Val) {
+      bool Cond = E->kids()[0]->value().isTrue();
+      E = E->kids()[Cond ? 1 : 2];
       ++Stats.ConstIfsFolded;
     }
     break;
   case ExprKind::PureLet:
   case ExprKind::ELet:
     // let x = v in x  ->  v ; and let _ = v in e -> e for pure v.
-    if (E->Pat.K == PatKind::Wild && isValueExpr(*E->Kids[0])) {
-      ExprPtr Body = std::move(E->Kids[1]);
-      E = std::move(Body);
+    if (E->Pat->K == PatKind::Wild && isValueExpr(*E->kids()[0])) {
+      E = E->kids()[1];
       ++Stats.PureLetsInlined;
       break;
     }
-    if (E->Pat.K == PatKind::Sym && isValueExpr(*E->Kids[0]) &&
-        E->Kids[1]->K == ExprKind::Sym && E->Kids[1]->Sym == E->Pat.S) {
-      ExprPtr V = std::move(E->Kids[0]);
-      E = std::move(V);
+    if (E->Pat->K == PatKind::Sym && isValueExpr(*E->kids()[0]) &&
+        E->kids()[1]->K == ExprKind::Sym && E->kids()[1]->Sym == E->Pat->S) {
+      E = E->kids()[0];
       ++Stats.PureLetsInlined;
     }
     break;
   case ExprKind::LetStrong:
     // let strong _ = skip in e  ->  e
-    if (E->Pat.K == PatKind::Wild && E->Kids[0]->K == ExprKind::Skip) {
-      ExprPtr Body = std::move(E->Kids[1]);
-      E = std::move(Body);
+    if (E->Pat->K == PatKind::Wild && E->kids()[0]->K == ExprKind::Skip) {
+      E = E->kids()[1];
       ++Stats.SkipSeqsDropped;
     }
     break;
@@ -872,14 +1087,14 @@ bool core::hasEffects(const Expr &E) {
            E.K == ExprKind::ProcCall || E.K == ExprKind::CallPtr ||
            E.K == ExprKind::Nd || E.K == ExprKind::Par;
   if (!R) {
-    for (const ExprPtr &K : E.Kids)
+    for (const Expr *K : E.kids())
       if (hasEffects(*K)) {
         R = true;
         break;
       }
     if (!R)
-      for (const auto &[Pat, Body] : E.Branches)
-        if (hasEffects(*Body)) {
+      for (const Branch &B : E.branches())
+        if (hasEffects(*B.Body)) {
           R = true;
           break;
         }
@@ -892,10 +1107,10 @@ namespace {
 /// Full traversal (no early exit, unlike hasEffects itself) so that every
 /// node's cache is populated, not just the prefix a lazy query touches.
 void warmExpr(const Expr &E) {
-  for (const ExprPtr &K : E.Kids)
+  for (const Expr *K : E.kids())
     warmExpr(*K);
-  for (const auto &[Pat, Body] : E.Branches)
-    warmExpr(*Body);
+  for (const Branch &B : E.branches())
+    warmExpr(*B.Body);
   (void)core::hasEffects(E);
 }
 } // namespace
@@ -1021,7 +1236,7 @@ private:
   void bindPattern(const Pattern &Pat) {
     if (Pat.K == PatKind::Sym)
       bind(Pat.S.Id);
-    for (const Pattern &Sub : Pat.Subs)
+    for (const Pattern &Sub : Pat.subs())
       bindPattern(Sub);
   }
   void unbindTo(size_t Mark) {
@@ -1094,13 +1309,13 @@ private:
     case ExprKind::Case:
     case ExprKind::ECase: {
       bool BranchPure = E.K == ExprKind::Case || PureContext;
-      for (const ExprPtr &K : E.Kids)
+      for (const Expr *K : E.kids())
         if (!walk(*K, true))
           return false;
-      for (const auto &[Pat, Body] : E.Branches) {
+      for (const Branch &B : E.branches()) {
         size_t Mark = Introduced.size();
-        bindPattern(Pat);
-        bool Ok = walk(*Body, BranchPure);
+        bindPattern(B.Pat);
+        bool Ok = walk(*B.Body, BranchPure);
         unbindTo(Mark);
         if (!Ok)
           return false;
@@ -1117,7 +1332,7 @@ private:
     case ExprKind::LetAtomic:
       // Both sides must be actions (possibly negated), Fig. 2; an action's
       // operands are pure.
-      for (const ExprPtr &K : E.Kids)
+      for (const Expr *K : E.kids())
         if (K->K != ExprKind::Action) {
           PurityErr = fmt("let atomic operand is not a memory action at {0}",
                           E.Loc.str());
@@ -1125,8 +1340,8 @@ private:
         }
       return walkLet(E, false, false);
     case ExprKind::EIf:
-      return walk(*E.Kids[0], true) && walk(*E.Kids[1], PureContext) &&
-             walk(*E.Kids[2], PureContext);
+      return walk(*E.kids()[0], true) && walk(*E.kids()[1], PureContext) &&
+             walk(*E.kids()[2], PureContext);
 
     // Actions and pointer ops: operands pure.
     case ExprKind::Action:
@@ -1148,22 +1363,22 @@ private:
   }
 
   bool walkKids(const Expr &E, bool PureContext) {
-    for (const ExprPtr &K : E.Kids)
+    for (const Expr *K : E.kids())
       if (!walk(*K, PureContext))
         return false;
-    for (const auto &[Pat, Body] : E.Branches)
-      if (!walk(*Body, PureContext))
+    for (const Branch &B : E.branches())
+      if (!walk(*B.Body, PureContext))
         return false;
     return true;
   }
 
-  /// `let Pat = Kids[0] in Kids[1]`: Pat scopes over the body only.
+  /// `let Pat = kids()[0] in kids()[1]`: Pat scopes over the body only.
   bool walkLet(const Expr &E, bool PureBound, bool PureBody) {
-    if (!walk(*E.Kids[0], PureBound))
+    if (!walk(*E.kids()[0], PureBound))
       return false;
     size_t Mark = Introduced.size();
-    bindPattern(E.Pat);
-    bool Ok = walk(*E.Kids[1], PureBody);
+    bindPattern(*E.Pat);
+    bool Ok = walk(*E.kids()[1], PureBody);
     unbindTo(Mark);
     return Ok;
   }
@@ -1174,11 +1389,11 @@ private:
 bool core::isPureExpr(const Expr &E) {
   if (!isPureKind(E.K))
     return false;
-  for (const ExprPtr &K : E.Kids)
+  for (const Expr *K : E.kids())
     if (!isPureExpr(*K))
       return false;
-  for (const auto &[Pat, Body] : E.Branches)
-    if (!isPureExpr(*Body))
+  for (const Branch &B : E.branches())
+    if (!isPureExpr(*B.Body))
       return false;
   return true;
 }

@@ -22,6 +22,7 @@
 #include "mem/UB.h"
 #include "mem/Value.h"
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <new>
@@ -297,34 +298,28 @@ Value memToValue(const mem::MemValue &MV);
 // Patterns
 //===----------------------------------------------------------------------===//
 
-enum class PatKind { Wild, Sym, Tuple, SpecifiedP, UnspecifiedP };
+enum class PatKind : uint8_t { Wild, Sym, Tuple, SpecifiedP, UnspecifiedP };
 
+/// A pattern in 24 trivially copyable bytes. The subpatterns of Tuple and
+/// SpecifiedP live in the arena of the program that holds the pattern
+/// (ExprArena::tuplePattern, ExprArena::specifiedPattern).
 struct Pattern {
   PatKind K = PatKind::Wild;
   Symbol S;
-  std::vector<Pattern> Subs;
   /// Dense environment-slot index for Sym patterns, assigned by
   /// core::lower (-1 until lowered). The evaluator's slot-vector fast
   /// path binds through this instead of the name-keyed map.
   int Slot = -1;
+  uint32_t NumSubs = 0;
+  Pattern *SubData = nullptr;
+
+  std::span<Pattern> subs() const { return {SubData, NumSubs}; }
 
   static Pattern wild() { return Pattern{}; }
   static Pattern sym(Symbol Sym) {
     Pattern P;
     P.K = PatKind::Sym;
     P.S = Sym;
-    return P;
-  }
-  static Pattern tuple(std::vector<Pattern> Subs) {
-    Pattern P;
-    P.K = PatKind::Tuple;
-    P.Subs = std::move(Subs);
-    return P;
-  }
-  static Pattern specified(Pattern Sub) {
-    Pattern P;
-    P.K = PatKind::SpecifiedP;
-    P.Subs.push_back(std::move(Sub));
     return P;
   }
   static Pattern unspecified() {
@@ -341,7 +336,7 @@ struct Pattern {
 //===----------------------------------------------------------------------===//
 
 /// Core binary operators over mathematical integers / booleans.
-enum class CoreBinop {
+enum class CoreBinop : uint8_t {
   Add, Sub, Mul, Div, RemT, Exp,
   Eq, Lt, Le, Gt, Ge,
   And, Or,
@@ -350,7 +345,7 @@ enum class CoreBinop {
 std::string_view coreBinopSpelling(CoreBinop Op);
 
 /// Pointer operations involving the memory state (Fig. 2 ptrop).
-enum class PtrOpKind {
+enum class PtrOpKind : uint8_t {
   PtrEq, PtrNe, PtrLt, PtrGt, PtrLe, PtrGe,
   PtrDiff,
   IntFromPtr, ///< Cty = target integer type
@@ -360,16 +355,16 @@ enum class PtrOpKind {
 };
 
 /// Memory actions (Fig. 2 `a`). Kill frees; Create/Alloc allocate.
-enum class ActionKind {
-  Create, ///< create object: Cty = object type, Str = name hint
-  Alloc,  ///< allocate region: Kids[0] = size (loaded int not required)
-  Kill,   ///< end object lifetime: Kids[0] = pointer
-  Free,   ///< free dynamic region: Kids[0] = pointer
-  Store,  ///< Cty, Kids[0] = pointer, Kids[1] = value
-  Load,   ///< Cty, Kids[0] = pointer
+enum class ActionKind : uint8_t {
+  Create, ///< create object: Cty = object type, str() = name hint
+  Alloc,  ///< allocate region: kids()[0] = size (loaded int not required)
+  Kill,   ///< end object lifetime: kids()[0] = pointer
+  Free,   ///< free dynamic region: kids()[0] = pointer
+  Store,  ///< Cty, kids()[0] = pointer, kids()[1] = value
+  Load,   ///< Cty, kids()[0] = pointer
 };
 
-/// The fixed set of named pure builtins a PureCall can target (Str names
+/// The fixed set of named pure builtins a PureCall can target (str() names
 /// one of these). core::lower interns the name into Expr::Pure so the
 /// evaluator's dispatch is a switch, not a string-comparison chain.
 enum class PureFn : int8_t {
@@ -385,28 +380,28 @@ enum class PureFn : int8_t {
 /// Maps a PureCall name to its PureFn, None if outside the fixed set.
 PureFn pureFnByName(std::string_view Name);
 
-enum class ExprKind {
+enum class ExprKind : uint8_t {
   //===--- pure (pe) ---===//
   Sym,         ///< Core identifier
   Val,         ///< literal value
-  ImplConst,   ///< implementation-defined constant (Str)
+  ImplConst,   ///< implementation-defined constant (str())
   Undef,       ///< undefined behaviour (UB)
-  ErrorE,      ///< implementation-defined static error (Str)
+  ErrorE,      ///< implementation-defined static error (str())
   Tuple,       ///< tuple constructor
   SpecifiedE,  ///< Specified(pe)
   UnspecifiedE,///< Unspecified(ctype literal in Cty)
   Case,        ///< case pe of branches
   ArrayShiftE, ///< array_shift(pe_ptr, Cty, pe_int)
-  MemberShiftE,///< member_shift(pe_ptr, Tag, MemberIdx)
+  MemberShiftE,///< member_shift(pe_ptr, tag(), memberIdx())
   Not,         ///< boolean not
   Binop,       ///< pe1 binop pe2 (mathematical integers; no overflow)
-  PureCall,    ///< call of a named builtin pure function (Str)
+  PureCall,    ///< call of a named builtin pure function (str())
   PureLet,     ///< let pat = pe1 in pe2
   PureIf,      ///< if pe then pe1 else pe2
   IsInteger, IsSigned, IsUnsigned, IsScalar, ///< ctype tests
-  FinishArith, ///< model hook: finish C arithmetic (provenance/CHERI); Kids =
-               ///< {lhsIV, rhsIV, numeric result}; AOp = operator; Cty = C
-               ///< result type
+  FinishArith, ///< model hook: finish C arithmetic (provenance/CHERI); kids
+               ///< = {lhsIV, rhsIV, numeric result}; AOp = operator; Cty =
+               ///< C result type
   ConvInt,     ///< conv_int(Cty, pe): 6.3.1.3 conversion on integer values
 
   //===--- effectful (e) ---===//
@@ -417,7 +412,7 @@ enum class ExprKind {
   EIf,
   ECase,
   ProcCall,  ///< call Core procedure Sym with evaluated args
-  CallPtr,   ///< call through C function pointer: Kids[0] = fn value
+  CallPtr,   ///< call through C function pointer: kids()[0] = fn value
   Ret,       ///< procedure return with value
   Unseq,     ///< unsequenced expressions
   LetWeak,   ///< let weak pat = e1 in e2
@@ -425,15 +420,12 @@ enum class ExprKind {
   LetAtomic, ///< let atomic pat = a1 in a2 (postfix ++/--)
   Indet,     ///< indeterminately sequenced subexpression [n]
   Bound,     ///< boundary for indet [n]
-  Nd,        ///< nondeterministic choice among Kids
-  Save,      ///< save label Sym (+ scope annotation) in Kids[0]
+  Nd,        ///< nondeterministic choice among the kids
+  Save,      ///< save label Sym (+ scope annotation) in kids()[0]
   Run,       ///< run label Sym (+ scope annotation)
   Par,       ///< cppmem-style thread creation (restricted model)
   Wait,      ///< wait for thread termination
 };
-
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
 
 /// Scope annotation for save/run: the automatic objects live at the point,
 /// used by the dynamics to create/kill on goto (§5.8).
@@ -443,65 +435,178 @@ struct ScopeObject {
   int Slot = -1; ///< environment slot of Obj (core::lower)
 };
 
+struct Expr;
+
+/// One branch of a Case/ECase: its pattern and body.
+struct Branch {
+  Pattern Pat;
+  Expr *Body = nullptr;
+};
+
+/// The cold operands of a node, out of line in its program's arena. Only
+/// nodes of the kinds that carry one of them have a record (Expr::Aux).
+struct ExprAux {
+  Value V;                            ///< Val: the literal
+  std::string_view Str;               ///< ImplConst/ErrorE/PureCall/Create
+  std::span<ScopeObject> Scope;       ///< Save/Run annotations
+  unsigned Tag = 0;                   ///< MemberShiftE
+  unsigned MemberIdx = 0;             ///< MemberShiftE
+  unsigned IndetId = 0;               ///< Indet/Bound pairing
+};
+
+/// A Core node in 96 bytes: the kind, the small operands and the hot
+/// annotations inline; kids, branches, the let pattern and the cold
+/// operands (ExprAux) as pointers into the arena of the program that owns
+/// the node. Nodes are made and freed only by an ExprArena.
 struct Expr {
   ExprKind K;
-  SourceLoc Loc;
-
-  Symbol Sym;            // Sym/ProcCall/Save/Run
-  Value V;               // Val
-  mem::UBKind UB = mem::UBKind::ExceptionalCondition; // Undef
-  std::string Str;       // ImplConst/ErrorE/PureCall name/Create name hint
-  CoreBinop BOp = CoreBinop::Add;   // Binop
-  mem::ArithOp AOp = mem::ArithOp::Add; // FinishArith
-  PtrOpKind POp = PtrOpKind::PtrEq; // PtrOp
-  ActionKind Act = ActionKind::Load; // Action
-  bool NegPolarity = false;          // Action (§5.6 polarities)
+  bool NegPolarity = false; ///< Action (§5.6 polarities)
   /// Action memory order (Fig. 2's memory-order operand), restricted to
   /// the two cases the concurrency regime needs: non-atomic vs seq_cst.
   bool AtomicAccess = false;
-  CType Cty;             // type operand (actions, shifts, conv, unspec)
-  unsigned Tag = 0;      // MemberShiftE / struct ops
-  size_t MemberIdx = 0;  // MemberShiftE
-  unsigned IndetId = 0;  // Indet/Bound pairing
   /// Statement-boundary marker on LetStrong: a C sequence point, at which
   /// the dynamics may discard accumulated action footprints (no
   /// unsequenced-race check can ever involve actions across it).
   bool SeqPoint = false;
-  /// Dynamics cache: does this subtree contain memory actions or calls?
-  /// (-1 unknown). Used to avoid scheduling unseq branches whose order is
-  /// unobservable.
-  mutable int HasEffectsCache = -1;
-  /// Environment slot for Sym nodes (core::lower; -1 until lowered).
-  int Slot = -1;
-  /// Index into CoreProgram::ConstPool for interned Val nodes (-1 when
-  /// not pooled). The literal in V is retained for the printers.
-  int PoolIdx = -1;
-  /// Bloom summary (bit = label Id mod 64) of every Save label in this
-  /// subtree, filled by core::lower. Zero means "definitely no save
-  /// here", which lets the evaluator's jump routing skip the subtree
-  /// scan; a set bit only admits the exact recursive check.
-  uint64_t SaveMask = 0;
-  /// Interned PureCall target (core::lower): the evaluator dispatches on
-  /// this instead of string-comparing Str. None = a name outside the fixed
-  /// builtin set (or a tree not yet lowered).
-  PureFn Pure = PureFn::None;
   /// Lowering-proved guarantee: this subtree performs no memory actions,
   /// binds no symbols, raises no signals, and counts no events — it either
   /// produces a value or (on operand-kind surprises) defers to the general
   /// evaluator, whose re-evaluation is safe precisely because the subtree
   /// is effect-free. Gates Evaluator::evalPure.
   bool ValueOnly = false;
-  Pattern Pat;           // lets
-  std::vector<ExprPtr> Kids;
-  std::vector<std::pair<Pattern, ExprPtr>> Branches; // Case/ECase
-  std::vector<ScopeObject> Scope; // Save/Run annotations
+  /// Dynamics cache: does this subtree contain memory actions or calls?
+  /// (-1 unknown). Used to avoid scheduling unseq branches whose order is
+  /// unobservable.
+  mutable int8_t HasEffectsCache = -1;
+  /// Interned PureCall target (core::lower): the evaluator dispatches on
+  /// this instead of string-comparing str(). None = a name outside the
+  /// fixed builtin set (or a tree not yet lowered).
+  PureFn Pure = PureFn::None;
+  CoreBinop BOp = CoreBinop::Add;                      // Binop
+  mem::ArithOp AOp = mem::ArithOp::Add;                // FinishArith
+  PtrOpKind POp = PtrOpKind::PtrEq;                    // PtrOp
+  ActionKind Act = ActionKind::Load;                   // Action
+  mem::UBKind UB = mem::UBKind::ExceptionalCondition;  // Undef
+  uint32_t NumKids = 0;
+  SourceLoc Loc;
+  Symbol Sym; // Sym/ProcCall/Save/Run
+  /// Environment slot for Sym nodes (core::lower; -1 until lowered).
+  int Slot = -1;
+  /// Index into CoreProgram::ConstPool for interned Val nodes (-1 when
+  /// not pooled). The literal in value() is retained for the printers.
+  int PoolIdx = -1;
+  uint32_t NumBranches = 0;
+  /// Bloom summary (bit = label Id mod 64) of every Save label in this
+  /// subtree, filled by core::lower. Zero means "definitely no save
+  /// here", which lets the evaluator's jump routing skip the subtree
+  /// scan; a set bit only admits the exact recursive check.
+  uint64_t SaveMask = 0;
+  CType Cty; // type operand (actions, shifts, conv, unspec)
+  Expr **KidData = nullptr;
+  Branch *BranchData = nullptr;
+  Pattern *Pat = nullptr; // lets
+  ExprAux *Aux = nullptr; // kinds with cold operands
 
-  static ExprPtr make(ExprKind K, SourceLoc Loc = SourceLoc()) {
-    auto E = std::make_unique<Expr>();
-    E->K = K;
-    E->Loc = Loc;
-    return E;
+  std::span<Expr *const> kids() const { return {KidData, NumKids}; }
+  std::span<Expr *> kids() { return {KidData, NumKids}; }
+  std::span<const Branch> branches() const { return {BranchData, NumBranches}; }
+  std::span<Branch> branches() { return {BranchData, NumBranches}; }
+
+  /// Val: the literal.
+  const Value &value() const { return Aux->V; }
+  /// ImplConst/ErrorE/PureCall: the name; Create: the name hint.
+  std::string_view str() const { return Aux ? Aux->Str : std::string_view(); }
+  /// Save/Run: the objects in scope.
+  std::span<const ScopeObject> scope() const {
+    return Aux ? Aux->Scope : std::span<const ScopeObject>();
   }
+  /// MemberShiftE: the tag and the member's index.
+  unsigned tag() const { return Aux->Tag; }
+  unsigned memberIdx() const { return Aux->MemberIdx; }
+  /// Indet/Bound: the pairing id.
+  unsigned indetId() const { return Aux->IndetId; }
+};
+static_assert(sizeof(Expr) <= 96, "core::Expr must stay within 96 bytes");
+
+/// Owns the nodes of one program and everything they point to: kid and
+/// branch arrays, patterns, cold records, scope lists and strings. Each
+/// kind of object is bump-allocated from its own list of chunks, which
+/// grow geometrically from 1 KiB to 64 KiB: a small program holds a few
+/// KiB, a large one a chunk per few hundred nodes, and every chunk stays
+/// below the allocator's mmap threshold, so the chunks of a freed program
+/// serve the next compile. Destruction sweeps the chunks once, destroying
+/// the objects in allocation order: never one node at a time and never by
+/// recursion, however deep the tree. Nodes never move, so a program that
+/// moves keeps its pointers.
+class ExprArena {
+public:
+  ExprArena() = default;
+  ExprArena(ExprArena &&O) noexcept;
+  ExprArena &operator=(ExprArena &&O) noexcept;
+  ExprArena(const ExprArena &) = delete;
+  ExprArena &operator=(const ExprArena &) = delete;
+  ~ExprArena();
+
+  /// A node of kind \p K with copies of the pointers in \p Kids.
+  Expr *make(ExprKind K, SourceLoc Loc = SourceLoc(),
+             std::span<Expr *const> Kids = {});
+  Expr *make(ExprKind K, SourceLoc Loc, std::initializer_list<Expr *> Kids) {
+    return make(K, Loc, std::span<Expr *const>(Kids.begin(), Kids.size()));
+  }
+  /// A Val node holding \p V.
+  Expr *val(Value V, SourceLoc Loc = SourceLoc());
+  /// \p E's cold record, made on first use.
+  ExprAux &aux(Expr &E);
+
+  void setKids(Expr &E, std::span<Expr *const> Kids);
+  void setBranches(Expr &E, std::span<const Branch> Branches);
+  void setPattern(Expr &E, const Pattern &P);
+  void setStr(Expr &E, std::string_view S);
+  /// Gives \p E a scope of \p N objects to fill in place.
+  std::span<ScopeObject> setScope(Expr &E, size_t N);
+
+  Pattern tuplePattern(std::span<const Pattern> Subs);
+  Pattern tuplePattern(std::initializer_list<Pattern> Subs) {
+    return tuplePattern(std::span<const Pattern>(Subs.begin(), Subs.size()));
+  }
+  Pattern specifiedPattern(const Pattern &Sub);
+
+  /// The heap bytes the chunks take, each counted with a flat 16 bytes
+  /// for the allocator's header and rounding.
+  uint64_t bytes() const;
+  /// The heap bytes the boxes of the cold records' values hold.
+  uint64_t valueBoxBytes() const;
+
+private:
+  /// One kind of object, bump-allocated through a list of chunks.
+  class Chunks {
+  public:
+    Chunks() = default;
+    Chunks(Chunks &&O) noexcept : Head(O.Head) { O.Head = nullptr; }
+    Chunks &operator=(Chunks &&O) noexcept;
+    ~Chunks();
+    /// \p N bytes aligned to \p Align (at most 16).
+    void *alloc(size_t N, size_t Align);
+    uint64_t bytes() const;
+    /// Calls \p Fn on each object of a list that holds only Ts.
+    template <typename T, typename F> void forEach(F &&Fn) const;
+
+  private:
+    struct Header;
+    Header *Head = nullptr;
+    void release();
+  };
+
+  template <typename T> T *alloc(Chunks &C, size_t N) {
+    return static_cast<T *>(C.alloc(N * sizeof(T), alignof(T)));
+  }
+  void destroyObjects();
+
+  Chunks Nodes;  ///< Expr
+  Chunks Auxes;  ///< ExprAux
+  Chunks Scopes; ///< ScopeObject
+  Chunks Raw;    ///< trivially destructible: pointer and branch arrays,
+                 ///< patterns, string bytes
 };
 
 //===----------------------------------------------------------------------===//
@@ -514,7 +619,7 @@ struct CoreProc {
   Symbol Name;
   CType ReturnTy;                 ///< C return type
   std::vector<std::pair<Symbol, CType>> Params; ///< value parameters
-  ExprPtr Body;
+  Expr *Body = nullptr;           ///< in the program's Arena
   SourceLoc Loc;
   /// Parallel to Params: environment slot of each parameter (core::lower).
   std::vector<int> ParamSlots;
@@ -526,7 +631,7 @@ struct CoreProc {
 struct CoreGlobal {
   Symbol Name;
   CType Ty;
-  ExprPtr Init; ///< null = zero-initialised
+  Expr *Init = nullptr; ///< in the program's Arena; null = zero-initialised
   SourceLoc Loc;
   bool ReadOnly = false; ///< string literal: immutable after initialisation
   int Slot = -1; ///< environment slot of Name (core::lower)
@@ -534,6 +639,8 @@ struct CoreGlobal {
 
 /// The result of elaborating a C translation unit (Fig. 2 caption).
 struct CoreProgram {
+  /// Every node of the program, freed with it.
+  ExprArena Arena;
   ail::TagTable Tags;
   ail::SymbolTable Syms;
   std::vector<CoreGlobal> Globals;
@@ -566,18 +673,16 @@ std::string printProgram(const CoreProgram &P);
 /// The Core grammar summary (regenerates the shape of Fig. 2).
 std::string coreGrammarSummary();
 
-/// Deep copy of a Core expression.
-ExprPtr cloneExpr(const Expr &E);
+/// Deep copy of a Core expression into \p A.
+Expr *cloneExpr(ExprArena &A, const Expr &E);
 
 /// The heap bytes \p P's Core holds, counted from the program alone so the
-/// count is the same on every run: per node, sizeof(Expr) plus the buffers
-/// its Kids, Branches (with their patterns), let pattern, Scope, Str and
-/// the boxes of its value V own; plus the constant pool with its boxes,
-/// the symbol and tag tables, the globals and the procedures. Each buffer
-/// also counts a flat 16 bytes for the allocator's header and rounding.
-/// C type nodes, shared between handles, are not counted. Walks nodes
-/// with an explicit stack (they nest up to MaxCoreDepth).
-/// exec::CompileCache charges a resident program this much.
+/// count is the same on every run: the arena's chunks and the boxes of its
+/// literals, the constant pool with its boxes, the symbol and tag tables,
+/// the globals and the procedures. Each buffer also counts a flat 16 bytes
+/// for the allocator's header and rounding. C type nodes, shared between
+/// handles, are not counted. exec::CompileCache charges a resident program
+/// this much.
 uint64_t programBytes(const CoreProgram &P);
 
 /// True iff \p E is a pure Core expression (fits the `pe` layer of Fig. 2).

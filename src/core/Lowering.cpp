@@ -56,33 +56,31 @@ struct LowerCtx {
 /// baggage — the only integers folding touches, so the folded result is
 /// exactly the Value the evaluator's Binop/ConvInt cases would build.
 bool plainInt(const Expr &E, Int128 &Out) {
-  if (E.K != ExprKind::Val || E.V.kind() != ValueKind::Integer)
+  if (E.K != ExprKind::Val || E.value().kind() != ValueKind::Integer)
     return false;
-  if (!E.V.prov().isEmpty() || E.V.hasCap())
+  if (!E.value().prov().isEmpty() || E.value().hasCap())
     return false;
-  Out = E.V.num();
+  Out = E.value().num();
   return true;
 }
 
 bool boolVal(const Expr &E, bool &Out) {
   if (E.K != ExprKind::Val)
     return false;
-  if (E.V.kind() == ValueKind::True) {
+  if (E.value().kind() == ValueKind::True) {
     Out = true;
     return true;
   }
-  if (E.V.kind() == ValueKind::False) {
+  if (E.value().kind() == ValueKind::False) {
     Out = false;
     return true;
   }
   return false;
 }
 
-void replaceWithValue(ExprPtr &E, Value V, LoweringStats &Stats) {
-  auto NV = Expr::make(ExprKind::Val, E->Loc);
-  NV->V = std::move(V);
-  E = std::move(NV);
-  ++Stats.ConstFolds;
+void replaceWithValue(Expr *&E, Value V, LowerCtx &Ctx) {
+  E = Ctx.P.Arena.val(std::move(V), E->Loc);
+  ++Ctx.Stats.ConstFolds;
 }
 
 /// Does the subtree contain any save (jump target)? Folding must never
@@ -92,23 +90,23 @@ bool containsAnySave(const Expr &E, unsigned &Depth) {
   DepthGuard G(Depth, MaxCoreDepth);
   if (!G || E.K == ExprKind::Save)
     return true;
-  for (const ExprPtr &K : E.Kids)
+  for (const Expr *K : E.kids())
     if (containsAnySave(*K, Depth))
       return true;
-  for (const auto &[Pat, Body] : E.Branches)
-    if (containsAnySave(*Body, Depth))
+  for (const Branch &B : E.branches())
+    if (containsAnySave(*B.Body, Depth))
       return true;
   return false;
 }
 
 /// Folds \p E if it is a pure operator over literal operands, mirroring
 /// the matching Evaluator::eval case exactly.
-void tryFold(ExprPtr &E, LowerCtx &Ctx) {
+void tryFold(Expr *&E, LowerCtx &Ctx) {
   switch (E->K) {
   case ExprKind::Not: {
     bool B;
-    if (boolVal(*E->Kids[0], B))
-      replaceWithValue(E, Value::boolean(!B), Ctx.Stats);
+    if (boolVal(*E->kids()[0], B))
+      replaceWithValue(E, Value::boolean(!B), Ctx);
     return;
   }
 
@@ -117,38 +115,38 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
       // The evaluator reads truthiness of whatever the operands are, but
       // folding stays on actual booleans.
       bool A, B;
-      if (boolVal(*E->Kids[0], A) && boolVal(*E->Kids[1], B))
+      if (boolVal(*E->kids()[0], A) && boolVal(*E->kids()[1], B))
         replaceWithValue(E,
                          Value::boolean(E->BOp == CoreBinop::And ? (A && B)
                                                                  : (A || B)),
-                         Ctx.Stats);
+                         Ctx);
       return;
     }
     Int128 X, Y;
-    if (!plainInt(*E->Kids[0], X) || !plainInt(*E->Kids[1], Y))
+    if (!plainInt(*E->kids()[0], X) || !plainInt(*E->kids()[1], Y))
       return;
     switch (E->BOp) {
     case CoreBinop::Add:
       replaceWithValue(E, Value::integer(Int128(UInt128(X) + UInt128(Y))),
-                       Ctx.Stats);
+                       Ctx);
       return;
     case CoreBinop::Sub:
       replaceWithValue(E, Value::integer(Int128(UInt128(X) - UInt128(Y))),
-                       Ctx.Stats);
+                       Ctx);
       return;
     case CoreBinop::Mul:
       replaceWithValue(E, Value::integer(Int128(UInt128(X) * UInt128(Y))),
-                       Ctx.Stats);
+                       Ctx);
       return;
     case CoreBinop::Div:
       if (Y == 0)
         return; // evaluator reports the dynamic error; keep it
-      replaceWithValue(E, Value::integer(X / Y), Ctx.Stats);
+      replaceWithValue(E, Value::integer(X / Y), Ctx);
       return;
     case CoreBinop::RemT:
       if (Y == 0)
         return;
-      replaceWithValue(E, Value::integer(X % Y), Ctx.Stats);
+      replaceWithValue(E, Value::integer(X % Y), Ctx);
       return;
     case CoreBinop::Exp: {
       if (Y < 0 || Y > 127 || X != 2)
@@ -156,23 +154,23 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
       UInt128 R = 1;
       for (Int128 I = 0; I < Y; ++I)
         R *= 2;
-      replaceWithValue(E, Value::integer(Int128(R)), Ctx.Stats);
+      replaceWithValue(E, Value::integer(Int128(R)), Ctx);
       return;
     }
     case CoreBinop::Eq:
-      replaceWithValue(E, Value::boolean(X == Y), Ctx.Stats);
+      replaceWithValue(E, Value::boolean(X == Y), Ctx);
       return;
     case CoreBinop::Lt:
-      replaceWithValue(E, Value::boolean(X < Y), Ctx.Stats);
+      replaceWithValue(E, Value::boolean(X < Y), Ctx);
       return;
     case CoreBinop::Le:
-      replaceWithValue(E, Value::boolean(X <= Y), Ctx.Stats);
+      replaceWithValue(E, Value::boolean(X <= Y), Ctx);
       return;
     case CoreBinop::Gt:
-      replaceWithValue(E, Value::boolean(X > Y), Ctx.Stats);
+      replaceWithValue(E, Value::boolean(X > Y), Ctx);
       return;
     case CoreBinop::Ge:
-      replaceWithValue(E, Value::boolean(X >= Y), Ctx.Stats);
+      replaceWithValue(E, Value::boolean(X >= Y), Ctx);
       return;
     default:
       return;
@@ -181,11 +179,11 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
 
   case ExprKind::ConvInt: {
     Int128 X;
-    if (!E->Cty.isInteger() || !plainInt(*E->Kids[0], X))
+    if (!E->Cty.isInteger() || !plainInt(*E->kids()[0], X))
       return;
     replaceWithValue(
         E, Value::integer(mem::IntegerValue(Ctx.Env.convert(E->Cty.intKind(), X))),
-        Ctx.Stats);
+        Ctx);
     return;
   }
 
@@ -193,51 +191,50 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
   case ExprKind::IsSigned:
   case ExprKind::IsUnsigned:
   case ExprKind::IsScalar: {
-    const Expr &K = *E->Kids[0];
-    if (K.K != ExprKind::Val || K.V.kind() != ValueKind::Ctype)
+    const Expr &K = *E->kids()[0];
+    if (K.K != ExprKind::Val || K.value().kind() != ValueKind::Ctype)
       return;
-    const CType &T = K.V.cty();
+    const CType &T = K.value().cty();
     bool B = E->K == ExprKind::IsInteger    ? T.isInteger()
              : E->K == ExprKind::IsSigned  ? T.isSigned()
              : E->K == ExprKind::IsUnsigned ? T.isUnsigned()
                                             : T.isScalar();
-    replaceWithValue(E, Value::boolean(B), Ctx.Stats);
+    replaceWithValue(E, Value::boolean(B), Ctx);
     return;
   }
 
   case ExprKind::SpecifiedE: {
-    if (E->Kids[0]->K != ExprKind::Val)
+    if (E->kids()[0]->K != ExprKind::Val)
       return;
-    replaceWithValue(E, Value::specified(E->Kids[0]->V), Ctx.Stats);
+    replaceWithValue(E, Value::specified(E->kids()[0]->value()), Ctx);
     return;
   }
   case ExprKind::UnspecifiedE:
-    replaceWithValue(E, Value::unspecified(E->Cty), Ctx.Stats);
+    replaceWithValue(E, Value::unspecified(E->Cty), Ctx);
     return;
 
   case ExprKind::Tuple: {
     std::vector<Value> Elems;
-    for (const ExprPtr &K : E->Kids) {
+    for (const Expr *K : E->kids()) {
       if (K->K != ExprKind::Val)
         return;
-      Elems.push_back(K->V);
+      Elems.push_back(K->value());
     }
-    replaceWithValue(E, Value::tuple(std::move(Elems)), Ctx.Stats);
+    replaceWithValue(E, Value::tuple(std::move(Elems)), Ctx);
     return;
   }
 
   case ExprKind::PureIf:
   case ExprKind::EIf: {
     bool C;
-    if (!boolVal(*E->Kids[0], C))
+    if (!boolVal(*E->kids()[0], C))
       return; // non-boolean conditions error dynamically; keep them
     size_t Taken = C ? 1 : 2, Other = C ? 2 : 1;
     // The untaken branch can carry a save some run routes through
     // (Evaluator::evalJump); dropping it would strand the jump.
-    if (containsAnySave(*E->Kids[Other], Ctx.Depth))
+    if (containsAnySave(*E->kids()[Other], Ctx.Depth))
       return;
-    ExprPtr T = std::move(E->Kids[Taken]);
-    E = std::move(T);
+    E = E->kids()[Taken];
     ++Ctx.Stats.ConstFolds;
     return;
   }
@@ -260,14 +257,14 @@ void tryFold(ExprPtr &E, LowerCtx &Ctx) {
 ///  - no SeqPoint on either node (footprint-discard boundaries must keep
 ///    their operand grouping);
 ///  - for ELet, no save inside the inner let: backward jumps re-enter
-///    Kids[0] (Evaluator::evalLet), and that re-entry set must not change.
+///    kids()[0] (Evaluator::evalLet), and that re-entry set must not change.
 ///    Saves in e3 are fine — both shapes route forward jumps to e3 with
-///    every skipped binding unbound (evalJump skips lets whose Kids[0]
+///    every skipped binding unbound (evalJump skips lets whose kids()[0]
 ///    has no save).
 bool rotatable(const Expr &E, unsigned &Depth) {
   if (E.K != ExprKind::PureLet && E.K != ExprKind::ELet)
     return false;
-  const Expr &Inner = *E.Kids[0];
+  const Expr &Inner = *E.kids()[0];
   if (Inner.K != E.K || E.SeqPoint || Inner.SeqPoint)
     return false;
   if (E.K == ExprKind::ELet && containsAnySave(Inner, Depth))
@@ -275,31 +272,31 @@ bool rotatable(const Expr &E, unsigned &Depth) {
   return true;
 }
 
-void flattenLets(ExprPtr &E, LowerCtx &Ctx) {
+void flattenLets(Expr *&E, LowerCtx &Ctx) {
   DepthGuard G(Ctx.Depth, MaxCoreDepth);
   if (!G)
     return; // left as is: flattening is an optimisation
   while (rotatable(*E, Ctx.Depth)) {
-    ExprPtr Inner = std::move(E->Kids[0]); // let p2 = e1 in e2
+    Expr *Inner = E->kids()[0]; // let p2 = e1 in e2
     // Reuse E as the new inner node: let p1 = e2 in e3.
-    E->Kids[0] = std::move(Inner->Kids[1]);
+    E->kids()[0] = Inner->kids()[1];
     // Reuse Inner as the new outer node: let p2 = e1 in (let p1 = ...).
-    Inner->Kids[1] = std::move(E);
-    E = std::move(Inner);
+    Inner->kids()[1] = E;
+    E = Inner;
     ++Ctx.Stats.LetsFlattened;
     // The rebuilt continuation may itself be left-nested (e2 was a let).
-    flattenLets(E->Kids[1], Ctx);
+    flattenLets(E->kids()[1], Ctx);
   }
 }
 
-void lowerExpr(ExprPtr &E, LowerCtx &Ctx) {
+void lowerExpr(Expr *&E, LowerCtx &Ctx) {
   DepthGuard G(Ctx.Depth, MaxCoreDepth);
   if (!G)
     return;
-  for (ExprPtr &K : E->Kids)
+  for (Expr *&K : E->kids())
     lowerExpr(K, Ctx);
-  for (auto &[Pat, Body] : E->Branches)
-    lowerExpr(Body, Ctx);
+  for (Branch &B : E->branches())
+    lowerExpr(B.Body, Ctx);
   tryFold(E, Ctx);
   flattenLets(E, Ctx);
 }
@@ -394,25 +391,26 @@ size_t poolHash(const Value &V) {
 }
 
 void internValue(Expr &E, LowerCtx &Ctx) {
-  if (!poolable(E.V))
+  const Value &V = E.value();
+  if (!poolable(V))
     return;
-  size_t H = poolHash(E.V);
+  size_t H = poolHash(V);
   auto [It, End] = Ctx.PoolIndex.equal_range(H);
   for (; It != End; ++It)
-    if (poolEqual(Ctx.P.ConstPool[It->second], E.V)) {
+    if (poolEqual(Ctx.P.ConstPool[It->second], V)) {
       E.PoolIdx = It->second;
       ++Ctx.Stats.ConstsInterned;
       return;
     }
   E.PoolIdx = static_cast<int>(Ctx.P.ConstPool.size());
   Ctx.PoolIndex.emplace(H, E.PoolIdx);
-  Ctx.P.ConstPool.push_back(E.V);
+  Ctx.P.ConstPool.push_back(V);
 }
 
 void annotatePattern(Pattern &P, LowerCtx &Ctx) {
   if (P.K == PatKind::Sym)
     P.Slot = Ctx.slot(P.S);
-  for (Pattern &Sub : P.Subs)
+  for (Pattern &Sub : P.subs())
     annotatePattern(Sub, Ctx);
 }
 
@@ -434,16 +432,18 @@ uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
   else if (E.K == ExprKind::Val)
     internValue(E, Ctx);
   else if (E.K == ExprKind::PureCall)
-    E.Pure = pureFnByName(E.Str);
-  annotatePattern(E.Pat, Ctx);
-  for (ScopeObject &O : E.Scope)
-    O.Slot = Ctx.slot(O.Obj);
+    E.Pure = pureFnByName(E.str());
+  if (E.Pat)
+    annotatePattern(*E.Pat, Ctx);
+  if (E.Aux)
+    for (ScopeObject &O : E.Aux->Scope)
+      O.Slot = Ctx.slot(O.Obj);
   uint64_t Mask = 0;
-  for (ExprPtr &K : E.Kids)
+  for (Expr *K : E.kids())
     Mask |= annotateExpr(*K, Ctx);
-  for (auto &[Pat, Body] : E.Branches) {
-    annotatePattern(Pat, Ctx);
-    Mask |= annotateExpr(*Body, Ctx);
+  for (Branch &B : E.branches()) {
+    annotatePattern(B.Pat, Ctx);
+    Mask |= annotateExpr(*B.Body, Ctx);
   }
   if (E.K == ExprKind::Save)
     Mask |= 1ull << (E.Sym.Id & 63);
@@ -479,8 +479,8 @@ uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
   case ExprKind::MemberShiftE:
   case ExprKind::PureCall: {
     bool VO = E.K != ExprKind::PureCall ||
-              (E.Pure != PureFn::None && E.Kids.size() <= 4);
-    for (const ExprPtr &K : E.Kids)
+              (E.Pure != PureFn::None && E.NumKids <= 4);
+    for (const Expr *K : E.kids())
       VO = VO && K->ValueOnly;
     E.ValueOnly = VO;
     break;

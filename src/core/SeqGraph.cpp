@@ -128,9 +128,9 @@ private:
     }
     // let weak (p, v) = unseq(e1, e2): alias the tuple elementwise.
     if (Pat.K == PatKind::Tuple && Bound.K == ExprKind::Unseq &&
-        Pat.Subs.size() == Bound.Kids.size())
-      for (size_t I = 0; I < Pat.Subs.size(); ++I)
-        noteAlias(Pat.Subs[I], *Bound.Kids[I]);
+        Pat.subs().size() == Bound.kids().size())
+      for (size_t I = 0; I < Pat.subs().size(); ++I)
+        noteAlias(Pat.subs()[I], *Bound.kids()[I]);
   }
 
   std::string operandNameOf(const Expr &P) {
@@ -139,13 +139,14 @@ private:
       return It != Alias.end() ? It->second : Syms.nameOf(P.Sym);
     }
     if (P.K == ExprKind::MemberShiftE || P.K == ExprKind::ArrayShiftE)
-      return operandNameOf(*P.Kids[0]) + "[..]";
+      return operandNameOf(*P.kids()[0]) + "[..]";
     return "?";
   }
   std::string operandName(const Expr &Action) {
-    if (Action.Kids.empty())
-      return Action.Str.empty() ? std::string("?") : Action.Str;
-    return operandNameOf(*Action.Kids[0]);
+    if (Action.kids().empty())
+      return Action.str().empty() ? std::string("?")
+                                  : std::string(Action.str());
+    return operandNameOf(*Action.kids()[0]);
   }
 
   unsigned addNode(const Expr &Action, unsigned IndetGroup) {
@@ -164,7 +165,7 @@ private:
     case ActionKind::Free: K = "K"; break;
     }
     N.Label = fmt("{0} {1}", K,
-                  Action.Act == ActionKind::Create ? Action.Str
+                  Action.Act == ActionKind::Create ? std::string(Action.str())
                                                    : operandName(Action));
     G.Nodes.push_back(N);
     return N.Id;
@@ -193,25 +194,25 @@ Acts Builder::walk(const Expr &E, unsigned IndetGroup) {
   case ExprKind::LetStrong:
   case ExprKind::ELet:
   case ExprKind::PureLet: {
-    noteAlias(E.Pat, *E.Kids[0]);
-    Acts A1 = walk(*E.Kids[0], IndetGroup);
-    Acts A2 = walk(*E.Kids[1], IndetGroup);
+    noteAlias(*E.Pat, *E.kids()[0]);
+    Acts A1 = walk(*E.kids()[0], IndetGroup);
+    Acts A2 = walk(*E.kids()[1], IndetGroup);
     edgesAll(A1.allActs(), A2.allActs());
     A1.merge(A2);
     return A1;
   }
   case ExprKind::LetWeak: {
-    noteAlias(E.Pat, *E.Kids[0]);
-    Acts A1 = walk(*E.Kids[0], IndetGroup);
-    Acts A2 = walk(*E.Kids[1], IndetGroup);
+    noteAlias(*E.Pat, *E.kids()[0]);
+    Acts A1 = walk(*E.kids()[0], IndetGroup);
+    Acts A2 = walk(*E.kids()[1], IndetGroup);
     // §5.6: only the positive actions of e1 are sequenced before e2.
     edgesAll(A1.Pos, A2.allActs());
     A1.merge(A2);
     return A1;
   }
   case ExprKind::LetAtomic: {
-    Acts A1 = walk(*E.Kids[0], IndetGroup);
-    Acts A2 = walk(*E.Kids[1], IndetGroup);
+    Acts A1 = walk(*E.kids()[0], IndetGroup);
+    Acts A2 = walk(*E.kids()[1], IndetGroup);
     for (unsigned F : A1.allActs())
       for (unsigned T : A2.allActs())
         edge(F, T, SeqEdgeKind::Atomic);
@@ -222,22 +223,22 @@ Acts Builder::walk(const Expr &E, unsigned IndetGroup) {
   case ExprKind::Nd:
   case ExprKind::Par: {
     Acts All;
-    for (const ExprPtr &K : E.Kids)
+    for (const Expr *K : E.kids())
       All.merge(walk(*K, IndetGroup));
     return All;
   }
   case ExprKind::Indet: {
     unsigned Group = ++NextIndet;
-    return walk(*E.Kids[0], Group);
+    return walk(*E.kids()[0], Group);
   }
   case ExprKind::Bound:
   case ExprKind::Save:
-    return walk(*E.Kids[0], IndetGroup);
+    return walk(*E.kids()[0], IndetGroup);
   case ExprKind::PureIf:
   case ExprKind::EIf: {
-    Acts C = walk(*E.Kids[0], IndetGroup);
-    Acts T = walk(*E.Kids[1], IndetGroup);
-    Acts F = walk(*E.Kids[2], IndetGroup);
+    Acts C = walk(*E.kids()[0], IndetGroup);
+    Acts T = walk(*E.kids()[1], IndetGroup);
+    Acts F = walk(*E.kids()[2], IndetGroup);
     edgesAll(C.allActs(), T.allActs());
     edgesAll(C.allActs(), F.allActs());
     C.merge(T);
@@ -246,9 +247,9 @@ Acts Builder::walk(const Expr &E, unsigned IndetGroup) {
   }
   case ExprKind::Case:
   case ExprKind::ECase: {
-    Acts S = walk(*E.Kids[0], IndetGroup);
+    Acts S = walk(*E.kids()[0], IndetGroup);
     Acts Branches;
-    for (const auto &[Pat, Body] : E.Branches)
+    for (const auto &[Pat, Body] : E.branches())
       Branches.merge(walk(*Body, IndetGroup));
     edgesAll(S.allActs(), Branches.allActs());
     S.merge(Branches);
@@ -272,9 +273,9 @@ Acts Builder::walk(const Expr &E, unsigned IndetGroup) {
   }
   default: {
     Acts All;
-    for (const ExprPtr &K : E.Kids)
+    for (const Expr *K : E.kids())
       All.merge(walk(*K, IndetGroup));
-    for (const auto &[Pat, Body] : E.Branches)
+    for (const auto &[Pat, Body] : E.branches())
       All.merge(walk(*Body, IndetGroup));
     return All;
   }

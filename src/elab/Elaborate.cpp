@@ -29,197 +29,162 @@ namespace {
 // Small Core builders
 //===----------------------------------------------------------------------===//
 
-ExprPtr mk(ExprKind K, SourceLoc Loc = SourceLoc()) {
-  return Expr::make(K, Loc);
-}
+/// The program being built, with builders that make its nodes in its
+/// arena.
+struct CoreBuilder {
+  CoreProgram Prog;
 
-ExprPtr mkVal(Value V, SourceLoc Loc = SourceLoc()) {
-  auto E = mk(ExprKind::Val, Loc);
-  E->V = std::move(V);
-  return E;
-}
+  Expr *mk(ExprKind K, SourceLoc Loc = SourceLoc(),
+           std::initializer_list<Expr *> Kids = {}) {
+    return Prog.Arena.make(K, Loc, Kids);
+  }
 
-ExprPtr mkSym(Symbol S, SourceLoc Loc = SourceLoc()) {
-  auto E = mk(ExprKind::Sym, Loc);
-  E->Sym = S;
-  return E;
-}
+  Expr *mkVal(Value V, SourceLoc Loc = SourceLoc()) {
+    return Prog.Arena.val(std::move(V), Loc);
+  }
 
-ExprPtr mkUndef(mem::UBKind K, SourceLoc Loc) {
-  auto E = mk(ExprKind::Undef, Loc);
-  E->UB = K;
-  return E;
-}
+  Expr *mkSym(Symbol S, SourceLoc Loc = SourceLoc()) {
+    Expr *E = mk(ExprKind::Sym, Loc);
+    E->Sym = S;
+    return E;
+  }
 
-ExprPtr mkInt(Int128 V) { return mkVal(Value::integer(V)); }
+  Expr *mkUndef(mem::UBKind K, SourceLoc Loc) {
+    Expr *E = mk(ExprKind::Undef, Loc);
+    E->UB = K;
+    return E;
+  }
 
-ExprPtr mkSpecified(ExprPtr Inner) {
-  auto E = mk(ExprKind::SpecifiedE, Inner->Loc);
-  E->Kids.push_back(std::move(Inner));
-  return E;
-}
+  Expr *mkInt(Int128 V) { return mkVal(Value::integer(V)); }
 
-ExprPtr mkBinop(CoreBinop Op, ExprPtr A, ExprPtr B) {
-  auto E = mk(ExprKind::Binop, A->Loc);
-  E->BOp = Op;
-  E->Kids.push_back(std::move(A));
-  E->Kids.push_back(std::move(B));
-  return E;
-}
+  Expr *mkSpecified(Expr *Inner) {
+    return mk(ExprKind::SpecifiedE, Inner->Loc, {Inner});
+  }
 
-ExprPtr mkNot(ExprPtr A) {
-  auto E = mk(ExprKind::Not, A->Loc);
-  E->Kids.push_back(std::move(A));
-  return E;
-}
+  Expr *mkBinop(CoreBinop Op, Expr *A, Expr *B) {
+    Expr *E = mk(ExprKind::Binop, A->Loc, {A, B});
+    E->BOp = Op;
+    return E;
+  }
 
-ExprPtr mkPureIf(ExprPtr C, ExprPtr T, ExprPtr F) {
-  auto E = mk(ExprKind::PureIf, C->Loc);
-  E->Kids.push_back(std::move(C));
-  E->Kids.push_back(std::move(T));
-  E->Kids.push_back(std::move(F));
-  return E;
-}
+  Expr *mkNot(Expr *A) { return mk(ExprKind::Not, A->Loc, {A}); }
 
-ExprPtr mkEIf(ExprPtr C, ExprPtr T, ExprPtr F) {
-  auto E = mk(ExprKind::EIf, C->Loc);
-  E->Kids.push_back(std::move(C));
-  E->Kids.push_back(std::move(T));
-  E->Kids.push_back(std::move(F));
-  return E;
-}
+  Expr *mkPureIf(Expr *C, Expr *T, Expr *F) {
+    return mk(ExprKind::PureIf, C->Loc, {C, T, F});
+  }
 
-ExprPtr mkPureLet(Pattern Pat, ExprPtr E1, ExprPtr E2) {
-  auto E = mk(ExprKind::PureLet, E1->Loc);
-  E->Pat = std::move(Pat);
-  E->Kids.push_back(std::move(E1));
-  E->Kids.push_back(std::move(E2));
-  return E;
-}
+  Expr *mkEIf(Expr *C, Expr *T, Expr *F) {
+    return mk(ExprKind::EIf, C->Loc, {C, T, F});
+  }
 
-ExprPtr mkLetStrong(Pattern Pat, ExprPtr E1, ExprPtr E2,
+  Expr *mkLet(ExprKind K, const Pattern &Pat, Expr *E1, Expr *E2) {
+    Expr *E = mk(K, E1->Loc, {E1, E2});
+    Prog.Arena.setPattern(*E, Pat);
+    return E;
+  }
+
+  Expr *mkPureLet(const Pattern &Pat, Expr *E1, Expr *E2) {
+    return mkLet(ExprKind::PureLet, Pat, E1, E2);
+  }
+
+  Expr *mkLetStrong(const Pattern &Pat, Expr *E1, Expr *E2,
                     bool SeqPoint = false) {
-  auto E = mk(ExprKind::LetStrong, E1->Loc);
-  E->Pat = std::move(Pat);
-  E->SeqPoint = SeqPoint;
-  E->Kids.push_back(std::move(E1));
-  E->Kids.push_back(std::move(E2));
-  return E;
-}
+    Expr *E = mkLet(ExprKind::LetStrong, Pat, E1, E2);
+    E->SeqPoint = SeqPoint;
+    return E;
+  }
 
-ExprPtr mkLetWeak(Pattern Pat, ExprPtr E1, ExprPtr E2) {
-  auto E = mk(ExprKind::LetWeak, E1->Loc);
-  E->Pat = std::move(Pat);
-  E->Kids.push_back(std::move(E1));
-  E->Kids.push_back(std::move(E2));
-  return E;
-}
+  Expr *mkLetWeak(const Pattern &Pat, Expr *E1, Expr *E2) {
+    return mkLet(ExprKind::LetWeak, Pat, E1, E2);
+  }
 
-ExprPtr mkUnseq(std::vector<ExprPtr> Kids) {
-  assert(!Kids.empty() && "empty unseq");
-  auto E = mk(ExprKind::Unseq, Kids[0]->Loc);
-  E->Kids = std::move(Kids);
-  return E;
-}
+  Expr *mkUnseq(const std::vector<Expr *> &Kids) {
+    assert(!Kids.empty() && "empty unseq");
+    return Prog.Arena.make(ExprKind::Unseq, Kids[0]->Loc, Kids);
+  }
 
-ExprPtr mkSkip() { return mk(ExprKind::Skip); }
+  Expr *mkSkip() { return mk(ExprKind::Skip); }
 
-ExprPtr mkLoad(CType Ty, ExprPtr Ptr, SourceLoc Loc, bool Neg = false) {
-  auto E = mk(ExprKind::Action, Loc);
-  E->Act = ActionKind::Load;
-  E->Cty = std::move(Ty);
-  E->NegPolarity = Neg;
-  E->Kids.push_back(std::move(Ptr));
-  return E;
-}
+  Expr *mkLoad(CType Ty, Expr *Ptr, SourceLoc Loc, bool Neg = false) {
+    Expr *E = mk(ExprKind::Action, Loc, {Ptr});
+    E->Act = ActionKind::Load;
+    E->Cty = std::move(Ty);
+    E->NegPolarity = Neg;
+    return E;
+  }
 
-ExprPtr mkStore(CType Ty, ExprPtr Ptr, ExprPtr V, SourceLoc Loc,
+  Expr *mkStore(CType Ty, Expr *Ptr, Expr *V, SourceLoc Loc,
                 bool Neg = false) {
-  auto E = mk(ExprKind::Action, Loc);
-  E->Act = ActionKind::Store;
-  E->Cty = std::move(Ty);
-  E->NegPolarity = Neg;
-  E->Kids.push_back(std::move(Ptr));
-  E->Kids.push_back(std::move(V));
-  return E;
-}
+    Expr *E = mk(ExprKind::Action, Loc, {Ptr, V});
+    E->Act = ActionKind::Store;
+    E->Cty = std::move(Ty);
+    E->NegPolarity = Neg;
+    return E;
+  }
 
-ExprPtr mkCreate(CType Ty, std::string Name, SourceLoc Loc) {
-  auto E = mk(ExprKind::Action, Loc);
-  E->Act = ActionKind::Create;
-  E->Cty = std::move(Ty);
-  E->Str = std::move(Name);
-  return E;
-}
+  Expr *mkCreate(CType Ty, std::string_view Name, SourceLoc Loc) {
+    Expr *E = mk(ExprKind::Action, Loc);
+    E->Act = ActionKind::Create;
+    E->Cty = std::move(Ty);
+    Prog.Arena.setStr(*E, Name);
+    return E;
+  }
 
-ExprPtr mkKill(ExprPtr Ptr, SourceLoc Loc) {
-  auto E = mk(ExprKind::Action, Loc);
-  E->Act = ActionKind::Kill;
-  E->Kids.push_back(std::move(Ptr));
-  return E;
-}
+  Expr *mkKill(Expr *Ptr, SourceLoc Loc) {
+    Expr *E = mk(ExprKind::Action, Loc, {Ptr});
+    E->Act = ActionKind::Kill;
+    return E;
+  }
 
-ExprPtr mkPtrOp(PtrOpKind Op, std::vector<ExprPtr> Kids, SourceLoc Loc,
+  Expr *mkPtrOp(PtrOpKind Op, const std::vector<Expr *> &Kids, SourceLoc Loc,
                 CType Cty = CType()) {
-  auto E = mk(ExprKind::PtrOp, Loc);
-  E->POp = Op;
-  E->Cty = std::move(Cty);
-  E->Kids = std::move(Kids);
-  return E;
-}
+    Expr *E = Prog.Arena.make(ExprKind::PtrOp, Loc, Kids);
+    E->POp = Op;
+    E->Cty = std::move(Cty);
+    return E;
+  }
 
-ExprPtr mkConvInt(CType Ty, ExprPtr V) {
-  auto E = mk(ExprKind::ConvInt, V->Loc);
-  E->Cty = std::move(Ty);
-  E->Kids.push_back(std::move(V));
-  return E;
-}
+  Expr *mkConvInt(CType Ty, Expr *V) {
+    Expr *E = mk(ExprKind::ConvInt, V->Loc, {V});
+    E->Cty = std::move(Ty);
+    return E;
+  }
 
-ExprPtr mkPureCall(std::string Name, std::vector<ExprPtr> Kids,
+  Expr *mkPureCall(std::string_view Name, const std::vector<Expr *> &Kids,
                    SourceLoc Loc) {
-  auto E = mk(ExprKind::PureCall, Loc);
-  E->Str = std::move(Name);
-  E->Kids = std::move(Kids);
-  return E;
-}
+    Expr *E = Prog.Arena.make(ExprKind::PureCall, Loc, Kids);
+    Prog.Arena.setStr(*E, Name);
+    return E;
+  }
 
-ExprPtr mkFinishArith(mem::ArithOp Op, CType Ty, ExprPtr A, ExprPtr B,
-                      ExprPtr N) {
-  auto E = mk(ExprKind::FinishArith, A->Loc);
-  E->AOp = Op;
-  E->Cty = std::move(Ty);
-  E->Kids.push_back(std::move(A));
-  E->Kids.push_back(std::move(B));
-  E->Kids.push_back(std::move(N));
-  return E;
-}
+  Expr *mkFinishArith(mem::ArithOp Op, CType Ty, Expr *A, Expr *B, Expr *N) {
+    Expr *E = mk(ExprKind::FinishArith, A->Loc, {A, B, N});
+    E->AOp = Op;
+    E->Cty = std::move(Ty);
+    return E;
+  }
 
-ExprPtr mkArrayShift(ExprPtr Ptr, CType ElemTy, ExprPtr Idx) {
-  auto E = mk(ExprKind::ArrayShiftE, Ptr->Loc);
-  E->Cty = std::move(ElemTy);
-  E->Kids.push_back(std::move(Ptr));
-  E->Kids.push_back(std::move(Idx));
-  return E;
-}
+  Expr *mkArrayShift(Expr *Ptr, CType ElemTy, Expr *Idx) {
+    Expr *E = mk(ExprKind::ArrayShiftE, Ptr->Loc, {Ptr, Idx});
+    E->Cty = std::move(ElemTy);
+    return E;
+  }
 
-ExprPtr mkMemberShift(ExprPtr Ptr, unsigned Tag, size_t MemberIdx) {
-  auto E = mk(ExprKind::MemberShiftE, Ptr->Loc);
-  E->Tag = Tag;
-  E->MemberIdx = MemberIdx;
-  E->Kids.push_back(std::move(Ptr));
-  return E;
-}
+  Expr *mkMemberShift(Expr *Ptr, unsigned Tag, size_t MemberIdx) {
+    Expr *E = mk(ExprKind::MemberShiftE, Ptr->Loc, {Ptr});
+    ExprAux &X = Prog.Arena.aux(*E);
+    X.Tag = Tag;
+    X.MemberIdx = static_cast<unsigned>(MemberIdx);
+    return E;
+  }
 
-ExprPtr mkRet(ExprPtr V, SourceLoc Loc) {
-  auto E = mk(ExprKind::Ret, Loc);
-  E->Kids.push_back(std::move(V));
-  return E;
-}
+  Expr *mkRet(Expr *V, SourceLoc Loc) { return mk(ExprKind::Ret, Loc, {V}); }
 
-/// Sequences two effects, discarding the first's value.
-ExprPtr seq(ExprPtr A, ExprPtr B, bool SeqPoint = false) {
-  return mkLetStrong(Pattern::wild(), std::move(A), std::move(B), SeqPoint);
-}
+  /// Sequences two effects, discarding the first's value.
+  Expr *seq(Expr *A, Expr *B, bool SeqPoint = false) {
+    return mkLetStrong(Pattern::wild(), A, B, SeqPoint);
+  }
+};
 
 /// The scalars \p Init initializes; elabInitStores nests a Core level each.
 size_t initLeaves(const AilInit &Init) {
@@ -251,7 +216,7 @@ mem::ArithOp arithOpOf(BinaryOp Op) {
 // Elaborator
 //===----------------------------------------------------------------------===//
 
-class Elaborator {
+class Elaborator : CoreBuilder {
 public:
   explicit Elaborator(ail::AilProgram P)
       : Ail(std::move(P)), Env(Ail.Tags) {}
@@ -261,7 +226,6 @@ public:
 private:
   ail::AilProgram Ail;
   ail::ImplEnv Env;
-  CoreProgram Prog;
 
   // Per-function state.
   CType RetTy;
@@ -306,24 +270,26 @@ private:
     return freshSym(Base, ail::SymbolKind::Label);
   }
 
-  std::vector<ScopeObject> currentScope() const {
-    std::vector<ScopeObject> Out;
+  /// Annotates \p E with the objects of every enclosing block.
+  void setCurrentScope(Expr &E) {
+    size_t N = 0;
     for (const auto &Block : BlockScopes)
-      Out.insert(Out.end(), Block.begin(), Block.end());
-    return Out;
+      N += Block.size();
+    ScopeObject *Out = Prog.Arena.setScope(E, N).data();
+    for (const auto &Block : BlockScopes)
+      Out = std::copy(Block.begin(), Block.end(), Out);
   }
 
-  ExprPtr mkRun(Symbol Label, SourceLoc Loc) {
-    auto E = mk(ExprKind::Run, Loc);
+  Expr *mkRun(Symbol Label, SourceLoc Loc) {
+    Expr *E = mk(ExprKind::Run, Loc);
     E->Sym = Label;
-    E->Scope = currentScope();
+    setCurrentScope(*E);
     return E;
   }
-  ExprPtr mkSave(Symbol Label, ExprPtr Body, SourceLoc Loc) {
-    auto E = mk(ExprKind::Save, Loc);
+  Expr *mkSave(Symbol Label, Expr *Body, SourceLoc Loc) {
+    Expr *E = mk(ExprKind::Save, Loc, {Body});
     E->Sym = Label;
-    E->Scope = currentScope();
-    E->Kids.push_back(std::move(Body));
+    setCurrentScope(*E);
     return E;
   }
 
@@ -337,10 +303,10 @@ private:
   }
 
   //===--- expressions -------------------------------------------------===//
-  Expected<ExprPtr> rvalue(const AilExpr &E);
-  Expected<ExprPtr> lvalue(const AilExpr &E);
+  Expected<Expr *> rvalue(const AilExpr &E);
+  Expected<Expr *> lvalue(const AilExpr &E);
 
-  Expected<ExprPtr> rvalueConv(const AilExpr &E, const CType &To) {
+  Expected<Expr *> rvalueConv(const AilExpr &E, const CType &To) {
     CERB_TRY(R, rvalue(E));
     return convertLoaded(To, valueTypeOf(E), std::move(R), E.Loc);
   }
@@ -349,21 +315,21 @@ private:
   /// Specified case; \p UnspecE handles Unspecified. The scrutinee must be
   /// pure (Fig. 2: `case pe with ...`); the node is a pure Case when the
   /// branches are pure, an effect ECase otherwise.
-  ExprPtr caseLoaded(ExprPtr Scrut, Symbol Bind, ExprPtr ThenE,
-                     ExprPtr UnspecE) {
+  Expr *caseLoaded(Expr *Scrut, Symbol Bind, Expr *ThenE,
+                     Expr *UnspecE) {
     assert(isPureExpr(*Scrut) && "case scrutinee must be pure");
     bool Pure = isPureExpr(*ThenE) && isPureExpr(*UnspecE);
-    auto E = mk(Pure ? ExprKind::Case : ExprKind::ECase, Scrut->Loc);
-    E->Kids.push_back(std::move(Scrut));
-    E->Branches.emplace_back(Pattern::specified(Pattern::sym(Bind)),
-                             std::move(ThenE));
-    E->Branches.emplace_back(Pattern::unspecified(), std::move(UnspecE));
+    Expr *E = mk(Pure ? ExprKind::Case : ExprKind::ECase, Scrut->Loc, {Scrut});
+    Branch Bs[] = {
+        {Prog.Arena.specifiedPattern(Pattern::sym(Bind)), ThenE},
+        {Pattern::unspecified(), UnspecE}};
+    Prog.Arena.setBranches(*E, Bs);
     return E;
   }
 
   /// caseLoaded for an *effectful* scrutinee: binds it first.
-  ExprPtr caseLoadedEff(ExprPtr Scrut, Symbol Bind, ExprPtr ThenE,
-                        ExprPtr UnspecE) {
+  Expr *caseLoadedEff(Expr *Scrut, Symbol Bind, Expr *ThenE,
+                        Expr *UnspecE) {
     if (isPureExpr(*Scrut))
       return caseLoaded(std::move(Scrut), Bind, std::move(ThenE),
                         std::move(UnspecE));
@@ -378,55 +344,55 @@ private:
   /// facto answers to Q43/Q52 (daemonic unspecified values) decide the
   /// Unspecified branches: unsigned result types propagate Unspecified,
   /// signed ones are undef(Exceptional_condition).
-  ExprPtr caseLoaded2(ExprPtr S1, ExprPtr S2, Symbol B1, Symbol B2,
-                      ExprPtr ThenE, const CType &ResultTy, SourceLoc Loc);
+  Expr *caseLoaded2(Expr *S1, Expr *S2, Symbol B1, Symbol B2,
+                      Expr *ThenE, const CType &ResultTy, SourceLoc Loc);
 
   /// Converts a loaded value between C types (6.3): identity, conv_int,
   /// int<->pointer via ptrop, bool normalisation.
-  Expected<ExprPtr> convertLoaded(const CType &To, const CType &From,
-                                  ExprPtr E, SourceLoc Loc);
+  Expected<Expr *> convertLoaded(const CType &To, const CType &From,
+                                  Expr *E, SourceLoc Loc);
 
   /// Effectful boolean truthiness of a loaded scalar (for if/while/&&/!).
-  Expected<ExprPtr> truthiness(ExprPtr LoadedE, const CType &Ty,
+  Expected<Expr *> truthiness(Expr *LoadedE, const CType &Ty,
                                SourceLoc Loc);
 
   /// Pure arithmetic core for integer `A op B` at result type \p Ty, with
   /// the ISO-mandated undef tests made explicit (Fig. 3). \p A and \p B
   /// are symbols bound to already-converted integer values.
-  ExprPtr arithCore(BinaryOp Op, const CType &Ty, const CType &RhsTy,
+  Expr *arithCore(BinaryOp Op, const CType &Ty, const CType &RhsTy,
                     Symbol A, Symbol B, SourceLoc Loc);
 
-  Expected<ExprPtr> elabBinary(const AilExpr &E);
-  Expected<ExprPtr> elabAssign(const AilExpr &E);
-  Expected<ExprPtr> elabIncDec(const AilExpr &E);
-  Expected<ExprPtr> elabCall(const AilExpr &E);
-  Expected<ExprPtr> elabCast(const AilExpr &E);
-  Expected<ExprPtr> elabCond(const AilExpr &E);
+  Expected<Expr *> elabBinary(const AilExpr &E);
+  Expected<Expr *> elabAssign(const AilExpr &E);
+  Expected<Expr *> elabIncDec(const AilExpr &E);
+  Expected<Expr *> elabCall(const AilExpr &E);
+  Expected<Expr *> elabCast(const AilExpr &E);
+  Expected<Expr *> elabCond(const AilExpr &E);
 
   //===--- statements --------------------------------------------------===//
-  Expected<ExprPtr> elabStmt(const AilStmt &S);
+  Expected<Expr *> elabStmt(const AilStmt &S);
   /// Elaborates Stmts[I..] with \p Tail as the continuation (the block's
   /// kill chain goes there, nested inside every declaration's binding so
   /// Core stays lexically scoped). Recurses once per statement, each
   /// holding its nest() levels.
-  Expected<ExprPtr> elabStmtSeq(const std::vector<ail::AilStmtPtr> &Stmts,
-                                size_t I, ExprPtr Tail);
-  Expected<ExprPtr> elabBlock(const AilStmt &S);
-  Expected<ExprPtr> elabDeclInto(const AilStmt &S, ExprPtr Rest);
-  Expected<ExprPtr> elabWhile(const AilStmt &S);
-  Expected<ExprPtr> elabSwitch(const AilStmt &S);
+  Expected<Expr *> elabStmtSeq(const std::vector<ail::AilStmtPtr> &Stmts,
+                                size_t I, Expr *Tail);
+  Expected<Expr *> elabBlock(const AilStmt &S);
+  Expected<Expr *> elabDeclInto(const AilStmt &S, Expr *Rest);
+  Expected<Expr *> elabWhile(const AilStmt &S);
+  Expected<Expr *> elabSwitch(const AilStmt &S);
 
   /// Emits initialisation stores for `Ptr : Ty = Init`.
-  Expected<ExprPtr> elabInitStores(const CType &Ty, ExprPtr MakePtr,
-                                   const AilInit &Init, ExprPtr Rest);
+  Expected<Expr *> elabInitStores(const CType &Ty, Expr *MakePtr,
+                                   const AilInit &Init, Expr *Rest);
   /// A zero value of type \p Ty (static-storage default, 6.7.9p10).
   Value zeroValue(const CType &Ty);
 
   /// Full-expression wrapper: statement-level sequence point.
-  Expected<ExprPtr> fullExpr(const AilExpr &E) { return rvalue(E); }
+  Expected<Expr *> fullExpr(const AilExpr &E) { return rvalue(E); }
 
-  Expected<ExprPtr> elabFunction(const ail::AilFunction &F);
-  Expected<ExprPtr> elabGlobalInit(const ail::AilGlobal &G);
+  Expected<Expr *> elabFunction(const ail::AilFunction &F);
+  Expected<Expr *> elabGlobalInit(const ail::AilGlobal &G);
 
   /// Collects (value, label) pairs of the cases of a switch body, without
   /// descending into nested switches.
@@ -439,8 +405,8 @@ private:
 // Conversions, truthiness
 //===----------------------------------------------------------------------===//
 
-Expected<ExprPtr> Elaborator::convertLoaded(const CType &To,
-                                            const CType &From, ExprPtr E,
+Expected<Expr *> Elaborator::convertLoaded(const CType &To,
+                                            const CType &From, Expr *E,
                                             SourceLoc Loc) {
   if (To == From)
     return E;
@@ -454,9 +420,9 @@ Expected<ExprPtr> Elaborator::convertLoaded(const CType &To,
     return E; // representation identity (CastPtr hook is identity)
   if (To.isPointer() && From.isInteger()) {
     Symbol A = fresh("cv"), R = fresh("cvr");
-    std::vector<ExprPtr> Kids;
+    std::vector<Expr *> Kids;
     Kids.push_back(mkSym(A, Loc));
-    ExprPtr Conv = mkLetStrong(
+    Expr *Conv = mkLetStrong(
         Pattern::sym(R),
         mkPtrOp(PtrOpKind::PtrFromInt, std::move(Kids), Loc, To),
         mkSpecified(mkSym(R, Loc)));
@@ -465,9 +431,9 @@ Expected<ExprPtr> Elaborator::convertLoaded(const CType &To,
   }
   if (To.isInteger() && From.isPointer()) {
     Symbol A = fresh("cv"), R = fresh("cvr");
-    std::vector<ExprPtr> Kids;
+    std::vector<Expr *> Kids;
     Kids.push_back(mkSym(A, Loc));
-    ExprPtr Conv = mkLetStrong(
+    Expr *Conv = mkLetStrong(
         Pattern::sym(R),
         mkPtrOp(PtrOpKind::IntFromPtr, std::move(Kids), Loc, To),
         mkSpecified(mkSym(R, Loc)));
@@ -483,7 +449,7 @@ Expected<ExprPtr> Elaborator::convertLoaded(const CType &To,
              Loc);
 }
 
-Expected<ExprPtr> Elaborator::truthiness(ExprPtr LoadedE, const CType &Ty,
+Expected<Expr *> Elaborator::truthiness(Expr *LoadedE, const CType &Ty,
                                          SourceLoc Loc) {
   Symbol A = fresh("t");
   if (Ty.isInteger()) {
@@ -493,7 +459,7 @@ Expected<ExprPtr> Elaborator::truthiness(ExprPtr LoadedE, const CType &Ty,
                          mkUndef(mem::UBKind::IndeterminateValueUse, Loc));
   }
   if (Ty.isPointer()) {
-    std::vector<ExprPtr> Kids;
+    std::vector<Expr *> Kids;
     Kids.push_back(mkSym(A, Loc));
     Kids.push_back(mkVal(Value::pointer(mem::PointerValue::null()), Loc));
     return caseLoadedEff(std::move(LoadedE), A,
@@ -503,18 +469,18 @@ Expected<ExprPtr> Elaborator::truthiness(ExprPtr LoadedE, const CType &Ty,
   return err(fmt("cannot test truth of type '{0}'", Ty.str()), Loc);
 }
 
-ExprPtr Elaborator::caseLoaded2(ExprPtr S1, ExprPtr S2, Symbol B1, Symbol B2,
-                                ExprPtr ThenE, const CType &ResultTy,
+Expr *Elaborator::caseLoaded2(Expr *S1, Expr *S2, Symbol B1, Symbol B2,
+                                Expr *ThenE, const CType &ResultTy,
                                 SourceLoc Loc) {
   // The Unspecified policy of Fig. 3: unsigned result -> Unspecified;
   // signed result -> undef(Exceptional_condition).
-  auto UnspecResult = [&]() -> ExprPtr {
+  auto UnspecResult = [&]() -> Expr * {
     if (ResultTy.isInteger() && ResultTy.isUnsigned())
       return mkVal(Value::unspecified(ResultTy), Loc);
     return mkUndef(mem::UBKind::ExceptionalCondition, Loc);
   };
   // case (s1) of Specified b1 => case (s2) of Specified b2 => Then
-  ExprPtr Inner = caseLoaded(std::move(S2), B2, std::move(ThenE),
+  Expr *Inner = caseLoaded(std::move(S2), B2, std::move(ThenE),
                              UnspecResult());
   return caseLoaded(std::move(S1), B1, std::move(Inner), UnspecResult());
 }
@@ -523,7 +489,7 @@ ExprPtr Elaborator::caseLoaded2(ExprPtr S1, ExprPtr S2, Symbol B1, Symbol B2,
 // Integer arithmetic (the Fig. 3 pattern, per operator)
 //===----------------------------------------------------------------------===//
 
-ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
+Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
                               const CType &RhsTy, Symbol A, Symbol B,
                               SourceLoc Loc) {
   bool Uns = Ty.isUnsigned();
@@ -531,12 +497,12 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
   auto SymB = [&] { return mkSym(B, Loc); };
   // Only arithmetic operators finish through the model (comparisons and
   // the logical operators never reach arithOpOf).
-  auto Finish = [&](ExprPtr N) {
+  auto Finish = [&](Expr *N) {
     return mkSpecified(
         mkFinishArith(arithOpOf(Op), Ty, SymA(), SymB(), std::move(N)));
   };
-  auto IsRepresentable = [&](ExprPtr N) {
-    std::vector<ExprPtr> Kids;
+  auto IsRepresentable = [&](Expr *N) {
+    std::vector<Expr *> Kids;
     Kids.push_back(mkVal(Value::ctype(Ty), Loc));
     Kids.push_back(std::move(N));
     return mkPureCall("is_representable", std::move(Kids), Loc);
@@ -550,7 +516,7 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
                    : Op == BinaryOp::Sub ? CoreBinop::Sub
                                          : CoreBinop::Mul;
     Symbol N = fresh("n");
-    ExprPtr Num = mkBinop(CB, SymA(), SymB());
+    Expr *Num = mkBinop(CB, SymA(), SymB());
     if (Uns)
       // 6.2.5p9: unsigned arithmetic is reduced modulo 2^width.
       return mkPureLet(Pattern::sym(N), mkConvInt(Ty, std::move(Num)),
@@ -566,18 +532,18 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     // 6.5.5p5: UB if the divisor is zero; p6: UB if a/b is unrepresentable
     // (this covers INT_MIN / -1 and INT_MIN % -1).
     Symbol Q = fresh("q");
-    ExprPtr Compute =
+    Expr *Compute =
         Op == BinaryOp::Div
             ? Finish(mkSym(Q, Loc))
             : Finish(mkBinop(CoreBinop::RemT, SymA(), SymB()));
-    ExprPtr Guarded;
+    Expr *Guarded;
     if (Uns) {
       Guarded = std::move(Compute);
     } else {
       Guarded = mkPureIf(IsRepresentable(mkSym(Q, Loc)), std::move(Compute),
                          mkUndef(mem::UBKind::ExceptionalCondition, Loc));
     }
-    ExprPtr Body = mkPureLet(Pattern::sym(Q),
+    Expr *Body = mkPureLet(Pattern::sym(Q),
                              mkBinop(CoreBinop::Div, SymA(), SymB()),
                              std::move(Guarded));
     return mkPureIf(mkBinop(CoreBinop::Eq, SymB(), mkInt(0)),
@@ -587,11 +553,11 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
   case BinaryOp::Shl: {
     // Fig. 3, clause by clause (6.5.7p3-4).
     unsigned Width = Env.widthOf(Ty.intKind());
-    ExprPtr TooLarge = mkBinop(CoreBinop::Le, mkInt(Width), SymB());
-    ExprPtr Compute;
+    Expr *TooLarge = mkBinop(CoreBinop::Le, mkInt(Width), SymB());
+    Expr *Compute;
     if (Uns) {
       // E1 x 2^E2, reduced modulo one more than the maximum value.
-      ExprPtr N = mkBinop(CoreBinop::Mul, SymA(),
+      Expr *N = mkBinop(CoreBinop::Mul, SymA(),
                           mkBinop(CoreBinop::Exp, mkInt(2), SymB()));
       Compute = Finish(mkBinop(CoreBinop::RemT, std::move(N),
                                mkInt(Env.maxOf(Ty.intKind()) + 1)));
@@ -619,10 +585,10 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     unsigned Width = Env.widthOf(Ty.intKind());
     // Right shift of a negative value is implementation-defined
     // (6.5.7p5); we implement the universal arithmetic shift.
-    std::vector<ExprPtr> Kids;
+    std::vector<Expr *> Kids;
     Kids.push_back(SymA());
     Kids.push_back(SymB());
-    ExprPtr Compute = Finish(mkPureCall("shr_arith", std::move(Kids), Loc));
+    Expr *Compute = Finish(mkPureCall("shr_arith", std::move(Kids), Loc));
     return mkPureIf(
         mkBinop(CoreBinop::Lt, SymB(), mkInt(0)),
         mkUndef(mem::UBKind::NegativeShift, Loc),
@@ -636,7 +602,7 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     const char *Fn = Op == BinaryOp::BitAnd  ? "bw_and"
                      : Op == BinaryOp::BitOr ? "bw_or"
                                              : "bw_xor";
-    std::vector<ExprPtr> Kids;
+    std::vector<Expr *> Kids;
     Kids.push_back(mkVal(Value::ctype(Ty), Loc));
     Kids.push_back(SymA());
     Kids.push_back(SymB());
@@ -658,7 +624,7 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     case BinaryOp::Eq: CB = CoreBinop::Eq; break;
     default: CB = CoreBinop::Eq; Negate = true; break;
     }
-    ExprPtr Cmp = mkBinop(CB, SymA(), SymB());
+    Expr *Cmp = mkBinop(CB, SymA(), SymB());
     if (Negate)
       Cmp = mkNot(std::move(Cmp));
     return mkPureIf(std::move(Cmp), mkSpecified(mkInt(1)),
@@ -674,7 +640,7 @@ ExprPtr Elaborator::arithCore(BinaryOp Op, const CType &Ty,
 // Expressions
 //===----------------------------------------------------------------------===//
 
-Expected<ExprPtr> Elaborator::lvalue(const AilExpr &E) {
+Expected<Expr *> Elaborator::lvalue(const AilExpr &E) {
   DepthGuard G = guard();
   if (!G)
     return G.error("elaborate", E.Loc);
@@ -709,7 +675,7 @@ Expected<ExprPtr> Elaborator::lvalue(const AilExpr &E) {
   return err("expression is not an lvalue", E.Loc, "6.3.2.1");
 }
 
-Expected<ExprPtr> Elaborator::rvalue(const AilExpr &E) {
+Expected<Expr *> Elaborator::rvalue(const AilExpr &E) {
   DepthGuard G = guard();
   if (!G)
     return G.error("elaborate", E.Loc);
@@ -768,20 +734,20 @@ Expected<ExprPtr> Elaborator::rvalue(const AilExpr &E) {
     case UnaryOp::BitNot: {
       CERB_TRY(V, rvalueConv(*E.Kids[0], E.Ty));
       Symbol A = fresh("u");
-      ExprPtr Compute;
+      Expr *Compute;
       SourceLoc Loc = E.Loc;
       if (E.UOp == UnaryOp::Plus) {
         Compute = mkSpecified(mkSym(A, Loc));
       } else if (E.UOp == UnaryOp::Minus) {
         // 0 - a, with the signed-overflow test (negating INT_MIN is UB).
         Symbol N = fresh("n");
-        ExprPtr Num = mkBinop(CoreBinop::Sub, mkInt(0), mkSym(A, Loc));
+        Expr *Num = mkBinop(CoreBinop::Sub, mkInt(0), mkSym(A, Loc));
         if (E.Ty.isUnsigned()) {
           Compute = mkSpecified(mkFinishArith(
               mem::ArithOp::Sub, E.Ty, mkInt(0), mkSym(A, Loc),
               mkConvInt(E.Ty, std::move(Num))));
         } else {
-          std::vector<ExprPtr> RK;
+          std::vector<Expr *> RK;
           RK.push_back(mkVal(Value::ctype(E.Ty), Loc));
           RK.push_back(mkSym(N, Loc));
           Compute = mkPureLet(
@@ -791,7 +757,7 @@ Expected<ExprPtr> Elaborator::rvalue(const AilExpr &E) {
                        mkUndef(mem::UBKind::ExceptionalCondition, Loc)));
         }
       } else { // BitNot
-        std::vector<ExprPtr> Kids;
+        std::vector<Expr *> Kids;
         Kids.push_back(mkVal(Value::ctype(E.Ty), Loc));
         Kids.push_back(mkSym(A, Loc));
         Compute = mkSpecified(mkPureCall("bw_compl", std::move(Kids), Loc));

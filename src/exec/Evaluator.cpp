@@ -300,15 +300,15 @@ bool Evaluator::matchPattern(const Pattern &P, const Value &V, bool Inner) {
     bindSlot(P.Slot, Inner ? V.inner() : Value(V));
     return true;
   case PatKind::Tuple: {
-    if (K != ValueKind::Tuple || V.elems().size() != P.Subs.size())
+    if (K != ValueKind::Tuple || V.elems().size() != P.subs().size())
       return false;
-    for (size_t I = 0; I < P.Subs.size(); ++I)
-      if (!matchPattern(P.Subs[I], V.elems()[I]))
+    for (size_t I = 0; I < P.subs().size(); ++I)
+      if (!matchPattern(P.subs()[I], V.elems()[I]))
         return false;
     return true;
   }
   case PatKind::SpecifiedP:
-    return K == ValueKind::Specified && matchPattern(P.Subs[0], V, true);
+    return K == ValueKind::Specified && matchPattern(P.subs()[0], V, true);
   case PatKind::UnspecifiedP:
     return K == ValueKind::Unspecified;
   }
@@ -323,16 +323,16 @@ bool Evaluator::matchPatternMove(const Pattern &P, Value &&V) {
     bindSlot(P.Slot, std::move(V));
     return true;
   case PatKind::Tuple: {
-    if (V.kind() != ValueKind::Tuple || V.elems().size() != P.Subs.size())
+    if (V.kind() != ValueKind::Tuple || V.elems().size() != P.subs().size())
       return false;
-    for (size_t I = 0; I < P.Subs.size(); ++I)
-      if (!matchPatternMove(P.Subs[I], std::move(V.elems()[I])))
+    for (size_t I = 0; I < P.subs().size(); ++I)
+      if (!matchPatternMove(P.subs()[I], std::move(V.elems()[I])))
         return false;
     return true;
   }
   case PatKind::SpecifiedP:
     return V.kind() == ValueKind::Specified &&
-           matchPatternMove(P.Subs[0], std::move(V).takeInner());
+           matchPatternMove(P.subs()[0], std::move(V).takeInner());
   case PatKind::UnspecifiedP:
     return V.kind() == ValueKind::Unspecified;
   }
@@ -378,19 +378,19 @@ bool Evaluator::containsSave(const Expr &E, Symbol Label) const {
     return false;
   if (E.K == ExprKind::Save && E.Sym == Label)
     return true;
-  for (const ExprPtr &K : E.Kids)
+  for (const Expr *K : E.kids())
     if (containsSave(*K, Label))
       return true;
-  for (const auto &[Pat, Body] : E.Branches)
+  for (const auto &[Pat, Body] : E.branches())
     if (containsSave(*Body, Label))
       return true;
   return false;
 }
 
-Evaluator::Res Evaluator::applyScopeDiff(
-    const std::vector<ScopeObject> &RunScope,
-    const std::vector<ScopeObject> &SaveScope) {
-  auto In = [](const std::vector<ScopeObject> &Scope, Symbol S) {
+Evaluator::Res
+Evaluator::applyScopeDiff(std::span<const ScopeObject> RunScope,
+                          std::span<const ScopeObject> SaveScope) {
+  auto In = [](std::span<const ScopeObject> Scope, Symbol S) {
     for (const ScopeObject &O : Scope)
       if (O.Obj == S)
         return true;
@@ -486,19 +486,19 @@ void Evaluator::evalStep(const Expr &E) {
     // Operationally transparent: indeterminate sequencing is realised by
     // the scheduler's choice of unseq evaluation order (see DESIGN.md).
     push(Frame::Pass, E, true);
-    return evalNext(*E.Kids[0]);
+    return evalNext(*E.kids()[0]);
   case ExprKind::Nd:
     push(Frame::Nd, E, true);
-    return choose(static_cast<unsigned>(E.Kids.size()), "nd");
+    return choose(static_cast<unsigned>(E.kids().size()), "nd");
   case ExprKind::Save:
     push(Frame::Save, E, true);
-    return evalNext(*E.Kids[0]);
+    return evalNext(*E.kids()[0]);
   case ExprKind::PtrOp:
     return enterPtrOp(E);
 
   case ExprKind::ProcCall: {
     CallArgs.clear();
-    for (const ExprPtr &K : E.Kids) {
+    for (const Expr *K : E.kids()) {
       // Arguments are overwhelmingly slot reads after lowering: copy
       // them out of the environment directly, skipping the Res plumbing.
       if (K->ValueOnly) {
@@ -516,7 +516,7 @@ void Evaluator::evalStep(const Expr &E) {
     return enterCall(E.Sym, E.Loc, true);
   }
   case ExprKind::CallPtr: {
-    Res F = evalLeaf(*E.Kids[0]);
+    Res F = evalLeaf(*E.kids()[0]);
     if (!F.isValue())
       return done(std::move(F));
     auto PV = asPointer(F.V);
@@ -527,8 +527,8 @@ void Evaluator::evalStep(const Expr &E) {
       return done(undef(std::move(U)));
     }
     CallArgs.clear();
-    for (size_t I = 1; I < E.Kids.size(); ++I) {
-      Res R = evalLeaf(*E.Kids[I]);
+    for (size_t I = 1; I < E.kids().size(); ++I) {
+      Res R = evalLeaf(*E.kids()[I]);
       if (!R.isValue())
         return done(std::move(R));
       CallArgs.push_back(std::move(R.V));
@@ -548,37 +548,37 @@ void Evaluator::jumpStep(const Expr &E) {
   case ExprKind::Save:
     if (E.Sym == JumpLabel) {
       // The target: enter its body with the scope difference applied.
-      Res D = applyScopeDiff(*JumpScope, E.Scope);
+      Res D = applyScopeDiff(JumpScope, E.scope());
       if (!D.isValue())
         return ret(std::move(D));
       push(Frame::Save, E, false);
-      return evalNext(*E.Kids[0]);
+      return evalNext(*E.kids()[0]);
     }
     // The target is nested inside another save's body.
     push(Frame::SaveJump, E, false);
-    return jumpNext(*E.Kids[0], JumpLabel, JumpScope);
+    return jumpNext(*E.kids()[0], JumpLabel, JumpScope);
   case ExprKind::PureLet:
   case ExprKind::ELet:
   case ExprKind::LetWeak:
   case ExprKind::LetStrong:
-    if (containsSave(*E.Kids[0], JumpLabel)) {
+    if (containsSave(*E.kids()[0], JumpLabel)) {
       push(Frame::LetJump, E, false);
-      return jumpNext(*E.Kids[0], JumpLabel, JumpScope);
+      return jumpNext(*E.kids()[0], JumpLabel, JumpScope);
     }
     // Skip the binding entirely (the label lies in the continuation).
-    return jumpNext(*E.Kids[1], JumpLabel, JumpScope);
+    return jumpNext(*E.kids()[1], JumpLabel, JumpScope);
   case ExprKind::PureIf:
   case ExprKind::EIf:
     for (uint32_t I : {1u, 2u})
-      if (containsSave(*E.Kids[I], JumpLabel)) {
+      if (containsSave(*E.kids()[I], JumpLabel)) {
         push(Frame::If, E, false);
         Stack.back().Idx = I;
-        return jumpNext(*E.Kids[I], JumpLabel, JumpScope);
+        return jumpNext(*E.kids()[I], JumpLabel, JumpScope);
       }
     return ret(error("jump target vanished in if"));
   case ExprKind::Case:
   case ExprKind::ECase:
-    for (const auto &[Pat, Body] : E.Branches)
+    for (const auto &[Pat, Body] : E.branches())
       if (containsSave(*Body, JumpLabel))
         return jumpNext(*Body, JumpLabel, JumpScope);
     return ret(error("jump target vanished in case"));
@@ -600,7 +600,7 @@ void Evaluator::resume() {
     return resumeLetJump(F);
   case Frame::If: {
     // A run out of one branch may target a save in the other.
-    const Expr &Other = *F.E->Kids[F.Idx == 1 ? 2 : 1];
+    const Expr &Other = *F.E->kids()[F.Idx == 1 ? 2 : 1];
     if (Result.K == Res::RunSig && containsSave(Other, Sig.RunLabel)) {
       F.K = Frame::Pass;
       return jumpToRunLabel(Other);
@@ -610,9 +610,9 @@ void Evaluator::resume() {
   case Frame::Case: {
     // Forward/backward jumps across case branches.
     if (Result.K == Res::RunSig) {
-      const Expr *Body = F.E->Branches[F.Idx].second.get();
-      for (const auto &[Pat2, Body2] : F.E->Branches)
-        if (Body2.get() != Body && containsSave(*Body2, Sig.RunLabel)) {
+      const Expr *Body = F.E->branches()[F.Idx].Body;
+      for (const auto &[Pat2, Body2] : F.E->branches())
+        if (Body2 != Body && containsSave(*Body2, Sig.RunLabel)) {
           F.K = Frame::Pass;
           return jumpToRunLabel(*Body2);
         }
@@ -624,14 +624,14 @@ void Evaluator::resume() {
   case Frame::SaveJump: {
     const Expr &E = *F.E;
     if (Result.K == Res::RunSig && Sig.RunLabel == E.Sym) {
-      Res D = applyScopeDiff(*Sig.RunScope, E.Scope);
+      Res D = applyScopeDiff(Sig.RunScope, E.scope());
       if (!D.isValue()) {
         pop();
         return ret(std::move(D));
       }
       // Re-enter this save normally.
       F.K = Frame::Save;
-      return evalNext(*E.Kids[0]);
+      return evalNext(*E.kids()[0]);
     }
     return pop();
   }
@@ -644,7 +644,7 @@ void Evaluator::resume() {
     return;
   case Frame::Nd:
     F.K = Frame::Pass;
-    return evalNext(*F.E->Kids[Chosen]);
+    return evalNext(*F.E->kids()[Chosen]);
   case Frame::PtrEq: {
     // Alternative 1 takes provenance into account: not equal.
     bool Eq = Chosen != 1;
@@ -708,15 +708,15 @@ void Evaluator::enterLet(const Expr &E) {
   // through to the general path, which is safe to re-run because the
   // subtree is effect-free.
   size_t Base = Acts.size();
-  if (E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
+  if (E.Pat->K == PatKind::Sym && E.kids()[0]->ValueOnly) {
     Value Tmp;
-    if (const Value *P = evalPure(*E.Kids[0], Tmp)) {
-      bindSlot(E.Pat.Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
+    if (const Value *P = evalPure(*E.kids()[0], Tmp)) {
+      bindSlot(E.Pat->Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
       push(Frame::Let, E, true);
       Frame &F = Stack.back();
       F.Phase = 3;
       F.A = Base;
-      if (operand(*E.Kids[1]))
+      if (operand(*E.kids()[1]))
         resumeLet(F);
       return;
     }
@@ -724,7 +724,7 @@ void Evaluator::enterLet(const Expr &E) {
   push(Frame::Let, E, true);
   Frame &F = Stack.back();
   F.A = Base;
-  if (operand(*E.Kids[0]))
+  if (operand(*E.kids()[0]))
     resumeLet(F);
 }
 
@@ -745,17 +745,17 @@ void Evaluator::resumeLet(Frame &F) {
   switch (F.Phase) {
   case 0:
     if (!Result.isValue()) {
-      if (Result.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel)) {
+      if (Result.K == Res::RunSig && containsSave(*E.kids()[1], Sig.RunLabel)) {
         // Forward jump into the continuation (the pattern stays unbound;
         // the elaboration never places labels under value-carrying
         // bindings that are read after the label).
         F.Phase = 1;
-        return jumpToRunLabel(*E.Kids[1]);
+        return jumpToRunLabel(*E.kids()[1]);
       }
       break;
     }
     // The bound value is moved out of Result, not deep-copied.
-    if (!matchPatternMove(E.Pat, std::move(Result.V))) {
+    if (!matchPatternMove(*E.Pat, std::move(Result.V))) {
       if (Discard || Weak)
         Acts.resize(Base);
       pop();
@@ -763,17 +763,17 @@ void Evaluator::resumeLet(Frame &F) {
     }
     F.B = Acts.size();
     F.Phase = 2;
-    if (operand(*E.Kids[1]))
+    if (operand(*E.kids()[1]))
       resumeLet(F);
     return;
   case 2:
-    if (Result.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel)) {
+    if (Result.K == Res::RunSig && containsSave(*E.kids()[0], Sig.RunLabel)) {
       // Backward jump into the (already completed) first part, which
       // extends e1's footprint; a weak or discarding let forgets e2's.
       if (Discard || Weak)
         Acts.resize(F.B);
       F.Phase = 0;
-      return jumpToRunLabel(*E.Kids[0]);
+      return jumpToRunLabel(*E.kids()[0]);
     }
     if (Weak && !Discard) {
       // §5.6: only e1's *positive* actions are sequenced before e2; a
@@ -803,24 +803,24 @@ void Evaluator::resumeLetJump(Frame &F) {
   if (F.Phase == 0) {
     if (!Result.isValue()) {
       pop();
-      if (Result.K == Res::RunSig && containsSave(*E.Kids[1], Sig.RunLabel))
-        return jumpToRunLabel(*E.Kids[1]);
+      if (Result.K == Res::RunSig && containsSave(*E.kids()[1], Sig.RunLabel))
+        return jumpToRunLabel(*E.kids()[1]);
       return;
     }
-    if (!matchPatternMove(E.Pat, std::move(Result.V))) {
+    if (!matchPatternMove(*E.Pat, std::move(Result.V))) {
       pop();
       return ret(error("let pattern mismatch after jump"));
     }
     F.Phase = 1;
-    return evalNext(*E.Kids[1]);
+    return evalNext(*E.kids()[1]);
   }
   pop();
-  if (Result.K == Res::RunSig && containsSave(*E.Kids[0], Sig.RunLabel))
-    jumpToRunLabel(*E.Kids[0]);
+  if (Result.K == Res::RunSig && containsSave(*E.kids()[0], Sig.RunLabel))
+    jumpToRunLabel(*E.kids()[0]);
 }
 
 void Evaluator::enterIf(const Expr &E) {
-  Res C = evalLeaf(*E.Kids[0]);
+  Res C = evalLeaf(*E.kids()[0]);
   if (!C.isValue())
     return done(std::move(C));
   if (C.V.kind() != ValueKind::True && C.V.kind() != ValueKind::False)
@@ -828,7 +828,7 @@ void Evaluator::enterIf(const Expr &E) {
   uint32_t Taken = C.V.isTrue() ? 1 : 2;
   push(Frame::If, E, true);
   Stack.back().Idx = Taken;
-  if (operand(*E.Kids[Taken]))
+  if (operand(*E.kids()[Taken]))
     resume();
 }
 
@@ -837,19 +837,19 @@ void Evaluator::enterCase(const Expr &E) {
   // read it in place, no Res.
   Value STmp;
   const Value *SO =
-      E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], STmp) : nullptr;
+      E.kids()[0]->ValueOnly ? evalPure(*E.kids()[0], STmp) : nullptr;
   Res S;
   if (!SO) {
-    S = evalLeaf(*E.Kids[0]);
+    S = evalLeaf(*E.kids()[0]);
     if (!S.isValue())
       return done(std::move(S));
     SO = &S.V;
   }
-  for (size_t I = 0; I < E.Branches.size(); ++I)
-    if (matchPattern(E.Branches[I].first, *SO)) {
+  for (size_t I = 0; I < E.branches().size(); ++I)
+    if (matchPattern(E.branches()[I].Pat, *SO)) {
       push(Frame::Case, E, true);
       Stack.back().Idx = static_cast<uint32_t>(I);
-      if (operand(*E.Branches[I].second))
+      if (operand(*E.branches()[I].Body))
         resume();
       return;
     }
@@ -889,7 +889,7 @@ void Evaluator::syntacticOrder(size_t Base, ActRange *Ranges, size_t N) {
 // frame's Pending list.
 
 void Evaluator::enterUnseq(const Expr &E) {
-  size_t N = E.Kids.size();
+  size_t N = E.kids().size();
   bool Par = E.K == ExprKind::Par;
   size_t Base = Acts.size();
   push(Frame::Unseq, E, true);
@@ -913,15 +913,15 @@ void Evaluator::unseqScan(Frame &F, size_t From) {
   // Effect-free branches evaluate in syntactic order: their order is
   // unobservable, so exploring it would only multiply identical paths.
   const Expr &E = *F.E;
-  for (size_t I = From; I < E.Kids.size(); ++I) {
-    if (hasEffects(*E.Kids[I])) {
+  for (size_t I = From; I < E.kids().size(); ++I) {
+    if (hasEffects(*E.kids()[I])) {
       Pending.push_back(static_cast<uint32_t>(I));
       continue;
     }
     F.Idx = static_cast<uint32_t>(I);
     F.B = Acts.size();
     F.Phase = 0;
-    if (!operand(*E.Kids[I]) || !unseqTake(F))
+    if (!operand(*E.kids()[I]) || !unseqTake(F))
       return;
   }
   unseqPick(F);
@@ -943,7 +943,7 @@ void Evaluator::unseqPick(Frame &F) {
   }
 
   const Expr &E = *F.E;
-  size_t N = E.Kids.size();
+  size_t N = E.kids().size();
   ActRange *Ranges = &BranchRanges[BranchRanges.size() - N];
   for (size_t I = 0; I < N; ++I)
     for (size_t J = I + 1; J < N; ++J)
@@ -970,12 +970,12 @@ bool Evaluator::unseqRun(Frame &F, unsigned PickIdx) {
   Pending.erase(It);
   F.B = Acts.size();
   F.Phase = 1;
-  return operand(*F.E->Kids[F.Idx]) && unseqTake(F);
+  return operand(*F.E->kids()[F.Idx]) && unseqTake(F);
 }
 
 bool Evaluator::unseqTake(Frame &F) {
   const Expr &E = *F.E;
-  size_t N = E.Kids.size();
+  size_t N = E.kids().size();
   ActRange *Ranges = &BranchRanges[BranchRanges.size() - N];
   Ranges[F.Idx] = {F.B, Acts.size()};
   if (!Result.isValue()) {
@@ -992,7 +992,7 @@ bool Evaluator::unseqTake(Frame &F) {
 }
 
 void Evaluator::popUnseq(Frame &F) {
-  BranchRanges.resize(BranchRanges.size() - F.E->Kids.size());
+  BranchRanges.resize(BranchRanges.size() - F.E->kids().size());
   Pending.resize(F.Aux);
   pop();
 }
@@ -1004,16 +1004,16 @@ void Evaluator::popUnseq(Frame &F) {
 void Evaluator::resumeSave(Frame &F) {
   const Expr &Save = *F.E;
   if (Result.K == Res::RunSig && Sig.RunLabel == Save.Sym) {
-    Res D = applyScopeDiff(*Sig.RunScope, Save.Scope);
+    Res D = applyScopeDiff(Sig.RunScope, Save.scope());
     if (!D.isValue()) {
       pop();
       return ret(std::move(D));
     }
-    return evalNext(*Save.Kids[0]); // re-enter the save body (loops)
+    return evalNext(*Save.kids()[0]); // re-enter the save body (loops)
   }
-  if (Result.K == Res::RunSig && containsSave(*Save.Kids[0], Sig.RunLabel)) {
+  if (Result.K == Res::RunSig && containsSave(*Save.kids()[0], Sig.RunLabel)) {
     F.K = Frame::Pass;
-    return jumpToRunLabel(*Save.Kids[0]);
+    return jumpToRunLabel(*Save.kids()[0]);
   }
   pop();
 }
@@ -1052,7 +1052,7 @@ void Evaluator::enterCall(Symbol S, SourceLoc Loc, bool Counted) {
 
   // Function bodies are indeterminately sequenced w.r.t. the caller's
   // expression: the body's footprint is discarded, not shared (§5.6).
-  Stack.emplace_back(Frame::Call, Proc->Body.get(), Counted);
+  Stack.emplace_back(Frame::Call, Proc->Body, Counted);
   Frame &F = Stack.back();
   F.Idx = S.Id;
   F.A = Acts.size();
@@ -1106,8 +1106,8 @@ void Evaluator::resumeCall(Frame &F) {
 void Evaluator::enterPtrOp(const Expr &E) {
   // Every pointer operation takes one or two operands.
   Value Ops[2];
-  for (size_t I = 0; I < E.Kids.size(); ++I) {
-    Res R = evalLeaf(*E.Kids[I]);
+  for (size_t I = 0; I < E.kids().size(); ++I) {
+    Res R = evalLeaf(*E.kids()[I]);
     if (!R.isValue())
       return done(std::move(R));
     if (I < 2)
@@ -1231,23 +1231,23 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   case ExprKind::Val:
     if (E.PoolIdx >= 0)
       return Res(Prog.ConstPool[E.PoolIdx]);
-    return Res(E.V);
+    return Res(E.value());
   case ExprKind::ImplConst:
-    return error(fmt("unknown implementation constant '{0}'", E.Str));
+    return error(fmt("unknown implementation constant '{0}'", E.str()));
   case ExprKind::Undef: {
     auto U = mem::undef(E.UB);
     U.Loc = E.Loc;
     return undef(std::move(U));
   }
   case ExprKind::ErrorE:
-    return error(E.Str);
+    return error(std::string(E.str()));
   case ExprKind::Skip:
     return Res();
 
   case ExprKind::Tuple: {
-    Value T = Value::tuple(E.Kids.size());
-    for (size_t I = 0; I < E.Kids.size(); ++I) {
-      Res R = evalLeaf(*E.Kids[I]);
+    Value T = Value::tuple(E.kids().size());
+    for (size_t I = 0; I < E.kids().size(); ++I) {
+      Res R = evalLeaf(*E.kids()[I]);
       if (!R.isValue())
         return R;
       T.elems()[I] = std::move(R.V);
@@ -1255,7 +1255,7 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
     return Res(std::move(T));
   }
   case ExprKind::SpecifiedE: {
-    Res R = evalLeaf(*E.Kids[0]);
+    Res R = evalLeaf(*E.kids()[0]);
     if (!R.isValue())
       return R;
     return Res(Value::specified(std::move(R.V)));
@@ -1266,22 +1266,22 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   case ExprKind::Case: {
     Value STmp;
     const Value *SO =
-        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], STmp) : nullptr;
+        E.kids()[0]->ValueOnly ? evalPure(*E.kids()[0], STmp) : nullptr;
     Res S;
     if (!SO) {
-      S = evalLeaf(*E.Kids[0]);
+      S = evalLeaf(*E.kids()[0]);
       if (!S.isValue())
         return S;
       SO = &S.V;
     }
-    for (const auto &[Pat, Body] : E.Branches)
+    for (const auto &[Pat, Body] : E.branches())
       if (matchPattern(Pat, *SO))
         return evalLeaf(*Body);
     return error("no matching Core case branch");
   }
 
   case ExprKind::Not: {
-    Res R = evalLeaf(*E.Kids[0]);
+    Res R = evalLeaf(*E.kids()[0]);
     if (!R.isValue())
       return R;
     if (R.V.kind() != ValueKind::True && R.V.kind() != ValueKind::False)
@@ -1290,10 +1290,10 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   }
 
   case ExprKind::Binop: {
-    Res A = evalLeaf(*E.Kids[0]);
+    Res A = evalLeaf(*E.kids()[0]);
     if (!A.isValue())
       return A;
-    Res B = evalLeaf(*E.Kids[1]);
+    Res B = evalLeaf(*E.kids()[1]);
     if (!B.isValue())
       return B;
     if (E.BOp == CoreBinop::And || E.BOp == CoreBinop::Or) {
@@ -1347,7 +1347,7 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   }
 
   case ExprKind::ConvInt: {
-    Res R = evalLeaf(*E.Kids[0]);
+    Res R = evalLeaf(*E.kids()[0]);
     if (!R.isValue())
       return R;
     auto IV = asInteger(R.V);
@@ -1360,13 +1360,13 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   }
 
   case ExprKind::FinishArith: {
-    Res A = evalLeaf(*E.Kids[0]);
+    Res A = evalLeaf(*E.kids()[0]);
     if (!A.isValue())
       return A;
-    Res B = evalLeaf(*E.Kids[1]);
+    Res B = evalLeaf(*E.kids()[1]);
     if (!B.isValue())
       return B;
-    Res N = evalLeaf(*E.Kids[2]);
+    Res N = evalLeaf(*E.kids()[2]);
     if (!N.isValue())
       return N;
     auto IA = asInteger(A.V), IB = asInteger(B.V), IN = asInteger(N.V);
@@ -1380,7 +1380,7 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   case ExprKind::IsSigned:
   case ExprKind::IsUnsigned:
   case ExprKind::IsScalar: {
-    Res R = evalLeaf(*E.Kids[0]);
+    Res R = evalLeaf(*E.kids()[0]);
     if (!R.isValue())
       return R;
     if (R.V.kind() != ValueKind::Ctype)
@@ -1402,10 +1402,10 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
     return evalPureCall(E);
 
   case ExprKind::ArrayShiftE: {
-    Res P = evalLeaf(*E.Kids[0]);
+    Res P = evalLeaf(*E.kids()[0]);
     if (!P.isValue())
       return P;
-    Res I = evalLeaf(*E.Kids[1]);
+    Res I = evalLeaf(*E.kids()[1]);
     if (!I.isValue())
       return I;
     auto PV = asPointer(P.V);
@@ -1426,38 +1426,38 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
     return Res(Value::pointer(*R));
   }
   case ExprKind::MemberShiftE: {
-    Res P = evalLeaf(*E.Kids[0]);
+    Res P = evalLeaf(*E.kids()[0]);
     if (!P.isValue())
       return P;
     auto PV = asPointer(P.V);
     if (!PV)
       return error("member_shift on a non-pointer");
-    return Res(Value::pointer(Mem.memberShift(*PV, E.Tag, E.MemberIdx)));
+    return Res(Value::pointer(Mem.memberShift(*PV, E.tag(), E.memberIdx())));
   }
 
   case ExprKind::PureLet: {
     // Both operands are pure: no actions to discard and no run signal.
-    if (E.Pat.K == PatKind::Sym && E.Kids[0]->ValueOnly) {
+    if (E.Pat->K == PatKind::Sym && E.kids()[0]->ValueOnly) {
       Value Tmp;
-      if (const Value *P = evalPure(*E.Kids[0], Tmp)) {
-        bindSlot(E.Pat.Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
-        return evalLeaf(*E.Kids[1]);
+      if (const Value *P = evalPure(*E.kids()[0], Tmp)) {
+        bindSlot(E.Pat->Slot, P == &Tmp ? std::move(Tmp) : Value(*P));
+        return evalLeaf(*E.kids()[1]);
       }
     }
-    Res R1 = evalLeaf(*E.Kids[0]);
+    Res R1 = evalLeaf(*E.kids()[0]);
     if (!R1.isValue())
       return R1;
-    if (!matchPatternMove(E.Pat, std::move(R1.V)))
+    if (!matchPatternMove(*E.Pat, std::move(R1.V)))
       return error("let pattern mismatch");
-    return evalLeaf(*E.Kids[1]);
+    return evalLeaf(*E.kids()[1]);
   }
   case ExprKind::PureIf: {
-    Res C = evalLeaf(*E.Kids[0]);
+    Res C = evalLeaf(*E.kids()[0]);
     if (!C.isValue())
       return C;
     if (C.V.kind() != ValueKind::True && C.V.kind() != ValueKind::False)
       return error("if on a non-boolean");
-    return evalLeaf(*E.Kids[C.V.isTrue() ? 1 : 2]);
+    return evalLeaf(*E.kids()[C.V.isTrue() ? 1 : 2]);
   }
 
   case ExprKind::Action:
@@ -1465,18 +1465,18 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   case ExprKind::LetAtomic: {
     // Evaluate the first action, bind, evaluate the second; the value is
     // the first action's (the loaded old value for postfix ++/--).
-    Res A = evalLeaf(*E.Kids[0]);
+    Res A = evalLeaf(*E.kids()[0]);
     if (!A.isValue())
       return A;
-    if (!matchPattern(E.Pat, A.V))
+    if (!matchPattern(*E.Pat, A.V))
       return error("let atomic pattern mismatch");
-    Res B = evalLeaf(*E.Kids[1]);
+    Res B = evalLeaf(*E.kids()[1]);
     if (!B.isValue())
       return B;
     return A;
   }
   case ExprKind::Ret: {
-    Res R = evalLeaf(*E.Kids[0]);
+    Res R = evalLeaf(*E.kids()[0]);
     if (!R.isValue())
       return R;
     R.K = Res::RetSig;
@@ -1484,10 +1484,10 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
   }
   case ExprKind::Run:
     Sig.RunLabel = E.Sym;
-    Sig.RunScope = &E.Scope;
+    Sig.RunScope = E.scope();
     return Res(Res::RunSig);
   case ExprKind::Wait: {
-    Res R = evalLeaf(*E.Kids[0]);
+    Res R = evalLeaf(*E.kids()[0]);
     if (!R.isValue())
       return R;
     return Res(); // par joins implicitly
@@ -1508,14 +1508,14 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
 Evaluator::Res Evaluator::evalAction(const Expr &E) {
   switch (E.Act) {
   case ActionKind::Create: {
-    mem::PointerValue P = Mem.allocateObject(E.Cty, E.Str, /*Static=*/false);
+    mem::PointerValue P = Mem.allocateObject(E.Cty, std::string(E.str()), /*Static=*/false);
     if (P.isNull())
-      return objectTooLarge(E.Cty, E.Str);
+      return objectTooLarge(E.Cty, std::string(E.str()));
     Created.push_back(P);
     return Res(Value::pointer(P));
   }
   case ActionKind::Alloc: {
-    Res S = evalLeaf(*E.Kids[0]);
+    Res S = evalLeaf(*E.kids()[0]);
     if (!S.isValue())
       return S;
     auto IV = asInteger(S.V);
@@ -1526,10 +1526,10 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
   case ActionKind::Kill: {
     Value PTmp;
     const Value *PO =
-        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
+        E.kids()[0]->ValueOnly ? evalPure(*E.kids()[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = evalLeaf(*E.Kids[0]);
+      P = evalLeaf(*E.kids()[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
@@ -1545,7 +1545,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     return Res();
   }
   case ActionKind::Free: {
-    Res P = evalLeaf(*E.Kids[0]);
+    Res P = evalLeaf(*E.kids()[0]);
     if (!P.isValue())
       return P;
     auto PV = asPointer(P.V);
@@ -1563,10 +1563,10 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     // read, which the pure interpreter serves in place — no Res.
     Value PTmp;
     const Value *PO =
-        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
+        E.kids()[0]->ValueOnly ? evalPure(*E.kids()[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = evalLeaf(*E.Kids[0]);
+      P = evalLeaf(*E.kids()[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
@@ -1595,19 +1595,19 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
   case ActionKind::Store: {
     Value PTmp, VTmp;
     const Value *PO =
-        E.Kids[0]->ValueOnly ? evalPure(*E.Kids[0], PTmp) : nullptr;
+        E.kids()[0]->ValueOnly ? evalPure(*E.kids()[0], PTmp) : nullptr;
     Res P;
     if (!PO) {
-      P = evalLeaf(*E.Kids[0]);
+      P = evalLeaf(*E.kids()[0]);
       if (!P.isValue())
         return P;
       PO = &P.V;
     }
     const Value *VO =
-        E.Kids[1]->ValueOnly ? evalPure(*E.Kids[1], VTmp) : nullptr;
+        E.kids()[1]->ValueOnly ? evalPure(*E.kids()[1], VTmp) : nullptr;
     Res V;
     if (!VO) {
-      V = evalLeaf(*E.Kids[1]);
+      V = evalLeaf(*E.kids()[1]);
       if (!V.isValue())
         return V;
       VO = &V.V;
@@ -1713,7 +1713,7 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
     return &Slots[S]; // no copy: the subtree cannot rebind slots
   }
   case ExprKind::Val:
-    return E.PoolIdx >= 0 ? &Prog.ConstPool[E.PoolIdx] : &E.V;
+    return E.PoolIdx >= 0 ? &Prog.ConstPool[E.PoolIdx] : &E.value();
   case ExprKind::Skip:
     Tmp = Value::unit();
     return &Tmp;
@@ -1721,10 +1721,10 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
     Tmp = Value::unspecified(E.Cty);
     return &Tmp;
   case ExprKind::Tuple: {
-    Value T = Value::tuple(E.Kids.size());
-    for (size_t I = 0; I < E.Kids.size(); ++I) {
+    Value T = Value::tuple(E.kids().size());
+    for (size_t I = 0; I < E.kids().size(); ++I) {
       Value KT;
-      const Value *KV = evalPure(*E.Kids[I], KT);
+      const Value *KV = evalPure(*E.kids()[I], KT);
       if (!KV)
         return nullptr;
       T.elems()[I] = KV == &KT ? std::move(KT) : *KV;
@@ -1734,7 +1734,7 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   }
   case ExprKind::SpecifiedE: {
     Value KT;
-    const Value *KV = evalPure(*E.Kids[0], KT);
+    const Value *KV = evalPure(*E.kids()[0], KT);
     if (!KV)
       return nullptr;
     Tmp = Value::specified(KV == &KT ? std::move(KT) : *KV);
@@ -1742,7 +1742,7 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   }
   case ExprKind::Not: {
     Value KT;
-    const Value *KV = evalPure(*E.Kids[0], KT);
+    const Value *KV = evalPure(*E.kids()[0], KT);
     if (!KV)
       return nullptr;
     if (KV->kind() != ValueKind::True && KV->kind() != ValueKind::False)
@@ -1752,10 +1752,10 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   }
   case ExprKind::Binop: {
     Value TA, TB;
-    const Value *A = evalPure(*E.Kids[0], TA);
+    const Value *A = evalPure(*E.kids()[0], TA);
     if (!A)
       return nullptr;
-    const Value *B = evalPure(*E.Kids[1], TB);
+    const Value *B = evalPure(*E.kids()[1], TB);
     if (!B)
       return nullptr;
     if (E.BOp == CoreBinop::And || E.BOp == CoreBinop::Or) {
@@ -1808,7 +1808,7 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   }
   case ExprKind::ConvInt: {
     Value KT;
-    const Value *KV = evalPure(*E.Kids[0], KT);
+    const Value *KV = evalPure(*E.kids()[0], KT);
     if (!KV)
       return nullptr;
     auto IV = asInteger(*KV);
@@ -1822,13 +1822,13 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   }
   case ExprKind::FinishArith: {
     Value TA, TB, TN;
-    const Value *A = evalPure(*E.Kids[0], TA);
+    const Value *A = evalPure(*E.kids()[0], TA);
     if (!A)
       return nullptr;
-    const Value *B = evalPure(*E.Kids[1], TB);
+    const Value *B = evalPure(*E.kids()[1], TB);
     if (!B)
       return nullptr;
-    const Value *NV = evalPure(*E.Kids[2], TN);
+    const Value *NV = evalPure(*E.kids()[2], TN);
     if (!NV)
       return nullptr;
     auto IA = asInteger(*A), IB = asInteger(*B), IN = asInteger(*NV);
@@ -1842,7 +1842,7 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   case ExprKind::IsUnsigned:
   case ExprKind::IsScalar: {
     Value KT;
-    const Value *KV = evalPure(*E.Kids[0], KT);
+    const Value *KV = evalPure(*E.kids()[0], KT);
     if (!KV)
       return nullptr;
     if (KV->kind() != ValueKind::Ctype)
@@ -1864,32 +1864,32 @@ const Value *Evaluator::evalPure(const Expr &E, Value &Tmp) {
   case ExprKind::EIf: {
     // ValueOnly branches contain no Save, so no run-signal routing here.
     Value CT;
-    const Value *C = evalPure(*E.Kids[0], CT);
+    const Value *C = evalPure(*E.kids()[0], CT);
     if (!C)
       return nullptr;
     if (C->kind() != ValueKind::True && C->kind() != ValueKind::False)
       return nullptr;
-    return evalPure(*E.Kids[C->isTrue() ? 1 : 2], Tmp);
+    return evalPure(*E.kids()[C->isTrue() ? 1 : 2], Tmp);
   }
   case ExprKind::MemberShiftE: {
     Value KT;
-    const Value *KV = evalPure(*E.Kids[0], KT);
+    const Value *KV = evalPure(*E.kids()[0], KT);
     if (!KV)
       return nullptr;
     auto PV = asPointer(*KV);
     if (!PV)
       return nullptr;
-    Tmp = Value::pointer(Mem.memberShift(*PV, E.Tag, E.MemberIdx));
+    Tmp = Value::pointer(Mem.memberShift(*PV, E.tag(), E.memberIdx()));
     return &Tmp;
   }
   case ExprKind::PureCall: {
-    size_t N = E.Kids.size();
+    size_t N = E.kids().size();
     if (N > 4 || E.Pure == PureFn::None)
       return nullptr; // lowering only marks interned calls, but be safe
     Value ArgT[4];
     const Value *Args[4] = {&ArgT[0], &ArgT[1], &ArgT[2], &ArgT[3]};
     for (size_t I = 0; I < N; ++I) {
-      Args[I] = evalPure(*E.Kids[I], ArgT[I]);
+      Args[I] = evalPure(*E.kids()[I], ArgT[I]);
       if (!Args[I])
         return nullptr;
     }
@@ -1909,7 +1909,7 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E) {
   // evaluate into stack storage (no per-call allocation); the heap path
   // only exists to keep unknown over-long calls evaluating their
   // arguments before erroring, exactly as before.
-  size_t N = E.Kids.size();
+  size_t N = E.kids().size();
   Value Stk[4];
   std::vector<Value> Heap;
   Value *Args = Stk;
@@ -1918,7 +1918,7 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E) {
     Args = Heap.data();
   }
   for (size_t I = 0; I < N; ++I) {
-    Res R = evalLeaf(*E.Kids[I]);
+    Res R = evalLeaf(*E.kids()[I]);
     if (!R.isValue())
       return R;
     Args[I] = std::move(R.V);
@@ -1950,5 +1950,5 @@ Evaluator::Res Evaluator::evalPureCall(const Expr &E) {
   case PureFn::None:
     break;
   }
-  return error(fmt("unknown pure builtin '{0}'", E.Str));
+  return error(fmt("unknown pure builtin '{0}'", E.str()));
 }

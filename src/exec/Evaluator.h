@@ -134,7 +134,7 @@ private:
   struct Signal {
     ail::Symbol RunLabel;
     /// The Run node's scope annotation (it lives in the program).
-    const std::vector<core::ScopeObject> *RunScope = nullptr;
+    std::span<const core::ScopeObject> RunScope;
     mem::UndefinedBehaviour UB{mem::UBKind::ExceptionalCondition, "", {}};
     OutcomeKind ExitKind = OutcomeKind::Exit;
     int ExitCode = 0;
@@ -270,7 +270,7 @@ private:
   const core::Expr *Cur = nullptr; ///< Mode::Eval and Mode::Jump
   Res Result;                      ///< Mode::Return and Mode::Done
   ail::Symbol JumpLabel;           ///< Mode::Jump
-  const std::vector<core::ScopeObject> *JumpScope = nullptr;
+  std::span<const core::ScopeObject> JumpScope;
   unsigned ChoiceN = 0;            ///< Mode::Choose
   const char *ChoiceTag = nullptr;
   unsigned Chosen = 0; ///< the choice delivered to the top frame
@@ -378,7 +378,7 @@ private:
     return M == Mode::Return;
   }
   void jumpNext(const core::Expr &E, ail::Symbol Label,
-                const std::vector<core::ScopeObject> *Scope) {
+                std::span<const core::ScopeObject> Scope) {
     Cur = &E;
     JumpLabel = Label;
     JumpScope = Scope;
@@ -452,8 +452,8 @@ private:
   bool containsSave(const core::Expr &E, ail::Symbol Label) const;
   /// Applies the goto scope difference (§5.8): kills objects live at the
   /// run point but not the save point, creates the converse.
-  Res applyScopeDiff(const std::vector<core::ScopeObject> &RunScope,
-                     const std::vector<core::ScopeObject> &SaveScope);
+  Res applyScopeDiff(std::span<const core::ScopeObject> RunScope,
+                     std::span<const core::ScopeObject> SaveScope);
   /// Reorders the footprints of branches evaluated in a scheduler-chosen
   /// order into syntactic order, in place on the action stack from
   /// \p Base: \p Ranges[I] is branch I's range, rewritten to its new

@@ -14,13 +14,14 @@
 #include "support/SourceLoc.h"
 #include "trace/Trace.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <variant>
 
 namespace cerb::mem {
 
-enum class UBKind {
+enum class UBKind : uint8_t {
   // Arithmetic (elaboration-inserted undef() tests, Fig. 3).
   ExceptionalCondition, ///< signed overflow / unrepresentable result 6.5p5
   DivisionByZero,       ///< 6.5.5p5

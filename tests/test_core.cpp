@@ -2,8 +2,12 @@
 
 #include "core/Core.h"
 #include "exec/Pipeline.h"
+#include "support/DepthGuard.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <thread>
 
 using namespace cerb;
 using namespace cerb::core;
@@ -259,40 +263,48 @@ int main(void) {
 }
 
 TEST(CoreClone, DeepCopyIsIndependent) {
-  auto E = Expr::make(ExprKind::Binop);
+  ExprArena A;
+  Expr *E = A.make(ExprKind::Binop, SourceLoc(),
+                   {A.val(Value::integer(1)), A.val(Value::integer(2))});
   E->BOp = CoreBinop::Add;
-  E->Kids.push_back(Expr::make(ExprKind::Val));
-  E->Kids[0]->V = Value::integer(1);
-  E->Kids.push_back(Expr::make(ExprKind::Val));
-  E->Kids[1]->V = Value::integer(2);
 
-  ExprPtr C = cloneExpr(*E);
-  C->Kids[0]->V = Value::integer(99);
-  EXPECT_EQ(E->Kids[0]->V.intValue().V, Int128(1));
-  EXPECT_EQ(C->Kids[1]->V.intValue().V, Int128(2));
+  Expr *C = cloneExpr(A, *E);
+  A.aux(*C->kids()[0]).V = Value::integer(99);
+  EXPECT_EQ(E->kids()[0]->value().intValue().V, Int128(1));
+  EXPECT_EQ(C->kids()[1]->value().intValue().V, Int128(2));
   EXPECT_EQ(C->K, ExprKind::Binop);
+  EXPECT_NE(C->kids()[0], E->kids()[0]);
 }
+
+namespace {
+Expr *letOf(ExprArena &A, ExprKind K, Pattern Pat, Expr *E1, Expr *E2) {
+  Expr *Let = A.make(K, SourceLoc(), {E1, E2});
+  A.setPattern(*Let, Pat);
+  return Let;
+}
+
+void addMain(CoreProgram &P, Symbol Main, Expr *Body) {
+  CoreProc Proc;
+  Proc.Name = Main;
+  Proc.ReturnTy = CType::intTy();
+  Proc.Body = Body;
+  P.Procs.emplace(Main.Id, std::move(Proc));
+}
+} // namespace
 
 TEST(CorePurity, DetectsEffectInPureContext) {
   // Hand-build an ill-formed program: an action inside a pure let body.
   CoreProgram P;
+  ExprArena &A = P.Arena;
   Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
   P.MainProc = Main;
-  auto Load = Expr::make(ExprKind::Action);
+  Expr *Load = A.make(ExprKind::Action, SourceLoc(), {A.val(Value())});
   Load->Act = ActionKind::Load;
   Load->Cty = CType::intTy();
-  Load->Kids.push_back(Expr::make(ExprKind::Val));
-  auto PureLet = Expr::make(ExprKind::PureLet);
-  PureLet->Pat = Pattern::wild();
-  PureLet->Kids.push_back(std::move(Load)); // effect in pure position!
-  PureLet->Kids.push_back(Expr::make(ExprKind::Val));
-  auto Ret = Expr::make(ExprKind::Ret);
-  Ret->Kids.push_back(std::move(PureLet));
-  CoreProc Proc;
-  Proc.Name = Main;
-  Proc.ReturnTy = CType::intTy();
-  Proc.Body = std::move(Ret);
-  P.Procs.emplace(Main.Id, std::move(Proc));
+  // An effect in pure position:
+  Expr *PureLet = letOf(A, ExprKind::PureLet, Pattern::wild(), Load,
+                        A.val(Value()));
+  addMain(P, Main, A.make(ExprKind::Ret, SourceLoc(), {PureLet}));
 
   auto Err = core::typeCheck(P);
   ASSERT_TRUE(Err.has_value());
@@ -303,24 +315,16 @@ TEST(CoreDynamics, UnloweredProgramIsRefused) {
   // A well-formed hand-built program that skipped core::lower has no
   // environment slots; the evaluator must refuse it, not index slot -1.
   CoreProgram P;
+  ExprArena &A = P.Arena;
   Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
   Symbol X = P.Syms.create("x", ail::SymbolKind::Object);
   P.MainProc = Main;
-  auto Seven = Expr::make(ExprKind::Val);
-  Seven->V = Value::integer(7);
-  auto Use = Expr::make(ExprKind::Sym);
+  Expr *Use = A.make(ExprKind::Sym);
   Use->Sym = X;
-  auto Ret = Expr::make(ExprKind::Ret);
-  Ret->Kids.push_back(std::move(Use));
-  auto Let = Expr::make(ExprKind::LetStrong);
-  Let->Pat = Pattern::sym(X);
-  Let->Kids.push_back(std::move(Seven));
-  Let->Kids.push_back(std::move(Ret));
-  CoreProc Proc;
-  Proc.Name = Main;
-  Proc.ReturnTy = CType::intTy();
-  Proc.Body = std::move(Let);
-  P.Procs.emplace(Main.Id, std::move(Proc));
+  addMain(P, Main,
+          letOf(A, ExprKind::LetStrong, Pattern::sym(X),
+                A.val(Value::integer(7)),
+                A.make(ExprKind::Ret, SourceLoc(), {Use})));
   ASSERT_EQ(core::typeCheck(P), std::nullopt);
 
   exec::Outcome O = exec::runOnce(P, exec::RunOptions());
@@ -330,13 +334,59 @@ TEST(CoreDynamics, UnloweredProgramIsRefused) {
 
 TEST(CorePatterns, Rendering) {
   ail::SymbolTable Syms;
+  ExprArena A;
   Symbol S = Syms.create("x", ail::SymbolKind::Object);
   EXPECT_EQ(Pattern::wild().str(Syms), "_");
   EXPECT_EQ(Pattern::sym(S).str(Syms), "x");
-  EXPECT_EQ(Pattern::specified(Pattern::sym(S)).str(Syms), "Specified(x)");
-  EXPECT_EQ(Pattern::tuple({Pattern::wild(), Pattern::sym(S)}).str(Syms),
+  EXPECT_EQ(A.specifiedPattern(Pattern::sym(S)).str(Syms), "Specified(x)");
+  EXPECT_EQ(A.tuplePattern({Pattern::wild(), Pattern::sym(S)}).str(Syms),
             "(_, x)");
   EXPECT_EQ(Pattern::unspecified().str(Syms), "Unspecified(_)");
+}
+
+TEST(CoreArena, NodesStayWithinTheirBudget) {
+  EXPECT_LE(sizeof(Expr), 96u);
+  EXPECT_EQ(sizeof(Pattern), 24u);
+}
+
+TEST(CoreArena, ProgramMovesKeepTheirNodes) {
+  CoreProgram P;
+  Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
+  P.MainProc = Main;
+  addMain(P, Main,
+          P.Arena.make(ExprKind::Ret, SourceLoc(),
+                       {P.Arena.val(Value::specified(Value::integer(3)))}));
+  const Expr *Body = P.Procs.at(Main.Id).Body;
+  std::string Printed = printProgram(P);
+  CoreProgram Moved(std::move(P));
+  EXPECT_EQ(Moved.Procs.at(Main.Id).Body, Body);
+  EXPECT_EQ(printProgram(Moved), Printed);
+  P = std::move(Moved);
+  EXPECT_EQ(printProgram(P), Printed);
+}
+
+// A program frees its nodes in one sweep over the arena's chunks, so a
+// chain far deeper than any walk may go is destroyed on an ordinary
+// thread's default stack.
+TEST(CoreArena, DeepChainIsDestroyedWithoutRecursion) {
+  const unsigned Depth = 10 * MaxCoreDepth;
+  std::optional<CoreProgram> P(std::in_place);
+  Symbol Main = P->Syms.create("main", ail::SymbolKind::Function);
+  Symbol X = P->Syms.create("x", ail::SymbolKind::Object);
+  P->MainProc = Main;
+  ExprArena &A = P->Arena;
+  Expr *Chain = A.make(ExprKind::Skip);
+  for (unsigned I = 0; I < Depth; ++I) {
+    Expr *Create = A.make(ExprKind::Action);
+    Create->Act = ActionKind::Create;
+    Create->Cty = CType::intTy();
+    Chain = letOf(A, ExprKind::LetStrong, Pattern::sym(X), Create, Chain);
+  }
+  addMain(*P, Main, Chain);
+  EXPECT_GE(programBytes(*P), uint64_t(Depth) * sizeof(Expr));
+  std::thread T([&] { P.reset(); });
+  T.join();
+  EXPECT_FALSE(P.has_value());
 }
 
 TEST(CoreScope, DetectsUnboundIdentifier) {
@@ -344,15 +394,9 @@ TEST(CoreScope, DetectsUnboundIdentifier) {
   Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
   Symbol Ghost = P.Syms.create("ghost", ail::SymbolKind::Object);
   P.MainProc = Main;
-  auto Ret = Expr::make(ExprKind::Ret);
-  auto Use = Expr::make(ExprKind::Sym);
+  Expr *Use = P.Arena.make(ExprKind::Sym);
   Use->Sym = Ghost; // never bound anywhere
-  Ret->Kids.push_back(std::move(Use));
-  CoreProc Proc;
-  Proc.Name = Main;
-  Proc.ReturnTy = CType::intTy();
-  Proc.Body = std::move(Ret);
-  P.Procs.emplace(Main.Id, std::move(Proc));
+  addMain(P, Main, P.Arena.make(ExprKind::Ret, SourceLoc(), {Use}));
 
   auto Err = core::typeCheck(P);
   ASSERT_TRUE(Err.has_value());
@@ -365,13 +409,9 @@ TEST(CoreScope, DetectsRunToUnknownLabel) {
   Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
   Symbol Lbl = P.Syms.create("nowhere", ail::SymbolKind::Label);
   P.MainProc = Main;
-  auto Run = Expr::make(ExprKind::Run);
+  Expr *Run = P.Arena.make(ExprKind::Run);
   Run->Sym = Lbl; // no save for it
-  CoreProc Proc;
-  Proc.Name = Main;
-  Proc.ReturnTy = CType::intTy();
-  Proc.Body = std::move(Run);
-  P.Procs.emplace(Main.Id, std::move(Proc));
+  addMain(P, Main, Run);
 
   auto Err = core::typeCheck(P);
   ASSERT_TRUE(Err.has_value());
@@ -387,52 +427,47 @@ TEST(CoreScope, ViolationsAreReportedInCheckOrder) {
     CoreProgram P;
     Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
     P.MainProc = Main;
-    CoreProc Proc;
-    Proc.Name = Main;
-    Proc.ReturnTy = CType::intTy();
-    Proc.Body = Expr::make(ExprKind::Unseq);
-    Build(P, Proc.Body->Kids);
-    P.Procs.emplace(Main.Id, std::move(Proc));
+    std::vector<Expr *> Kids;
+    Build(P, Kids);
+    addMain(P, Main, P.Arena.make(ExprKind::Unseq, SourceLoc(), Kids));
     return core::typeCheck(P).value_or("ok");
   };
   auto Ghost = [](CoreProgram &P) {
-    auto Ret = Expr::make(ExprKind::Ret);
-    auto Use = Expr::make(ExprKind::Sym);
+    Expr *Use = P.Arena.make(ExprKind::Sym);
     Use->Sym = P.Syms.create("ghost", ail::SymbolKind::Object);
-    Ret->Kids.push_back(std::move(Use));
-    return Ret;
+    return P.Arena.make(ExprKind::Ret, SourceLoc(), {Use});
   };
-  auto Jump = [](ExprKind K, Symbol L) {
-    auto E = Expr::make(K);
+  auto Jump = [](CoreProgram &P, ExprKind K, Symbol L) {
+    Expr *E = K == ExprKind::Save
+                  ? P.Arena.make(K, SourceLoc(), {P.Arena.make(ExprKind::Skip)})
+                  : P.Arena.make(K);
     E->Sym = L;
-    if (K == ExprKind::Save)
-      E->Kids.push_back(Expr::make(ExprKind::Skip));
     return E;
   };
 
-  EXPECT_NE(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+  EXPECT_NE(Check([&](CoreProgram &P, std::vector<Expr *> &Kids) {
               Kids.push_back(Ghost(P));
-              auto Ret = Expr::make(ExprKind::Ret);
-              Ret->Kids.push_back(Expr::make(ExprKind::Skip)); // not pure
-              Kids.push_back(std::move(Ret));
+              Kids.push_back(P.Arena.make(
+                  ExprKind::Ret, SourceLoc(),
+                  {P.Arena.make(ExprKind::Skip)})); // not pure
             }).find("pure context"),
             std::string::npos);
-  EXPECT_EQ(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+  EXPECT_EQ(Check([&](CoreProgram &P, std::vector<Expr *> &Kids) {
               Symbol L = P.Syms.create("ahead", ail::SymbolKind::Label);
-              Kids.push_back(Jump(ExprKind::Run, L));
-              Kids.push_back(Jump(ExprKind::Save, L));
+              Kids.push_back(Jump(P, ExprKind::Run, L));
+              Kids.push_back(Jump(P, ExprKind::Save, L));
             }),
             "ok");
-  EXPECT_NE(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+  EXPECT_NE(Check([&](CoreProgram &P, std::vector<Expr *> &Kids) {
               Symbol L = P.Syms.create("nowhere", ail::SymbolKind::Label);
-              Kids.push_back(Jump(ExprKind::Run, L));
+              Kids.push_back(Jump(P, ExprKind::Run, L));
               Kids.push_back(Ghost(P));
             }).find("unknown label 'nowhere'"),
             std::string::npos);
-  EXPECT_NE(Check([&](CoreProgram &P, std::vector<ExprPtr> &Kids) {
+  EXPECT_NE(Check([&](CoreProgram &P, std::vector<Expr *> &Kids) {
               Symbol L = P.Syms.create("nowhere", ail::SymbolKind::Label);
               Kids.push_back(Ghost(P));
-              Kids.push_back(Jump(ExprKind::Run, L));
+              Kids.push_back(Jump(P, ExprKind::Run, L));
             }).find("unbound Core identifier 'ghost'"),
             std::string::npos);
 }
@@ -445,11 +480,9 @@ TEST(CoreScope, ParametersScopeOverTheirOwnProcedureOnly) {
   Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
   P.MainProc = Main;
   auto RetOf = [&] {
-    auto Ret = Expr::make(ExprKind::Ret);
-    auto Use = Expr::make(ExprKind::Sym);
+    Expr *Use = P.Arena.make(ExprKind::Sym);
     Use->Sym = X;
-    Ret->Kids.push_back(std::move(Use));
-    return Ret;
+    return P.Arena.make(ExprKind::Ret, SourceLoc(), {Use});
   };
   CoreProc FP;
   FP.Name = F;
@@ -458,11 +491,7 @@ TEST(CoreScope, ParametersScopeOverTheirOwnProcedureOnly) {
   FP.Body = RetOf();
   P.Procs.emplace(F.Id, std::move(FP));
   ASSERT_EQ(core::typeCheck(P), std::nullopt); // x is f's own parameter
-  CoreProc MP;
-  MP.Name = Main;
-  MP.ReturnTy = CType::intTy();
-  MP.Body = RetOf();
-  P.Procs.emplace(Main.Id, std::move(MP));
+  addMain(P, Main, RetOf());
 
   auto Err = core::typeCheck(P);
   ASSERT_TRUE(Err.has_value());

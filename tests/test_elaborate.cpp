@@ -36,9 +36,9 @@ const Expr &mainBody(const CoreProgram &P) {
 
 unsigned countKind(const Expr &E, ExprKind K) {
   unsigned N = E.K == K ? 1 : 0;
-  for (const ExprPtr &Kid : E.Kids)
+  for (const Expr *Kid : E.kids())
     N += countKind(*Kid, K);
-  for (const auto &[Pat, Body] : E.Branches)
+  for (const auto &[Pat, Body] : E.branches())
     N += countKind(*Body, K);
   return N;
 }
@@ -49,9 +49,9 @@ unsigned countActions(const Expr &E, ActionKind A,
   if (E.K == ExprKind::Action && E.Act == A &&
       (NegPolarity < 0 || E.NegPolarity == (NegPolarity == 1)))
     ++N;
-  for (const ExprPtr &Kid : E.Kids)
+  for (const Expr *Kid : E.kids())
     N += countActions(*Kid, A, NegPolarity);
-  for (const auto &[Pat, Body] : E.Branches)
+  for (const auto &[Pat, Body] : E.branches())
     N += countActions(*Body, A, NegPolarity);
   return N;
 }
@@ -208,12 +208,12 @@ int main(void) {
   std::function<void(const Expr &)> Walk = [&](const Expr &E) {
     if (E.K == ExprKind::Save &&
         P.Syms.nameOf(E.Sym).rfind("inner", 0) == 0) {
-      EXPECT_EQ(E.Scope.size(), 2u);
+      EXPECT_EQ(E.scope().size(), 2u);
       Checked = true;
     }
-    for (const ExprPtr &K : E.Kids)
+    for (const Expr *K : E.kids())
       Walk(*K);
-    for (const auto &[Pat, Body] : E.Branches)
+    for (const auto &[Pat, Body] : E.branches())
       Walk(*Body);
   };
   Walk(mainBody(P));

@@ -230,10 +230,10 @@ void checkBits(const core::Expr &E, const core::Expr &Fresh, BitCounts &C) {
     ++C.Unset;
   else if ((E.HasEffectsCache != 0) != core::hasEffects(Fresh))
     ++C.Wrong;
-  for (size_t I = 0; I < E.Kids.size(); ++I)
-    checkBits(*E.Kids[I], *Fresh.Kids[I], C);
-  for (size_t I = 0; I < E.Branches.size(); ++I)
-    checkBits(*E.Branches[I].second, *Fresh.Branches[I].second, C);
+  for (size_t I = 0; I < E.kids().size(); ++I)
+    checkBits(*E.kids()[I], *Fresh.kids()[I], C);
+  for (size_t I = 0; I < E.branches().size(); ++I)
+    checkBits(*E.branches()[I].Body, *Fresh.branches()[I].Body, C);
 }
 
 /// Compiles \p Src and checks every node's bit. Returns the nodes checked
@@ -243,9 +243,9 @@ unsigned expectEffectBits(const std::string &Name, const std::string &Src) {
   if (!R)
     return 0;
   BitCounts C;
+  core::ExprArena Copies;
   auto Check = [&](const core::Expr &Root) {
-    core::ExprPtr Fresh = core::cloneExpr(Root);
-    checkBits(Root, *Fresh, C);
+    checkBits(Root, *core::cloneExpr(Copies, Root), C);
   };
   for (const auto &[Id, Proc] : R->Prog.Procs)
     Check(*Proc.Body);

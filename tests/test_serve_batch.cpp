@@ -131,9 +131,9 @@ uint64_t measuredCharge(const std::string &Src) {
 /// Core nodes of a tree (small test programs: recursion is fine here).
 uint64_t coreNodes(const core::Expr &E) {
   uint64_t N = 1;
-  for (const core::ExprPtr &K : E.Kids)
+  for (const core::Expr *K : E.kids())
     N += coreNodes(*K);
-  for (const auto &[Pat, Body] : E.Branches)
+  for (const auto &[Pat, Body] : E.branches())
     N += coreNodes(*Body);
   return N;
 }
