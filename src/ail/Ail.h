@@ -55,6 +55,8 @@ public:
     return Kinds[S.Id];
   }
   size_t size() const { return Names.size(); }
+  /// The symbols the table has room for (both of its vectors).
+  size_t capacity() const { return Names.capacity(); }
 
 private:
   std::vector<std::string> Names;

@@ -989,8 +989,8 @@ uint64_t Value::heapBytes() const {
 
 uint64_t core::programBytes(const CoreProgram &P) {
   uint64_t N = heapBlock(P.ConstPool.capacity() * sizeof(Value)) +
-               heapBlock(P.Syms.size() * sizeof(std::string)) +
-               heapBlock(P.Syms.size() * sizeof(ail::SymbolKind)) +
+               heapBlock(P.Syms.capacity() * sizeof(std::string)) +
+               heapBlock(P.Syms.capacity() * sizeof(ail::SymbolKind)) +
                heapBlock(P.Tags.size() * sizeof(ail::TagDef)) +
                heapBlock(P.Globals.capacity() * sizeof(CoreGlobal)) +
                P.Builtins.size() * mapNode<std::pair<unsigned, ail::Builtin>>();

@@ -340,48 +340,15 @@ bool poolEqual(const Value &A, const Value &B) {
   }
 }
 
-/// Hashes a C type by its structure, as operator== compares it: two
-/// handles on equal types hash alike whichever nodes they hold.
-size_t typeHash(const CType &T) {
-  if (!T.isValid())
-    return 0;
-  size_t H = static_cast<size_t>(T.kind()) + 1;
-  auto Mix = [&](size_t V) { H = (H ^ V) * 0x100000001b3ull; };
-  switch (T.kind()) {
-  case ail::CTypeKind::Void:
-    break;
-  case ail::CTypeKind::Integer:
-    Mix(static_cast<size_t>(T.intKind()));
-    break;
-  case ail::CTypeKind::Pointer:
-    Mix(typeHash(T.pointee()));
-    break;
-  case ail::CTypeKind::Array:
-    Mix(T.arraySize() ? *T.arraySize() + 1 : 0);
-    Mix(typeHash(T.element()));
-    break;
-  case ail::CTypeKind::Function:
-    Mix(typeHash(T.returnType()));
-    Mix(T.isVariadic());
-    for (const CType &P : T.paramTypes())
-      Mix(typeHash(P));
-    break;
-  case ail::CTypeKind::Struct:
-  case ail::CTypeKind::Union:
-    Mix(T.tag());
-    break;
-  }
-  return H;
-}
-
-/// Agrees with poolEqual: equal pooled values hash alike.
+/// Agrees with poolEqual: equal pooled values hash alike. A ctype hashes
+/// by its rendering, which equal types share whichever nodes they hold.
 size_t poolHash(const Value &V) {
   size_t H = static_cast<size_t>(V.kind()) * 0x9e3779b97f4a7c15ull;
   switch (V.kind()) {
   case ValueKind::Function:
     return H ^ V.funcSym();
   case ValueKind::Ctype:
-    return H ^ typeHash(V.cty());
+    return H ^ std::hash<std::string>()(V.cty().str());
   case ValueKind::Integer:
     return H ^ static_cast<size_t>(V.num()) ^
            static_cast<size_t>(UInt128(V.num()) >> 64) * 31;

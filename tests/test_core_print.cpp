@@ -24,6 +24,7 @@
 #include "defacto/Suite.h"
 #include "elab/Elaborate.h"
 #include "exec/Pipeline.h"
+#include "support/ThreadPool.h"
 #include "typing/TypeCheck.h"
 
 #include "Golden.h"
@@ -74,7 +75,7 @@ std::string elaborated(const std::string &Src) {
   return digest(core::printProgram(*Prog));
 }
 
-std::vector<std::string> record(const std::string &Src) {
+std::vector<std::string> recordOnThisThread(const std::string &Src) {
   std::vector<std::string> Rec{"elab " + elaborated(Src)};
   auto C = exec::compileWithStats(Src);
   if (!C) {
@@ -94,6 +95,16 @@ std::vector<std::string> record(const std::string &Src) {
     Pool += V.str() + "\n";
   Rec.push_back("constpool " + std::to_string(C->Prog.ConstPool.size()) +
                 " " + digest(Pool));
+  return Rec;
+}
+
+/// The record of \p Src, made on a pool thread: the deep shapes need the
+/// stack the depth limits are sized to, not the main thread's.
+std::vector<std::string> record(const std::string &Src) {
+  std::vector<std::string> Rec;
+  ThreadPool Pool(1);
+  Pool.submit([&] { Rec = recordOnThisThread(Src); });
+  Pool.wait();
   return Rec;
 }
 
