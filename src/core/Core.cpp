@@ -6,6 +6,7 @@
 #include "support/Format.h"
 
 #include <cassert>
+#include <mutex>
 
 using namespace cerb;
 using namespace cerb::core;
@@ -361,10 +362,41 @@ struct alignas(16) ExprArena::Chunks::Header {
 namespace {
 /// Chunk sizes: the first of each list is small, so a small program holds
 /// little; each next one doubles up to the cap, which keeps chunks below
-/// the allocator's mmap threshold (128 KiB by default), so a freed chunk
-/// goes back to the heap for the next compile instead of to the kernel.
+/// the allocator's mmap threshold (128 KiB by default).
 constexpr size_t FirstChunk = 1024;
 constexpr size_t MaxChunk = 64 * 1024;
+
+/// Full-size chunks that freed programs hand on to the next arena. Given
+/// back to malloc, a large program's chunks coalesce at the top of the
+/// heap and are trimmed back to the kernel, and the next compile faults
+/// every page in again. A pool of at most 4 MiB keeps them instead.
+class ChunkPool {
+public:
+  static ChunkPool &get() {
+    static ChunkPool *P = new ChunkPool; // outlives every static program
+    return *P;
+  }
+  void *take() {
+    std::lock_guard<std::mutex> L(M);
+    if (Free.empty())
+      return nullptr;
+    void *C = Free.back();
+    Free.pop_back();
+    return C;
+  }
+  bool give(void *C) {
+    std::lock_guard<std::mutex> L(M);
+    if (Free.size() == Free.capacity())
+      return false;
+    Free.push_back(C);
+    return true;
+  }
+
+private:
+  ChunkPool() { Free.reserve(64); }
+  std::mutex M;
+  std::vector<void *> Free;
+};
 } // namespace
 
 ExprArena::Chunks &ExprArena::Chunks::operator=(Chunks &&O) noexcept {
@@ -381,7 +413,8 @@ ExprArena::Chunks::~Chunks() { release(); }
 void ExprArena::Chunks::release() {
   while (Head) {
     Header *Prev = Head->Prev;
-    ::operator delete(Head);
+    if (Head->Size != MaxChunk || !ChunkPool::get().give(Head))
+      ::operator delete(Head);
     Head = Prev;
   }
 }
@@ -396,7 +429,10 @@ void *ExprArena::Chunks::alloc(size_t N, size_t Align) {
   }
   size_t Size = std::max(Head ? std::min(2 * Head->Size, MaxChunk) : FirstChunk,
                          N);
-  Head = new (::operator new(sizeof(Header) + Size)) Header{Head, Size, N};
+  void *Mem = Size == MaxChunk ? ChunkPool::get().take() : nullptr;
+  if (!Mem)
+    Mem = ::operator new(sizeof(Header) + Size);
+  Head = new (Mem) Header{Head, Size, N};
   return Head + 1;
 }
 
@@ -469,10 +505,11 @@ void ExprArena::setKids(Expr &E, std::span<Expr *const> Kids) {
 }
 
 void ExprArena::setBranches(Expr &E, std::span<const Branch> Branches) {
-  E.NumBranches = static_cast<uint32_t>(Branches.size());
-  E.BranchData =
-      Branches.empty() ? nullptr : alloc<Branch>(Raw, Branches.size());
-  std::copy(Branches.begin(), Branches.end(), E.BranchData);
+  if (Branches.empty() && !E.Aux)
+    return;
+  Branch *P = alloc<Branch>(Raw, Branches.size());
+  std::copy(Branches.begin(), Branches.end(), P);
+  aux(E).Branches = std::span<Branch>(P, Branches.size());
 }
 
 void ExprArena::setPattern(Expr &E, const Pattern &P) {

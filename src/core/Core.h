@@ -449,15 +449,17 @@ struct ExprAux {
   Value V;                            ///< Val: the literal
   std::string_view Str;               ///< ImplConst/ErrorE/PureCall/Create
   std::span<ScopeObject> Scope;       ///< Save/Run annotations
+  std::span<Branch> Branches;         ///< Case/ECase
   unsigned Tag = 0;                   ///< MemberShiftE
   unsigned MemberIdx = 0;             ///< MemberShiftE
   unsigned IndetId = 0;               ///< Indet/Bound pairing
 };
 
-/// A Core node in 96 bytes: the kind, the small operands and the hot
-/// annotations inline; kids, branches, the let pattern and the cold
-/// operands (ExprAux) as pointers into the arena of the program that owns
-/// the node. Nodes are made and freed only by an ExprArena.
+/// A Core node in 80 bytes: the kind, the small operands and the hot
+/// annotations inline; the kids, the let pattern and the cold operands
+/// (ExprAux, case branches among them) as pointers into the arena of the
+/// program that owns the node. Nodes are made and freed only by an
+/// ExprArena.
 struct Expr {
   ExprKind K;
   bool NegPolarity = false; ///< Action (§5.6 polarities)
@@ -495,22 +497,25 @@ struct Expr {
   /// Index into CoreProgram::ConstPool for interned Val nodes (-1 when
   /// not pooled). The literal in value() is retained for the printers.
   int PoolIdx = -1;
-  uint32_t NumBranches = 0;
-  /// Bloom summary (bit = label Id mod 64) of every Save label in this
+  /// Bloom summary (bit = label Id mod 32) of every Save label in this
   /// subtree, filled by core::lower. Zero means "definitely no save
   /// here", which lets the evaluator's jump routing skip the subtree
   /// scan; a set bit only admits the exact recursive check.
-  uint64_t SaveMask = 0;
+  uint32_t SaveMask = 0;
   CType Cty; // type operand (actions, shifts, conv, unspec)
   Expr **KidData = nullptr;
-  Branch *BranchData = nullptr;
   Pattern *Pat = nullptr; // lets
   ExprAux *Aux = nullptr; // kinds with cold operands
 
   std::span<Expr *const> kids() const { return {KidData, NumKids}; }
   std::span<Expr *> kids() { return {KidData, NumKids}; }
-  std::span<const Branch> branches() const { return {BranchData, NumBranches}; }
-  std::span<Branch> branches() { return {BranchData, NumBranches}; }
+  /// Case/ECase: the branches.
+  std::span<const Branch> branches() const {
+    return Aux ? Aux->Branches : std::span<const Branch>();
+  }
+  std::span<Branch> branches() {
+    return Aux ? Aux->Branches : std::span<Branch>();
+  }
 
   /// Val: the literal.
   const Value &value() const { return Aux->V; }
@@ -526,7 +531,7 @@ struct Expr {
   /// Indet/Bound: the pairing id.
   unsigned indetId() const { return Aux->IndetId; }
 };
-static_assert(sizeof(Expr) <= 96, "core::Expr must stay within 96 bytes");
+static_assert(sizeof(Expr) <= 80, "core::Expr must stay within 80 bytes");
 
 /// Owns the nodes of one program and everything they point to: kid and
 /// branch arrays, patterns, cold records, scope lists and strings. Each

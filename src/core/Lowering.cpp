@@ -383,10 +383,10 @@ void annotatePattern(Pattern &P, LowerCtx &Ctx) {
 
 /// Returns the subtree's Save-label bloom (stored in Expr::SaveMask) so
 /// the evaluator's jump routing can refute "contains save L?" without
-/// walking the tree. Collisions (two labels mod 64) only cost a scan.
+/// walking the tree. Collisions (two labels mod 32) only cost a scan.
 /// Also sets every node's HasEffectsCache, bottom up, so the dynamics
 /// never writes to a lowered program (see warmDynamicsCaches).
-uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
+uint32_t annotateExpr(Expr &E, LowerCtx &Ctx) {
   DepthGuard G(Ctx.Depth, MaxCoreDepth);
   if (!G) {
     // Conservative, so the parent's hasEffects does not walk this subtree.
@@ -405,7 +405,7 @@ uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
   if (E.Aux)
     for (ScopeObject &O : E.Aux->Scope)
       O.Slot = Ctx.slot(O.Obj);
-  uint64_t Mask = 0;
+  uint32_t Mask = 0;
   for (Expr *K : E.kids())
     Mask |= annotateExpr(*K, Ctx);
   for (Branch &B : E.branches()) {
@@ -413,7 +413,7 @@ uint64_t annotateExpr(Expr &E, LowerCtx &Ctx) {
     Mask |= annotateExpr(*B.Body, Ctx);
   }
   if (E.K == ExprKind::Save)
-    Mask |= 1ull << (E.Sym.Id & 63);
+    Mask |= 1u << (E.Sym.Id & 31);
   E.SaveMask = Mask;
   // The children's bits are fresh, so this reads one level only. A bit
   // from before folding may be stale: folding can drop an effectful branch.

@@ -374,7 +374,7 @@ bool Evaluator::containsSave(const Expr &E, Symbol Label) const {
   // subtree without walking it, turning the per-jump O(tree) routing scans
   // into O(path). A set bit (possible collision) falls through to the
   // exact scan, whose recursion re-checks masks.
-  if (!(E.SaveMask & (1ull << (Label.Id & 63))))
+  if (!(E.SaveMask & (1u << (Label.Id & 31))))
     return false;
   if (E.K == ExprKind::Save && E.Sym == Label)
     return true;

@@ -345,7 +345,7 @@ TEST(CorePatterns, Rendering) {
 }
 
 TEST(CoreArena, NodesStayWithinTheirBudget) {
-  EXPECT_LE(sizeof(Expr), 96u);
+  EXPECT_LE(sizeof(Expr), 80u);
   EXPECT_EQ(sizeof(Pattern), 24u);
 }
 
