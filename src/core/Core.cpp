@@ -543,12 +543,8 @@ Pattern ExprArena::specifiedPattern(const Pattern &Sub) {
   return P;
 }
 
-uint64_t ExprArena::bytes() const {
-  return Nodes.bytes() + Auxes.bytes() + Scopes.bytes() + Raw.bytes();
-}
-
-uint64_t ExprArena::valueBoxBytes() const {
-  uint64_t N = 0;
+uint64_t ExprArena::heapBytes() const {
+  uint64_t N = Nodes.bytes() + Auxes.bytes() + Scopes.bytes() + Raw.bytes();
   Auxes.forEach<ExprAux>([&](const ExprAux &A) { N += A.V.heapBytes(); });
   return N;
 }
@@ -1047,7 +1043,7 @@ uint64_t core::programBytes(const CoreProgram &P) {
     N += mapNode<std::pair<unsigned, CoreProc>>() +
          heapBlock(Proc.Params.capacity() * sizeof(Proc.Params[0])) +
          heapBlock(Proc.ParamSlots.capacity() * sizeof(int));
-  return N + P.Arena.bytes() + P.Arena.valueBoxBytes();
+  return N + P.Arena.heapBytes();
 }
 
 //===----------------------------------------------------------------------===//

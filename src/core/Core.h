@@ -576,11 +576,10 @@ public:
   }
   Pattern specifiedPattern(const Pattern &Sub);
 
-  /// The heap bytes the chunks take, each counted with a flat 16 bytes
-  /// for the allocator's header and rounding.
-  uint64_t bytes() const;
-  /// The heap bytes the boxes of the cold records' values hold.
-  uint64_t valueBoxBytes() const;
+  /// The heap bytes the arena holds: its chunks, each counted with a flat
+  /// 16 bytes for the allocator's header and rounding, and the boxes of
+  /// the literals in its cold records.
+  uint64_t heapBytes() const;
 
 private:
   /// One kind of object, bump-allocated through a list of chunks.

@@ -13,7 +13,7 @@
 
 #include "support/DepthGuard.h"
 
-#include <unordered_map>
+#include <bit>
 
 using namespace cerb;
 using namespace cerb::core;
@@ -32,9 +32,10 @@ struct LowerCtx {
   /// which runs next, refuses such a program.
   unsigned Depth = 0;
   bool TooDeep = false; ///< annotation stopped short of some node
-  /// ConstPool indices by poolHash of their value, so interning a literal
-  /// costs O(1) expected rather than a scan of the pool.
-  std::unordered_multimap<size_t, int> PoolIndex;
+  /// ConstPool indices by poolHash of their value (open addressing, -1
+  /// empty, at most half full), so interning a literal costs O(1)
+  /// expected once the pool outgrows a scan (IndexFrom entries).
+  std::vector<int> PoolIndex;
 
   explicit LowerCtx(CoreProgram &P)
       : P(P), Env(P.Tags), SlotOf(P.Syms.size(), -1) {}
@@ -357,21 +358,48 @@ size_t poolHash(const Value &V) {
   }
 }
 
+/// Most programs pool a handful of literals, which a scan finds without
+/// allocating an index.
+constexpr size_t IndexFrom = 16;
+
+/// The slot of Ctx.PoolIndex that holds \p V's pool index, or the empty
+/// slot where it goes.
+int &indexSlot(LowerCtx &Ctx, const Value &V) {
+  size_t Mask = Ctx.PoolIndex.size() - 1;
+  for (size_t I = poolHash(V) & Mask;; I = (I + 1) & Mask) {
+    int &Slot = Ctx.PoolIndex[I];
+    if (Slot < 0 || poolEqual(Ctx.P.ConstPool[Slot], V))
+      return Slot;
+  }
+}
+
 void internValue(Expr &E, LowerCtx &Ctx) {
   const Value &V = E.value();
   if (!poolable(V))
     return;
-  size_t H = poolHash(V);
-  auto [It, End] = Ctx.PoolIndex.equal_range(H);
-  for (; It != End; ++It)
-    if (poolEqual(Ctx.P.ConstPool[It->second], V)) {
-      E.PoolIdx = It->second;
-      ++Ctx.Stats.ConstsInterned;
-      return;
-    }
-  E.PoolIdx = static_cast<int>(Ctx.P.ConstPool.size());
-  Ctx.PoolIndex.emplace(H, E.PoolIdx);
-  Ctx.P.ConstPool.push_back(V);
+  std::vector<Value> &Pool = Ctx.P.ConstPool;
+  int Found = -1;
+  if (Pool.size() < IndexFrom) {
+    for (size_t I = 0; I < Pool.size() && Found < 0; ++I)
+      if (poolEqual(Pool[I], V))
+        Found = static_cast<int>(I);
+  } else {
+    Found = indexSlot(Ctx, V);
+  }
+  if (Found >= 0) {
+    E.PoolIdx = Found;
+    ++Ctx.Stats.ConstsInterned;
+    return;
+  }
+  E.PoolIdx = static_cast<int>(Pool.size());
+  Pool.push_back(V);
+  if (Pool.size() >= IndexFrom && 2 * Pool.size() > Ctx.PoolIndex.size()) {
+    Ctx.PoolIndex.assign(std::bit_ceil(4 * Pool.size()), -1);
+    for (size_t I = 0; I < Pool.size(); ++I)
+      indexSlot(Ctx, Pool[I]) = static_cast<int>(I);
+  } else if (!Ctx.PoolIndex.empty()) {
+    indexSlot(Ctx, V) = E.PoolIdx;
+  }
 }
 
 void annotatePattern(Pattern &P, LowerCtx &Ctx) {

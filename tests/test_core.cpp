@@ -344,11 +344,6 @@ TEST(CorePatterns, Rendering) {
   EXPECT_EQ(Pattern::unspecified().str(Syms), "Unspecified(_)");
 }
 
-TEST(CoreArena, NodesStayWithinTheirBudget) {
-  EXPECT_LE(sizeof(Expr), 80u);
-  EXPECT_EQ(sizeof(Pattern), 24u);
-}
-
 TEST(CoreArena, ProgramMovesKeepTheirNodes) {
   CoreProgram P;
   Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
