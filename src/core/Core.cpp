@@ -371,6 +371,8 @@ constexpr size_t MaxChunk = 64 * 1024;
 /// heap and are trimmed back to the kernel, and the next compile faults
 /// every page in again. A pool of at most 4 MiB keeps them instead.
 class ChunkPool {
+  static constexpr size_t MaxPooled = 64;
+
 public:
   static ChunkPool &get() {
     static ChunkPool *P = new ChunkPool; // outlives every static program
@@ -386,14 +388,14 @@ public:
   }
   bool give(void *C) {
     std::lock_guard<std::mutex> L(M);
-    if (Free.size() == Free.capacity())
+    if (Free.size() == MaxPooled)
       return false;
     Free.push_back(C);
     return true;
   }
 
 private:
-  ChunkPool() { Free.reserve(64); }
+  ChunkPool() { Free.reserve(MaxPooled); }
   std::mutex M;
   std::vector<void *> Free;
 };
@@ -453,10 +455,6 @@ void ExprArena::Chunks::forEach(F &&Fn) const {
       Fn(P[I]);
   }
 }
-
-ExprArena::ExprArena(ExprArena &&O) noexcept
-    : Nodes(std::move(O.Nodes)), Auxes(std::move(O.Auxes)),
-      Scopes(std::move(O.Scopes)), Raw(std::move(O.Raw)) {}
 
 ExprArena &ExprArena::operator=(ExprArena &&O) noexcept {
   if (this != &O) {
@@ -631,72 +629,49 @@ public:
       : Syms(Syms), Out(Out) {}
 
   void print(const Expr &E, unsigned Indent) {
-    auto Kid = [&](size_t I) { print(*E.kids()[I], Indent); };
+    std::span<Expr *const> K = E.kids();
     auto Call = [&](std::string_view Name) {
-      Out += Name;
-      Out += '(';
+      put(Indent, Name, "(");
       kids(E, Indent);
       Out += ')';
     };
     switch (E.K) {
     case ExprKind::Sym:
-      Out += Syms.nameOf(E.Sym);
-      return;
+      return put(Indent, Syms.nameOf(E.Sym));
     case ExprKind::Val:
-      Out += E.value().str();
-      return;
+      return put(Indent, E.value().str());
     case ExprKind::ImplConst:
-      Out.append("<").append(E.str()).append(">");
-      return;
+      return put(Indent, "<", E.str(), ">");
     case ExprKind::Undef:
-      Out.append("undef(").append(mem::ubName(E.UB)).append(")");
-      return;
+      return put(Indent, "undef(", mem::ubName(E.UB), ")");
     case ExprKind::ErrorE:
-      Out.append("error(\"").append(E.str()).append("\")");
-      return;
+      return put(Indent, "error(\"", E.str(), "\")");
     case ExprKind::Tuple:
       return Call("");
     case ExprKind::SpecifiedE:
       return Call("Specified");
     case ExprKind::UnspecifiedE:
-      Out.append("Unspecified('").append(E.Cty.str()).append("')");
-      return;
+      return put(Indent, "Unspecified('", E.Cty.str(), "')");
     case ExprKind::Case:
     case ExprKind::ECase:
-      Out += "case ";
-      Kid(0);
-      Out += " with\n";
+      put(Indent, "case ", K[0], " with\n");
       for (const Branch &B : E.branches()) {
-        ind(Indent + 1);
-        Out.append("| ").append(B.Pat.str(Syms)).append(" =>\n");
-        ind(Indent + 2);
-        print(*B.Body, Indent + 2);
-        Out += '\n';
+        put(Indent, ind(Indent + 1), "| ", B.Pat.str(Syms), " =>\n",
+            ind(Indent + 2));
+        put(Indent + 2, B.Body, "\n");
       }
-      ind(Indent);
-      Out += "end";
-      return;
+      return put(Indent, ind(Indent), "end");
     case ExprKind::ArrayShiftE:
-      Out += "array_shift(";
-      Kid(0);
-      Out.append(", '").append(E.Cty.str()).append("', ");
-      Kid(1);
-      Out += ')';
-      return;
+      return put(Indent, "array_shift(", K[0], ", '", E.Cty.str(), "', ", K[1],
+                 ")");
     case ExprKind::MemberShiftE:
-      Out += "member_shift(";
-      Kid(0);
-      Out += fmt(", tag#{0}.{1})", E.tag(), E.memberIdx());
-      return;
+      return put(Indent, "member_shift(", K[0],
+                 fmt(", tag#{0}.{1})", E.tag(), E.memberIdx()));
     case ExprKind::Not:
       return Call("not");
     case ExprKind::Binop:
-      Out += '(';
-      Kid(0);
-      Out.append(" ").append(coreBinopSpelling(E.BOp)).append(" ");
-      Kid(1);
-      Out += ')';
-      return;
+      return put(Indent, "(", K[0], " ", coreBinopSpelling(E.BOp), " ", K[1],
+                 ")");
     case ExprKind::PureCall:
       return Call(E.str());
     case ExprKind::PureLet:
@@ -704,17 +679,9 @@ public:
       return let(E, "let ", Indent);
     case ExprKind::PureIf:
     case ExprKind::EIf:
-      Out += "if ";
-      Kid(0);
-      Out += " then\n";
-      ind(Indent + 1);
-      print(*E.kids()[1], Indent + 1);
-      Out += '\n';
-      ind(Indent);
-      Out += "else\n";
-      ind(Indent + 1);
-      print(*E.kids()[2], Indent + 1);
-      return;
+      put(Indent, "if ", K[0], " then\n", ind(Indent + 1));
+      put(Indent + 1, K[1], "\n", ind(Indent), "else\n", ind(Indent + 1));
+      return put(Indent + 1, K[2]);
     case ExprKind::IsInteger:
       return Call("is_integer");
     case ExprKind::IsSigned:
@@ -724,56 +691,40 @@ public:
     case ExprKind::IsScalar:
       return Call("is_scalar");
     case ExprKind::FinishArith:
-      Out.append("finish_arith[")
-          .append(arithOpName(E.AOp))
-          .append(", '")
-          .append(E.Cty.str())
-          .append("']");
+      put(Indent, "finish_arith[", arithOpName(E.AOp), ", '", E.Cty.str(),
+          "']");
       return Call("");
     case ExprKind::ConvInt:
-      Out.append("conv_int('").append(E.Cty.str()).append("', ");
-      Kid(0);
-      Out += ')';
-      return;
+      return put(Indent, "conv_int('", E.Cty.str(), "', ", K[0], ")");
     case ExprKind::PtrOp:
-      Out.append("ptrop(").append(ptrOpName(E.POp));
+      put(Indent, "ptrop(", ptrOpName(E.POp));
       if (E.POp == PtrOpKind::IntFromPtr || E.POp == PtrOpKind::PtrFromInt)
-        Out.append("['").append(E.Cty.str()).append("']");
-      Out += ", ";
+        put(Indent, "['", E.Cty.str(), "']");
+      put(Indent, ", ");
       kids(E, Indent);
-      Out += ')';
-      return;
+      return put(Indent, ")");
     case ExprKind::Action: {
-      if (E.NegPolarity)
-        Out += "neg(";
-      Out.append(actionName(E.Act)).append("(");
-      bool First = true;
+      put(Indent, E.NegPolarity ? "neg(" : "", actionName(E.Act), "(");
+      std::string_view Sep;
       if (E.Act == ActionKind::Create || E.Act == ActionKind::Store ||
           E.Act == ActionKind::Load) {
-        Out.append("'").append(E.Cty.str()).append("'");
-        First = false;
+        put(Indent, "'", E.Cty.str(), "'");
+        Sep = ", ";
       }
-      for (const Expr *K : E.kids()) {
-        if (!First)
-          Out += ", ";
-        First = false;
-        print(*K, Indent);
+      for (const Expr *Kid : K) {
+        put(Indent, Sep, Kid);
+        Sep = ", ";
       }
       if (E.AtomicAccess)
-        Out += First ? "seq_cst" : ", seq_cst";
-      Out += E.NegPolarity ? "))" : ")";
-      return;
+        put(Indent, Sep, "seq_cst");
+      return put(Indent, E.NegPolarity ? "))" : ")");
     }
     case ExprKind::Skip:
-      Out += "skip";
-      return;
+      return put(Indent, "skip");
     case ExprKind::ProcCall:
-      Out.append("pcall(").append(Syms.nameOf(E.Sym));
-      if (E.NumKids)
-        Out += ", ";
+      put(Indent, "pcall(", Syms.nameOf(E.Sym), K.empty() ? "" : ", ");
       kids(E, Indent);
-      Out += ')';
-      return;
+      return put(Indent, ")");
     case ExprKind::CallPtr:
       return Call("pcall_indirect");
     case ExprKind::Ret:
@@ -785,37 +736,25 @@ public:
     case ExprKind::LetStrong:
       return let(E, "let strong ", Indent);
     case ExprKind::LetAtomic:
-      Out.append("let atomic ").append(E.Pat->str(Syms)).append(" = ");
-      Kid(0);
-      Out += " in ";
-      Kid(1);
-      return;
+      return put(Indent, "let atomic ", E.Pat->str(Syms), " = ", K[0], " in ",
+                 K[1]);
     case ExprKind::Indet:
-      Out += fmt("indet[{0}]", E.indetId());
-      return Call("");
+      return Call(fmt("indet[{0}]", E.indetId()));
     case ExprKind::Bound:
-      Out += fmt("bound[{0}]", E.indetId());
-      return Call("");
+      return Call(fmt("bound[{0}]", E.indetId()));
     case ExprKind::Nd:
       return Call("nd");
     case ExprKind::Save: {
-      Out.append("save ").append(Syms.nameOf(E.Sym)).append("(");
-      bool First = true;
+      put(Indent, "save ", Syms.nameOf(E.Sym), "(");
+      std::string_view Sep;
       for (const ScopeObject &O : E.scope()) {
-        if (!First)
-          Out += ", ";
-        First = false;
-        Out.append(Syms.nameOf(O.Obj)).append(": '").append(O.Ty.str());
-        Out += '\'';
+        put(Indent, Sep, Syms.nameOf(O.Obj), ": '", O.Ty.str(), "'");
+        Sep = ", ";
       }
-      Out += ") in\n";
-      ind(Indent + 1);
-      print(*E.kids()[0], Indent + 1);
-      return;
+      return put(Indent + 1, ") in\n", ind(Indent + 1), K[0]);
     }
     case ExprKind::Run:
-      Out.append("run ").append(Syms.nameOf(E.Sym)).append("()");
-      return;
+      return put(Indent, "run ", Syms.nameOf(E.Sym), "()");
     case ExprKind::Par:
       return Call("par");
     case ExprKind::Wait:
@@ -828,21 +767,25 @@ private:
   const ail::SymbolTable &Syms;
   std::string &Out;
 
-  void ind(unsigned N) { Out.append(2 * N, ' '); }
+  /// Indentation to level \p N, as a part for put().
+  static std::string ind(unsigned N) { return std::string(2 * N, ' '); }
+  /// Appends the parts in order: text as is, a node printed at \p Indent.
+  template <typename... Ts> void put(unsigned Indent, const Ts &...Parts) {
+    (append(Parts, Indent), ...);
+  }
+  void append(std::string_view S, unsigned) { Out += S; }
+  void append(const Expr *E, unsigned Indent) { print(*E, Indent); }
   /// The kids, comma-separated.
   void kids(const Expr &E, unsigned Indent) {
-    for (size_t I = 0; I < E.NumKids; ++I) {
-      if (I)
-        Out += ", ";
-      print(*E.kids()[I], Indent);
+    std::string_view Sep;
+    for (const Expr *Kid : E.kids()) {
+      put(Indent, Sep, Kid);
+      Sep = ", ";
     }
   }
   void let(const Expr &E, std::string_view Keyword, unsigned Indent) {
-    Out.append(Keyword).append(E.Pat->str(Syms)).append(" = ");
-    print(*E.kids()[0], Indent);
-    Out += " in\n";
-    ind(Indent);
-    print(*E.kids()[1], Indent);
+    put(Indent, Keyword, E.Pat->str(Syms), " = ", E.kids()[0], " in\n",
+        ind(Indent), E.kids()[1]);
   }
 };
 
@@ -983,7 +926,8 @@ Expr *core::cloneExpr(ExprArena &A, const Expr &E) {
     A.setPattern(*Out, clonePattern(A, *E.Pat));
   if (E.Aux) {
     A.setStr(*Out, E.Aux->Str);
-    std::ranges::copy(E.Aux->Scope, A.setScope(*Out, E.Aux->Scope.size()).begin());
+    std::span<ScopeObject> Scope = A.setScope(*Out, E.Aux->Scope.size());
+    std::ranges::copy(E.Aux->Scope, Scope.begin());
     ExprAux &X = A.aux(*Out);
     X.V = E.Aux->V;
     X.Tag = E.Aux->Tag;

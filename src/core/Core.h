@@ -537,16 +537,15 @@ static_assert(sizeof(Expr) <= 80, "core::Expr must stay within 80 bytes");
 /// branch arrays, patterns, cold records, scope lists and strings. Each
 /// kind of object is bump-allocated from its own list of chunks, which
 /// grow geometrically from 1 KiB to 64 KiB: a small program holds a few
-/// KiB, a large one a chunk per few hundred nodes, and every chunk stays
-/// below the allocator's mmap threshold, so the chunks of a freed program
-/// serve the next compile. Destruction sweeps the chunks once, destroying
-/// the objects in allocation order: never one node at a time and never by
-/// recursion, however deep the tree. Nodes never move, so a program that
-/// moves keeps its pointers.
+/// KiB, a large one a chunk per few hundred nodes. A freed program's
+/// 64 KiB chunks go to a bounded pool that the next arena draws on.
+/// Destruction sweeps the chunks once, destroying the objects in each:
+/// never one node at a time and never by recursion, however deep the
+/// tree. Nodes never move, so a program that moves keeps its pointers.
 class ExprArena {
 public:
   ExprArena() = default;
-  ExprArena(ExprArena &&O) noexcept;
+  ExprArena(ExprArena &&O) noexcept = default;
   ExprArena &operator=(ExprArena &&O) noexcept;
   ExprArena(const ExprArena &) = delete;
   ExprArena &operator=(const ExprArena &) = delete;

@@ -144,8 +144,7 @@ private:
   }
   std::string operandName(const Expr &Action) {
     if (Action.kids().empty())
-      return Action.str().empty() ? std::string("?")
-                                  : std::string(Action.str());
+      return std::string(Action.str().empty() ? "?" : Action.str());
     return operandNameOf(*Action.kids()[0]);
   }
 

@@ -350,11 +350,11 @@ private:
   /// Converts a loaded value between C types (6.3): identity, conv_int,
   /// int<->pointer via ptrop, bool normalisation.
   Expected<Expr *> convertLoaded(const CType &To, const CType &From,
-                                  Expr *E, SourceLoc Loc);
+                                 Expr *E, SourceLoc Loc);
 
   /// Effectful boolean truthiness of a loaded scalar (for if/while/&&/!).
   Expected<Expr *> truthiness(Expr *LoadedE, const CType &Ty,
-                               SourceLoc Loc);
+                              SourceLoc Loc);
 
   /// Pure arithmetic core for integer `A op B` at result type \p Ty, with
   /// the ISO-mandated undef tests made explicit (Fig. 3). \p A and \p B
@@ -376,7 +376,7 @@ private:
   /// Core stays lexically scoped). Recurses once per statement, each
   /// holding its nest() levels.
   Expected<Expr *> elabStmtSeq(const std::vector<ail::AilStmtPtr> &Stmts,
-                                size_t I, Expr *Tail);
+                               size_t I, Expr *Tail);
   Expected<Expr *> elabBlock(const AilStmt &S);
   Expected<Expr *> elabDeclInto(const AilStmt &S, Expr *Rest);
   Expected<Expr *> elabWhile(const AilStmt &S);
@@ -384,7 +384,7 @@ private:
 
   /// Emits initialisation stores for `Ptr : Ty = Init`.
   Expected<Expr *> elabInitStores(const CType &Ty, Expr *MakePtr,
-                                   const AilInit &Init, Expr *Rest);
+                                  const AilInit &Init, Expr *Rest);
   /// A zero value of type \p Ty (static-storage default, 6.7.9p10).
   Value zeroValue(const CType &Ty);
 
@@ -406,8 +406,8 @@ private:
 //===----------------------------------------------------------------------===//
 
 Expected<Expr *> Elaborator::convertLoaded(const CType &To,
-                                            const CType &From, Expr *E,
-                                            SourceLoc Loc) {
+                                           const CType &From, Expr *E,
+                                           SourceLoc Loc) {
   if (To == From)
     return E;
   if (To.isInteger() && From.isInteger()) {
@@ -450,7 +450,7 @@ Expected<Expr *> Elaborator::convertLoaded(const CType &To,
 }
 
 Expected<Expr *> Elaborator::truthiness(Expr *LoadedE, const CType &Ty,
-                                         SourceLoc Loc) {
+                                        SourceLoc Loc) {
   Symbol A = fresh("t");
   if (Ty.isInteger()) {
     return caseLoadedEff(std::move(LoadedE), A,

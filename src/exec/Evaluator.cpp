@@ -1508,7 +1508,8 @@ Evaluator::Res Evaluator::leafBody(const Expr &E) {
 Evaluator::Res Evaluator::evalAction(const Expr &E) {
   switch (E.Act) {
   case ActionKind::Create: {
-    mem::PointerValue P = Mem.allocateObject(E.Cty, std::string(E.str()), /*Static=*/false);
+    mem::PointerValue P =
+        Mem.allocateObject(E.Cty, std::string(E.str()), /*Static=*/false);
     if (P.isNull())
       return objectTooLarge(E.Cty, std::string(E.str()));
     Created.push_back(P);

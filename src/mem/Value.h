@@ -34,7 +34,9 @@ namespace cerb::mem {
 /// C-level binary arithmetic operators as seen by the model's arithmetic
 /// hooks (Memory::finishArith): the model decides provenance and capability
 /// consequences of each (Q5, §4).
-enum class ArithOp : uint8_t { Add, Sub, Mul, Div, Rem, Shl, Shr, And, Or, Xor };
+enum class ArithOp : uint8_t {
+  Add, Sub, Mul, Div, Rem, Shl, Shr, And, Or, Xor
+};
 
 enum class ProvKind {
   Empty,    ///< NULL pointers and pure integers
