@@ -422,6 +422,8 @@ void ExprArena::Chunks::release() {
 }
 
 void *ExprArena::Chunks::alloc(size_t N, size_t Align) {
+  if (!N)
+    return nullptr; // an empty span opens no chunk
   if (Head) {
     size_t Off = (Head->Used + Align - 1) & ~(Align - 1);
     if (Off + N <= Head->Size) {

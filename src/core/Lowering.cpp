@@ -34,7 +34,7 @@ struct LowerCtx {
   bool TooDeep = false; ///< annotation stopped short of some node
   /// ConstPool indices by poolHash of their value (open addressing, -1
   /// empty, at most half full), so interning a literal costs O(1)
-  /// expected once the pool outgrows a scan (IndexFrom entries).
+  /// expected.
   std::vector<int> PoolIndex;
 
   explicit LowerCtx(CoreProgram &P)
@@ -358,10 +358,6 @@ size_t poolHash(const Value &V) {
   }
 }
 
-/// Most programs pool a handful of literals, which a scan finds without
-/// allocating an index.
-constexpr size_t IndexFrom = 16;
-
 /// The slot of Ctx.PoolIndex that holds \p V's pool index, or the empty
 /// slot where it goes.
 int &indexSlot(LowerCtx &Ctx, const Value &V) {
@@ -378,28 +374,19 @@ void internValue(Expr &E, LowerCtx &Ctx) {
   if (!poolable(V))
     return;
   std::vector<Value> &Pool = Ctx.P.ConstPool;
-  int Found = -1;
-  if (Pool.size() < IndexFrom) {
-    for (size_t I = 0; I < Pool.size() && Found < 0; ++I)
-      if (poolEqual(Pool[I], V))
-        Found = static_cast<int>(I);
-  } else {
-    Found = indexSlot(Ctx, V);
+  if (2 * (Pool.size() + 1) > Ctx.PoolIndex.size()) {
+    Ctx.PoolIndex.assign(std::bit_ceil(4 * (Pool.size() + 1)), -1);
+    for (size_t I = 0; I < Pool.size(); ++I)
+      indexSlot(Ctx, Pool[I]) = static_cast<int>(I);
   }
-  if (Found >= 0) {
-    E.PoolIdx = Found;
+  int &Slot = indexSlot(Ctx, V);
+  if (Slot >= 0) {
+    E.PoolIdx = Slot;
     ++Ctx.Stats.ConstsInterned;
     return;
   }
-  E.PoolIdx = static_cast<int>(Pool.size());
+  Slot = E.PoolIdx = static_cast<int>(Pool.size());
   Pool.push_back(V);
-  if (Pool.size() >= IndexFrom && 2 * Pool.size() > Ctx.PoolIndex.size()) {
-    Ctx.PoolIndex.assign(std::bit_ceil(4 * Pool.size()), -1);
-    for (size_t I = 0; I < Pool.size(); ++I)
-      indexSlot(Ctx, Pool[I]) = static_cast<int>(I);
-  } else if (!Ctx.PoolIndex.empty()) {
-    indexSlot(Ctx, V) = E.PoolIdx;
-  }
 }
 
 void annotatePattern(Pattern &P, LowerCtx &Ctx) {

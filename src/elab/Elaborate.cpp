@@ -308,7 +308,7 @@ private:
 
   Expected<Expr *> rvalueConv(const AilExpr &E, const CType &To) {
     CERB_TRY(R, rvalue(E));
-    return convertLoaded(To, valueTypeOf(E), std::move(R), E.Loc);
+    return convertLoaded(To, valueTypeOf(E), R, E.Loc);
   }
 
   /// Case-splits a loaded value: binds \p Bind in \p ThenE for the
@@ -331,13 +331,11 @@ private:
   Expr *caseLoadedEff(Expr *Scrut, Symbol Bind, Expr *ThenE,
                         Expr *UnspecE) {
     if (isPureExpr(*Scrut))
-      return caseLoaded(std::move(Scrut), Bind, std::move(ThenE),
-                        std::move(UnspecE));
+      return caseLoaded(Scrut, Bind, ThenE, UnspecE);
     Symbol S = fresh("sc");
     SourceLoc Loc = Scrut->Loc;
-    return mkLetStrong(Pattern::sym(S), std::move(Scrut),
-                       caseLoaded(mkSym(S, Loc), Bind, std::move(ThenE),
-                                  std::move(UnspecE)));
+    return mkLetStrong(Pattern::sym(S), Scrut,
+                       caseLoaded(mkSym(S, Loc), Bind, ThenE, UnspecE));
   }
 
   /// Case-splits two loaded values at once, Fig. 3 style: the chosen de
@@ -412,8 +410,7 @@ Expected<Expr *> Elaborator::convertLoaded(const CType &To,
     return E;
   if (To.isInteger() && From.isInteger()) {
     Symbol A = fresh("cv");
-    return caseLoadedEff(std::move(E), A,
-                         mkSpecified(mkConvInt(To, mkSym(A, Loc))),
+    return caseLoadedEff(E, A, mkSpecified(mkConvInt(To, mkSym(A, Loc))),
                          mkVal(Value::unspecified(To), Loc));
   }
   if (To.isPointer() && From.isPointer())
@@ -424,10 +421,9 @@ Expected<Expr *> Elaborator::convertLoaded(const CType &To,
     Kids.push_back(mkSym(A, Loc));
     Expr *Conv = mkLetStrong(
         Pattern::sym(R),
-        mkPtrOp(PtrOpKind::PtrFromInt, std::move(Kids), Loc, To),
+        mkPtrOp(PtrOpKind::PtrFromInt, Kids, Loc, To),
         mkSpecified(mkSym(R, Loc)));
-    return caseLoadedEff(std::move(E), A, std::move(Conv),
-                         mkVal(Value::unspecified(To), Loc));
+    return caseLoadedEff(E, A, Conv, mkVal(Value::unspecified(To), Loc));
   }
   if (To.isInteger() && From.isPointer()) {
     Symbol A = fresh("cv"), R = fresh("cvr");
@@ -435,13 +431,12 @@ Expected<Expr *> Elaborator::convertLoaded(const CType &To,
     Kids.push_back(mkSym(A, Loc));
     Expr *Conv = mkLetStrong(
         Pattern::sym(R),
-        mkPtrOp(PtrOpKind::IntFromPtr, std::move(Kids), Loc, To),
+        mkPtrOp(PtrOpKind::IntFromPtr, Kids, Loc, To),
         mkSpecified(mkSym(R, Loc)));
-    return caseLoadedEff(std::move(E), A, std::move(Conv),
-                         mkVal(Value::unspecified(To), Loc));
+    return caseLoadedEff(E, A, Conv, mkVal(Value::unspecified(To), Loc));
   }
   if (To.isVoid())
-    return seq(std::move(E), mkVal(Value::specified(Value::unit()), Loc));
+    return seq(E, mkVal(Value::specified(Value::unit()), Loc));
   if (To.isStructOrUnion() && From.isStructOrUnion())
     return E; // byte-image values
   return err(fmt("unsupported conversion from '{0}' to '{1}'", From.str(),
@@ -453,7 +448,7 @@ Expected<Expr *> Elaborator::truthiness(Expr *LoadedE, const CType &Ty,
                                         SourceLoc Loc) {
   Symbol A = fresh("t");
   if (Ty.isInteger()) {
-    return caseLoadedEff(std::move(LoadedE), A,
+    return caseLoadedEff(LoadedE, A,
                          mkNot(mkBinop(CoreBinop::Eq, mkSym(A, Loc),
                                        mkInt(0))),
                          mkUndef(mem::UBKind::IndeterminateValueUse, Loc));
@@ -462,8 +457,7 @@ Expected<Expr *> Elaborator::truthiness(Expr *LoadedE, const CType &Ty,
     std::vector<Expr *> Kids;
     Kids.push_back(mkSym(A, Loc));
     Kids.push_back(mkVal(Value::pointer(mem::PointerValue::null()), Loc));
-    return caseLoadedEff(std::move(LoadedE), A,
-                         mkPtrOp(PtrOpKind::PtrNe, std::move(Kids), Loc),
+    return caseLoadedEff(LoadedE, A, mkPtrOp(PtrOpKind::PtrNe, Kids, Loc),
                          mkUndef(mem::UBKind::IndeterminateValueUse, Loc));
   }
   return err(fmt("cannot test truth of type '{0}'", Ty.str()), Loc);
@@ -480,9 +474,8 @@ Expr *Elaborator::caseLoaded2(Expr *S1, Expr *S2, Symbol B1, Symbol B2,
     return mkUndef(mem::UBKind::ExceptionalCondition, Loc);
   };
   // case (s1) of Specified b1 => case (s2) of Specified b2 => Then
-  Expr *Inner = caseLoaded(std::move(S2), B2, std::move(ThenE),
-                             UnspecResult());
-  return caseLoaded(std::move(S1), B1, std::move(Inner), UnspecResult());
+  Expr *Inner = caseLoaded(S2, B2, ThenE, UnspecResult());
+  return caseLoaded(S1, B1, Inner, UnspecResult());
 }
 
 //===----------------------------------------------------------------------===//
@@ -499,13 +492,13 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
   // the logical operators never reach arithOpOf).
   auto Finish = [&](Expr *N) {
     return mkSpecified(
-        mkFinishArith(arithOpOf(Op), Ty, SymA(), SymB(), std::move(N)));
+        mkFinishArith(arithOpOf(Op), Ty, SymA(), SymB(), N));
   };
   auto IsRepresentable = [&](Expr *N) {
     std::vector<Expr *> Kids;
     Kids.push_back(mkVal(Value::ctype(Ty), Loc));
-    Kids.push_back(std::move(N));
-    return mkPureCall("is_representable", std::move(Kids), Loc);
+    Kids.push_back(N);
+    return mkPureCall("is_representable", Kids, Loc);
   };
 
   switch (Op) {
@@ -519,11 +512,11 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     Expr *Num = mkBinop(CB, SymA(), SymB());
     if (Uns)
       // 6.2.5p9: unsigned arithmetic is reduced modulo 2^width.
-      return mkPureLet(Pattern::sym(N), mkConvInt(Ty, std::move(Num)),
+      return mkPureLet(Pattern::sym(N), mkConvInt(Ty, Num),
                        Finish(mkSym(N, Loc)));
     // 6.5p5: signed overflow is undefined behaviour.
     return mkPureLet(
-        Pattern::sym(N), std::move(Num),
+        Pattern::sym(N), Num,
         mkPureIf(IsRepresentable(mkSym(N, Loc)), Finish(mkSym(N, Loc)),
                  mkUndef(mem::UBKind::ExceptionalCondition, Loc)));
   }
@@ -538,17 +531,17 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
             : Finish(mkBinop(CoreBinop::RemT, SymA(), SymB()));
     Expr *Guarded;
     if (Uns) {
-      Guarded = std::move(Compute);
+      Guarded = Compute;
     } else {
-      Guarded = mkPureIf(IsRepresentable(mkSym(Q, Loc)), std::move(Compute),
+      Guarded = mkPureIf(IsRepresentable(mkSym(Q, Loc)), Compute,
                          mkUndef(mem::UBKind::ExceptionalCondition, Loc));
     }
     Expr *Body = mkPureLet(Pattern::sym(Q),
                              mkBinop(CoreBinop::Div, SymA(), SymB()),
-                             std::move(Guarded));
+                             Guarded);
     return mkPureIf(mkBinop(CoreBinop::Eq, SymB(), mkInt(0)),
                     mkUndef(mem::UBKind::DivisionByZero, Loc),
-                    std::move(Body));
+                    Body);
   }
   case BinaryOp::Shl: {
     // Fig. 3, clause by clause (6.5.7p3-4).
@@ -559,7 +552,7 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
       // E1 x 2^E2, reduced modulo one more than the maximum value.
       Expr *N = mkBinop(CoreBinop::Mul, SymA(),
                           mkBinop(CoreBinop::Exp, mkInt(2), SymB()));
-      Compute = Finish(mkBinop(CoreBinop::RemT, std::move(N),
+      Compute = Finish(mkBinop(CoreBinop::RemT, N,
                                mkInt(Env.maxOf(Ty.intKind()) + 1)));
     } else {
       Symbol N = fresh("n");
@@ -577,9 +570,7 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     return mkPureIf(
         mkBinop(CoreBinop::Lt, SymB(), mkInt(0)),
         mkUndef(mem::UBKind::NegativeShift, Loc),
-        mkPureIf(std::move(TooLarge),
-                 mkUndef(mem::UBKind::ShiftTooLarge, Loc),
-                 std::move(Compute)));
+        mkPureIf(TooLarge, mkUndef(mem::UBKind::ShiftTooLarge, Loc), Compute));
   }
   case BinaryOp::Shr: {
     unsigned Width = Env.widthOf(Ty.intKind());
@@ -588,13 +579,13 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     std::vector<Expr *> Kids;
     Kids.push_back(SymA());
     Kids.push_back(SymB());
-    Expr *Compute = Finish(mkPureCall("shr_arith", std::move(Kids), Loc));
+    Expr *Compute = Finish(mkPureCall("shr_arith", Kids, Loc));
     return mkPureIf(
         mkBinop(CoreBinop::Lt, SymB(), mkInt(0)),
         mkUndef(mem::UBKind::NegativeShift, Loc),
         mkPureIf(mkBinop(CoreBinop::Le, mkInt(Width), SymB()),
                  mkUndef(mem::UBKind::ShiftTooLarge, Loc),
-                 std::move(Compute)));
+                 Compute));
   }
   case BinaryOp::BitAnd:
   case BinaryOp::BitOr:
@@ -606,7 +597,7 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     Kids.push_back(mkVal(Value::ctype(Ty), Loc));
     Kids.push_back(SymA());
     Kids.push_back(SymB());
-    return Finish(mkPureCall(Fn, std::move(Kids), Loc));
+    return Finish(mkPureCall(Fn, Kids, Loc));
   }
   case BinaryOp::Lt:
   case BinaryOp::Gt:
@@ -626,9 +617,8 @@ Expr *Elaborator::arithCore(BinaryOp Op, const CType &Ty,
     }
     Expr *Cmp = mkBinop(CB, SymA(), SymB());
     if (Negate)
-      Cmp = mkNot(std::move(Cmp));
-    return mkPureIf(std::move(Cmp), mkSpecified(mkInt(1)),
-                    mkSpecified(mkInt(0)));
+      Cmp = mkNot(Cmp);
+    return mkPureIf(Cmp, mkSpecified(mkInt(1)), mkSpecified(mkInt(0)));
   }
   default:
     assert(false && "not an integer operator");
@@ -654,7 +644,7 @@ Expected<Expr *> Elaborator::lvalue(const AilExpr &E) {
       // here — the access-time check happens at load/store (Q31).
       CERB_TRY(P, rvalue(*E.Kids[0]));
       Symbol A = fresh("p");
-      return caseLoadedEff(std::move(P), A, mkSym(A, E.Loc),
+      return caseLoadedEff(P, A, mkSym(A, E.Loc),
                            mkUndef(mem::UBKind::IndeterminateValueUse,
                                    E.Loc));
     }
@@ -666,7 +656,7 @@ Expected<Expr *> Elaborator::lvalue(const AilExpr &E) {
     auto Idx = Ail.Tags.get(Tag).memberIndex(E.MemberName);
     assert(Idx && "member vanished after type checking");
     Symbol A = fresh("m");
-    return mkLetStrong(Pattern::sym(A), std::move(P),
+    return mkLetStrong(Pattern::sym(A), P,
                        mkMemberShift(mkSym(A, E.Loc), Tag, *Idx));
   }
   default:
@@ -694,11 +684,10 @@ Expected<Expr *> Elaborator::rvalue(const AilExpr &E) {
       // Array-to-pointer decay (6.3.2.1p3): the object pointer itself,
       // re-typed at the element; no access happens.
       Symbol A = fresh("d");
-      return mkLetStrong(Pattern::sym(A), std::move(P),
-                         mkSpecified(mkSym(A, E.Loc)));
+      return mkLetStrong(Pattern::sym(A), P, mkSpecified(mkSym(A, E.Loc)));
     }
     Symbol A = fresh("l");
-    return mkLetStrong(Pattern::sym(A), std::move(P),
+    return mkLetStrong(Pattern::sym(A), P,
                        mkLoad(E.Ty, mkSym(A, E.Loc), E.Loc));
   }
 
@@ -710,23 +699,21 @@ Expected<Expr *> Elaborator::rvalue(const AilExpr &E) {
         return mkVal(Value::specified(Value::function(Sub.Sym.Id)), E.Loc);
       CERB_TRY(P, lvalue(Sub));
       Symbol A = fresh("a");
-      return mkLetStrong(Pattern::sym(A), std::move(P),
-                         mkSpecified(mkSym(A, E.Loc)));
+      return mkLetStrong(Pattern::sym(A), P, mkSpecified(mkSym(A, E.Loc)));
     }
     case UnaryOp::Deref: {
       // Rvalue *e: evaluate pointer then load (or decay for arrays).
       CERB_TRY(P, lvalue(E));
       if (E.Ty.isArray()) {
         Symbol A = fresh("d");
-        return mkLetStrong(Pattern::sym(A), std::move(P),
-                           mkSpecified(mkSym(A, E.Loc)));
+        return mkLetStrong(Pattern::sym(A), P, mkSpecified(mkSym(A, E.Loc)));
       }
       if (E.Ty.isFunction()) {
         // *fp in call position: the function designator.
         return lvalue(E);
       }
       Symbol A = fresh("l");
-      return mkLetStrong(Pattern::sym(A), std::move(P),
+      return mkLetStrong(Pattern::sym(A), P,
                          mkLoad(E.Ty, mkSym(A, E.Loc), E.Loc));
     }
     case UnaryOp::Plus:
@@ -745,14 +732,14 @@ Expected<Expr *> Elaborator::rvalue(const AilExpr &E) {
         if (E.Ty.isUnsigned()) {
           Compute = mkSpecified(mkFinishArith(
               mem::ArithOp::Sub, E.Ty, mkInt(0), mkSym(A, Loc),
-              mkConvInt(E.Ty, std::move(Num))));
+              mkConvInt(E.Ty, Num)));
         } else {
           std::vector<Expr *> RK;
           RK.push_back(mkVal(Value::ctype(E.Ty), Loc));
           RK.push_back(mkSym(N, Loc));
           Compute = mkPureLet(
-              Pattern::sym(N), std::move(Num),
-              mkPureIf(mkPureCall("is_representable", std::move(RK), Loc),
+              Pattern::sym(N), Num,
+              mkPureIf(mkPureCall("is_representable", RK, Loc),
                        mkSpecified(mkSym(N, Loc)),
                        mkUndef(mem::UBKind::ExceptionalCondition, Loc)));
         }
@@ -760,21 +747,20 @@ Expected<Expr *> Elaborator::rvalue(const AilExpr &E) {
         std::vector<Expr *> Kids;
         Kids.push_back(mkVal(Value::ctype(E.Ty), Loc));
         Kids.push_back(mkSym(A, Loc));
-        Compute = mkSpecified(mkPureCall("bw_compl", std::move(Kids), Loc));
+        Compute = mkSpecified(mkPureCall("bw_compl", Kids, Loc));
       }
       Symbol S = fresh("v");
       return mkLetStrong(
-          Pattern::sym(S), std::move(V),
-          caseLoaded(mkSym(S, Loc), A, std::move(Compute),
-                     E.Ty.isUnsigned()
+          Pattern::sym(S), V,
+          caseLoaded(mkSym(S, Loc), A, Compute, E.Ty.isUnsigned()
                          ? mkVal(Value::unspecified(E.Ty), Loc)
                          : mkUndef(mem::UBKind::ExceptionalCondition, Loc)));
     }
     case UnaryOp::LogNot: {
       CERB_TRY(V, rvalue(*E.Kids[0]));
-      CERB_TRY(B, truthiness(std::move(V), valueTypeOf(*E.Kids[0]), E.Loc));
+      CERB_TRY(B, truthiness(V, valueTypeOf(*E.Kids[0]), E.Loc));
       Symbol S = fresh("b");
-      return mkLetStrong(Pattern::sym(S), std::move(B),
+      return mkLetStrong(Pattern::sym(S), B,
                          mkPureIf(mkSym(S, E.Loc), mkSpecified(mkInt(0)),
                                   mkSpecified(mkInt(1))));
     }
@@ -799,7 +785,7 @@ Expected<Expr *> Elaborator::rvalue(const AilExpr &E) {
   case AilExprKind::Comma: {
     CERB_TRY(A, rvalue(*E.Kids[0]));
     CERB_TRY(B, rvalue(*E.Kids[1]));
-    return seq(std::move(A), std::move(B));
+    return seq(A, B);
   }
   default:
     return err("expression kind not handled by the elaboration", E.Loc);
