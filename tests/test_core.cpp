@@ -384,6 +384,18 @@ TEST(CoreArena, DeepChainIsDestroyedWithoutRecursion) {
   EXPECT_FALSE(P.has_value());
 }
 
+// A literal's copy has an empty name and scope; neither may open a chunk
+// that holds nothing, or the compile cache charges it.
+TEST(CoreArena, EmptySpansOpenNoChunk) {
+  ExprArena A;
+  const Expr *Lit = A.val(Value::specified(Value::integer(7)));
+  uint64_t Before = A.heapBytes();
+  Expr *Copy = cloneExpr(A, *Lit);
+  EXPECT_EQ(A.heapBytes(), Before);
+  EXPECT_TRUE(Copy->str().empty());
+  EXPECT_TRUE(Copy->Aux->Scope.empty());
+}
+
 TEST(CoreScope, DetectsUnboundIdentifier) {
   CoreProgram P;
   Symbol Main = P.Syms.create("main", ail::SymbolKind::Function);
