@@ -141,7 +141,7 @@ uint64_t cerb::exec::semanticsFingerprint() {
   // Bump with any change to elaboration or dynamics that can alter an
   // observable outcome: the new fingerprint orphans (never corrupts) every
   // result the serve cache persisted under the old semantics.
-  static constexpr const char kSemanticsVersion[] = "cerb-semantics/2";
+  static constexpr const char kSemanticsVersion[] = "cerb-semantics/3";
   static const uint64_t FP = [] {
     uint64_t H = 0xcbf29ce484222325ull;
     auto Mix = [&H](uint64_t V) {

@@ -673,9 +673,11 @@ MemValue Memory::deserialize(const CType &Ty, const MemByte *Bytes) {
       } else {
         if (!(B.Prov == Prov))
           AllSameProv = false;
-        if (!(B.Cap == Cap) || B.PtrFrag != static_cast<int>(I))
+        if (!(B.Cap == Cap))
           CapConsistent = false;
       }
+      if (B.PtrFrag != static_cast<int>(I))
+        CapConsistent = false;
     }
     Int128 V = static_cast<Int128>(Bits);
     if (!Ty.isUnsigned() && W < 16) {

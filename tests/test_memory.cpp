@@ -457,6 +457,34 @@ TEST_F(MemFixture, CheriByteCopyStripsTag) {
   EXPECT_FALSE(R->PV.Cap->Tag);
 }
 
+TEST_F(MemFixture, CheriUintptrLoadChecksEveryFragmentIndex) {
+  // A pointer's bytes copied into a uintptr_t object, then its byte 3
+  // copied over byte 0: every byte still carries the same capability, but
+  // the fragments are out of order, so neither load may keep the tag.
+  Memory M = make(MemoryPolicy::cheri());
+  CType IntPtr = CType::makePointer(CType::intTy());
+  PointerValue X = M.allocateObject(CType::intTy(), "x", false);
+  PointerValue A = M.allocateObject(IntPtr, "a", false);
+  PointerValue U = M.allocateObject(CType::uintptrTy(), "u", false);
+  ASSERT_TRUE(static_cast<bool>(
+      M.store(IntPtr, A, MemValue::pointer(IntPtr, X))));
+  ASSERT_TRUE(static_cast<bool>(M.copyBytes(U, A, 8)));
+  auto Whole = M.load(CType::uintptrTy(), U);
+  ASSERT_TRUE(static_cast<bool>(Whole));
+  ASSERT_TRUE(Whole->IV.Cap.has_value()); // in order: the capability stays
+  EXPECT_TRUE(Whole->IV.Cap->Tag);
+  PointerValue A3 = A;
+  A3.Addr += 3;
+  ASSERT_TRUE(static_cast<bool>(M.copyBytes(U, A3, 1)));
+  auto I = M.load(CType::uintptrTy(), U);
+  ASSERT_TRUE(static_cast<bool>(I));
+  EXPECT_FALSE(I->IV.Cap && I->IV.Cap->Tag);
+  auto P = M.load(IntPtr, U);
+  ASSERT_TRUE(static_cast<bool>(P));
+  ASSERT_TRUE(P->PV.Cap.has_value());
+  EXPECT_FALSE(P->PV.Cap->Tag);
+}
+
 //===----------------------------------------------------------------------===//
 // Layout
 //===----------------------------------------------------------------------===//
