@@ -5,6 +5,7 @@
 #include "support/DepthGuard.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 #include <mutex>
 
@@ -147,7 +148,7 @@ Value Value::unionValue(unsigned Tag, size_t Member, Value Elem) {
   return V;
 }
 
-Value Value::bytes(CType Ty, const std::vector<mem::MemByte> &Raw) {
+Value Value::bytes(CType Ty, std::span<const mem::MemByte> Raw) {
   Value V = boxed(ValueKind::BytesV, Raw.size());
   V.B->Ty = std::move(Ty);
   std::uninitialized_copy(Raw.begin(), Raw.end(),
@@ -254,75 +255,196 @@ std::string Value::strInner() const {
   return "?";
 }
 
-mem::MemValue core::valueToMem(const CType &Ty, const Value &V) {
+//===----------------------------------------------------------------------===//
+// The serializer
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using ail::CTypeKind;
+using mem::MemByte;
+
+/// Writes object value \p V of C type \p Ty into the Env.sizeOf(Ty) bytes
+/// at \p Out. Scalars are little-endian and every byte carries the value's
+/// provenance; pointer bytes carry their fragment index and, under CHERI,
+/// the capability, and so do the bytes of an integer with a capability.
+void writeValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
+                const Value &V, MemByte *Out) {
   // A Specified flag is transparent here: the inner value is stored.
-  switch (V.innerKind()) {
-  case ValueKind::Unspecified:
-    return mem::MemValue::unspecified(Ty);
-  case ValueKind::Integer:
-    return mem::MemValue::integer(Ty, V.intValue());
-  case ValueKind::Pointer:
-    return mem::MemValue::pointer(Ty, V.ptrValue());
-  case ValueKind::Function:
-    return mem::MemValue::pointer(Ty,
-                                  mem::PointerValue::function(V.funcSym()));
-  case ValueKind::ArrayV: {
-    std::vector<mem::MemValue> Elems;
-    assert(Ty.isArray() && "array value at non-array type");
-    for (const Value &E : V.elems())
-      Elems.push_back(valueToMem(Ty.element(), E));
-    return mem::MemValue::array(std::move(Elems));
+  if (V.innerKind() == ValueKind::Unspecified) {
+    std::fill_n(Out, Env.sizeOf(Ty), MemByte{});
+    return;
   }
-  case ValueKind::StructV: {
-    std::vector<mem::MemValue> Members;
-    // Member types come from the tag table via Ty; the elaboration built
-    // the element values at the right types already.
-    assert(Ty.isStruct() && "struct value at non-struct type");
-    for (const Value &E : V.elems())
-      Members.push_back(valueToMem(CType(), E));
-    return mem::MemValue::structure(V.tag(), std::move(Members));
+  if (V.innerKind() == ValueKind::BytesV) {
+    std::span<const MemByte> Raw = V.bytes();
+    assert(Raw.size() == Env.sizeOf(Ty) && "byte image size mismatch");
+    std::copy(Raw.begin(), Raw.end(), Out);
+    return;
   }
-  case ValueKind::UnionV:
-    return mem::MemValue::unionValue(V.tag(), V.activeMember(),
-                                     valueToMem(CType(), V.elems()[0]));
-  case ValueKind::BytesV: {
-    std::span<const mem::MemByte> Raw = V.bytes();
-    return mem::makeBytesValue(Ty, {Raw.begin(), Raw.end()});
+  switch (Ty.kind()) {
+  case CTypeKind::Integer: {
+    assert(V.innerKind() == ValueKind::Integer && "type/value mismatch");
+    mem::IntegerValue IV = V.intValue();
+    unsigned W = Env.widthOf(Ty.intKind()) / 8;
+    UInt128 Bits = static_cast<UInt128>(IV.V);
+    for (unsigned I = 0; I < W; ++I) {
+      MemByte B;
+      B.Value = static_cast<uint8_t>(Bits >> (8 * I));
+      B.Prov = IV.Prov;
+      if (Cheri && IV.Cap) {
+        B.Cap = IV.Cap;
+        B.PtrFrag = static_cast<int>(I);
+      }
+      Out[I] = B;
+    }
+    return;
+  }
+  case CTypeKind::Pointer: {
+    assert((V.innerKind() == ValueKind::Pointer ||
+            V.innerKind() == ValueKind::Function) &&
+           "type/value mismatch");
+    mem::PointerValue PV = V.innerKind() == ValueKind::Function
+                               ? mem::PointerValue::function(V.funcSym())
+                               : V.ptrValue();
+    uint64_t Encoded =
+        PV.isFunction() ? mem::FuncAddrBase + *PV.FuncSym : PV.Addr;
+    for (unsigned I = 0; I < 8; ++I) {
+      MemByte B;
+      B.Value = static_cast<uint8_t>(Encoded >> (8 * I));
+      B.Prov = PV.Prov;
+      B.PtrFrag = static_cast<int>(I);
+      if (Cheri)
+        B.Cap = PV.Cap;
+      Out[I] = B;
+    }
+    return;
+  }
+  case CTypeKind::Array: {
+    assert(V.innerKind() == ValueKind::ArrayV && "type/value mismatch");
+    CType Elem = Ty.element();
+    uint64_t N = *Ty.arraySize(), ES = Env.sizeOf(Elem);
+    std::span<const Value> Elems = V.elems();
+    uint64_t Given = std::min<uint64_t>(N, Elems.size());
+    for (uint64_t I = 0; I < Given; ++I)
+      writeValue(Env, Cheri, Elem, Elems[I], Out + I * ES);
+    std::fill(Out + Given * ES, Out + N * ES, MemByte{});
+    return;
+  }
+  case CTypeKind::Struct: {
+    assert(V.innerKind() == ValueKind::StructV && "type/value mismatch");
+    const ail::TagDef &D = Env.tags().get(Ty.tag());
+    // Padding and members without a value stay unspecified.
+    std::fill_n(Out, Env.sizeOf(Ty), MemByte{});
+    std::span<const Value> Members = V.elems();
+    for (size_t I = 0; I < std::min(D.Members.size(), Members.size()); ++I)
+      writeValue(Env, Cheri, D.Members[I].Ty, Members[I],
+                 Out + Env.offsetOf(Ty.tag(), I));
+    return;
+  }
+  case CTypeKind::Union: {
+    assert(V.innerKind() == ValueKind::UnionV && "type/value mismatch");
+    const ail::TagDef &D = Env.tags().get(Ty.tag());
+    std::fill_n(Out, Env.sizeOf(Ty), MemByte{});
+    writeValue(Env, Cheri, D.Members[V.activeMember()].Ty, V.elems()[0], Out);
+    return;
   }
   default:
-    assert(false && "value has no memory representation");
-    return mem::MemValue::unspecified(Ty);
+    assert(false && "cannot store a value of this type");
   }
 }
 
-Value core::memToValue(const mem::MemValue &MV) {
-  switch (MV.Kind) {
-  case mem::MemValueKind::Unspecified:
-    return Value::unspecified(MV.Ty);
-  case mem::MemValueKind::Integer:
-    return Value::specified(Value::integer(MV.IV));
-  case mem::MemValueKind::Pointer:
-    if (MV.PV.isFunction())
-      return Value::specified(Value::function(*MV.PV.FuncSym));
-    return Value::specified(Value::pointer(MV.PV));
-  case mem::MemValueKind::Array:
-  case mem::MemValueKind::Struct:
-  case mem::MemValueKind::Union: {
+/// Builds the value of C type \p Ty from the Env.sizeOf(Ty) bytes at \p In.
+Value readValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
+                const MemByte *In) {
+  switch (Ty.kind()) {
+  case CTypeKind::Integer: {
+    unsigned W = Env.widthOf(Ty.intKind()) / 8;
+    UInt128 Bits = 0;
+    bool AllSameProv = true, CapConsistent = Cheri;
+    for (unsigned I = 0; I < W; ++I) {
+      const MemByte &B = In[I];
+      if (!B.Value)
+        return Value::unspecified(Ty);
+      Bits |= UInt128(*B.Value) << (8 * I);
+      if (!(B.Prov == In[0].Prov))
+        AllSameProv = false;
+      if (!(B.Cap == In[0].Cap) || B.PtrFrag != static_cast<int>(I))
+        CapConsistent = false;
+    }
+    Int128 V = static_cast<Int128>(Bits);
+    if (!Ty.isUnsigned() && W < 16) {
+      // Sign-extend.
+      Int128 SignBit = Int128(1) << (W * 8 - 1);
+      if (V & SignBit)
+        V -= Int128(1) << (W * 8);
+    }
+    mem::IntegerValue IV(V, AllSameProv ? In[0].Prov : mem::Provenance());
+    if (CapConsistent && W == 8)
+      IV.Cap = In[0].Cap;
+    return Value::specified(Value::integer(IV));
+  }
+  case CTypeKind::Pointer: {
+    uint64_t Encoded = 0;
+    bool AllSameProv = true, CapConsistent = true;
+    for (unsigned I = 0; I < 8; ++I) {
+      const MemByte &B = In[I];
+      if (!B.Value)
+        return Value::unspecified(Ty);
+      Encoded |= uint64_t(*B.Value) << (8 * I);
+      if (!(B.Prov == In[0].Prov))
+        AllSameProv = false;
+      if (!(B.Cap == In[0].Cap) || B.PtrFrag != static_cast<int>(I))
+        CapConsistent = false;
+    }
+    if (Encoded >= mem::FuncAddrBase && Encoded < mem::FuncAddrBase + 0x10000)
+      return Value::specified(
+          Value::function(static_cast<unsigned>(Encoded - mem::FuncAddrBase)));
+    mem::PointerValue PV;
+    PV.Addr = Encoded;
+    // §5.9: reconstruction from representation bytes carries the original
+    // provenance as long as all bytes agree (indirect dataflow copying,
+    // Q13-Q16); mixed-origin bytes give empty provenance.
+    PV.Prov = AllSameProv ? In[0].Prov : mem::Provenance();
+    if (Cheri) {
+      if (CapConsistent && In[0].Cap)
+        PV.Cap = In[0].Cap;
+      else
+        PV.Cap = mem::Capability{0, 0, false}; // tag cleared: unusable
+    }
+    return Value::specified(Value::pointer(PV));
+  }
+  case CTypeKind::Array: {
+    CType Elem = Ty.element();
+    uint64_t N = *Ty.arraySize(), ES = Env.sizeOf(Elem);
     std::vector<Value> Elems;
-    Elems.reserve(MV.Elems.size());
-    for (const mem::MemValue &E : MV.Elems)
-      Elems.push_back(memToValue(E));
-    if (MV.Kind == mem::MemValueKind::Array)
-      return Value::specified(Value::array(std::move(Elems)));
-    if (MV.Kind == mem::MemValueKind::Struct)
-      return Value::specified(Value::structure(MV.Tag, std::move(Elems)));
-    return Value::specified(
-        Value::unionValue(MV.Tag, MV.ActiveMember, std::move(Elems[0])));
+    Elems.reserve(N);
+    for (uint64_t I = 0; I < N; ++I)
+      Elems.push_back(readValue(Env, Cheri, Elem, In + I * ES));
+    return Value::specified(Value::array(std::move(Elems)));
   }
-  case mem::MemValueKind::Bytes:
-    return Value::specified(Value::bytes(MV.Ty, MV.Raw));
+  case CTypeKind::Struct:
+  case CTypeKind::Union:
+    return Value::specified(Value::bytes(Ty, {In, Env.sizeOf(Ty)}));
+  default:
+    assert(false && "cannot load a value of this type");
+    return Value::unspecified(Ty);
   }
-  return Value::unit();
+}
+
+} // namespace
+
+mem::MemRes<mem::Unit> core::storeValue(mem::Memory &M, const CType &Ty,
+                                        const mem::PointerValue &P,
+                                        const Value &V) {
+  CERB_MEMTRY(Out, M.store(Ty, P));
+  writeValue(M.env(), M.policy().Cheri, Ty, V, Out);
+  return mem::Unit{};
+}
+
+mem::MemRes<Value> core::loadValue(mem::Memory &M, const CType &Ty,
+                                   const mem::PointerValue &P) {
+  CERB_MEMTRY(In, M.load(Ty, P));
+  return readValue(M.env(), M.policy().Cheri, Ty, In);
 }
 
 //===----------------------------------------------------------------------===//

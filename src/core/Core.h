@@ -19,8 +19,7 @@
 #define CERB_CORE_CORE_H
 
 #include "ail/Ail.h"
-#include "mem/UB.h"
-#include "mem/Value.h"
+#include "mem/Memory.h"
 
 #include <initializer_list>
 #include <map>
@@ -169,7 +168,7 @@ public:
   static Value array(std::vector<Value> Elems);
   static Value structure(unsigned Tag, std::vector<Value> Members);
   static Value unionValue(unsigned Tag, size_t Member, Value Elem);
-  static Value bytes(CType Ty, const std::vector<mem::MemByte> &Raw);
+  static Value bytes(CType Ty, std::span<const mem::MemByte> Raw);
 
   /// The kind, reporting Specified for a value with the Specified flag.
   ValueKind kind() const {
@@ -289,10 +288,19 @@ private:
 };
 static_assert(sizeof(Value) <= 32, "core::Value must stay 32 bytes");
 
-/// Converts a Core object value to a memory value of C type \p Ty (for
-/// store actions) and back (after load actions).
-mem::MemValue valueToMem(const CType &Ty, const Value &V);
-Value memToValue(const mem::MemValue &MV);
+/// The one serializer between Core values and the memory model's bytes
+/// (§5.9). storeValue has \p M check a store of \p Ty through \p P, then
+/// writes \p V (an object value of C type \p Ty; a Specified flag is
+/// transparent) straight into the checked bytes. loadValue has \p M check
+/// a load and builds the value straight from the bytes: Specified(scalar),
+/// or Unspecified(Ty) if a byte of the scalar is unspecified; an array
+/// element by element; a struct or union as its byte image (BytesV), so a
+/// structure copy carries its padding bytes (§2.5 option 4). Layout comes
+/// from M.env() and the capability rule from M.policy().
+mem::MemRes<mem::Unit> storeValue(mem::Memory &M, const CType &Ty,
+                                  const mem::PointerValue &P, const Value &V);
+mem::MemRes<Value> loadValue(mem::Memory &M, const CType &Ty,
+                             const mem::PointerValue &P);
 
 //===----------------------------------------------------------------------===//
 // Patterns

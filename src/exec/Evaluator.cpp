@@ -1582,7 +1582,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
       }
       return error("load through a non-pointer");
     }
-    auto R = Mem.load(E.Cty, *PV);
+    auto R = loadValue(Mem, E.Cty, *PV);
     if (!R) {
       auto U = R.takeUB();
       U.Loc = E.Loc;
@@ -1591,7 +1591,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
     Acts.push_back(ActRec{PV->Addr, PV->Addr + env().sizeOf(E.Cty),
                           /*Write=*/false, E.NegPolarity, E.AtomicAccess,
                           E.Loc});
-    return Res(memToValue(*R));
+    return Res(std::move(*R));
   }
   case ActionKind::Store: {
     Value PTmp, VTmp;
@@ -1623,8 +1623,7 @@ Evaluator::Res Evaluator::evalAction(const Expr &E) {
       }
       return error("store through a non-pointer");
     }
-    mem::MemValue MV = valueToMem(E.Cty, *VO);
-    if (auto R = Mem.store(E.Cty, *PV, MV); !R) {
+    if (auto R = storeValue(Mem, E.Cty, *PV, *VO); !R) {
       auto U = R.takeUB();
       U.Loc = E.Loc;
       return undef(std::move(U));

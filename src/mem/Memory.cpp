@@ -7,15 +7,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
-#include <cstring>
 
 using namespace cerb;
 using namespace cerb::mem;
 using ail::CType;
-using ail::CTypeKind;
-
-/// Function pointers are encoded in byte images at this synthetic base.
-static constexpr uint64_t FuncAddrBase = 0xF0000000ull;
 
 //===----------------------------------------------------------------------===//
 // UB catalogue
@@ -110,33 +105,6 @@ std::string UndefinedBehaviour::str() const {
   if (Loc.isValid())
     Out += " at " + Loc.str();
   return Out;
-}
-
-std::string MemValue::str() const {
-  switch (Kind) {
-  case MemValueKind::Unspecified:
-    return fmt("unspec({0})", Ty.str());
-  case MemValueKind::Integer:
-    return IV.str();
-  case MemValueKind::Pointer:
-    return PV.str();
-  case MemValueKind::Array: {
-    std::vector<std::string> Parts;
-    for (const MemValue &E : Elems)
-      Parts.push_back(E.str());
-    return "[" + join(Parts, ", ") + "]";
-  }
-  case MemValueKind::Struct:
-  case MemValueKind::Union: {
-    std::vector<std::string> Parts;
-    for (const MemValue &E : Elems)
-      Parts.push_back(E.str());
-    return "{" + join(Parts, ", ") + "}";
-  }
-  case MemValueKind::Bytes:
-    return fmt("bytes[{0}]", Raw.size());
-  }
-  return "?";
 }
 
 //===----------------------------------------------------------------------===//
@@ -561,206 +529,10 @@ MemRes<Unit> Memory::checkEffectiveType(Allocation &A, uint64_t Off,
 }
 
 //===----------------------------------------------------------------------===//
-// Serialization
-//===----------------------------------------------------------------------===//
-
-void Memory::serialize(const CType &Ty, const MemValue &V,
-                       std::vector<MemByte> &Out) {
-  uint64_t Size = Env.sizeOf(Ty);
-  if (V.Kind == MemValueKind::Unspecified) {
-    Out.resize(Out.size() + Size);
-    return;
-  }
-  if (V.Kind == MemValueKind::Bytes) {
-    assert(V.Raw.size() == Size && "byte image size mismatch");
-    Out.insert(Out.end(), V.Raw.begin(), V.Raw.end());
-    return;
-  }
-  switch (Ty.kind()) {
-  case CTypeKind::Integer: {
-    assert(V.Kind == MemValueKind::Integer && "type/value mismatch");
-    unsigned W = Env.widthOf(Ty.intKind()) / 8;
-    UInt128 Bits = static_cast<UInt128>(V.IV.V);
-    for (unsigned I = 0; I < W; ++I) {
-      MemByte B;
-      B.Value = static_cast<uint8_t>(Bits >> (8 * I));
-      B.Prov = V.IV.Prov;
-      if (Policy.Cheri && V.IV.Cap) {
-        B.Cap = V.IV.Cap;
-        B.PtrFrag = static_cast<int>(I);
-      }
-      Out.push_back(B);
-    }
-    return;
-  }
-  case CTypeKind::Pointer: {
-    assert(V.Kind == MemValueKind::Pointer && "type/value mismatch");
-    uint64_t Encoded = V.PV.isFunction() ? FuncAddrBase + *V.PV.FuncSym
-                                         : V.PV.Addr;
-    for (unsigned I = 0; I < 8; ++I) {
-      MemByte B;
-      B.Value = static_cast<uint8_t>(Encoded >> (8 * I));
-      B.Prov = V.PV.Prov;
-      B.PtrFrag = static_cast<int>(I);
-      if (Policy.Cheri)
-        B.Cap = V.PV.Cap;
-      Out.push_back(B);
-    }
-    return;
-  }
-  case CTypeKind::Array: {
-    assert(V.Kind == MemValueKind::Array && "type/value mismatch");
-    uint64_t N = *Ty.arraySize();
-    for (uint64_t I = 0; I < N; ++I) {
-      if (I < V.Elems.size())
-        serialize(Ty.element(), V.Elems[I], Out);
-      else
-        serialize(Ty.element(), MemValue::unspecified(Ty.element()), Out);
-    }
-    return;
-  }
-  case CTypeKind::Struct: {
-    assert(V.Kind == MemValueKind::Struct && "type/value mismatch");
-    const ail::TagDef &D = Env.tags().get(Ty.tag());
-    size_t Start = Out.size();
-    Out.resize(Start + Size); // padding bytes default to unspecified
-    for (size_t I = 0; I < D.Members.size(); ++I) {
-      std::vector<MemByte> MemberBytes;
-      if (I < V.Elems.size())
-        serialize(D.Members[I].Ty, V.Elems[I], MemberBytes);
-      else
-        serialize(D.Members[I].Ty,
-                  MemValue::unspecified(D.Members[I].Ty), MemberBytes);
-      uint64_t Off = Env.offsetOf(Ty.tag(), I);
-      std::copy(MemberBytes.begin(), MemberBytes.end(),
-                Out.begin() + Start + Off);
-    }
-    return;
-  }
-  case CTypeKind::Union: {
-    assert(V.Kind == MemValueKind::Union && "type/value mismatch");
-    const ail::TagDef &D = Env.tags().get(Ty.tag());
-    size_t Start = Out.size();
-    Out.resize(Start + Size);
-    std::vector<MemByte> MemberBytes;
-    serialize(D.Members[V.ActiveMember].Ty, V.Elems[0], MemberBytes);
-    std::copy(MemberBytes.begin(), MemberBytes.end(), Out.begin() + Start);
-    return;
-  }
-  default:
-    assert(false && "cannot serialize this type");
-  }
-}
-
-MemValue Memory::deserialize(const CType &Ty, const MemByte *Bytes) {
-  switch (Ty.kind()) {
-  case CTypeKind::Integer: {
-    unsigned W = Env.widthOf(Ty.intKind()) / 8;
-    UInt128 Bits = 0;
-    Provenance Prov;
-    bool First = true, AllSameProv = true;
-    std::optional<Capability> Cap;
-    bool CapConsistent = Policy.Cheri;
-    for (unsigned I = 0; I < W; ++I) {
-      const MemByte &B = Bytes[I];
-      if (!B.Value)
-        return MemValue::unspecified(Ty);
-      Bits |= UInt128(*B.Value) << (8 * I);
-      if (First) {
-        Prov = B.Prov;
-        Cap = B.Cap;
-        First = false;
-      } else {
-        if (!(B.Prov == Prov))
-          AllSameProv = false;
-        if (!(B.Cap == Cap))
-          CapConsistent = false;
-      }
-      if (B.PtrFrag != static_cast<int>(I))
-        CapConsistent = false;
-    }
-    Int128 V = static_cast<Int128>(Bits);
-    if (!Ty.isUnsigned() && W < 16) {
-      // Sign-extend.
-      Int128 SignBit = Int128(1) << (W * 8 - 1);
-      if (V & SignBit)
-        V -= Int128(1) << (W * 8);
-    }
-    IntegerValue IV(V, AllSameProv ? Prov : Provenance::empty());
-    if (Policy.Cheri && CapConsistent && W == 8)
-      IV.Cap = Cap;
-    return MemValue::integer(Ty, IV);
-  }
-  case CTypeKind::Pointer: {
-    uint64_t Encoded = 0;
-    Provenance Prov;
-    bool First = true, AllSameProv = true, FragsInOrder = true;
-    std::optional<Capability> Cap;
-    bool CapConsistent = true;
-    for (unsigned I = 0; I < 8; ++I) {
-      const MemByte &B = Bytes[I];
-      if (!B.Value)
-        return MemValue::unspecified(Ty);
-      Encoded |= uint64_t(*B.Value) << (8 * I);
-      if (B.PtrFrag != static_cast<int>(I))
-        FragsInOrder = false;
-      if (First) {
-        Prov = B.Prov;
-        Cap = B.Cap;
-        First = false;
-      } else {
-        if (!(B.Prov == Prov))
-          AllSameProv = false;
-        if (!(B.Cap == Cap))
-          CapConsistent = false;
-      }
-    }
-    PointerValue PV;
-    if (Encoded >= FuncAddrBase && Encoded < FuncAddrBase + 0x10000) {
-      PV = PointerValue::function(static_cast<unsigned>(Encoded -
-                                                        FuncAddrBase));
-    } else {
-      PV.Addr = Encoded;
-      // §5.9: reconstruction from representation bytes carries the original
-      // provenance as long as all bytes agree (indirect dataflow copying,
-      // Q13-Q16); mixed-origin bytes give empty provenance.
-      PV.Prov = AllSameProv ? Prov : Provenance::empty();
-    }
-    if (Policy.Cheri) {
-      if (CapConsistent && FragsInOrder && Cap)
-        PV.Cap = Cap;
-      else
-        PV.Cap = Capability{0, 0, false}; // tag cleared: unusable capability
-    }
-    return MemValue::pointer(Ty, PV);
-  }
-  case CTypeKind::Array: {
-    uint64_t N = *Ty.arraySize();
-    uint64_t ES = Env.sizeOf(Ty.element());
-    std::vector<MemValue> Elems;
-    Elems.reserve(N);
-    for (uint64_t I = 0; I < N; ++I)
-      Elems.push_back(deserialize(Ty.element(), Bytes + I * ES));
-    return MemValue::array(std::move(Elems));
-  }
-  case CTypeKind::Struct:
-  case CTypeKind::Union: {
-    // Whole-aggregate loads produce an opaque byte image, so structure
-    // copies carry padding bytes verbatim (§2.5 option 4).
-    uint64_t Size = Env.sizeOf(Ty);
-    return makeBytesValue(Ty, std::vector<MemByte>(Bytes, Bytes + Size));
-  }
-  default:
-    assert(false && "cannot deserialize this type");
-    return MemValue::unspecified(Ty);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Loads and stores
 //===----------------------------------------------------------------------===//
 
-MemRes<MemValue> Memory::load(const CType &Ty, const PointerValue &P) {
+MemRes<const MemByte *> Memory::load(const CType &Ty, const PointerValue &P) {
   static trace::Counter CntLoads("mem.loads");
   CntLoads.add();
   uint64_t Size = Env.sizeOf(Ty);
@@ -780,11 +552,10 @@ MemRes<MemValue> Memory::load(const CType &Ty, const PointerValue &P) {
         return undef(UBKind::UninitialisedRead,
                      fmt("byte {0} of '{1}'", P.Addr - A.Base + I, A.Name));
   }
-  return deserialize(Ty, A.Bytes + (P.Addr - A.Base));
+  return A.Bytes + (P.Addr - A.Base);
 }
 
-MemRes<Unit> Memory::store(const CType &Ty, const PointerValue &P,
-                           const MemValue &V) {
+MemRes<MemByte *> Memory::store(const CType &Ty, const PointerValue &P) {
   static trace::Counter CntStores("mem.stores");
   CntStores.add();
   uint64_t Size = Env.sizeOf(Ty);
@@ -799,13 +570,7 @@ MemRes<Unit> Memory::store(const CType &Ty, const PointerValue &P,
     return undef(UBKind::WriteToReadOnly,
                  fmt("store into string literal '{0}'", A.Name));
   CERB_MEMCHECK(checkEffectiveType(A, P.Addr - A.Base, Ty, true));
-  StoreScratch.clear();
-  StoreScratch.reserve(Size);
-  serialize(Ty, V, StoreScratch);
-  assert(StoreScratch.size() == Size && "serialized size mismatch");
-  std::copy(StoreScratch.begin(), StoreScratch.end(),
-            A.Bytes + (P.Addr - A.Base));
-  return Unit{};
+  return A.Bytes + (P.Addr - A.Base);
 }
 
 //===----------------------------------------------------------------------===//

@@ -189,9 +189,17 @@ public:
   // Accesses (Core load/store actions)
   //===------------------------------------------------------------------===//
 
-  MemRes<MemValue> load(const ail::CType &Ty, const PointerValue &P);
-  MemRes<Unit> store(const ail::CType &Ty, const PointerValue &P,
-                     const MemValue &V);
+  /// Checks a load of \p Ty through \p P, in this order: CHERI tag and
+  /// bounds, the object the access resolves to, alignment, effective type,
+  /// and uninitialised bytes where those are UB. Returns the sizeOf(Ty)
+  /// bytes read, which stay put for this Memory's lifetime.
+  /// core::loadValue builds the value from them.
+  MemRes<const MemByte *> load(const ail::CType &Ty, const PointerValue &P);
+  /// Checks a store of \p Ty through \p P, in this order: CHERI tag and
+  /// bounds, the object, alignment, read-only storage, effective type
+  /// (which a store into a malloc'd region sets). Returns the sizeOf(Ty)
+  /// bytes to write; core::storeValue writes the value into them.
+  MemRes<MemByte *> store(const ail::CType &Ty, const PointerValue &P);
 
   //===------------------------------------------------------------------===//
   // Pointer operations (Core ptrop, Fig. 2)
@@ -281,10 +289,6 @@ private:
     Allocated += N;
     return true;
   }
-  /// Staging buffer for store() serialization, reused across stores so a
-  /// scalar store does not heap-allocate.
-  std::vector<MemByte> StoreScratch;
-
   /// Finds the allocation footprint an access [Addr, Addr+Size) must lie
   /// in, honouring provenance per the policy. Returns the allocation id.
   MemRes<uint64_t> resolveAccess(const PointerValue &P, uint64_t Size,
@@ -295,10 +299,6 @@ private:
   MemRes<Unit> checkEffectiveType(Allocation &A, uint64_t Off,
                                   const ail::CType &Ty, bool IsWrite);
   MemRes<Unit> checkCheriAccess(const PointerValue &P, uint64_t Size) const;
-
-  void serialize(const ail::CType &Ty, const MemValue &V,
-                 std::vector<MemByte> &Out);
-  MemValue deserialize(const ail::CType &Ty, const MemByte *Bytes);
 
   uint64_t align(uint64_t Addr, uint64_t Align) const {
     return (Addr + Align - 1) / Align * Align;

@@ -12,18 +12,18 @@
 /// carry capability metadata (base/length/offset/tag), which reproduces the
 /// paper's findings such as the `(i & 3u)` offset-AND quirk.
 ///
+/// Memory holds objects as MemBytes only; core::storeValue and
+/// core::loadValue write Core values into those bytes and read them back.
+///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_MEM_VALUE_H
 #define CERB_MEM_VALUE_H
 
-#include "ail/CType.h"
 #include "support/Format.h"
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace cerb::mem {
 
@@ -168,82 +168,9 @@ struct PointerValue {
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Memory values (typed trees stored into / loaded from memory)
-//===----------------------------------------------------------------------===//
-
-struct MemByte;
-
-enum class MemValueKind {
-  Unspecified, ///< unspecified value of a given type (§2.4)
-  Integer,
-  Pointer,
-  Array,
-  Struct,
-  Union,
-  Bytes, ///< an opaque byte image (whole struct/union loads — this makes
-         ///< structure *copies* carry padding bytes, §2.5 option 4)
-};
-
-/// A structured memory value (memval of §5.9): either unspecified, a typed
-/// scalar, or an aggregate of memory values.
-struct MemValue {
-  MemValueKind Kind = MemValueKind::Unspecified;
-  ail::CType Ty; ///< scalar type / Unspecified type; invalid for aggregates
-
-  IntegerValue IV;                 // Integer
-  PointerValue PV;                 // Pointer
-  std::vector<MemValue> Elems;     // Array / Struct members
-  unsigned Tag = 0;                // Struct / Union
-  size_t ActiveMember = 0;         // Union
-  std::vector<MemByte> Raw;        // Bytes
-
-  static MemValue unspecified(ail::CType Ty) {
-    MemValue V;
-    V.Kind = MemValueKind::Unspecified;
-    V.Ty = std::move(Ty);
-    return V;
-  }
-  static MemValue integer(ail::CType Ty, IntegerValue IV) {
-    MemValue V;
-    V.Kind = MemValueKind::Integer;
-    V.Ty = std::move(Ty);
-    V.IV = IV;
-    return V;
-  }
-  static MemValue pointer(ail::CType Ty, PointerValue PV) {
-    MemValue V;
-    V.Kind = MemValueKind::Pointer;
-    V.Ty = std::move(Ty);
-    V.PV = PV;
-    return V;
-  }
-  static MemValue array(std::vector<MemValue> Elems) {
-    MemValue V;
-    V.Kind = MemValueKind::Array;
-    V.Elems = std::move(Elems);
-    return V;
-  }
-  static MemValue structure(unsigned Tag, std::vector<MemValue> Members) {
-    MemValue V;
-    V.Kind = MemValueKind::Struct;
-    V.Tag = Tag;
-    V.Elems = std::move(Members);
-    return V;
-  }
-  static MemValue unionValue(unsigned Tag, size_t Member, MemValue Val) {
-    MemValue V;
-    V.Kind = MemValueKind::Union;
-    V.Tag = Tag;
-    V.ActiveMember = Member;
-    V.Elems.push_back(std::move(Val));
-    return V;
-  }
-
-  bool isUnspecified() const { return Kind == MemValueKind::Unspecified; }
-
-  std::string str() const;
-};
+/// A function pointer's address: this synthetic base plus the function's
+/// symbol id, in byte images and in integers cast from the pointer.
+inline constexpr uint64_t FuncAddrBase = 0xF0000000ull;
 
 //===----------------------------------------------------------------------===//
 // Bytes
@@ -258,20 +185,12 @@ struct MemValue {
 struct MemByte {
   std::optional<uint8_t> Value;
   Provenance Prov;
-  /// If this byte is the I-th byte of a stored pointer: I (0-7), else -1.
-  /// Used to re-assemble capability metadata under the CHERI model.
+  /// If this byte is the I-th byte of a stored pointer, or under CHERI of
+  /// a stored integer that carries a capability: I (0-7), else -1. Used
+  /// to re-assemble capability metadata under the CHERI model.
   int PtrFrag = -1;
   std::optional<Capability> Cap; ///< CHERI: capability fragment metadata
 };
-
-/// Builds an opaque byte-image memory value (defined after MemByte).
-inline MemValue makeBytesValue(ail::CType Ty, std::vector<MemByte> Raw) {
-  MemValue V;
-  V.Kind = MemValueKind::Bytes;
-  V.Ty = std::move(Ty);
-  V.Raw = std::move(Raw);
-  return V;
-}
 
 } // namespace cerb::mem
 

@@ -23,11 +23,51 @@ TEST(CoreValues, Constructors) {
   EXPECT_EQ(Value::unspecified(CType::intTy()).kind(), ValueKind::Unspecified);
 }
 
+namespace {
+
+/// A memory for store/load round trips through the serializer, whose tag
+/// table defines the tags the value tests use: struct #3 {int; int *},
+/// union #4 {int; int} and struct #5 {char; char; char}.
+struct TaggedMemory {
+  ail::TagTable Tags;
+  ail::ImplEnv Env{Tags};
+  mem::Memory M;
+  /// The bytes of the object the last roundTrip stored into.
+  const mem::MemByte *Stored = nullptr;
+
+  explicit TaggedMemory(mem::MemoryPolicy P = mem::MemoryPolicy::defacto())
+      : M(Env, std::move(P)) {
+    for (int I = 0; I < 3; ++I)
+      Tags.createTag(false, "unused");
+    Tags.complete(Tags.createTag(false, "s3"),
+                  {{"i", CType::intTy()},
+                   {"p", CType::makePointer(CType::intTy())}});
+    Tags.complete(Tags.createTag(true, "u4"),
+                  {{"a", CType::intTy()}, {"b", CType::intTy()}});
+    Tags.complete(Tags.createTag(false, "s5"), {{"a", CType::charTy()},
+                                                {"b", CType::charTy()},
+                                                {"c", CType::charTy()}});
+  }
+
+  /// Stores \p V into a fresh object of type \p Ty and loads it back.
+  Value roundTrip(const CType &Ty, const Value &V) {
+    mem::PointerValue P = M.allocateObject(Ty, "obj", false);
+    EXPECT_TRUE(static_cast<bool>(storeValue(M, Ty, P, V)));
+    Stored = M.allocations().back().Bytes;
+    auto R = loadValue(M, Ty, P);
+    EXPECT_TRUE(static_cast<bool>(R));
+    return R ? std::move(*R) : Value();
+  }
+};
+
+} // namespace
+
 TEST(CoreValues, MemRoundtrip) {
+  TaggedMemory T;
   mem::IntegerValue IV(42, mem::Provenance::alloc(3));
-  mem::MemValue MV = valueToMem(CType::intTy(), Value::integer(IV));
-  EXPECT_EQ(MV.Kind, mem::MemValueKind::Integer);
-  Value Back = memToValue(MV);
+  Value Back = T.roundTrip(CType::intTy(), Value::integer(IV));
+  EXPECT_EQ(T.Stored[0].Value, std::optional<uint8_t>(42));
+  EXPECT_TRUE(T.Stored[3].Prov == mem::Provenance::alloc(3));
   ASSERT_TRUE(Back.isSpecified());
   EXPECT_EQ(Back.inner().intValue().V, Int128(42));
   EXPECT_TRUE(Back.inner().intValue().Prov == mem::Provenance::alloc(3));
@@ -45,11 +85,12 @@ namespace {
 
 /// \p V renders as \p Str, and so do its copies and the values moved out
 /// of them; with a valid \p Ty, storing V at Ty and loading it back
-/// renders as \p Loaded. The expected strings are the renderings of the
-/// earlier 224-byte Value, so the compact layout must not change them.
-void expectRepresentation(const Value &V, const std::string &Str,
-                          const CType &Ty = CType(),
-                          const std::string &Loaded = "") {
+/// renders as \p Loaded, and the loaded value is returned. The expected
+/// strings are the renderings of the earlier 224-byte Value, so the
+/// compact layout must not change them.
+Value expectRepresentation(const Value &V, const std::string &Str,
+                           const CType &Ty = CType(),
+                           const std::string &Loaded = "") {
   EXPECT_EQ(V.str(), Str);
   Value Copy(V);
   EXPECT_EQ(Copy.str(), Str);
@@ -62,9 +103,12 @@ void expectRepresentation(const Value &V, const std::string &Str,
   MoveAssigned = std::move(Moved);
   EXPECT_EQ(MoveAssigned.str(), Str);
   EXPECT_EQ(MoveAssigned.kind(), V.kind());
-  if (Ty.isValid()) {
-    EXPECT_EQ(memToValue(valueToMem(Ty, V)).str(), Loaded) << Str;
-  }
+  if (!Ty.isValid())
+    return Value();
+  TaggedMemory T;
+  Value Back = T.roundTrip(Ty, V);
+  EXPECT_EQ(Back.str(), Loaded) << Str;
+  return Back;
 }
 
 } // namespace
@@ -103,46 +147,54 @@ TEST(CoreValues, EveryKindSurvivesCopyMoveAndMemory) {
   expectRepresentation(Value::list({Value::integer(1), Value::integer(2)}),
                        "[1, 2]");
 
-  // Unloaded aggregates (as the elaboration's zero initialisers build them).
+  // Unloaded aggregates (as the elaboration's zero initialisers build
+  // them). A struct or union loads back as its byte image, padding and
+  // all (§2.5 option 4).
   CType Arr2 = CType::makeArray(Int, 2);
   expectRepresentation(Value::array({Value::integer(0), Value::integer(0)}),
                        "array(0, 0)", Arr2,
                        "Specified(array(Specified(0), Specified(0)))");
-  expectRepresentation(
+  Value St = expectRepresentation(
       Value::structure(3, {Value::integer(0),
                            Value::pointer(mem::PointerValue::null())}),
-      "(struct#3){0, NULL}", CType::makeStruct(3),
-      "Specified((struct#3){Specified(0), Specified(NULL)})");
-  expectRepresentation(Value::unionValue(4, 0, Value::integer(0)),
-                       "(union#4){0}", CType::makeUnion(4),
-                       "Specified((union#4){Specified(0)})");
+      "(struct#3){0, NULL}", CType::makeStruct(3), "Specified(bytes[16])");
+  std::span<const mem::MemByte> Image = St.bytes();
+  EXPECT_EQ(Image[0].Value, std::optional<uint8_t>(0));
+  EXPECT_FALSE(Image[4].Value.has_value()); // padding
+  EXPECT_EQ(Image[8].Value, std::optional<uint8_t>(0));
+  EXPECT_EQ(Image[15].PtrFrag, 7);
+  Value UnZero =
+      expectRepresentation(Value::unionValue(4, 0, Value::integer(0)),
+                           "(union#4){0}", CType::makeUnion(4),
+                           "Specified(bytes[4])");
+  EXPECT_EQ(UnZero.bytes()[3].Value, std::optional<uint8_t>(0));
 
   // Loaded (Specified) aggregates and byte images.
-  mem::MemValue Arr = mem::MemValue::array(
-      {mem::MemValue::integer(Int, mem::IntegerValue(1)),
-       mem::MemValue::unspecified(Int)});
+  TaggedMemory T;
+  Value Arr = T.roundTrip(
+      Arr2, Value::array({Value::integer(1), Value::unspecified(Int)}));
   const char *ArrStr = "Specified(array(Specified(1), Unspecified('int')))";
-  expectRepresentation(memToValue(Arr), ArrStr, Arr2, ArrStr);
-  mem::MemValue Un = mem::MemValue::unionValue(
-      4, 1, mem::MemValue::integer(Int, mem::IntegerValue(6)));
+  expectRepresentation(Arr, ArrStr, Arr2, ArrStr);
+  Value Un = Value::specified(
+      Value::unionValue(4, 1, Value::specified(Value::integer(6))));
   const char *UnStr = "Specified((union#4){Specified(6)})";
-  expectRepresentation(memToValue(Un), UnStr, CType::makeUnion(4), UnStr);
-  Value V = memToValue(Un);
-  EXPECT_EQ(V.inner().tag(), 4u);
-  EXPECT_EQ(V.inner().activeMember(), 1u);
+  Value UnImage = expectRepresentation(Un, UnStr, CType::makeUnion(4),
+                                       "Specified(bytes[4])");
+  EXPECT_EQ(UnImage.bytes()[0].Value, std::optional<uint8_t>(6));
+  EXPECT_EQ(Un.inner().tag(), 4u);
+  EXPECT_EQ(Un.inner().activeMember(), 1u);
 
   std::vector<mem::MemByte> Raw(3);
   Raw[0].Value = 1;
   Raw[1].Prov = mem::Provenance::alloc(2);
-  Value Bytes = memToValue(mem::makeBytesValue(CType::makeStruct(3), Raw));
-  expectRepresentation(Bytes, "Specified(bytes[3])", CType::makeStruct(3),
+  Value Bytes = Value::specified(Value::bytes(CType::makeStruct(5), Raw));
+  expectRepresentation(Bytes, "Specified(bytes[3])", CType::makeStruct(5),
                        "Specified(bytes[3])");
-  mem::MemValue Stored = valueToMem(CType::makeStruct(3), Value(Bytes));
-  ASSERT_EQ(Stored.Kind, mem::MemValueKind::Bytes);
-  ASSERT_EQ(Stored.Raw.size(), 3u);
-  EXPECT_EQ(Stored.Raw[0].Value, std::optional<uint8_t>(1));
-  EXPECT_FALSE(Stored.Raw[1].Value.has_value());
-  EXPECT_TRUE(Stored.Raw[1].Prov == mem::Provenance::alloc(2));
+  T.roundTrip(CType::makeStruct(5), Value(Bytes));
+  ASSERT_EQ(T.M.allocations().back().Size, 3u);
+  EXPECT_EQ(T.Stored[0].Value, std::optional<uint8_t>(1));
+  EXPECT_FALSE(T.Stored[1].Value.has_value());
+  EXPECT_TRUE(T.Stored[1].Prov == mem::Provenance::alloc(2));
 }
 
 TEST(CoreValues, CapabilitiesRideAlongOutOfLine) {
@@ -156,30 +208,35 @@ TEST(CoreValues, CapabilitiesRideAlongOutOfLine) {
   mem::PointerValue CP =
       mem::PointerValue::object(mem::Provenance::alloc(2), 0x1004);
   CP.Cap = Cap;
+  TaggedMemory T(mem::MemoryPolicy::cheri());
 
   Value I = Value::integer(CI);
   expectRepresentation(I, "4100@2", CType::uintptrTy(), "Specified(4100@2)");
-  Value IBack = memToValue(valueToMem(CType::uintptrTy(), Value(I)));
+  Value IBack = T.roundTrip(CType::uintptrTy(), Value(I));
   ASSERT_TRUE(IBack.inner().intValue().Cap.has_value());
   EXPECT_TRUE(*IBack.inner().intValue().Cap == Cap);
 
   CType IntPtr = CType::makePointer(CType::intTy());
   Value P = Value::pointer(CP);
   expectRepresentation(P, "0x4100@2", IntPtr, "Specified(0x4100@2)");
-  mem::MemValue PM = valueToMem(IntPtr, P);
-  ASSERT_TRUE(PM.PV.Cap.has_value());
-  EXPECT_EQ(PM.PV.Cap->Base, 0x1000u);
-  EXPECT_EQ(PM.PV.Cap->Length, 8u);
-  EXPECT_TRUE(memToValue(PM).inner().ptrValue().Cap == Cap);
+  Value PBack = T.roundTrip(IntPtr, P);
+  ASSERT_TRUE(T.Stored[0].Cap.has_value());
+  EXPECT_EQ(T.Stored[0].Cap->Base, 0x1000u);
+  EXPECT_EQ(T.Stored[0].Cap->Length, 8u);
+  EXPECT_TRUE(PBack.inner().ptrValue().Cap == Cap);
 
-  // A capability inside a loaded aggregate.
-  mem::MemValue St = mem::MemValue::structure(
-      3, {mem::MemValue::integer(CType::intTy(), mem::IntegerValue(5)),
-          mem::MemValue::pointer(IntPtr, CP)});
+  // A capability inside an aggregate value and its byte image.
+  Value St = Value::specified(Value::structure(
+      3, {Value::specified(Value::integer(5)),
+          Value::specified(Value::pointer(CP))}));
   const char *StStr = "Specified((struct#3){Specified(5), Specified(0x4100@2)})";
-  expectRepresentation(memToValue(St), StStr, CType::makeStruct(3), StStr);
-  Value Member = memToValue(St).inner().elems()[1];
+  expectRepresentation(St, StStr, CType::makeStruct(3),
+                       "Specified(bytes[16])");
+  Value Member = St.inner().elems()[1];
   EXPECT_TRUE(Member.inner().ptrValue().Cap == Cap);
+  Value Image = T.roundTrip(CType::makeStruct(3), St);
+  for (size_t B = 8; B < 16; ++B)
+    EXPECT_TRUE(Image.bytes()[B].Cap == std::optional<mem::Capability>(Cap));
 
   // Values of the other models never reference a capability.
   EXPECT_FALSE(Value::integer(mem::IntegerValue(1)).hasCap());

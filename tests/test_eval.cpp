@@ -415,6 +415,22 @@ int main(void) {
              21);
 }
 
+TEST(EvalObjects, BracedInitialiserOfAggregateMembers) {
+  // The zero value stored before the listed elements nests an array in a
+  // struct and in a union; its store once lost the member's type and
+  // crashed the process.
+  expectExit(R"(
+struct s { int a[2]; struct { char c; int i; } in; int b; };
+union u { char c[3]; int i; };
+int main(void) {
+  struct s x = {{1, 2}, {3, 4}, 5};
+  union u y = {{6, 7}};
+  return x.a[1] * 10 + x.in.i + x.b + y.c[1] + y.c[2];
+}
+)",
+             36);
+}
+
 TEST(EvalObjects, NestedStructAndPointerChasing) {
   expectExit(R"(
 struct node { int v; struct node *next; };

@@ -1,5 +1,6 @@
 //===-- tests/test_memory.cpp - memory object model unit tests ------------===//
 
+#include "core/Core.h"
 #include "mem/Memory.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@ using namespace cerb;
 using namespace cerb::mem;
 using ail::CType;
 using ail::IntKind;
+using core::loadValue;
+using core::storeValue;
 
 namespace {
 
@@ -18,9 +21,9 @@ struct MemFixture : ::testing::Test {
   Memory make(MemoryPolicy P) { return Memory(Env, P); }
 };
 
-MemValue intVal(Int128 V, Provenance P = Provenance::empty()) {
-  return MemValue::integer(CType::intTy(), IntegerValue(V, P));
-}
+core::Value intVal(Int128 V) { return core::Value::integer(V); }
+
+core::Value ptrVal(const PointerValue &P) { return core::Value::pointer(P); }
 
 } // namespace
 
@@ -41,10 +44,11 @@ TEST_P(MemRoundtrip, IntStoreLoad) {
   ail::ImplEnv Env(Tags);
   Memory M(Env, policy());
   PointerValue P = M.allocateObject(CType::intTy(), "x", false);
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), P, intVal(1234))));
-  auto R = M.load(CType::intTy(), P);
+  ASSERT_TRUE(
+      static_cast<bool>(storeValue(M, CType::intTy(), P, intVal(1234))));
+  auto R = loadValue(M, CType::intTy(), P);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_EQ(R->IV.V, Int128(1234));
+  EXPECT_EQ(R->num(), Int128(1234));
 }
 
 TEST_P(MemRoundtrip, NegativeValuesSignExtend) {
@@ -53,11 +57,10 @@ TEST_P(MemRoundtrip, NegativeValuesSignExtend) {
   Memory M(Env, policy());
   CType Sh = CType::makeInteger(IntKind::Short);
   PointerValue P = M.allocateObject(Sh, "s", false);
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(Sh, P, MemValue::integer(Sh, IntegerValue(-2)))));
-  auto R = M.load(Sh, P);
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, Sh, P, intVal(-2))));
+  auto R = loadValue(M, Sh, P);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_EQ(R->IV.V, Int128(-2));
+  EXPECT_EQ(R->num(), Int128(-2));
 }
 
 TEST_P(MemRoundtrip, PointerStoreLoadKeepsProvenance) {
@@ -67,12 +70,11 @@ TEST_P(MemRoundtrip, PointerStoreLoadKeepsProvenance) {
   CType IntPtr = CType::makePointer(CType::intTy());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Cell = M.allocateObject(IntPtr, "p", false);
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(IntPtr, Cell, MemValue::pointer(IntPtr, X))));
-  auto R = M.load(IntPtr, Cell);
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, Cell, ptrVal(X))));
+  auto R = loadValue(M, IntPtr, Cell);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_EQ(R->PV.Addr, X.Addr);
-  EXPECT_TRUE(R->PV.Prov == X.Prov);
+  EXPECT_EQ(R->ptrValue().Addr, X.Addr);
+  EXPECT_TRUE(R->ptrValue().Prov == X.Prov);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, MemRoundtrip,
@@ -85,18 +87,20 @@ TEST_F(MemFixture, CopyOwnsItsBytes) {
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), X, intVal(1))));
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), Y, intVal(2))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, CType::intTy(), X, intVal(1))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, CType::intTy(), Y, intVal(2))));
   Memory C(M);
   ASSERT_EQ(C.allocations().size(), 2u);
   for (size_t I = 0; I < 2; ++I)
     EXPECT_NE(C.allocations()[I].Bytes, M.allocations()[I].Bytes);
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), X, intVal(10))));
-  ASSERT_TRUE(static_cast<bool>(C.store(CType::intTy(), Y, intVal(20))));
-  EXPECT_EQ(M.load(CType::intTy(), X)->IV.V, Int128(10));
-  EXPECT_EQ(M.load(CType::intTy(), Y)->IV.V, Int128(2));
-  EXPECT_EQ(C.load(CType::intTy(), X)->IV.V, Int128(1));
-  EXPECT_EQ(C.load(CType::intTy(), Y)->IV.V, Int128(20));
+  ASSERT_TRUE(
+      static_cast<bool>(storeValue(M, CType::intTy(), X, intVal(10))));
+  ASSERT_TRUE(
+      static_cast<bool>(storeValue(C, CType::intTy(), Y, intVal(20))));
+  EXPECT_EQ(loadValue(M, CType::intTy(), X)->num(), Int128(10));
+  EXPECT_EQ(loadValue(M, CType::intTy(), Y)->num(), Int128(2));
+  EXPECT_EQ(loadValue(C, CType::intTy(), X)->num(), Int128(1));
+  EXPECT_EQ(loadValue(C, CType::intTy(), Y)->num(), Int128(20));
   // New objects land after the copied ones, at the same addresses.
   PointerValue Z = M.allocateObject(CType::intTy(), "z", false);
   PointerValue ZC = C.allocateObject(CType::intTy(), "z", false);
@@ -114,7 +118,7 @@ TEST_F(MemFixture, AccessOutsideProvenanceFootprintIsUB) {
   // Forge a pointer with x's provenance but y's address.
   PointerValue Forged = X;
   Forged.Addr = Y.Addr;
-  auto R = M.load(CType::intTy(), Forged);
+  auto R = loadValue(M, CType::intTy(), Forged);
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(R.ub().Kind, UBKind::AccessOutOfBounds);
 }
@@ -123,12 +127,12 @@ TEST_F(MemFixture, ConcreteModelAllowsCrossObjectAddresses) {
   Memory M = make(MemoryPolicy::concrete());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), Y, intVal(5))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, CType::intTy(), Y, intVal(5))));
   PointerValue Forged = X;
   Forged.Addr = Y.Addr;
-  auto R = M.load(CType::intTy(), Forged);
+  auto R = loadValue(M, CType::intTy(), Forged);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_EQ(R->IV.V, Int128(5));
+  EXPECT_EQ(R->num(), Int128(5));
 }
 
 TEST_F(MemFixture, EmptyProvenanceAccessIsUB) {
@@ -136,7 +140,7 @@ TEST_F(MemFixture, EmptyProvenanceAccessIsUB) {
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue P;
   P.Addr = X.Addr; // right address, no provenance
-  auto R = M.load(CType::intTy(), P);
+  auto R = loadValue(M, CType::intTy(), P);
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(R.ub().Kind, UBKind::AccessNoProvenance);
 }
@@ -144,20 +148,20 @@ TEST_F(MemFixture, EmptyProvenanceAccessIsUB) {
 TEST_F(MemFixture, WildcardProvenanceResolvesByAddress) {
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), X, intVal(7))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, CType::intTy(), X, intVal(7))));
   PointerValue P;
   P.Prov = Provenance::wildcard();
   P.Addr = X.Addr;
-  auto R = M.load(CType::intTy(), P);
+  auto R = loadValue(M, CType::intTy(), P);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_EQ(R->IV.V, Int128(7));
+  EXPECT_EQ(R->num(), Int128(7));
 }
 
 TEST_F(MemFixture, DeadObjectAccessIsUB) {
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   ASSERT_TRUE(static_cast<bool>(M.killObject(X)));
-  auto R = M.load(CType::intTy(), X);
+  auto R = loadValue(M, CType::intTy(), X);
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(R.ub().Kind, UBKind::AccessDeadObject);
 }
@@ -172,14 +176,14 @@ TEST_F(MemFixture, CopyBytesCarriesPointerProvenance) {
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
   PointerValue B = M.allocateObject(IntPtr, "b", false);
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(IntPtr, A, MemValue::pointer(IntPtr, X))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, A, ptrVal(X))));
   ASSERT_TRUE(static_cast<bool>(M.copyBytes(B, A, 8)));
-  auto R = M.load(IntPtr, B);
+  auto R = loadValue(M, IntPtr, B);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_TRUE(R->PV.Prov == X.Prov);
+  EXPECT_TRUE(R->ptrValue().Prov == X.Prov);
   // And the copied pointer is usable:
-  EXPECT_TRUE(static_cast<bool>(M.store(CType::intTy(), R->PV, intVal(1))));
+  EXPECT_TRUE(static_cast<bool>(
+      storeValue(M, CType::intTy(), R->ptrValue(), intVal(1))));
 }
 
 TEST_F(MemFixture, MixedProvenanceBytesGiveEmptyProvenance) {
@@ -189,34 +193,99 @@ TEST_F(MemFixture, MixedProvenanceBytesGiveEmptyProvenance) {
   PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
   PointerValue B = M.allocateObject(IntPtr, "b", false);
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(IntPtr, A, MemValue::pointer(IntPtr, X))));
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(IntPtr, B, MemValue::pointer(IntPtr, Y))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, A, ptrVal(X))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, B, ptrVal(Y))));
   // Splice: low 4 bytes from A, high 4 from B.
   PointerValue BHigh = B, AHigh = A;
   AHigh.Addr += 4;
   BHigh.Addr += 4;
   ASSERT_TRUE(static_cast<bool>(M.copyBytes(AHigh, BHigh, 4)));
-  auto R = M.load(IntPtr, A);
+  auto R = loadValue(M, IntPtr, A);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_TRUE(R->PV.Prov.isEmpty()); // mixed-origin representation
+  EXPECT_TRUE(R->ptrValue().Prov.isEmpty()); // mixed-origin representation
 }
 
 TEST_F(MemFixture, UnwrittenBytesLoadAsUnspecified) {
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
-  auto R = M.load(CType::intTy(), X);
+  auto R = loadValue(M, CType::intTy(), X);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_TRUE(R->isUnspecified());
+  EXPECT_EQ(R->kind(), core::ValueKind::Unspecified);
 }
 
 TEST_F(MemFixture, StaticObjectsAreZeroInitialised) {
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "g", /*Static=*/true);
-  auto R = M.load(CType::intTy(), X);
+  auto R = loadValue(M, CType::intTy(), X);
   ASSERT_TRUE(static_cast<bool>(R));
-  EXPECT_EQ(R->IV.V, Int128(0));
+  EXPECT_EQ(R->num(), Int128(0));
+}
+
+TEST_F(MemFixture, StoresLeaveNoStaleBytesBehind) {
+  // A value is written straight into its object's bytes, so the bytes it
+  // gives no value must be reset to unspecified: a struct's padding, a
+  // union's bytes past its active member, the tail of a short array
+  // value, and every byte of an unspecified value.
+  unsigned S = Tags.createTag(false, "s");
+  Tags.complete(S, {{"c", CType::charTy()}, {"i", CType::intTy()}});
+  unsigned U = Tags.createTag(true, "u");
+  Tags.complete(U, {{"c", CType::charTy()}, {"i", CType::intTy()}});
+  CType St = CType::makeStruct(S), Un = CType::makeUnion(U);
+  CType Arr = CType::makeArray(CType::intTy(), 4);
+  CType IntPtr = CType::makePointer(CType::intTy());
+  Memory M = make(MemoryPolicy::defacto());
+  PointerValue X = M.allocateObject(CType::intTy(), "x", false);
+  PointerValue Ptr = M.allocateObject(IntPtr, "p", false);
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, Ptr, ptrVal(X))));
+  // Fills an object with pointer bytes: a value, provenance and a
+  // fragment index on each.
+  auto Dirty = [&](PointerValue P, uint64_t N) {
+    for (uint64_t I = 0; I < N; I += 8, P.Addr += 8)
+      ASSERT_TRUE(static_cast<bool>(
+          M.copyBytes(P, Ptr, std::min<uint64_t>(8, N - I))));
+  };
+  // One letter a byte: 'v' has a value, '.' is wholly unspecified.
+  auto Layout = [&](const PointerValue &P, uint64_t N) {
+    const MemByte *B = M.allocations()[P.Prov.AllocId].Bytes;
+    std::string Out;
+    for (uint64_t I = 0; I < N; ++I) {
+      bool Blank = !B[I].Value && B[I].Prov.isEmpty() &&
+                   B[I].PtrFrag == -1 && !B[I].Cap;
+      Out += B[I].Value ? 'v' : Blank ? '.' : '?';
+    }
+    return Out;
+  };
+
+  PointerValue PS = M.allocateObject(St, "s", false);
+  Dirty(PS, 8);
+  ASSERT_TRUE(static_cast<bool>(storeValue(
+      M, St, PS, core::Value::structure(S, {intVal(1), intVal(2)}))));
+  EXPECT_EQ(Layout(PS, 8), "v...vvvv");
+  auto I = loadValue(M, CType::intTy(), [&] {
+    PointerValue P = PS;
+    P.Addr += 4;
+    return P;
+  }());
+  ASSERT_TRUE(static_cast<bool>(I));
+  EXPECT_EQ(I->num(), Int128(2));
+  EXPECT_TRUE(I->prov().isEmpty());
+
+  PointerValue PU = M.allocateObject(Un, "u", false);
+  Dirty(PU, 4);
+  ASSERT_TRUE(static_cast<bool>(
+      storeValue(M, Un, PU, core::Value::unionValue(U, 0, intVal(7)))));
+  EXPECT_EQ(Layout(PU, 4), "v...");
+
+  PointerValue PA = M.allocateObject(Arr, "a", false);
+  Dirty(PA, 16);
+  ASSERT_TRUE(static_cast<bool>(
+      storeValue(M, Arr, PA, core::Value::array({intVal(1), intVal(2)}))));
+  EXPECT_EQ(Layout(PA, 16), "vvvvvvvv........");
+
+  Dirty(PA, 16);
+  ASSERT_TRUE(static_cast<bool>(storeValue(
+      M, CType::intTy(), PA, core::Value::unspecified(CType::intTy()))));
+  EXPECT_EQ(Layout(PA, 8), "....vvvv");
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,7 +395,7 @@ TEST_F(MemFixture, AccessesNearTheTopOfTheAddressSpaceDoNotWrap) {
     PointerValue X = M.allocateObject(CType::intTy(), "x", false);
     PointerValue Top = X;
     Top.Addr = UINT64_MAX - 1;
-    auto L = M.load(CType::intTy(), Top);
+    auto L = loadValue(M, CType::intTy(), Top);
     ASSERT_FALSE(static_cast<bool>(L)) << Name;
     EXPECT_EQ(L.ub().Kind, UBKind::AccessOutOfBounds) << Name;
     auto S = M.setBytes(X, 0, UINT64_MAX);
@@ -365,33 +434,32 @@ TEST_F(MemFixture, FreeDisciplines) {
 TEST_F(MemFixture, EffectiveTypeFromDeclaration) {
   Memory M = make(MemoryPolicy::strictIso());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), X, intVal(1))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, CType::intTy(), X, intVal(1))));
   // Reading as short violates the declared type...
   CType Sh = CType::makeInteger(IntKind::Short);
-  auto Bad = M.load(Sh, X);
+  auto Bad = loadValue(M, Sh, X);
   ASSERT_FALSE(static_cast<bool>(Bad));
   EXPECT_EQ(Bad.ub().Kind, UBKind::EffectiveTypeViolation);
   // ...but character-type access is always allowed (6.5p7).
-  auto Ch = M.load(CType::makeInteger(IntKind::UChar), X);
+  auto Ch = loadValue(M, CType::makeInteger(IntKind::UChar), X);
   EXPECT_TRUE(static_cast<bool>(Ch));
   // ...and so is the signed/unsigned sibling.
-  auto U = M.load(CType::uintTy(), X);
+  auto U = loadValue(M, CType::uintTy(), X);
   EXPECT_TRUE(static_cast<bool>(U));
 }
 
 TEST_F(MemFixture, EffectiveTypeOfMallocSetByStore) {
   Memory M = make(MemoryPolicy::strictIso());
   PointerValue H = M.allocateRegion(8, 8);
-  ASSERT_TRUE(static_cast<bool>(M.store(CType::intTy(), H, intVal(1))));
-  EXPECT_TRUE(static_cast<bool>(M.load(CType::intTy(), H)));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, CType::intTy(), H, intVal(1))));
+  EXPECT_TRUE(static_cast<bool>(loadValue(M, CType::intTy(), H)));
   CType Sh = CType::makeInteger(IntKind::Short);
-  auto Bad = M.load(Sh, H);
+  auto Bad = loadValue(M, Sh, H);
   ASSERT_FALSE(static_cast<bool>(Bad));
   EXPECT_EQ(Bad.ub().Kind, UBKind::EffectiveTypeViolation);
   // A fresh store re-types the offset.
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(Sh, H, MemValue::integer(Sh, IntegerValue(2)))));
-  EXPECT_TRUE(static_cast<bool>(M.load(Sh, H)));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, Sh, H, intVal(2))));
+  EXPECT_TRUE(static_cast<bool>(loadValue(M, Sh, H)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -404,7 +472,7 @@ TEST_F(MemFixture, CheriTagRequiredForAccess) {
   ASSERT_TRUE(X.Cap && X.Cap->Tag);
   PointerValue Untagged = X;
   Untagged.Cap = Capability{0, 0, false};
-  auto R = M.load(CType::intTy(), Untagged);
+  auto R = loadValue(M, CType::intTy(), Untagged);
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_EQ(R.ub().Kind, UBKind::CapabilityTagViolation);
 }
@@ -438,8 +506,7 @@ TEST_F(MemFixture, CheriByteCopyStripsTag) {
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
   PointerValue B = M.allocateObject(IntPtr, "b", false);
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(IntPtr, A, MemValue::pointer(IntPtr, X))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, A, ptrVal(X))));
   // Byte-granularity copy through unsigned char values: tags do not
   // survive (each byte is re-stored as a plain integer).
   CType UC = CType::makeInteger(IntKind::UChar);
@@ -447,14 +514,14 @@ TEST_F(MemFixture, CheriByteCopyStripsTag) {
     PointerValue Src = A, Dst = B;
     Src.Addr += I;
     Dst.Addr += I;
-    auto Byte = M.load(UC, Src);
+    auto Byte = loadValue(M, UC, Src);
     ASSERT_TRUE(static_cast<bool>(Byte));
-    ASSERT_TRUE(static_cast<bool>(M.store(UC, Dst, *Byte)));
+    ASSERT_TRUE(static_cast<bool>(storeValue(M, UC, Dst, *Byte)));
   }
-  auto R = M.load(IntPtr, B);
+  auto R = loadValue(M, IntPtr, B);
   ASSERT_TRUE(static_cast<bool>(R));
-  ASSERT_TRUE(R->PV.Cap.has_value());
-  EXPECT_FALSE(R->PV.Cap->Tag);
+  ASSERT_TRUE(R->ptrValue().Cap.has_value());
+  EXPECT_FALSE(R->ptrValue().Cap->Tag);
 }
 
 TEST_F(MemFixture, CheriUintptrLoadChecksEveryFragmentIndex) {
@@ -466,23 +533,22 @@ TEST_F(MemFixture, CheriUintptrLoadChecksEveryFragmentIndex) {
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
   PointerValue U = M.allocateObject(CType::uintptrTy(), "u", false);
-  ASSERT_TRUE(static_cast<bool>(
-      M.store(IntPtr, A, MemValue::pointer(IntPtr, X))));
+  ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, A, ptrVal(X))));
   ASSERT_TRUE(static_cast<bool>(M.copyBytes(U, A, 8)));
-  auto Whole = M.load(CType::uintptrTy(), U);
+  auto Whole = loadValue(M, CType::uintptrTy(), U);
   ASSERT_TRUE(static_cast<bool>(Whole));
-  ASSERT_TRUE(Whole->IV.Cap.has_value()); // in order: the capability stays
-  EXPECT_TRUE(Whole->IV.Cap->Tag);
+  ASSERT_TRUE(Whole->hasCap()); // in order: the capability stays
+  EXPECT_TRUE(Whole->intValue().Cap->Tag);
   PointerValue A3 = A;
   A3.Addr += 3;
   ASSERT_TRUE(static_cast<bool>(M.copyBytes(U, A3, 1)));
-  auto I = M.load(CType::uintptrTy(), U);
+  auto I = loadValue(M, CType::uintptrTy(), U);
   ASSERT_TRUE(static_cast<bool>(I));
-  EXPECT_FALSE(I->IV.Cap && I->IV.Cap->Tag);
-  auto P = M.load(IntPtr, U);
+  EXPECT_FALSE(I->hasCap() && I->intValue().Cap->Tag);
+  auto P = loadValue(M, IntPtr, U);
   ASSERT_TRUE(static_cast<bool>(P));
-  ASSERT_TRUE(P->PV.Cap.has_value());
-  EXPECT_FALSE(P->PV.Cap->Tag);
+  ASSERT_TRUE(P->ptrValue().Cap.has_value());
+  EXPECT_FALSE(P->ptrValue().Cap->Tag);
 }
 
 //===----------------------------------------------------------------------===//

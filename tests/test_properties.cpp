@@ -3,12 +3,13 @@
 // Property-style sweeps over generated programs and random values:
 //  - a pseudorandom path's outcome is always among the exhaustive set;
 //  - deterministic (choice-free) programs have exactly one outcome;
-//  - memory serialize/deserialize round-trips;
+//  - integers of every kind round-trip through core::storeValue/loadValue;
 //  - allocations never overlap;
 //  - UB-free generated programs behave identically under every model.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Core.h"
 #include "csmith/Generator.h"
 #include "exec/Pipeline.h"
 #include "mem/Memory.h"
@@ -166,10 +167,10 @@ TEST_P(SerializeRoundtrip, IntValuesOfEveryKind) {
     for (int I = 0; I < 8; ++I) {
       Int128 V = R.in(Env.minOf(K), Env.maxOf(K));
       ASSERT_TRUE(static_cast<bool>(
-          M.store(Ty, P, mem::MemValue::integer(Ty, mem::IntegerValue(V)))));
-      auto L = M.load(Ty, P);
+          core::storeValue(M, Ty, P, core::Value::integer(V))));
+      auto L = core::loadValue(M, Ty, P);
       ASSERT_TRUE(static_cast<bool>(L));
-      EXPECT_EQ(L->IV.V, V) << ail::intKindName(K);
+      EXPECT_EQ(L->num(), V) << ail::intKindName(K);
     }
   }
 }
