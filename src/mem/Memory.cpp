@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <functional>
 
 using namespace cerb;
 using namespace cerb::mem;
@@ -754,13 +755,15 @@ MemRes<Unit> Memory::copyBytes(const PointerValue &Dst,
   CERB_MEMTRY(SrcId, resolveAccess(Src, N, /*ForWrite=*/false));
   CERB_MEMCHECK(checkCheriAccess(Dst, N));
   CERB_MEMCHECK(checkCheriAccess(Src, N));
-  Allocation &DA = Allocs[DstId];
-  const Allocation &SA = Allocs[SrcId];
+  MemByte *D = Allocs[DstId].Bytes + (Dst.Addr - Allocs[DstId].Base);
+  const MemByte *S = Allocs[SrcId].Bytes + (Src.Addr - Allocs[SrcId].Base);
   // Copy representation bytes verbatim: provenance travels with the bytes,
-  // which is what makes user-level memcpy of pointers work (§2.3).
-  std::vector<MemByte> Tmp(SA.Bytes + (Src.Addr - SA.Base),
-                           SA.Bytes + (Src.Addr - SA.Base) + N);
-  std::copy(Tmp.begin(), Tmp.end(), DA.Bytes + (Dst.Addr - DA.Base));
+  // which is what makes user-level memcpy of pointers work (§2.3). In
+  // memmove order, so overlapping ranges copy as if through a temporary.
+  if (std::less<const MemByte *>()(D, S))
+    std::copy(S, S + N, D);
+  else
+    std::copy_backward(S, S + N, D + N);
   return Unit{};
 }
 

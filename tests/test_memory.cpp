@@ -205,6 +205,44 @@ TEST_F(MemFixture, MixedProvenanceBytesGiveEmptyProvenance) {
   EXPECT_TRUE(R->ptrValue().Prov.isEmpty()); // mixed-origin representation
 }
 
+TEST_F(MemFixture, CopyBytesOverlappingRangesCopyAsMemmove) {
+  // Inside one object, the bytes written are the source bytes as they
+  // were before the copy, whichever way the ranges overlap.
+  CType IntPtr = CType::makePointer(CType::intTy());
+  Memory M = make(MemoryPolicy::defacto());
+  PointerValue X = M.allocateObject(CType::intTy(), "x", false);
+  PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
+  PointerValue Z = M.allocateObject(CType::intTy(), "z", false);
+  PointerValue A = M.allocateObject(CType::makeArray(IntPtr, 3), "a", false);
+  const MemByte *Bytes = M.allocations()[A.Prov.AllocId].Bytes;
+  struct Case {
+    uint64_t DstOff, SrcOff, N;
+  };
+  // Destination below the source (a forward copy) and above it (a
+  // backward one), by a few bytes and by one.
+  for (Case C : {Case{0, 4, 16}, Case{4, 0, 16}, Case{0, 1, 23},
+                 Case{1, 0, 23}}) {
+    PointerValue At = A;
+    for (const PointerValue &P : {X, Y, Z}) {
+      ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, At, ptrVal(P))));
+      At.Addr += 8;
+    }
+    std::vector<MemByte> Before(Bytes, Bytes + 24);
+    PointerValue Dst = A, Src = A;
+    Dst.Addr += C.DstOff;
+    Src.Addr += C.SrcOff;
+    ASSERT_TRUE(static_cast<bool>(M.copyBytes(Dst, Src, C.N)));
+    for (uint64_t I = 0; I < 24; ++I) {
+      bool Written = I >= C.DstOff && I < C.DstOff + C.N;
+      const MemByte &Want = Before[Written ? I - C.DstOff + C.SrcOff : I];
+      EXPECT_EQ(Bytes[I].Value, Want.Value) << C.DstOff << "<-" << C.SrcOff
+                                            << " byte " << I;
+      EXPECT_TRUE(Bytes[I].Prov == Want.Prov) << "byte " << I;
+      EXPECT_EQ(Bytes[I].PtrFrag, Want.PtrFrag) << "byte " << I;
+    }
+  }
+}
+
 TEST_F(MemFixture, UnwrittenBytesLoadAsUnspecified) {
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
