@@ -13,7 +13,8 @@
 //     inside MaxCallDepth but deeper than an 8 MiB stack holds;
 //   - allocations past mem::Memory::MaxAllocatedBytes, and a malloc/free
 //     loop that once peaked at 2 GiB; a zero-initialized array past it,
-//     whose zero value the elaborator once built in full; a type whose
+//     whose zero value the elaborator once built in full; one of 4M
+//     elements inside it, whose store once peaked at 1.5 GiB; a type whose
 //     size overflows 2^64;
 //   - a loop of 32,000 choice points, whose explorer frontier once peaked
 //     at 2 GiB;
@@ -158,6 +159,12 @@ std::vector<Shape> shapes() {
   S.push_back({"zero_init",
                "int main(void) { char a[" + std::to_string(Big) +
                    "] = {0}; return a[0]; }\n",
+               true});
+  // Inside the budget, the zero value is built and stored: its store once
+  // went through a second value tree, and the shape alone peaked at
+  // 1.5 GiB.
+  S.push_back({"zero_init_in_budget",
+               "int main(void) { char a[4000000] = {0}; return a[5]; }\n",
                true});
   S.push_back({"huge_type",
                "int main(void) { char a[1099511627776][16777216] = {{0}}; "
