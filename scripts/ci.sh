@@ -52,6 +52,14 @@ run_label lowering
 # Core printed after elaboration and after the whole compile, lowering
 # statistics and constant pools against tests/goldens/core_print.golden.
 run_label core_print
+# The crash and memory shapes (label `robustness`,
+# tests/test_robustness.cpp), whose peak-RSS bound gates every memory
+# shape, and the reproducer corpus against
+# tests/goldens/corpus_outcomes.golden (label `corpus`,
+# tests/test_corpus.cpp): both part of tier-1, re-run by label so neither
+# can drop out of the gate unnoticed.
+run_label robustness
+run_label corpus
 run_label slow
 run_label fuzz
 run_label serve_batch
