@@ -264,6 +264,22 @@ namespace {
 using ail::CTypeKind;
 using mem::MemByte;
 
+/// Writes the \p W little-endian bytes of \p Bits, each carrying \p Prov
+/// and, with \p Frags, its fragment index and \p Cap.
+void writeScalar(MemByte *Out, unsigned W, UInt128 Bits, mem::Provenance Prov,
+                 bool Frags, const std::optional<mem::Capability> &Cap) {
+  for (unsigned I = 0; I < W; ++I) {
+    MemByte B;
+    B.Value = static_cast<uint8_t>(Bits >> (8 * I));
+    B.Prov = Prov;
+    if (Frags) {
+      B.PtrFrag = static_cast<int>(I);
+      B.Cap = Cap;
+    }
+    Out[I] = B;
+  }
+}
+
 /// Writes object value \p V of C type \p Ty into the Env.sizeOf(Ty) bytes
 /// at \p Out. Scalars are little-endian and every byte carries the value's
 /// provenance; pointer bytes carry their fragment index and, under CHERI,
@@ -285,18 +301,8 @@ void writeValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
   case CTypeKind::Integer: {
     assert(V.innerKind() == ValueKind::Integer && "type/value mismatch");
     mem::IntegerValue IV = V.intValue();
-    unsigned W = Env.widthOf(Ty.intKind()) / 8;
-    UInt128 Bits = static_cast<UInt128>(IV.V);
-    for (unsigned I = 0; I < W; ++I) {
-      MemByte B;
-      B.Value = static_cast<uint8_t>(Bits >> (8 * I));
-      B.Prov = IV.Prov;
-      if (Cheri && IV.Cap) {
-        B.Cap = IV.Cap;
-        B.PtrFrag = static_cast<int>(I);
-      }
-      Out[I] = B;
-    }
+    writeScalar(Out, Env.widthOf(Ty.intKind()) / 8,
+                static_cast<UInt128>(IV.V), IV.Prov, Cheri && IV.Cap, IV.Cap);
     return;
   }
   case CTypeKind::Pointer: {
@@ -308,15 +314,8 @@ void writeValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
                                : V.ptrValue();
     uint64_t Encoded =
         PV.isFunction() ? mem::FuncAddrBase + *PV.FuncSym : PV.Addr;
-    for (unsigned I = 0; I < 8; ++I) {
-      MemByte B;
-      B.Value = static_cast<uint8_t>(Encoded >> (8 * I));
-      B.Prov = PV.Prov;
-      B.PtrFrag = static_cast<int>(I);
-      if (Cheri)
-        B.Cap = PV.Cap;
-      Out[I] = B;
-    }
+    writeScalar(Out, 8, Encoded, PV.Prov, /*Frags=*/true,
+                Cheri ? PV.Cap : std::nullopt);
     return;
   }
   case CTypeKind::Array: {
@@ -353,49 +352,55 @@ void writeValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
   }
 }
 
+/// What the \p W little-endian bytes at \p In hold: their value if every
+/// byte is specified, whether all carry byte 0's provenance, and whether
+/// byte I is fragment I of byte 0's capability, for every I.
+struct Scalar {
+  UInt128 Bits = 0;
+  bool Specified = true, SameProv = true, InOrder = true;
+};
+
+Scalar readScalar(const MemByte *In, unsigned W) {
+  Scalar S;
+  for (unsigned I = 0; I < W; ++I) {
+    const MemByte &B = In[I];
+    if (!B.Value) {
+      S.Specified = false;
+      return S;
+    }
+    S.Bits |= UInt128(*B.Value) << (8 * I);
+    S.SameProv &= B.Prov == In[0].Prov;
+    S.InOrder &= B.Cap == In[0].Cap && B.PtrFrag == static_cast<int>(I);
+  }
+  return S;
+}
+
 /// Builds the value of C type \p Ty from the Env.sizeOf(Ty) bytes at \p In.
 Value readValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
                 const MemByte *In) {
   switch (Ty.kind()) {
   case CTypeKind::Integer: {
     unsigned W = Env.widthOf(Ty.intKind()) / 8;
-    UInt128 Bits = 0;
-    bool AllSameProv = true, CapConsistent = Cheri;
-    for (unsigned I = 0; I < W; ++I) {
-      const MemByte &B = In[I];
-      if (!B.Value)
-        return Value::unspecified(Ty);
-      Bits |= UInt128(*B.Value) << (8 * I);
-      if (!(B.Prov == In[0].Prov))
-        AllSameProv = false;
-      if (!(B.Cap == In[0].Cap) || B.PtrFrag != static_cast<int>(I))
-        CapConsistent = false;
-    }
-    Int128 V = static_cast<Int128>(Bits);
+    Scalar S = readScalar(In, W);
+    if (!S.Specified)
+      return Value::unspecified(Ty);
+    Int128 V = static_cast<Int128>(S.Bits);
     if (!Ty.isUnsigned() && W < 16) {
       // Sign-extend.
       Int128 SignBit = Int128(1) << (W * 8 - 1);
       if (V & SignBit)
         V -= Int128(1) << (W * 8);
     }
-    mem::IntegerValue IV(V, AllSameProv ? In[0].Prov : mem::Provenance());
-    if (CapConsistent && W == 8)
+    mem::IntegerValue IV(V, S.SameProv ? In[0].Prov : mem::Provenance());
+    if (Cheri && S.InOrder && W == 8)
       IV.Cap = In[0].Cap;
     return Value::specified(Value::integer(IV));
   }
   case CTypeKind::Pointer: {
-    uint64_t Encoded = 0;
-    bool AllSameProv = true, CapConsistent = true;
-    for (unsigned I = 0; I < 8; ++I) {
-      const MemByte &B = In[I];
-      if (!B.Value)
-        return Value::unspecified(Ty);
-      Encoded |= uint64_t(*B.Value) << (8 * I);
-      if (!(B.Prov == In[0].Prov))
-        AllSameProv = false;
-      if (!(B.Cap == In[0].Cap) || B.PtrFrag != static_cast<int>(I))
-        CapConsistent = false;
-    }
+    Scalar S = readScalar(In, 8);
+    if (!S.Specified)
+      return Value::unspecified(Ty);
+    uint64_t Encoded = static_cast<uint64_t>(S.Bits);
     if (Encoded >= mem::FuncAddrBase && Encoded < mem::FuncAddrBase + 0x10000)
       return Value::specified(
           Value::function(static_cast<unsigned>(Encoded - mem::FuncAddrBase)));
@@ -404,9 +409,9 @@ Value readValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
     // §5.9: reconstruction from representation bytes carries the original
     // provenance as long as all bytes agree (indirect dataflow copying,
     // Q13-Q16); mixed-origin bytes give empty provenance.
-    PV.Prov = AllSameProv ? In[0].Prov : mem::Provenance();
+    PV.Prov = S.SameProv ? In[0].Prov : mem::Provenance();
     if (Cheri) {
-      if (CapConsistent && In[0].Cap)
+      if (S.InOrder && In[0].Cap)
         PV.Cap = In[0].Cap;
       else
         PV.Cap = mem::Capability{0, 0, false}; // tag cleared: unusable

@@ -191,8 +191,8 @@ public:
 
   /// Checks a load of \p Ty through \p P, in this order: CHERI tag and
   /// bounds, the object the access resolves to, alignment, effective type,
-  /// and uninitialised bytes where those are UB. Returns the sizeOf(Ty)
-  /// bytes read, which stay put for this Memory's lifetime.
+  /// and uninitialised bytes where reading them is UB. Returns the
+  /// sizeOf(Ty) bytes to read, valid for this Memory's lifetime;
   /// core::loadValue builds the value from them.
   MemRes<const MemByte *> load(const ail::CType &Ty, const PointerValue &P);
   /// Checks a store of \p Ty through \p P, in this order: CHERI tag and
