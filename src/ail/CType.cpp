@@ -3,6 +3,7 @@
 #include "ail/CType.h"
 
 #include <algorithm>
+#include <memory>
 
 using namespace cerb;
 using namespace cerb::ail;
@@ -62,44 +63,30 @@ bool cerb::ail::isUnsignedKind(IntKind K) {
 // CType
 //===----------------------------------------------------------------------===//
 
-std::vector<CType> CType::paramTypes() const {
-  assert(isFunction() && "paramTypes() on non-function");
-  std::vector<CType> Out;
-  Out.reserve(Node->Params.size());
-  for (const auto &P : Node->Params)
-    Out.push_back(CType(P));
-  return Out;
+namespace {
+constexpr CTypeNode builtinNode(CTypeKind K, IntKind I = IntKind::Int) {
+  CTypeNode N;
+  N.Kind = K;
+  N.Int = I;
+  return N;
 }
+} // namespace
 
-bool cerb::ail::operator==(const CType &A, const CType &B) {
-  if (A.Node == B.Node)
-    return true;
-  if (!A.isValid() || !B.isValid())
-    return A.isValid() == B.isValid();
-  if (A.kind() != B.kind())
-    return false;
-  switch (A.kind()) {
-  case CTypeKind::Void:
-    return true;
-  case CTypeKind::Integer:
-    return A.intKind() == B.intKind();
-  case CTypeKind::Pointer:
-    return A.pointee() == B.pointee();
-  case CTypeKind::Array:
-    return A.arraySize() == B.arraySize() && A.element() == B.element();
-  case CTypeKind::Function: {
-    if (A.returnType() != B.returnType() || A.isVariadic() != B.isVariadic())
-      return false;
-    auto PA = A.paramTypes(), PB = B.paramTypes();
-    return PA.size() == PB.size() && std::equal(PA.begin(), PA.end(),
-                                                PB.begin());
-  }
-  case CTypeKind::Struct:
-  case CTypeKind::Union:
-    return A.tag() == B.tag();
-  }
-  return false;
-}
+constinit const CTypeNode cerb::ail::detail::BuiltinTypes[13] = {
+    builtinNode(CTypeKind::Void),
+    builtinNode(CTypeKind::Integer, IntKind::Bool),
+    builtinNode(CTypeKind::Integer, IntKind::Char),
+    builtinNode(CTypeKind::Integer, IntKind::SChar),
+    builtinNode(CTypeKind::Integer, IntKind::UChar),
+    builtinNode(CTypeKind::Integer, IntKind::Short),
+    builtinNode(CTypeKind::Integer, IntKind::UShort),
+    builtinNode(CTypeKind::Integer, IntKind::Int),
+    builtinNode(CTypeKind::Integer, IntKind::UInt),
+    builtinNode(CTypeKind::Integer, IntKind::Long),
+    builtinNode(CTypeKind::Integer, IntKind::ULong),
+    builtinNode(CTypeKind::Integer, IntKind::LongLong),
+    builtinNode(CTypeKind::Integer, IntKind::ULongLong),
+};
 
 std::string CType::str() const {
   if (!isValid())
@@ -130,68 +117,6 @@ std::string CType::str() const {
   return "<bad-type>";
 }
 
-static CType wrap(CTypeNode Node) {
-  return CType(std::make_shared<const CTypeNode>(std::move(Node)));
-}
-
-CType CType::makeVoid() {
-  CTypeNode N;
-  N.Kind = CTypeKind::Void;
-  return wrap(std::move(N));
-}
-
-CType CType::makeInteger(IntKind K) {
-  CTypeNode N;
-  N.Kind = CTypeKind::Integer;
-  N.Int = K;
-  return wrap(std::move(N));
-}
-
-CType CType::makePointer(CType Pointee) {
-  assert(Pointee.isValid() && "pointer to invalid type");
-  CTypeNode N;
-  N.Kind = CTypeKind::Pointer;
-  N.Inner = Pointee.Node;
-  return wrap(std::move(N));
-}
-
-CType CType::makeArray(CType Elem, std::optional<uint64_t> Size) {
-  assert(Elem.isValid() && "array of invalid type");
-  CTypeNode N;
-  N.Kind = CTypeKind::Array;
-  N.Inner = Elem.Node;
-  N.ArraySize = Size;
-  return wrap(std::move(N));
-}
-
-CType CType::makeFunction(CType Ret, std::vector<CType> Params,
-                          bool Variadic) {
-  assert(Ret.isValid() && "function returning invalid type");
-  CTypeNode N;
-  N.Kind = CTypeKind::Function;
-  N.Inner = Ret.Node;
-  for (const CType &P : Params) {
-    assert(P.isValid() && "invalid parameter type");
-    N.Params.push_back(P.Node);
-  }
-  N.Variadic = Variadic;
-  return wrap(std::move(N));
-}
-
-CType CType::makeStruct(unsigned Tag) {
-  CTypeNode N;
-  N.Kind = CTypeKind::Struct;
-  N.Tag = Tag;
-  return wrap(std::move(N));
-}
-
-CType CType::makeUnion(unsigned Tag) {
-  CTypeNode N;
-  N.Kind = CTypeKind::Union;
-  N.Tag = Tag;
-  return wrap(std::move(N));
-}
-
 //===----------------------------------------------------------------------===//
 // TagTable
 //===----------------------------------------------------------------------===//
@@ -204,11 +129,136 @@ std::optional<size_t> TagDef::memberIndex(std::string_view MemberName) const {
 }
 
 unsigned TagTable::createTag(bool IsUnion, std::string Name) {
+  unsigned Tag = static_cast<unsigned>(Defs.size());
+  auto *N = new (allocate(sizeof(CTypeNode))) CTypeNode();
+  N->Kind = IsUnion ? CTypeKind::Union : CTypeKind::Struct;
+  N->Tag = Tag;
   TagDef D;
   D.IsUnion = IsUnion;
   D.Name = std::move(Name);
+  D.Ty = CType(N);
   Defs.push_back(std::move(D));
-  return static_cast<unsigned>(Defs.size() - 1);
+  return Tag;
+}
+
+CType TagTable::pointerTo(CType Pointee) {
+  assert(Pointee.isValid() && "pointer to invalid type");
+  CTypeNode Key;
+  Key.Kind = CTypeKind::Pointer;
+  Key.Inner = Pointee.Node;
+  return intern(Key);
+}
+
+CType TagTable::arrayOf(CType Elem, std::optional<uint64_t> Size) {
+  assert(Elem.isValid() && "array of invalid type");
+  CTypeNode Key;
+  Key.Kind = CTypeKind::Array;
+  Key.Inner = Elem.Node;
+  Key.Sized = Size.has_value();
+  Key.ArraySize = Size.value_or(0);
+  return intern(Key);
+}
+
+CType TagTable::functionType(CType Ret, std::span<const CType> Params,
+                             bool Variadic) {
+  assert(Ret.isValid() && "function returning invalid type");
+  assert(std::all_of(Params.begin(), Params.end(),
+                     [](CType P) { return P.isValid(); }) &&
+         "invalid parameter type");
+  CTypeNode Key;
+  Key.Kind = CTypeKind::Function;
+  Key.Inner = Ret.Node;
+  Key.Variadic = Variadic;
+  Key.NumParams = static_cast<uint32_t>(Params.size());
+  Key.Params = Params.data();
+  return intern(Key);
+}
+
+namespace {
+/// A hash of the node's own fields: its operands are interned already, so
+/// their addresses stand for them.
+size_t hashNode(const CTypeNode &N) {
+  uint64_t H = 0xcbf29ce484222325ull ^ static_cast<uint64_t>(N.Kind);
+  auto Mix = [&H](uint64_t X) {
+    H = (H ^ X) * 0x100000001b3ull;
+    H ^= H >> 32;
+  };
+  Mix(reinterpret_cast<uintptr_t>(N.Inner));
+  Mix(N.ArraySize);
+  Mix(uint64_t(N.Sized) | uint64_t(N.Variadic) << 1 |
+      uint64_t(N.NumParams) << 2);
+  for (CType P : std::span<const CType>(N.Params, N.NumParams))
+    Mix(std::hash<CType>()(P));
+  return static_cast<size_t>(H);
+}
+
+bool sameNode(const CTypeNode &A, const CTypeNode &B) {
+  return A.Kind == B.Kind && A.Inner == B.Inner && A.Sized == B.Sized &&
+         A.ArraySize == B.ArraySize && A.Variadic == B.Variadic &&
+         std::equal(A.Params, A.Params + A.NumParams, B.Params,
+                    B.Params + B.NumParams);
+}
+
+/// Chunk sizes: the first holds a small program's types (the builtins'
+/// take about 1 KiB); each next one doubles up to the cap.
+constexpr size_t FirstChunk = 2048;
+constexpr size_t MaxChunk = 64 * 1024;
+constexpr size_t FirstIndex = 64;
+} // namespace
+
+CType TagTable::intern(const CTypeNode &Key) {
+  if (2 * (Interned + 1) > Index.size())
+    rehash(std::max(FirstIndex, 2 * Index.size()));
+  size_t Mask = Index.size() - 1;
+  size_t I = hashNode(Key) & Mask;
+  for (; Index[I]; I = (I + 1) & Mask)
+    if (sameNode(*Index[I], Key))
+      return CType(Index[I]);
+  auto *N = new (allocate(sizeof(CTypeNode))) CTypeNode(Key);
+  if (Key.NumParams) {
+    auto *Params = static_cast<CType *>(allocate(Key.NumParams * sizeof(CType)));
+    std::uninitialized_copy_n(Key.Params, Key.NumParams, Params);
+    N->Params = Params;
+  }
+  Index[I] = N;
+  ++Interned;
+  return CType(N);
+}
+
+void TagTable::rehash(size_t Capacity) {
+  std::vector<const CTypeNode *> Old(Capacity, nullptr);
+  Old.swap(Index);
+  size_t Mask = Capacity - 1;
+  for (const CTypeNode *N : Old) {
+    if (!N)
+      continue;
+    size_t I = hashNode(*N) & Mask;
+    while (Index[I])
+      I = (I + 1) & Mask;
+    Index[I] = N;
+  }
+}
+
+void *TagTable::allocate(size_t N) {
+  N = (N + 7) & ~size_t(7);
+  if (Chunks.empty() || ChunkUsed + N > ChunkSize) {
+    ChunkSize = std::max(Chunks.empty() ? FirstChunk
+                                        : std::min(2 * ChunkSize, MaxChunk),
+                         N);
+    Chunks.push_back(std::make_unique_for_overwrite<std::byte[]>(ChunkSize));
+    ChunkBytes += ChunkSize;
+    ChunkUsed = 0;
+  }
+  void *P = Chunks.back().get() + ChunkUsed;
+  ChunkUsed += N;
+  return P;
+}
+
+uint64_t TagTable::typeBytes() const {
+  auto Buffer = [](uint64_t Bytes) { return Bytes ? Bytes + 16 : 0; };
+  return ChunkBytes + 16 * Chunks.size() +
+         Buffer(Chunks.capacity() * sizeof(Chunks[0])) +
+         Buffer(Index.capacity() * sizeof(Index[0]));
 }
 
 // Sizes saturate instead of wrapping round 2^64: a type too large for the

@@ -3,9 +3,14 @@
 /// \file
 /// Canonical C type representation used from the Ail AST onward (the
 /// Cabs_to_Ail pass performs "normalisation of syntactic C types into
-/// canonical forms", §5.1). A CType is an immutable shared tree; struct and
-/// union bodies live in a separate TagTable keyed by tag symbol, so types
-/// can be compared structurally and recursion through pointers is free.
+/// canonical forms", §5.1). A CType is a trivially copyable handle to an
+/// immutable node. Void and the integer types are static nodes that every
+/// program shares; pointer, array, function, struct and union types are
+/// interned in the TagTable of the program that made them, which also holds
+/// the struct and union bodies, keyed by tag id. Within one table two types
+/// are equal exactly when they are one node, and recursion through pointers
+/// is free. Types are made only while compiling, so the table of a compiled
+/// program is read-only, and a type lives as long as its program.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_AIL_CTYPE_H
@@ -15,10 +20,13 @@
 #include "support/Format.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace cerb::ail {
@@ -59,19 +67,28 @@ enum class CTypeKind {
 
 class CType;
 
-/// Internal node. Users hold CType handles.
+/// Internal node. Users hold CType handles; a TagTable or the static
+/// builtins own the nodes.
 struct CTypeNode {
-  CTypeKind Kind;
-  IntKind Int = IntKind::Int;                // Integer
-  std::shared_ptr<const CTypeNode> Inner;    // Pointer pointee / Array elem /
-                                             // Function return
-  std::optional<uint64_t> ArraySize;         // Array ([] if absent)
-  std::vector<std::shared_ptr<const CTypeNode>> Params; // Function
-  bool Variadic = false;                     // Function
-  unsigned Tag = 0;                          // Struct/Union tag id
+  CTypeKind Kind = CTypeKind::Void;
+  IntKind Int = IntKind::Int;       ///< Integer
+  bool Sized = false;               ///< Array: ArraySize is given
+  bool Variadic = false;            ///< Function
+  unsigned Tag = 0;                 ///< Struct/Union tag id
+  uint32_t NumParams = 0;           ///< Function
+  const CTypeNode *Inner = nullptr; ///< Pointer pointee / Array elem /
+                                    ///< Function return
+  uint64_t ArraySize = 0;           ///< Array, if Sized
+  const CType *Params = nullptr;    ///< Function: NumParams of them
 };
 
-/// Value-semantics handle to an immutable canonical C type.
+namespace detail {
+/// The void node, then one node per IntKind in declaration order.
+extern const CTypeNode BuiltinTypes[13];
+} // namespace detail
+
+/// Value-semantics handle to an immutable canonical C type: one pointer,
+/// copied as plain bytes.
 class CType {
 public:
   CType() = default; // "null" type; isValid() is false
@@ -121,13 +138,17 @@ public:
   }
   std::optional<uint64_t> arraySize() const {
     assert(isArray() && "arraySize() on non-array");
-    return Node->ArraySize;
+    return Node->Sized ? std::optional<uint64_t>(Node->ArraySize)
+                       : std::nullopt;
   }
   CType returnType() const {
     assert(isFunction() && "returnType() on non-function");
     return CType(Node->Inner);
   }
-  std::vector<CType> paramTypes() const;
+  std::span<const CType> paramTypes() const {
+    assert(isFunction() && "paramTypes() on non-function");
+    return {Node->Params, Node->NumParams};
+  }
   bool isVariadic() const {
     assert(isFunction() && "isVariadic() on non-function");
     return Node->Variadic;
@@ -137,24 +158,20 @@ public:
     return Node->Tag;
   }
 
-  /// Structural equality (tags compare by id).
-  friend bool operator==(const CType &A, const CType &B);
-  friend bool operator!=(const CType &A, const CType &B) { return !(A == B); }
+  /// Node identity: structural equality for types of one table (and for
+  /// void and the integer types of any two).
+  friend bool operator==(CType A, CType B) { return A.Node == B.Node; }
 
   /// C-like rendering, e.g. "int*", "struct s", "int[4]".
   std::string str() const;
 
   //===------------------------------------------------------------------===//
-  // Factories
+  // The static types (derived types come from a TagTable)
   //===------------------------------------------------------------------===//
-  static CType makeVoid();
-  static CType makeInteger(IntKind K);
-  static CType makePointer(CType Pointee);
-  static CType makeArray(CType Elem, std::optional<uint64_t> Size);
-  static CType makeFunction(CType Ret, std::vector<CType> Params,
-                            bool Variadic);
-  static CType makeStruct(unsigned Tag);
-  static CType makeUnion(unsigned Tag);
+  static CType makeVoid() { return CType(&detail::BuiltinTypes[0]); }
+  static CType makeInteger(IntKind K) {
+    return CType(&detail::BuiltinTypes[1 + static_cast<unsigned>(K)]);
+  }
 
   // Common shorthands.
   static CType intTy() { return makeInteger(IntKind::Int); }
@@ -163,18 +180,17 @@ public:
   static CType sizeTy() { return makeInteger(IntKind::ULong); }
   static CType ptrdiffTy() { return makeInteger(IntKind::Long); }
   static CType uintptrTy() { return makeInteger(IntKind::ULong); }
-  static CType charPtrTy() { return makePointer(charTy()); }
-  static CType voidPtrTy() { return makePointer(makeVoid()); }
-
-  /// Internal: wraps an existing node (used by the factories).
-  explicit CType(std::shared_ptr<const CTypeNode> Node)
-      : Node(std::move(Node)) {}
 
 private:
-  std::shared_ptr<const CTypeNode> Node;
-};
+  friend class TagTable;
+  friend struct std::hash<CType>;
+  explicit CType(const CTypeNode *Node) : Node(Node) {}
 
-bool operator==(const CType &A, const CType &B);
+  const CTypeNode *Node = nullptr;
+};
+static_assert(std::is_trivially_copyable_v<CType> &&
+                  sizeof(CType) == sizeof(void *),
+              "a CType is one pointer, copied as plain bytes");
 
 /// One member of a struct or union definition.
 struct TagMember {
@@ -188,6 +204,7 @@ struct TagDef {
   std::string Name; ///< source tag name; may be synthesised for anonymous
   std::vector<TagMember> Members;
   bool Complete = false; ///< false while only forward-declared
+  CType Ty;              ///< the struct or union type naming this tag
   /// The layout, computed once by TagTable::complete; ImplEnv answers
   /// sizeof, _Alignof and offsetof from it.
   uint64_t Size = 0;
@@ -198,10 +215,20 @@ struct TagDef {
   std::optional<size_t> memberIndex(std::string_view MemberName) const;
 };
 
-/// All struct/union definitions of a translation unit, keyed by tag id.
+/// The type table of one program: its struct and union definitions, keyed
+/// by tag id, and its interned derived types. A pointer, array or function
+/// type built twice is one node, so types of one table compare by identity.
+/// Nodes sit in chunks that never move, so handles survive a move of the
+/// table; a table cannot be copied, and its nodes die with it.
 class TagTable {
 public:
-  /// Creates a new (incomplete) tag; returns its id.
+  TagTable() = default;
+  TagTable(TagTable &&) noexcept = default;
+  TagTable &operator=(TagTable &&) noexcept = default;
+  TagTable(const TagTable &) = delete;
+  TagTable &operator=(const TagTable &) = delete;
+
+  /// Creates a new (incomplete) tag and its type; returns its id.
   unsigned createTag(bool IsUnion, std::string Name);
   /// Completes \p Tag with \p Members, which must be complete types
   /// (a trailing array without a size counts as empty), and lays it out.
@@ -211,8 +238,39 @@ public:
   TagDef &get(unsigned Tag);
   size_t size() const { return Defs.size(); }
 
+  /// The struct or union type of \p Tag.
+  CType tagType(unsigned Tag) const { return get(Tag).Ty; }
+  CType pointerTo(CType Pointee);
+  CType arrayOf(CType Elem, std::optional<uint64_t> Size);
+  CType functionType(CType Ret, std::span<const CType> Params,
+                     bool Variadic);
+  CType functionType(CType Ret, std::initializer_list<CType> Params,
+                     bool Variadic) {
+    return functionType(
+        Ret, std::span<const CType>(Params.begin(), Params.size()), Variadic);
+  }
+
+  /// The heap bytes the interned types hold (chunks and index), each
+  /// buffer counted with a flat 16 bytes for the allocator's header and
+  /// rounding, as core::programBytes counts a buffer.
+  uint64_t typeBytes() const;
+
 private:
+  /// The node equal to \p Key, interned on first use (with a copy of its
+  /// parameters).
+  CType intern(const CTypeNode &Key);
+  /// \p N bytes, 8-aligned, from the chunks.
+  void *allocate(size_t N);
+  void rehash(size_t Capacity);
+
   std::vector<TagDef> Defs;
+  std::vector<std::unique_ptr<std::byte[]>> Chunks;
+  size_t ChunkSize = 0, ChunkUsed = 0; ///< of Chunks.back()
+  uint64_t ChunkBytes = 0;             ///< all chunks together
+  /// Open-addressing set of the interned pointer, array and function
+  /// nodes (null = empty), never more than half full.
+  std::vector<const CTypeNode *> Index;
+  size_t Interned = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -257,5 +315,12 @@ private:
 };
 
 } // namespace cerb::ail
+
+/// Hashes a type by its node, as operator== compares it.
+template <> struct std::hash<cerb::ail::CType> {
+  size_t operator()(cerb::ail::CType T) const noexcept {
+    return std::hash<const void *>()(T.Node);
+  }
+};
 
 #endif // CERB_AIL_CTYPE_H

@@ -238,48 +238,48 @@ void Desugarer::declareBuiltin(std::string Name, Builtin B, CType Ty) {
 
 void Desugarer::declareBuiltins() {
   CType VoidTy = CType::makeVoid();
-  CType VoidPtr = CType::voidPtrTy();
-  CType CharPtr = CType::charPtrTy();
+  CType VoidPtr = Prog.Tags.pointerTo(VoidTy);
+  CType CharPtr = Prog.Tags.pointerTo(CType::charTy());
   CType IntTy = CType::intTy();
   CType SizeTy = CType::sizeTy();
   declareBuiltin("printf", Builtin::Printf,
-                 CType::makeFunction(IntTy, {CharPtr}, /*Variadic=*/true));
+                 Prog.Tags.functionType(IntTy, {CharPtr}, /*Variadic=*/true));
   declareBuiltin("malloc", Builtin::Malloc,
-                 CType::makeFunction(VoidPtr, {SizeTy}, false));
+                 Prog.Tags.functionType(VoidPtr, {SizeTy}, false));
   declareBuiltin("calloc", Builtin::Calloc,
-                 CType::makeFunction(VoidPtr, {SizeTy, SizeTy}, false));
+                 Prog.Tags.functionType(VoidPtr, {SizeTy, SizeTy}, false));
   declareBuiltin("free", Builtin::Free,
-                 CType::makeFunction(VoidTy, {VoidPtr}, false));
+                 Prog.Tags.functionType(VoidTy, {VoidPtr}, false));
   declareBuiltin("memcpy", Builtin::Memcpy,
-                 CType::makeFunction(VoidPtr, {VoidPtr, VoidPtr, SizeTy},
+                 Prog.Tags.functionType(VoidPtr, {VoidPtr, VoidPtr, SizeTy},
                                      false));
   declareBuiltin("memmove", Builtin::Memmove,
-                 CType::makeFunction(VoidPtr, {VoidPtr, VoidPtr, SizeTy},
+                 Prog.Tags.functionType(VoidPtr, {VoidPtr, VoidPtr, SizeTy},
                                      false));
   declareBuiltin("memset", Builtin::Memset,
-                 CType::makeFunction(VoidPtr, {VoidPtr, IntTy, SizeTy},
+                 Prog.Tags.functionType(VoidPtr, {VoidPtr, IntTy, SizeTy},
                                      false));
   declareBuiltin("memcmp", Builtin::Memcmp,
-                 CType::makeFunction(IntTy, {VoidPtr, VoidPtr, SizeTy},
+                 Prog.Tags.functionType(IntTy, {VoidPtr, VoidPtr, SizeTy},
                                      false));
   declareBuiltin("strlen", Builtin::Strlen,
-                 CType::makeFunction(SizeTy, {CharPtr}, false));
+                 Prog.Tags.functionType(SizeTy, {CharPtr}, false));
   declareBuiltin("strcpy", Builtin::Strcpy,
-                 CType::makeFunction(CharPtr, {CharPtr, CharPtr}, false));
+                 Prog.Tags.functionType(CharPtr, {CharPtr, CharPtr}, false));
   declareBuiltin("strcmp", Builtin::Strcmp,
-                 CType::makeFunction(IntTy, {CharPtr, CharPtr}, false));
+                 Prog.Tags.functionType(IntTy, {CharPtr, CharPtr}, false));
   declareBuiltin("puts", Builtin::Puts,
-                 CType::makeFunction(IntTy, {CharPtr}, false));
+                 Prog.Tags.functionType(IntTy, {CharPtr}, false));
   declareBuiltin("putchar", Builtin::Putchar,
-                 CType::makeFunction(IntTy, {IntTy}, false));
+                 Prog.Tags.functionType(IntTy, {IntTy}, false));
   declareBuiltin("realloc", Builtin::Realloc,
-                 CType::makeFunction(VoidPtr, {VoidPtr, SizeTy}, false));
+                 Prog.Tags.functionType(VoidPtr, {VoidPtr, SizeTy}, false));
   declareBuiltin("abort", Builtin::Abort,
-                 CType::makeFunction(VoidTy, {}, false));
+                 Prog.Tags.functionType(VoidTy, {}, false));
   declareBuiltin("exit", Builtin::Exit,
-                 CType::makeFunction(VoidTy, {IntTy}, false));
+                 Prog.Tags.functionType(VoidTy, {IntTy}, false));
   declareBuiltin("__cerb_assert", Builtin::Assert,
-                 CType::makeFunction(VoidTy, {IntTy}, false));
+                 Prog.Tags.functionType(VoidTy, {IntTy}, false));
 
   // Common <stdint.h>/<stddef.h> typedef names.
   auto Typedef = [&](std::string Name, CType Ty) {
@@ -344,7 +344,7 @@ Expected<CType> Desugarer::resolveType(const CabsTypePtr &Ty) {
   }
   case CabsTypeKind::Pointer: {
     CERB_TRY(Inner, resolveType(Ty->Inner));
-    return CType::makePointer(Inner);
+    return Prog.Tags.pointerTo(Inner);
   }
   case CabsTypeKind::Array: {
     CERB_TRY(Elem, resolveType(Ty->Inner));
@@ -353,12 +353,12 @@ Expected<CType> Desugarer::resolveType(const CabsTypePtr &Ty) {
     if (Elem.isVoid())
       return err("array of void", Ty->Loc, "6.7.6.2p1");
     if (!Ty->ArraySize)
-      return CType::makeArray(Elem, std::nullopt);
+      return Prog.Tags.arrayOf(Elem, std::nullopt);
     CERB_TRY(N, constEval(*Ty->ArraySize));
     if (N <= 0)
       return err("array size must be positive (VLAs unsupported)", Ty->Loc,
                  "6.7.6.2p1");
-    return CType::makeArray(Elem, static_cast<uint64_t>(N));
+    return Prog.Tags.arrayOf(Elem, static_cast<uint64_t>(N));
   }
   case CabsTypeKind::Function: {
     CERB_TRY(Ret, resolveType(Ty->Inner));
@@ -371,7 +371,7 @@ Expected<CType> Desugarer::resolveType(const CabsTypePtr &Ty) {
       CERB_TRY(Adjusted, adjustParamType(PT));
       Params.push_back(Adjusted);
     }
-    return CType::makeFunction(Ret, std::move(Params), Ty->Variadic);
+    return Prog.Tags.functionType(Ret, Params, Ty->Variadic);
   }
   case CabsTypeKind::StructUnion: {
     unsigned Tag;
@@ -428,7 +428,7 @@ Expected<CType> Desugarer::resolveType(const CabsTypePtr &Ty) {
       Tag = Prog.Tags.createTag(Ty->IsUnion, Ty->Name);
       TagScopes.back()[Ty->Name] = Tag;
     }
-    return Ty->IsUnion ? CType::makeUnion(Tag) : CType::makeStruct(Tag);
+    return Prog.Tags.tagType(Tag);
   }
   case CabsTypeKind::Enum: {
     if (Ty->HasBody) {
@@ -455,9 +455,9 @@ Expected<CType> Desugarer::resolveType(const CabsTypePtr &Ty) {
 Expected<CType> Desugarer::adjustParamType(CType Ty) {
   // 6.7.6.3p7: array of T adjusts to pointer to T; p8: function to pointer.
   if (Ty.isArray())
-    return CType::makePointer(Ty.element());
+    return Prog.Tags.pointerTo(Ty.element());
   if (Ty.isFunction())
-    return CType::makePointer(Ty);
+    return Prog.Tags.pointerTo(Ty);
   return Ty;
 }
 
@@ -592,7 +592,7 @@ AilExprPtr Desugarer::hoistStringLiteral(const std::string &Bytes,
   Symbol S = Prog.Syms.create(freshName("strlit"), SymbolKind::Object);
   AilGlobal G;
   G.Sym = S;
-  G.Ty = CType::makeArray(CType::charTy(), Bytes.size() + 1);
+  G.Ty = Prog.Tags.arrayOf(CType::charTy(), Bytes.size() + 1);
   G.Loc = Loc;
   G.IsStringLiteral = true;
   AilInit Init;
@@ -847,10 +847,10 @@ Expected<CType> Desugarer::completeArrayFromInit(CType Ty,
   if (Init.isList()) {
     if (Init.List.empty())
       return err("empty initialiser for unsized array", Loc, "6.7.9p22");
-    return CType::makeArray(Ty.element(), Init.List.size());
+    return Prog.Tags.arrayOf(Ty.element(), Init.List.size());
   }
   if (Init.E->Kind == CabsExprKind::StringLit && Ty.element().isCharacter())
-    return CType::makeArray(Ty.element(), Init.E->Text.size() + 1);
+    return Prog.Tags.arrayOf(Ty.element(), Init.E->Text.size() + 1);
   return err("cannot deduce array size from initialiser", Loc, "6.7.9p22");
 }
 
@@ -1270,7 +1270,7 @@ ExpectedVoid Desugarer::desugarFunctionDef(const cabs::CabsFunctionDef &F) {
   Fn.Loc = F.Loc;
 
   pushScope();
-  std::vector<CType> ParamTys = Ty.paramTypes();
+  std::span<const CType> ParamTys = Ty.paramTypes();
   for (size_t I = 0; I < F.Ty->Params.size(); ++I) {
     const cabs::CabsParamDecl &P = F.Ty->Params[I];
     if (P.Name.empty()) {

@@ -150,7 +150,7 @@ Value Value::unionValue(unsigned Tag, size_t Member, Value Elem) {
 
 Value Value::bytes(CType Ty, std::span<const mem::MemByte> Raw) {
   Value V = boxed(ValueKind::BytesV, Raw.size());
-  V.B->Ty = std::move(Ty);
+  V.B->Ty = Ty;
   std::uninitialized_copy(Raw.begin(), Raw.end(),
                           reinterpret_cast<mem::MemByte *>(V.B + 1));
   return V;
@@ -168,34 +168,23 @@ std::span<const mem::MemByte> Value::bytes() const {
   return {reinterpret_cast<const mem::MemByte *>(B + 1), B->N};
 }
 
-void Value::copyFrom(const Value &O) {
-  K = O.K;
-  Flags = O.Flags;
-  PK = O.PK;
-  CapRef = O.CapRef;
-  AllocId = O.AllocId;
-  if (hasType()) {
-    new (&Ty) CType(O.Ty);
-  } else if (!isBoxed()) {
-    Bits = O.Bits;
+void Value::copyBox(const Value &O) {
+  copyBytes(O);
+  Value V = boxed(K, O.B->N);
+  V.B->Tag = O.B->Tag;
+  V.B->ActiveMember = O.B->ActiveMember;
+  V.B->Ty = O.B->Ty;
+  if (K == ValueKind::BytesV) {
+    std::span<const mem::MemByte> Src = O.bytes();
+    std::uninitialized_copy(Src.begin(), Src.end(),
+                            reinterpret_cast<mem::MemByte *>(V.B + 1));
   } else {
-    size_t N = O.B->N;
-    Value V = boxed(K, N);
-    V.B->Tag = O.B->Tag;
-    V.B->ActiveMember = O.B->ActiveMember;
-    V.B->Ty = O.B->Ty;
-    if (K == ValueKind::BytesV) {
-      std::span<const mem::MemByte> Src = O.bytes();
-      std::uninitialized_copy(Src.begin(), Src.end(),
-                              reinterpret_cast<mem::MemByte *>(V.B + 1));
-    } else {
-      std::span<const Value> Src = O.elems();
-      std::uninitialized_copy(Src.begin(), Src.end(),
-                              reinterpret_cast<Value *>(V.B + 1));
-    }
-    B = V.B;
-    V.K = ValueKind::Unit; // the block now belongs to this value
+    std::span<const Value> Src = O.elems();
+    std::uninitialized_copy(Src.begin(), Src.end(),
+                            reinterpret_cast<Value *>(V.B + 1));
   }
+  B = V.B;
+  V.K = ValueKind::Unit; // the block now belongs to this value
 }
 
 void Value::freeBox() {
@@ -321,7 +310,7 @@ void writeValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
   case CTypeKind::Array: {
     assert(V.innerKind() == ValueKind::ArrayV && "type/value mismatch");
     CType Elem = Ty.element();
-    uint64_t N = *Ty.arraySize(), ES = Env.sizeOf(Elem);
+    uint64_t N = Ty.arraySize().value_or(0), ES = Env.sizeOf(Elem);
     std::span<const Value> Elems = V.elems();
     uint64_t Given = std::min<uint64_t>(N, Elems.size());
     for (uint64_t I = 0; I < Given; ++I)
@@ -420,7 +409,7 @@ Value readValue(const ail::ImplEnv &Env, bool Cheri, const CType &Ty,
   }
   case CTypeKind::Array: {
     CType Elem = Ty.element();
-    uint64_t N = *Ty.arraySize(), ES = Env.sizeOf(Elem);
+    uint64_t N = Ty.arraySize().value_or(0), ES = Env.sizeOf(Elem);
     std::vector<Value> Elems;
     Elems.reserve(N);
     for (uint64_t I = 0; I < N; ++I)
@@ -590,7 +579,6 @@ ExprArena &ExprArena::operator=(ExprArena &&O) noexcept {
     destroyObjects();
     Nodes = std::move(O.Nodes);
     Auxes = std::move(O.Auxes);
-    Scopes = std::move(O.Scopes);
     Raw = std::move(O.Raw);
   }
   return *this;
@@ -599,9 +587,7 @@ ExprArena &ExprArena::operator=(ExprArena &&O) noexcept {
 ExprArena::~ExprArena() { destroyObjects(); }
 
 void ExprArena::destroyObjects() {
-  Nodes.forEach<Expr>([](Expr &E) { E.~Expr(); });
   Auxes.forEach<ExprAux>([](ExprAux &A) { A.~ExprAux(); });
-  Scopes.forEach<ScopeObject>([](ScopeObject &O) { O.~ScopeObject(); });
 }
 
 Expr *ExprArena::make(ExprKind K, SourceLoc Loc,
@@ -650,7 +636,7 @@ void ExprArena::setStr(Expr &E, std::string_view S) {
 }
 
 std::span<ScopeObject> ExprArena::setScope(Expr &E, size_t N) {
-  ScopeObject *P = alloc<ScopeObject>(Scopes, N);
+  ScopeObject *P = alloc<ScopeObject>(Raw, N);
   std::uninitialized_default_construct_n(P, N);
   return aux(E).Scope = std::span<ScopeObject>(P, N);
 }
@@ -671,7 +657,7 @@ Pattern ExprArena::specifiedPattern(const Pattern &Sub) {
 }
 
 uint64_t ExprArena::heapBytes() const {
-  uint64_t N = Nodes.bytes() + Auxes.bytes() + Scopes.bytes() + Raw.bytes();
+  uint64_t N = Nodes.bytes() + Auxes.bytes() + Raw.bytes();
   Auxes.forEach<ExprAux>([&](const ExprAux &A) { N += A.V.heapBytes(); });
   return N;
 }
@@ -1098,6 +1084,7 @@ uint64_t core::programBytes(const CoreProgram &P) {
                heapBlock(P.Syms.capacity() * sizeof(std::string)) +
                heapBlock(P.Syms.capacity() * sizeof(ail::SymbolKind)) +
                heapBlock(P.Tags.size() * sizeof(ail::TagDef)) +
+               P.Tags.typeBytes() +
                heapBlock(P.Globals.capacity() * sizeof(CoreGlobal)) +
                P.Builtins.size() * mapNode<std::pair<unsigned, ail::Builtin>>();
   for (const Value &V : P.ConstPool)

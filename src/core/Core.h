@@ -22,6 +22,7 @@
 #include "mem/Memory.h"
 
 #include <initializer_list>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <new>
@@ -30,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 namespace cerb::core {
@@ -94,11 +96,12 @@ private:
 };
 
 /// A Core value in 32 bytes. Scalars (booleans, integers with provenance,
-/// pointers, function designators) and ctypes live inline; `Specified` is a
-/// flag on the wrapped value rather than a box; tuples, lists and C
-/// aggregate values live in one heap block each (deep-copied, never
-/// shared, so a value can be read from any thread); CHERI capabilities live
-/// in the current CapTable.
+/// pointers, function designators) and ctypes (handles into the program's
+/// type table) live inline, so copying, moving and destroying them is a
+/// plain byte copy; `Specified` is a flag on the wrapped value rather than
+/// a box; tuples, lists and C aggregate values live in one heap block each
+/// (deep-copied, never shared, so a value can be read from any thread);
+/// CHERI capabilities live in the current CapTable.
 class Value {
 public:
   Value() : Bits(0) {}
@@ -112,8 +115,7 @@ public:
       destroy();
       stealFrom(Tmp);
     } else {
-      destroy(); // copying a scalar or a ctype cannot throw
-      copyFrom(O);
+      copyFrom(O); // copying an inline value cannot throw
     }
     return *this;
   }
@@ -121,11 +123,10 @@ public:
     if (this == &O)
       return *this;
     if (isBoxed()) {
-      Value Tmp(std::move(O));
+      Value Tmp(std::move(O)); // O may live inside this value's own box
       destroy();
       stealFrom(Tmp);
     } else {
-      destroy();
       stealFrom(O);
     }
     return *this;
@@ -138,7 +139,7 @@ public:
   }
   static Value ctype(CType Ty) {
     Value V(ValueKind::Ctype);
-    new (&V.Ty) CType(std::move(Ty));
+    V.Ty = Ty;
     return V;
   }
   static Value integer(const mem::IntegerValue &IV);
@@ -158,7 +159,7 @@ public:
   static Value specified(Value Inner);
   static Value unspecified(CType Ty) {
     Value V(ValueKind::Unspecified);
-    new (&V.Ty) CType(std::move(Ty));
+    V.Ty = Ty;
     return V;
   }
   static Value tuple(std::vector<Value> Elems);
@@ -240,24 +241,19 @@ private:
   static Value aggregate(ValueKind Kind, std::vector<Value> &&Elems);
 
   bool isBoxed() const { return K >= ValueKind::Tuple; }
-  bool hasType() const {
-    return K == ValueKind::Ctype || K == ValueKind::Unspecified;
+  /// Copies every byte of \p O: the whole of an inline value, or a box
+  /// pointer that the caller then owns or replaces.
+  void copyBytes(const Value &O) {
+    std::memcpy(static_cast<void *>(this), &O, sizeof(Value));
   }
-  void copyFrom(const Value &O);
+  void copyFrom(const Value &O) {
+    if (O.isBoxed())
+      copyBox(O);
+    else
+      copyBytes(O);
+  }
   void stealFrom(Value &O) noexcept {
-    K = O.K;
-    Flags = O.Flags;
-    PK = O.PK;
-    CapRef = O.CapRef;
-    AllocId = O.AllocId;
-    if (hasType()) {
-      new (&Ty) CType(std::move(O.Ty));
-      O.Ty.~CType();
-    } else if (isBoxed()) {
-      B = O.B;
-    } else {
-      Bits = O.Bits;
-    }
+    copyBytes(O);
     O.K = ValueKind::Unit;
     O.Flags = 0;
     O.Bits = 0;
@@ -265,9 +261,8 @@ private:
   void destroy() {
     if (isBoxed())
       freeBox();
-    else if (hasType())
-      Ty.~CType();
   }
+  void copyBox(const Value &O);
   void freeBox();
   /// str() of the value without its Specified flag.
   std::string strInner() const;
@@ -540,16 +535,22 @@ struct Expr {
   unsigned indetId() const { return Aux->IndetId; }
 };
 static_assert(sizeof(Expr) <= 80, "core::Expr must stay within 80 bytes");
+static_assert(std::is_trivially_destructible_v<Expr> &&
+                  std::is_trivially_destructible_v<ScopeObject>,
+              "ExprArena frees nodes and scope objects without destroying "
+              "them");
 
 /// Owns the nodes of one program and everything they point to: kid and
-/// branch arrays, patterns, cold records, scope lists and strings. Each
-/// kind of object is bump-allocated from its own list of chunks, which
-/// grow geometrically from 1 KiB to 64 KiB: a small program holds a few
-/// KiB, a large one a chunk per few hundred nodes. A freed program's
-/// 64 KiB chunks go to a bounded pool that the next arena draws on.
-/// Destruction sweeps the chunks once, destroying the objects in each:
-/// never one node at a time and never by recursion, however deep the
-/// tree. Nodes never move, so a program that moves keeps its pointers.
+/// branch arrays, patterns, cold records, scope lists and strings. Nodes,
+/// cold records and the rest are bump-allocated from three lists of
+/// chunks, which grow geometrically from 1 KiB to 64 KiB: a small program
+/// holds a few KiB, a large one a chunk per few hundred nodes. A freed
+/// program's 64 KiB chunks go to a bounded pool that the next arena draws
+/// on. Nodes and everything but the cold records are trivially
+/// destructible, so destruction only sweeps the cold records for the
+/// boxes of their literals, then frees the chunks: never one node at a
+/// time and never by recursion, however deep the tree. Nodes never move,
+/// so a program that moves keeps its pointers.
 class ExprArena {
 public:
   ExprArena() = default;
@@ -613,11 +614,10 @@ private:
   }
   void destroyObjects();
 
-  Chunks Nodes;  ///< Expr
-  Chunks Auxes;  ///< ExprAux
-  Chunks Scopes; ///< ScopeObject
-  Chunks Raw;    ///< trivially destructible: pointer and branch arrays,
-                 ///< patterns, string bytes
+  Chunks Nodes; ///< Expr
+  Chunks Auxes; ///< ExprAux
+  Chunks Raw;   ///< pointer and branch arrays, patterns, scope objects,
+                ///< string bytes
 };
 
 //===----------------------------------------------------------------------===//
@@ -689,11 +689,10 @@ Expr *cloneExpr(ExprArena &A, const Expr &E);
 
 /// The heap bytes \p P's Core holds, counted from the program alone so the
 /// count is the same on every run: the arena's chunks and the boxes of its
-/// literals, the constant pool with its boxes, the symbol and tag tables,
-/// the globals and the procedures. Each buffer also counts a flat 16 bytes
-/// for the allocator's header and rounding. C type nodes, shared between
-/// handles, are not counted. exec::CompileCache charges a resident program
-/// this much.
+/// literals, the constant pool with its boxes, the symbol table, the tag
+/// table with its interned types, the globals and the procedures. Each
+/// buffer also counts a flat 16 bytes for the allocator's header and
+/// rounding. exec::CompileCache charges a resident program this much.
 uint64_t programBytes(const CoreProgram &P);
 
 /// True iff \p E is a pure Core expression (fits the `pe` layer of Fig. 2).

@@ -342,14 +342,14 @@ bool poolEqual(const Value &A, const Value &B) {
 }
 
 /// Agrees with poolEqual: equal pooled values hash alike. A ctype hashes
-/// by its rendering, which equal types share whichever nodes they hold.
+/// by its node, which equal types of one program share.
 size_t poolHash(const Value &V) {
   size_t H = static_cast<size_t>(V.kind()) * 0x9e3779b97f4a7c15ull;
   switch (V.kind()) {
   case ValueKind::Function:
     return H ^ V.funcSym();
   case ValueKind::Ctype:
-    return H ^ std::hash<std::string>()(V.cty().str());
+    return H ^ std::hash<CType>()(V.cty());
   case ValueKind::Integer:
     return H ^ static_cast<size_t>(V.num()) ^
            static_cast<size_t>(UInt128(V.num()) >> 64) * 31;

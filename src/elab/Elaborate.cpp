@@ -218,8 +218,13 @@ mem::ArithOp arithOpOf(BinaryOp Op) {
 
 class Elaborator : CoreBuilder {
 public:
+  /// The program's type table moves into the Core program at once, so
+  /// every type the elaboration makes is interned where its program keeps
+  /// it.
   explicit Elaborator(ail::AilProgram P)
-      : Ail(std::move(P)), Env(Ail.Tags) {}
+      : Ail(std::move(P)), Env(Prog.Tags) {
+    Prog.Tags = std::move(Ail.Tags);
+  }
 
   Expected<CoreProgram> run();
 
@@ -294,11 +299,11 @@ private:
   }
 
   /// The decayed "value type" of an expression (array/function -> pointer).
-  CType valueTypeOf(const AilExpr &E) const {
+  CType valueTypeOf(const AilExpr &E) {
     if (E.Ty.isArray())
-      return CType::makePointer(E.Ty.element());
+      return Prog.Tags.pointerTo(E.Ty.element());
     if (E.Ty.isFunction())
-      return CType::makePointer(E.Ty);
+      return Prog.Tags.pointerTo(E.Ty);
     return E.Ty;
   }
 
@@ -653,7 +658,7 @@ Expected<Expr *> Elaborator::lvalue(const AilExpr &E) {
     const AilExpr &Base = *E.Kids[0];
     CERB_TRY(P, lvalue(Base));
     unsigned Tag = Base.Ty.tag();
-    auto Idx = Ail.Tags.get(Tag).memberIndex(E.MemberName);
+    auto Idx = Prog.Tags.get(Tag).memberIndex(E.MemberName);
     assert(Idx && "member vanished after type checking");
     Symbol A = fresh("m");
     return mkLetStrong(Pattern::sym(A), P,

@@ -501,13 +501,13 @@ MemRes<Unit> Memory::checkEffectiveType(Allocation &A, uint64_t Off,
   // Character-type accesses are always permitted (6.5p7 last bullet).
   if (Ty.isCharacter())
     return Unit{};
-  if (A.DeclaredTy) {
+  if (A.DeclaredTy.isValid()) {
     // Q75: an (unsigned) char array may NOT be used to hold other types
     // under a strict reading — its declared type is the effective type.
-    if (!typeMatchesAt(Env, *A.DeclaredTy, Off, Ty))
+    if (!typeMatchesAt(Env, A.DeclaredTy, Off, Ty))
       return undef(UBKind::EffectiveTypeViolation,
                    fmt("object '{0}' declared '{1}' accessed as '{2}'",
-                       A.Name, A.DeclaredTy->str(), Ty.str()));
+                       A.Name, A.DeclaredTy.str(), Ty.str()));
     return Unit{};
   }
   // malloc'd region: a store establishes the effective type; loads must

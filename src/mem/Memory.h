@@ -118,10 +118,10 @@ struct Allocation {
   bool Alive = true;
   bool Dynamic = false; ///< from malloc (killable only by free)
   bool Static = false;  ///< static storage duration (zero-initialised)
-  std::string Name;     ///< for diagnostics
-  std::optional<ail::CType> DeclaredTy;
   /// String literals: defined programs never write them (6.4.5p7).
   bool ReadOnly = false;
+  std::string Name;      ///< for diagnostics
+  ail::CType DeclaredTy; ///< of an object; invalid for a malloc'd region
   /// Effective types established by stores into a malloc'd region
   /// (offset -> scalar type); used when StrictEffectiveTypes.
   std::map<uint64_t, ail::CType> EffectiveAt;

@@ -142,11 +142,11 @@ private:
   Expected<CType> checkValue(AilExpr &E);
 
   /// The decayed type of an already-checked expression.
-  CType valueTypeOf(const AilExpr &E) const {
+  CType valueTypeOf(const AilExpr &E) {
     if (E.Ty.isArray())
-      return CType::makePointer(E.Ty.element());
+      return Prog.Tags.pointerTo(E.Ty.element());
     if (E.Ty.isFunction())
-      return CType::makePointer(E.Ty);
+      return Prog.Tags.pointerTo(E.Ty);
     return E.Ty;
   }
 
@@ -300,13 +300,13 @@ ExpectedVoid Checker::checkUnary(AilExpr &E) {
   case UnaryOp::AddrOf: {
     CERB_CHECK(check(Sub));
     if (Sub.Ty.isFunction()) { // &f
-      E.Ty = CType::makePointer(Sub.Ty);
+      E.Ty = Prog.Tags.pointerTo(Sub.Ty);
       E.Cat = ValueCat::RValue;
       return ExpectedVoid();
     }
     if (Sub.Cat != ValueCat::LValue)
       return err("cannot take the address of an rvalue", E.Loc, "6.5.3.2p1");
-    E.Ty = CType::makePointer(Sub.Ty);
+    E.Ty = Prog.Tags.pointerTo(Sub.Ty);
     E.Cat = ValueCat::RValue;
     return ExpectedVoid();
   }
@@ -567,7 +567,7 @@ ExpectedVoid Checker::checkCond(AilExpr &E) {
       return ExpectedVoid();
     }
     if (TT.pointee().isVoid() || FT.pointee().isVoid()) {
-      E.Ty = CType::voidPtrTy();
+      E.Ty = Prog.Tags.pointerTo(CType::makeVoid());
       return ExpectedVoid();
     }
     return err("incompatible pointer types in '?:'", E.Loc, "6.5.15p3");
@@ -616,7 +616,7 @@ ExpectedVoid Checker::checkCall(AilExpr &E) {
     return err("called object is not a function or function pointer", E.Loc,
                "6.5.2.2p1");
 
-  std::vector<CType> Params = FnTy.paramTypes();
+  std::span<const CType> Params = FnTy.paramTypes();
   size_t NArgs = E.Kids.size() - 1;
   if (NArgs < Params.size())
     return err(fmt("too few arguments to function call ({0} given, {1} "

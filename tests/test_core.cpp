@@ -25,29 +25,37 @@ TEST(CoreValues, Constructors) {
 
 namespace {
 
-/// A memory for store/load round trips through the serializer, whose tag
-/// table defines the tags the value tests use: struct #3 {int; int *},
-/// union #4 {int; int} and struct #5 {char; char; char}.
+/// The type table of the value tests. It defines the tags they use,
+/// struct #3 {int; int *}, union #4 {int; int} and struct #5 {char; char;
+/// char}, and interns the derived types they build, as a program's table
+/// does.
+ail::TagTable &testTags() {
+  static ail::TagTable Tags = [] {
+    ail::TagTable T;
+    for (int I = 0; I < 3; ++I)
+      T.createTag(false, "unused");
+    T.complete(T.createTag(false, "s3"),
+               {{"i", CType::intTy()}, {"p", T.pointerTo(CType::intTy())}});
+    T.complete(T.createTag(true, "u4"),
+               {{"a", CType::intTy()}, {"b", CType::intTy()}});
+    T.complete(T.createTag(false, "s5"), {{"a", CType::charTy()},
+                                          {"b", CType::charTy()},
+                                          {"c", CType::charTy()}});
+    return T;
+  }();
+  return Tags;
+}
+
+/// A memory for store/load round trips through the serializer, over the
+/// value tests' type table.
 struct TaggedMemory {
-  ail::TagTable Tags;
-  ail::ImplEnv Env{Tags};
+  ail::ImplEnv Env{testTags()};
   mem::Memory M;
   /// The bytes of the object the last roundTrip stored into.
   const mem::MemByte *Stored = nullptr;
 
   explicit TaggedMemory(mem::MemoryPolicy P = mem::MemoryPolicy::defacto())
-      : M(Env, std::move(P)) {
-    for (int I = 0; I < 3; ++I)
-      Tags.createTag(false, "unused");
-    Tags.complete(Tags.createTag(false, "s3"),
-                  {{"i", CType::intTy()},
-                   {"p", CType::makePointer(CType::intTy())}});
-    Tags.complete(Tags.createTag(true, "u4"),
-                  {{"a", CType::intTy()}, {"b", CType::intTy()}});
-    Tags.complete(Tags.createTag(false, "s5"), {{"a", CType::charTy()},
-                                                {"b", CType::charTy()},
-                                                {"c", CType::charTy()}});
-  }
+      : M(Env, std::move(P)) {}
 
   /// Stores \p V into a fresh object of type \p Ty and loads it back.
   Value roundTrip(const CType &Ty, const Value &V) {
@@ -114,8 +122,9 @@ Value expectRepresentation(const Value &V, const std::string &Str,
 } // namespace
 
 TEST(CoreValues, EveryKindSurvivesCopyMoveAndMemory) {
-  CType Int = CType::intTy(), IntPtr = CType::makePointer(Int);
-  CType FnPtr = CType::makePointer(CType::makeFunction(Int, {}, false));
+  ail::TagTable &Tags = testTags();
+  CType Int = CType::intTy(), IntPtr = Tags.pointerTo(Int);
+  CType FnPtr = Tags.pointerTo(Tags.functionType(Int, {}, false));
   expectRepresentation(Value::unit(), "Unit");
   expectRepresentation(Value::boolean(true), "True");
   expectRepresentation(Value::boolean(false), "False");
@@ -150,14 +159,14 @@ TEST(CoreValues, EveryKindSurvivesCopyMoveAndMemory) {
   // Unloaded aggregates (as the elaboration's zero initialisers build
   // them). A struct or union loads back as its byte image, padding and
   // all (§2.5 option 4).
-  CType Arr2 = CType::makeArray(Int, 2);
+  CType Arr2 = Tags.arrayOf(Int, 2);
   expectRepresentation(Value::array({Value::integer(0), Value::integer(0)}),
                        "array(0, 0)", Arr2,
                        "Specified(array(Specified(0), Specified(0)))");
   Value St = expectRepresentation(
       Value::structure(3, {Value::integer(0),
                            Value::pointer(mem::PointerValue::null())}),
-      "(struct#3){0, NULL}", CType::makeStruct(3), "Specified(bytes[16])");
+      "(struct#3){0, NULL}", Tags.tagType(3), "Specified(bytes[16])");
   std::span<const mem::MemByte> Image = St.bytes();
   EXPECT_EQ(Image[0].Value, std::optional<uint8_t>(0));
   EXPECT_FALSE(Image[4].Value.has_value()); // padding
@@ -165,7 +174,7 @@ TEST(CoreValues, EveryKindSurvivesCopyMoveAndMemory) {
   EXPECT_EQ(Image[15].PtrFrag, 7);
   Value UnZero =
       expectRepresentation(Value::unionValue(4, 0, Value::integer(0)),
-                           "(union#4){0}", CType::makeUnion(4),
+                           "(union#4){0}", Tags.tagType(4),
                            "Specified(bytes[4])");
   EXPECT_EQ(UnZero.bytes()[3].Value, std::optional<uint8_t>(0));
 
@@ -178,7 +187,7 @@ TEST(CoreValues, EveryKindSurvivesCopyMoveAndMemory) {
   Value Un = Value::specified(
       Value::unionValue(4, 1, Value::specified(Value::integer(6))));
   const char *UnStr = "Specified((union#4){Specified(6)})";
-  Value UnImage = expectRepresentation(Un, UnStr, CType::makeUnion(4),
+  Value UnImage = expectRepresentation(Un, UnStr, Tags.tagType(4),
                                        "Specified(bytes[4])");
   EXPECT_EQ(UnImage.bytes()[0].Value, std::optional<uint8_t>(6));
   EXPECT_EQ(Un.inner().tag(), 4u);
@@ -187,10 +196,10 @@ TEST(CoreValues, EveryKindSurvivesCopyMoveAndMemory) {
   std::vector<mem::MemByte> Raw(3);
   Raw[0].Value = 1;
   Raw[1].Prov = mem::Provenance::alloc(2);
-  Value Bytes = Value::specified(Value::bytes(CType::makeStruct(5), Raw));
-  expectRepresentation(Bytes, "Specified(bytes[3])", CType::makeStruct(5),
+  Value Bytes = Value::specified(Value::bytes(Tags.tagType(5), Raw));
+  expectRepresentation(Bytes, "Specified(bytes[3])", Tags.tagType(5),
                        "Specified(bytes[3])");
-  T.roundTrip(CType::makeStruct(5), Value(Bytes));
+  T.roundTrip(Tags.tagType(5), Value(Bytes));
   ASSERT_EQ(T.M.allocations().back().Size, 3u);
   EXPECT_EQ(T.Stored[0].Value, std::optional<uint8_t>(1));
   EXPECT_FALSE(T.Stored[1].Value.has_value());
@@ -200,6 +209,7 @@ TEST(CoreValues, EveryKindSurvivesCopyMoveAndMemory) {
 TEST(CoreValues, CapabilitiesRideAlongOutOfLine) {
   // CHERI capabilities live in the evaluation's CapTable, not the value:
   // copies, moves and a store/load round trip keep them.
+  ail::TagTable &Tags = testTags();
   CapTable Table;
   CapTable::Scope Scope(Table);
   mem::Capability Cap{0x1000, 8, true};
@@ -216,7 +226,7 @@ TEST(CoreValues, CapabilitiesRideAlongOutOfLine) {
   ASSERT_TRUE(IBack.inner().intValue().Cap.has_value());
   EXPECT_TRUE(*IBack.inner().intValue().Cap == Cap);
 
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   Value P = Value::pointer(CP);
   expectRepresentation(P, "0x4100@2", IntPtr, "Specified(0x4100@2)");
   Value PBack = T.roundTrip(IntPtr, P);
@@ -230,11 +240,11 @@ TEST(CoreValues, CapabilitiesRideAlongOutOfLine) {
       3, {Value::specified(Value::integer(5)),
           Value::specified(Value::pointer(CP))}));
   const char *StStr = "Specified((struct#3){Specified(5), Specified(0x4100@2)})";
-  expectRepresentation(St, StStr, CType::makeStruct(3),
+  expectRepresentation(St, StStr, Tags.tagType(3),
                        "Specified(bytes[16])");
   Value Member = St.inner().elems()[1];
   EXPECT_TRUE(Member.inner().ptrValue().Cap == Cap);
-  Value Image = T.roundTrip(CType::makeStruct(3), St);
+  Value Image = T.roundTrip(Tags.tagType(3), St);
   for (size_t B = 8; B < 16; ++B)
     EXPECT_TRUE(Image.bytes()[B].Cap == std::optional<mem::Capability>(Cap));
 

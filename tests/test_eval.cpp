@@ -431,6 +431,20 @@ int main(void) {
              36);
 }
 
+TEST(EvalObjects, BracedInitialiserOfAStructWithAFlexibleArrayMember) {
+  // The zero value of the struct once read the unsized member's length
+  // and aborted the process with std::bad_alloc; like the layout, it gives
+  // that member no elements.
+  expectExit(R"(
+struct t { int n; char d[]; };
+int main(void) {
+  struct t x = {1};
+  return x.n;
+}
+)",
+             1);
+}
+
 TEST(EvalObjects, NestedStructAndPointerChasing) {
   expectExit(R"(
 struct node { int v; struct node *next; };

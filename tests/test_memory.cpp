@@ -67,7 +67,7 @@ TEST_P(MemRoundtrip, PointerStoreLoadKeepsProvenance) {
   ail::TagTable Tags;
   ail::ImplEnv Env(Tags);
   Memory M(Env, policy());
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Cell = M.allocateObject(IntPtr, "p", false);
   ASSERT_TRUE(static_cast<bool>(storeValue(M, IntPtr, Cell, ptrVal(X))));
@@ -172,7 +172,7 @@ TEST_F(MemFixture, DeadObjectAccessIsUB) {
 
 TEST_F(MemFixture, CopyBytesCarriesPointerProvenance) {
   Memory M = make(MemoryPolicy::defacto());
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
   PointerValue B = M.allocateObject(IntPtr, "b", false);
@@ -188,7 +188,7 @@ TEST_F(MemFixture, CopyBytesCarriesPointerProvenance) {
 
 TEST_F(MemFixture, MixedProvenanceBytesGiveEmptyProvenance) {
   Memory M = make(MemoryPolicy::defacto());
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
@@ -208,12 +208,12 @@ TEST_F(MemFixture, MixedProvenanceBytesGiveEmptyProvenance) {
 TEST_F(MemFixture, CopyBytesOverlappingRangesCopyAsMemmove) {
   // Inside one object, the bytes written are the source bytes as they
   // were before the copy, whichever way the ranges overlap.
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Y = M.allocateObject(CType::intTy(), "y", false);
   PointerValue Z = M.allocateObject(CType::intTy(), "z", false);
-  PointerValue A = M.allocateObject(CType::makeArray(IntPtr, 3), "a", false);
+  PointerValue A = M.allocateObject(Tags.arrayOf(IntPtr, 3), "a", false);
   const MemByte *Bytes = M.allocations()[A.Prov.AllocId].Bytes;
   struct Case {
     uint64_t DstOff, SrcOff, N;
@@ -268,9 +268,9 @@ TEST_F(MemFixture, StoresLeaveNoStaleBytesBehind) {
   Tags.complete(S, {{"c", CType::charTy()}, {"i", CType::intTy()}});
   unsigned U = Tags.createTag(true, "u");
   Tags.complete(U, {{"c", CType::charTy()}, {"i", CType::intTy()}});
-  CType St = CType::makeStruct(S), Un = CType::makeUnion(U);
-  CType Arr = CType::makeArray(CType::intTy(), 4);
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType St = Tags.tagType(S), Un = Tags.tagType(U);
+  CType Arr = Tags.arrayOf(CType::intTy(), 4);
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   Memory M = make(MemoryPolicy::defacto());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue Ptr = M.allocateObject(IntPtr, "p", false);
@@ -350,7 +350,7 @@ TEST_F(MemFixture, RelationalAcrossObjectsUBStrict) {
 
 TEST_F(MemFixture, PtrDiffSameObject) {
   Memory M = make(MemoryPolicy::defacto());
-  CType Arr = CType::makeArray(CType::intTy(), 8);
+  CType Arr = Tags.arrayOf(CType::intTy(), 8);
   PointerValue A = M.allocateObject(Arr, "a", false);
   PointerValue A5 = A;
   A5.Addr += 5 * 4;
@@ -361,7 +361,7 @@ TEST_F(MemFixture, PtrDiffSameObject) {
 }
 
 TEST_F(MemFixture, ArrayShiftOOBStrictVsDeFacto) {
-  CType Arr = CType::makeArray(CType::intTy(), 4);
+  CType Arr = Tags.arrayOf(CType::intTy(), 4);
   {
     Memory M = make(MemoryPolicy::defacto());
     PointerValue A = M.allocateObject(Arr, "a", false);
@@ -417,7 +417,7 @@ TEST_F(MemFixture, AllocationsPastTheBudgetGetANullPointer) {
   EXPECT_TRUE(M.allocateRegion(Int128(1) << 64).isNull());
   EXPECT_TRUE(M.allocateRegion(Max + 1).isNull());
   EXPECT_TRUE(
-      M.allocateObject(CType::makeArray(CType::charTy(), Max + 1), "a", false)
+      M.allocateObject(Tags.arrayOf(CType::charTy(), Max + 1), "a", false)
           .isNull());
   EXPECT_TRUE(M.allocations().empty());
   EXPECT_FALSE(M.allocateRegion(0).isNull());
@@ -540,7 +540,7 @@ TEST_F(MemFixture, CheriExactEquality) {
 
 TEST_F(MemFixture, CheriByteCopyStripsTag) {
   Memory M = make(MemoryPolicy::cheri());
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
   PointerValue B = M.allocateObject(IntPtr, "b", false);
@@ -567,7 +567,7 @@ TEST_F(MemFixture, CheriUintptrLoadChecksEveryFragmentIndex) {
   // copied over byte 0: every byte still carries the same capability, but
   // the fragments are out of order, so neither load may keep the tag.
   Memory M = make(MemoryPolicy::cheri());
-  CType IntPtr = CType::makePointer(CType::intTy());
+  CType IntPtr = Tags.pointerTo(CType::intTy());
   PointerValue X = M.allocateObject(CType::intTy(), "x", false);
   PointerValue A = M.allocateObject(IntPtr, "a", false);
   PointerValue U = M.allocateObject(CType::uintptrTy(), "u", false);

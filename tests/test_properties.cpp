@@ -185,7 +185,7 @@ TEST(Properties, AllocationsNeverOverlap) {
   MiniRng R(42);
   for (int I = 0; I < 200; ++I) {
     if (R.next() % 2)
-      M.allocateObject(ail::CType::makeArray(
+      M.allocateObject(Tags.arrayOf(
                            ail::CType::charTy(),
                            1 + static_cast<uint64_t>(R.next() % 31)),
                        "obj", false);

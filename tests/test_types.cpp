@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 
 using namespace cerb;
@@ -28,13 +29,13 @@ TEST_F(TypesFixture, ScalarSizesLP64) {
   EXPECT_EQ(Env.sizeOf(CType::makeInteger(IntKind::Int)), 4u);
   EXPECT_EQ(Env.sizeOf(CType::makeInteger(IntKind::Long)), 8u);
   EXPECT_EQ(Env.sizeOf(CType::makeInteger(IntKind::LongLong)), 8u);
-  EXPECT_EQ(Env.sizeOf(CType::makePointer(CType::intTy())), 8u);
+  EXPECT_EQ(Env.sizeOf(Tags.pointerTo(CType::intTy())), 8u);
 }
 
 TEST_F(TypesFixture, StructLayoutWithPadding) {
   unsigned Tag = Tags.createTag(false, "s");
   Tags.complete(Tag, {{"c", CType::charTy()}, {"i", CType::intTy()}});
-  CType S = CType::makeStruct(Tag);
+  CType S = Tags.tagType(Tag);
   EXPECT_EQ(Env.sizeOf(S), 8u); // 1 + 3 padding + 4
   EXPECT_EQ(Env.alignOf(S), 4u);
   EXPECT_EQ(Env.offsetOf(Tag, 0), 0u);
@@ -44,21 +45,21 @@ TEST_F(TypesFixture, StructLayoutWithPadding) {
 TEST_F(TypesFixture, StructTailPadding) {
   unsigned Tag = Tags.createTag(false, "t");
   Tags.complete(Tag, {{"i", CType::intTy()}, {"c", CType::charTy()}});
-  EXPECT_EQ(Env.sizeOf(CType::makeStruct(Tag)), 8u); // tail-padded to 4
+  EXPECT_EQ(Env.sizeOf(Tags.tagType(Tag)), 8u); // tail-padded to 4
 }
 
 TEST_F(TypesFixture, UnionLayout) {
   unsigned Tag = Tags.createTag(true, "u");
   Tags.complete(Tag, {{"c", CType::charTy()},
                       {"l", CType::makeInteger(IntKind::Long)}});
-  CType U = CType::makeUnion(Tag);
+  CType U = Tags.tagType(Tag);
   EXPECT_EQ(Env.sizeOf(U), 8u);
   EXPECT_EQ(Env.offsetOf(Tag, 0), 0u);
   EXPECT_EQ(Env.offsetOf(Tag, 1), 0u);
 }
 
 TEST_F(TypesFixture, ArraySizes) {
-  CType A = CType::makeArray(CType::intTy(), 7);
+  CType A = Tags.arrayOf(CType::intTy(), 7);
   EXPECT_EQ(Env.sizeOf(A), 28u);
   EXPECT_EQ(Env.alignOf(A), 4u);
 }
@@ -66,12 +67,12 @@ TEST_F(TypesFixture, ArraySizes) {
 TEST_F(TypesFixture, SizesSaturateInsteadOfWrapping) {
   // 2^40 * 2^24 bytes wrapped to 0, and an object of that type was then
   // created with no bytes; a zero value for it never finished building.
-  CType Row = CType::makeArray(CType::charTy(), uint64_t(1) << 24);
-  EXPECT_EQ(Env.sizeOf(CType::makeArray(Row, uint64_t(1) << 40)), UINT64_MAX);
-  CType Half = CType::makeArray(CType::charTy(), uint64_t(1) << 63);
+  CType Row = Tags.arrayOf(CType::charTy(), uint64_t(1) << 24);
+  EXPECT_EQ(Env.sizeOf(Tags.arrayOf(Row, uint64_t(1) << 40)), UINT64_MAX);
+  CType Half = Tags.arrayOf(CType::charTy(), uint64_t(1) << 63);
   unsigned Tag = Tags.createTag(false, "big");
   Tags.complete(Tag, {{"a", Half}, {"b", Half}, {"c", CType::intTy()}});
-  EXPECT_GE(Env.sizeOf(CType::makeStruct(Tag)), uint64_t(1) << 63);
+  EXPECT_GE(Env.sizeOf(Tags.tagType(Tag)), uint64_t(1) << 63);
   EXPECT_GE(Env.offsetOf(Tag, 2), uint64_t(1) << 63);
 }
 
@@ -88,18 +89,18 @@ TEST_F(TypesFixture, ManyMemberLayoutIsLinear) {
   Tags.complete(Tag, std::move(Members));
   unsigned Outer = Tags.createTag(false, "outer");
   Tags.complete(Outer, {{"c", CType::charTy()},
-                        {"w", CType::makeStruct(Tag)}});
+                        {"w", Tags.tagType(Tag)}});
   uint64_t Wrong = 0;
   for (size_t I = 0; I < N; ++I)
     Wrong += Env.offsetOf(Tag, I) != 4 * I;
   for (size_t I = 0; I < N; ++I)
-    Wrong += Env.sizeOf(CType::makeStruct(Outer)) != 4 * N + 4;
+    Wrong += Env.sizeOf(Tags.tagType(Outer)) != 4 * N + 4;
   double Secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - T0)
                     .count();
   EXPECT_EQ(Wrong, 0u);
   EXPECT_EQ(Env.offsetOf(Outer, 1), 4u);
-  EXPECT_EQ(Env.alignOf(CType::makeStruct(Outer)), 4u);
+  EXPECT_EQ(Env.alignOf(Tags.tagType(Outer)), 4u);
   EXPECT_LT(Secs, 2.0) << "layout queries walk the members again";
 }
 
@@ -164,7 +165,7 @@ TEST(TagLayout, SuiteLayoutsMatchARecomputation) {
       const TagDef &D = Prog->Tags.get(Tag);
       if (!D.Complete)
         continue;
-      CType Ty = D.IsUnion ? CType::makeUnion(Tag) : CType::makeStruct(Tag);
+      CType Ty = Prog->Tags.tagType(Tag);
       EXPECT_EQ(R.Env.sizeOf(Ty), R.size(Ty)) << T.Name << " " << D.Name;
       EXPECT_EQ(R.Env.alignOf(Ty), R.align(Ty)) << T.Name << " " << D.Name;
       for (size_t I = 0; I < D.Members.size(); ++I)
@@ -198,14 +199,65 @@ TEST_F(TypesFixture, ConversionSemantics) {
 }
 
 TEST_F(TypesFixture, StructuralEquality) {
-  CType A = CType::makePointer(CType::intTy());
-  CType B = CType::makePointer(CType::intTy());
+  CType A = Tags.pointerTo(CType::intTy());
+  CType B = Tags.pointerTo(CType::intTy());
   EXPECT_TRUE(A == B);
-  EXPECT_FALSE(A == CType::makePointer(CType::uintTy()));
-  EXPECT_TRUE(CType::makeArray(CType::charTy(), 3) ==
-              CType::makeArray(CType::charTy(), 3));
-  EXPECT_FALSE(CType::makeArray(CType::charTy(), 3) ==
-               CType::makeArray(CType::charTy(), 4));
+  EXPECT_FALSE(A == Tags.pointerTo(CType::uintTy()));
+  EXPECT_TRUE(Tags.arrayOf(CType::charTy(), 3) ==
+              Tags.arrayOf(CType::charTy(), 3));
+  EXPECT_FALSE(Tags.arrayOf(CType::charTy(), 3) ==
+               Tags.arrayOf(CType::charTy(), 4));
+  EXPECT_FALSE(Tags.arrayOf(CType::charTy(), std::nullopt) ==
+               Tags.arrayOf(CType::charTy(), 0));
+}
+
+// Interning: a derived type built twice for one table is one node, so
+// equality is identity and no structural walk is needed.
+TEST_F(TypesFixture, DerivedTypesBuiltTwiceAreOneNode) {
+  auto Build = [&] {
+    CType IntPtr = Tags.pointerTo(CType::intTy());
+    CType Arr = Tags.arrayOf(IntPtr, 4);
+    CType Fn = Tags.functionType(CType::intTy(),
+                                 {Tags.pointerTo(Arr), CType::charTy()},
+                                 /*Variadic=*/false);
+    return std::array<CType, 4>{IntPtr, Arr, Fn, Tags.pointerTo(Fn)};
+  };
+  std::array<CType, 4> First = Build();
+  uint64_t Bytes = Tags.typeBytes();
+  std::array<CType, 4> Second = Build();
+  for (size_t I = 0; I < First.size(); ++I) {
+    EXPECT_TRUE(First[I] == Second[I]) << First[I].str();
+    EXPECT_EQ(std::hash<CType>()(First[I]), std::hash<CType>()(Second[I]));
+  }
+  EXPECT_EQ(Tags.typeBytes(), Bytes) << "the second build interned nothing";
+  EXPECT_EQ(First[2].str(), "int(int*[4]*, char)");
+  EXPECT_TRUE(First[2].paramTypes()[0].pointee() == First[1]);
+
+  // Types that differ in any operand are different nodes.
+  EXPECT_FALSE(Tags.functionType(CType::intTy(), {CType::charTy()}, false) ==
+               Tags.functionType(CType::intTy(), {CType::charTy()}, true));
+  EXPECT_FALSE(Tags.functionType(CType::intTy(), {}, false) ==
+               Tags.functionType(CType::uintTy(), {}, false));
+  // Void and the integer types are shared by every table.
+  TagTable Other;
+  EXPECT_TRUE(CType::intTy() == CType::makeInteger(IntKind::Int));
+  EXPECT_TRUE(Other.pointerTo(CType::intTy()).pointee() == CType::intTy());
+  // The tag's type is made once, with the tag.
+  unsigned Tag = Tags.createTag(true, "u");
+  EXPECT_TRUE(Tags.tagType(Tag) == Tags.tagType(Tag));
+  EXPECT_TRUE(Tags.tagType(Tag).isUnion());
+}
+
+TEST_F(TypesFixture, InternedTypesSurviveAMoveOfTheirTable) {
+  std::vector<CType> Made;
+  for (uint64_t N = 1; N <= 2000; ++N) // past the first chunk and index
+    Made.push_back(Tags.arrayOf(CType::charTy(), N));
+  TagTable Moved = std::move(Tags);
+  for (uint64_t N = 1; N <= 2000; ++N) {
+    ASSERT_EQ(*Made[N - 1].arraySize(), N);
+    ASSERT_TRUE(Moved.arrayOf(CType::charTy(), N) == Made[N - 1]);
+  }
+  EXPECT_GE(Moved.typeBytes(), 2000 * sizeof(CTypeNode));
 }
 
 //===----------------------------------------------------------------------===//
