@@ -19,6 +19,7 @@
 
 #include "defacto/Suite.h"
 #include "exec/CompileCache.h"
+#include "exec/Driver.h"
 #include "serve/Client.h"
 #include "serve/Daemon.h"
 #include "serve/Protocol.h"
@@ -265,6 +266,70 @@ TEST(CompileCacheUnit, ChargeCoversAZeroFilledArray) {
   exec::CompileCache C(std::numeric_limits<uint64_t>::max());
   ASSERT_TRUE(C.get(Src)->ok());
   EXPECT_GE(C.stats().Bytes, 100000 * sizeof(core::Value));
+}
+
+TEST(CompileCacheUnit, ChargeCoversTheTypeTable) {
+  // Each prototype interns a pointer, an array and a function type of its
+  // own in the program's type table, a few hundred KB in all, and the
+  // charge counts that table.
+  constexpr unsigned N = 2000;
+  std::string Src;
+  for (unsigned I = 0; I < N; ++I)
+    Src += "int f" + std::to_string(I) + "(char (*p)[" +
+           std::to_string(I + 1) + "]);\n";
+  Src += "int main(void) { return 0; }\n";
+  exec::CompileCache C(std::numeric_limits<uint64_t>::max());
+  auto U = C.get(Src);
+  ASSERT_TRUE(U->ok()) << U->Error;
+  uint64_t Table = U->Prog->Tags.typeBytes();
+  EXPECT_GE(Table, 3 * N * sizeof(ail::CTypeNode));
+  EXPECT_GE(C.stats().Bytes,
+            exec::CompileCache::entryCharge(Src.size()) + Table);
+}
+
+TEST(CompileCacheUnit, OneProgramRunsOnManyThreadsAtOnce) {
+  // Jobs share a cached program read-only: evaluating it reads the types
+  // its table interned while compiling and never makes or writes one.
+  const std::string Src = R"(
+struct pt { int x; int *p; };
+int twice(int v) { return 2 * v; }
+int main(void) {
+  int a[4] = {1, 2, 3, 4};
+  struct pt s = {5, &a[2]};
+  struct pt copy = s;
+  int (*f)(int) = twice;
+  int (*row)[4] = &a;
+  return f(*copy.p) + (*row)[3] + copy.x + (int)sizeof(struct pt);
+}
+)";
+  exec::CompileCache C;
+  auto U = C.get(Src);
+  ASSERT_TRUE(U->ok()) << U->Error;
+  const std::vector<mem::MemoryPolicy> Policies =
+      mem::MemoryPolicy::allPresets();
+  constexpr unsigned Threads = 4, Rounds = 8;
+  std::vector<std::vector<std::string>> Seen(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned R = 0; R < Rounds; ++R) {
+        exec::RunOptions Opts;
+        Opts.Policy = Policies[(T + R) % Policies.size()];
+        Seen[T].push_back(Opts.Policy.Name + " " +
+                          exec::runOnce(*U->Prog, Opts).str());
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  for (unsigned T = 0; T < Threads; ++T)
+    for (unsigned R = 0; R < Rounds; ++R) {
+      exec::RunOptions Opts;
+      Opts.Policy = Policies[(T + R) % Policies.size()];
+      EXPECT_EQ(Seen[T][R], Opts.Policy.Name + " " +
+                                exec::runOnce(*U->Prog, Opts).str());
+    }
+  exec::RunOptions Defacto;
+  EXPECT_EQ(exec::runOnce(*U->Prog, Defacto).ExitCode, 6 + 4 + 5 + 16);
 }
 
 TEST(CompileCacheUnit, ConcurrentMissesEvictOnlyPublishedEntries) {

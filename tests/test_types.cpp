@@ -10,6 +10,7 @@
 
 #include <array>
 #include <chrono>
+#include <map>
 
 using namespace cerb;
 using namespace cerb::ail;
@@ -246,6 +247,26 @@ TEST_F(TypesFixture, DerivedTypesBuiltTwiceAreOneNode) {
   unsigned Tag = Tags.createTag(true, "u");
   EXPECT_TRUE(Tags.tagType(Tag) == Tags.tagType(Tag));
   EXPECT_TRUE(Tags.tagType(Tag).isUnion());
+}
+
+TEST(TypeInterning, OneProgramMakesEachTypeOnce) {
+  auto Unit = cabs::parseTranslationUnit("int *a; int *b; int c[3]; int d[3];\n"
+                                         "int f(int *p); int g(int *q);\n"
+                                         "int main(void) { return 0; }\n");
+  ASSERT_TRUE(static_cast<bool>(Unit));
+  auto Prog = ail::desugar(*Unit);
+  ASSERT_TRUE(static_cast<bool>(Prog));
+  std::map<std::string, CType> Ty;
+  for (const AilGlobal &G : Prog->Globals)
+    Ty[Prog->Syms.nameOf(G.Sym)] = G.Ty;
+  for (const auto &[Id, FnTy] : Prog->DeclaredFunctions)
+    Ty[Prog->Syms.nameOf(Symbol{Id})] = FnTy;
+  EXPECT_TRUE(Ty["a"] == Ty["b"]);
+  EXPECT_TRUE(Ty["c"] == Ty["d"]);
+  EXPECT_TRUE(Ty["f"] == Ty["g"]);
+  EXPECT_TRUE(Ty["f"].paramTypes()[0] == Ty["a"]);
+  EXPECT_TRUE(Prog->Tags.pointerTo(CType::intTy()) == Ty["a"]);
+  EXPECT_TRUE(Prog->Tags.arrayOf(CType::intTy(), 3) == Ty["c"]);
 }
 
 TEST_F(TypesFixture, InternedTypesSurviveAMoveOfTheirTable) {
