@@ -3,7 +3,6 @@
 #include "ail/CType.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace cerb;
 using namespace cerb::ail;

@@ -33,7 +33,7 @@ namespace cerb::ail {
 
 /// The standard integer types of our fragment (ISO 6.2.5). Enums are
 /// desugared to Int; fixed-width typedef names resolve to these.
-enum class IntKind {
+enum class IntKind : uint8_t {
   Bool,
   Char, // "plain" char; signedness is implementation-defined (signed here)
   SChar,
@@ -55,7 +55,7 @@ std::string_view intKindName(IntKind K);
 bool isUnsignedKind(IntKind K);
 
 /// The alternatives of a canonical C type.
-enum class CTypeKind {
+enum class CTypeKind : uint8_t {
   Void,
   Integer,  ///< IntKind
   Pointer,  ///< pointee

@@ -21,8 +21,8 @@
 #include "ail/Ail.h"
 #include "mem/Memory.h"
 
-#include <initializer_list>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <new>
@@ -458,7 +458,7 @@ struct ExprAux {
   unsigned IndetId = 0;               ///< Indet/Bound pairing
 };
 
-/// A Core node in 80 bytes: the kind, the small operands and the hot
+/// A Core node in 72 bytes: the kind, the small operands and the hot
 /// annotations inline; the kids, the let pattern and the cold operands
 /// (ExprAux, case branches among them) as pointers into the arena of the
 /// program that owns the node. Nodes are made and freed only by an
@@ -534,7 +534,7 @@ struct Expr {
   /// Indet/Bound: the pairing id.
   unsigned indetId() const { return Aux->IndetId; }
 };
-static_assert(sizeof(Expr) <= 80, "core::Expr must stay within 80 bytes");
+static_assert(sizeof(Expr) <= 72, "core::Expr must stay within 72 bytes");
 static_assert(std::is_trivially_destructible_v<Expr> &&
                   std::is_trivially_destructible_v<ScopeObject>,
               "ExprArena frees nodes and scope objects without destroying "
@@ -684,7 +684,8 @@ std::string printProgram(const CoreProgram &P);
 /// The Core grammar summary (regenerates the shape of Fig. 2).
 std::string coreGrammarSummary();
 
-/// Deep copy of a Core expression into \p A.
+/// Deep copy of a Core expression into \p A. The copy's C types are
+/// handles into the type table of \p E's program, which must outlive it.
 Expr *cloneExpr(ExprArena &A, const Expr &E);
 
 /// The heap bytes \p P's Core holds, counted from the program alone so the
