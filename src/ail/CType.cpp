@@ -129,7 +129,8 @@ std::optional<size_t> TagDef::memberIndex(std::string_view MemberName) const {
 
 unsigned TagTable::createTag(bool IsUnion, std::string Name) {
   unsigned Tag = static_cast<unsigned>(Defs.size());
-  auto *N = new (allocate(sizeof(CTypeNode))) CTypeNode();
+  auto *N = new (Nodes.alloc(sizeof(CTypeNode), alignof(CTypeNode)))
+      CTypeNode();
   N->Kind = IsUnion ? CTypeKind::Union : CTypeKind::Struct;
   N->Tag = Tag;
   TagDef D;
@@ -198,10 +199,6 @@ bool sameNode(const CTypeNode &A, const CTypeNode &B) {
                     B.Params + B.NumParams);
 }
 
-/// Chunk sizes: the first holds a small program's types (the builtins'
-/// take about 1 KiB); each next one doubles up to the cap.
-constexpr size_t FirstChunk = 2048;
-constexpr size_t MaxChunk = 64 * 1024;
 constexpr size_t FirstIndex = 64;
 } // namespace
 
@@ -213,12 +210,12 @@ CType TagTable::intern(const CTypeNode &Key) {
   for (; Index[I]; I = (I + 1) & Mask)
     if (sameNode(*Index[I], Key))
       return CType(Index[I]);
-  auto *N = new (allocate(sizeof(CTypeNode))) CTypeNode(Key);
-  if (Key.NumParams) {
-    auto *Params = static_cast<CType *>(allocate(Key.NumParams * sizeof(CType)));
-    std::uninitialized_copy_n(Key.Params, Key.NumParams, Params);
-    N->Params = Params;
-  }
+  auto *N = new (Nodes.alloc(sizeof(CTypeNode), alignof(CTypeNode)))
+      CTypeNode(Key);
+  auto *Params = static_cast<CType *>(
+      Nodes.alloc(Key.NumParams * sizeof(CType), alignof(CType)));
+  std::uninitialized_copy_n(Key.Params, Key.NumParams, Params);
+  N->Params = Params;
   Index[I] = N;
   ++Interned;
   return CType(N);
@@ -238,26 +235,9 @@ void TagTable::rehash(size_t Capacity) {
   }
 }
 
-void *TagTable::allocate(size_t N) {
-  N = (N + 7) & ~size_t(7);
-  if (Chunks.empty() || ChunkUsed + N > ChunkSize) {
-    ChunkSize = std::max(Chunks.empty() ? FirstChunk
-                                        : std::min(2 * ChunkSize, MaxChunk),
-                         N);
-    Chunks.push_back(std::make_unique_for_overwrite<std::byte[]>(ChunkSize));
-    ChunkBytes += ChunkSize;
-    ChunkUsed = 0;
-  }
-  void *P = Chunks.back().get() + ChunkUsed;
-  ChunkUsed += N;
-  return P;
-}
-
 uint64_t TagTable::typeBytes() const {
-  auto Buffer = [](uint64_t Bytes) { return Bytes ? Bytes + 16 : 0; };
-  return ChunkBytes + 16 * Chunks.size() +
-         Buffer(Chunks.capacity() * sizeof(Chunks[0])) +
-         Buffer(Index.capacity() * sizeof(Index[0]));
+  uint64_t IndexBytes = Index.capacity() * sizeof(Index[0]);
+  return Nodes.bytes() + (IndexBytes ? IndexBytes + 16 : 0);
 }
 
 // Sizes saturate instead of wrapping round 2^64: a type too large for the

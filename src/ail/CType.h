@@ -16,6 +16,7 @@
 #ifndef CERB_AIL_CTYPE_H
 #define CERB_AIL_CTYPE_H
 
+#include "support/ChunkList.h"
 #include "support/Expected.h"
 #include "support/Format.h"
 
@@ -259,14 +260,10 @@ private:
   /// The node equal to \p Key, interned on first use (with a copy of its
   /// parameters).
   CType intern(const CTypeNode &Key);
-  /// \p N bytes, 8-aligned, from the chunks.
-  void *allocate(size_t N);
   void rehash(size_t Capacity);
 
   std::vector<TagDef> Defs;
-  std::vector<std::unique_ptr<std::byte[]>> Chunks;
-  size_t ChunkSize = 0, ChunkUsed = 0; ///< of Chunks.back()
-  uint64_t ChunkBytes = 0;             ///< all chunks together
+  ChunkList Nodes; ///< nodes and parameter arrays
   /// Open-addressing set of the interned pointer, array and function
   /// nodes (null = empty), never more than half full.
   std::vector<const CTypeNode *> Index;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <mutex>
 
 using namespace cerb;
 using namespace cerb::core;
@@ -468,111 +467,6 @@ std::string Pattern::str(const ail::SymbolTable &Syms) const {
 //===----------------------------------------------------------------------===//
 // The node arena
 //===----------------------------------------------------------------------===//
-
-struct alignas(16) ExprArena::Chunks::Header {
-  Header *Prev;
-  size_t Size; ///< usable bytes after the header
-  size_t Used;
-};
-
-namespace {
-/// Chunk sizes: the first of each list is small, so a small program holds
-/// little; each next one doubles up to the cap, which keeps chunks below
-/// the allocator's mmap threshold (128 KiB by default).
-constexpr size_t FirstChunk = 1024;
-constexpr size_t MaxChunk = 64 * 1024;
-
-/// Full-size chunks that freed programs hand on to the next arena. Given
-/// back to malloc, a large program's chunks coalesce at the top of the
-/// heap and are trimmed back to the kernel, and the next compile faults
-/// every page in again. A pool of at most 4 MiB keeps them instead.
-class ChunkPool {
-  static constexpr size_t MaxPooled = 64;
-
-public:
-  static ChunkPool &get() {
-    static ChunkPool *P = new ChunkPool; // outlives every static program
-    return *P;
-  }
-  void *take() {
-    std::lock_guard<std::mutex> L(M);
-    if (Free.empty())
-      return nullptr;
-    void *C = Free.back();
-    Free.pop_back();
-    return C;
-  }
-  bool give(void *C) {
-    std::lock_guard<std::mutex> L(M);
-    if (Free.size() == MaxPooled)
-      return false;
-    Free.push_back(C);
-    return true;
-  }
-
-private:
-  ChunkPool() { Free.reserve(MaxPooled); }
-  std::mutex M;
-  std::vector<void *> Free;
-};
-} // namespace
-
-ExprArena::Chunks &ExprArena::Chunks::operator=(Chunks &&O) noexcept {
-  if (this != &O) {
-    release();
-    Head = O.Head;
-    O.Head = nullptr;
-  }
-  return *this;
-}
-
-ExprArena::Chunks::~Chunks() { release(); }
-
-void ExprArena::Chunks::release() {
-  while (Head) {
-    Header *Prev = Head->Prev;
-    if (Head->Size != MaxChunk || !ChunkPool::get().give(Head))
-      ::operator delete(Head);
-    Head = Prev;
-  }
-}
-
-void *ExprArena::Chunks::alloc(size_t N, size_t Align) {
-  if (!N)
-    return nullptr; // an empty span opens no chunk
-  if (Head) {
-    size_t Off = (Head->Used + Align - 1) & ~(Align - 1);
-    if (Off + N <= Head->Size) {
-      Head->Used = Off + N;
-      return reinterpret_cast<char *>(Head + 1) + Off;
-    }
-  }
-  size_t Size = std::max(Head ? std::min(2 * Head->Size, MaxChunk) : FirstChunk,
-                         N);
-  void *Mem = Size == MaxChunk ? ChunkPool::get().take() : nullptr;
-  if (!Mem)
-    Mem = ::operator new(sizeof(Header) + Size);
-  Head = new (Mem) Header{Head, Size, N};
-  return Head + 1;
-}
-
-uint64_t ExprArena::Chunks::bytes() const {
-  uint64_t N = 0;
-  for (const Header *H = Head; H; H = H->Prev)
-    N += sizeof(Header) + H->Size + 16;
-  return N;
-}
-
-/// Every allocation from a list that holds only Ts is a whole number of
-/// Ts, so each chunk's used bytes are an array of them.
-template <typename T, typename F>
-void ExprArena::Chunks::forEach(F &&Fn) const {
-  for (const Header *H = Head; H; H = H->Prev) {
-    T *P = reinterpret_cast<T *>(const_cast<Header *>(H) + 1);
-    for (size_t I = 0; I < H->Used / sizeof(T); ++I)
-      Fn(P[I]);
-  }
-}
 
 ExprArena &ExprArena::operator=(ExprArena &&O) noexcept {
   if (this != &O) {

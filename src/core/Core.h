@@ -20,6 +20,7 @@
 
 #include "ail/Ail.h"
 #include "mem/Memory.h"
+#include "support/ChunkList.h"
 
 #include <cstring>
 #include <initializer_list>
@@ -542,11 +543,9 @@ static_assert(std::is_trivially_destructible_v<Expr> &&
 
 /// Owns the nodes of one program and everything they point to: kid and
 /// branch arrays, patterns, cold records, scope lists and strings. Nodes,
-/// cold records and the rest are bump-allocated from three lists of
-/// chunks, which grow geometrically from 1 KiB to 64 KiB: a small program
-/// holds a few KiB, a large one a chunk per few hundred nodes. A freed
-/// program's 64 KiB chunks go to a bounded pool that the next arena draws
-/// on. Nodes and everything but the cold records are trivially
+/// cold records and the rest are bump-allocated from three ChunkLists: a
+/// small program holds a few KiB, a large one a chunk per few hundred
+/// nodes. Nodes and everything but the cold records are trivially
 /// destructible, so destruction only sweeps the cold records for the
 /// boxes of their literals, then frees the chunks: never one node at a
 /// time and never by recursion, however deep the tree. Nodes never move,
@@ -590,34 +589,15 @@ public:
   uint64_t heapBytes() const;
 
 private:
-  /// One kind of object, bump-allocated through a list of chunks.
-  class Chunks {
-  public:
-    Chunks() = default;
-    Chunks(Chunks &&O) noexcept : Head(O.Head) { O.Head = nullptr; }
-    Chunks &operator=(Chunks &&O) noexcept;
-    ~Chunks();
-    /// \p N bytes aligned to \p Align (at most 16).
-    void *alloc(size_t N, size_t Align);
-    uint64_t bytes() const;
-    /// Calls \p Fn on each object of a list that holds only Ts.
-    template <typename T, typename F> void forEach(F &&Fn) const;
-
-  private:
-    struct Header;
-    Header *Head = nullptr;
-    void release();
-  };
-
-  template <typename T> T *alloc(Chunks &C, size_t N) {
+  template <typename T> T *alloc(ChunkList &C, size_t N) {
     return static_cast<T *>(C.alloc(N * sizeof(T), alignof(T)));
   }
   void destroyObjects();
 
-  Chunks Nodes; ///< Expr
-  Chunks Auxes; ///< ExprAux
-  Chunks Raw;   ///< pointer and branch arrays, patterns, scope objects,
-                ///< string bytes
+  ChunkList Nodes; ///< Expr
+  ChunkList Auxes; ///< ExprAux
+  ChunkList Raw;   ///< pointer and branch arrays, patterns, scope objects,
+                   ///< string bytes
 };
 
 //===----------------------------------------------------------------------===//
