@@ -263,7 +263,9 @@ private:
   void rehash(size_t Capacity);
 
   std::vector<TagDef> Defs;
-  ChunkList Nodes; ///< nodes and parameter arrays
+  /// Nodes and parameter arrays. The builtins' types take about 900
+  /// bytes, and a suite program's types fit the first chunk.
+  ChunkList Nodes{2048};
   /// Open-addressing set of the interned pointer, array and function
   /// nodes (null = empty), never more than half full.
   std::vector<const CTypeNode *> Index;

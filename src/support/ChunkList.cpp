@@ -11,7 +11,6 @@ using namespace cerb;
 
 namespace {
 
-constexpr size_t FirstChunk = 1024;
 constexpr size_t MaxChunk = 64 * 1024;
 
 /// Full-size chunks that freed lists hand on to the next one, at most
@@ -52,6 +51,7 @@ ChunkList &ChunkList::operator=(ChunkList &&O) noexcept {
   if (this != &O) {
     release();
     Head = O.Head;
+    First = O.First;
     O.Head = nullptr;
   }
   return *this;
@@ -78,8 +78,7 @@ void *ChunkList::alloc(size_t N, size_t Align) {
       return reinterpret_cast<char *>(Head + 1) + Off;
     }
   }
-  size_t Size = std::max(Head ? std::min(2 * Head->Size, MaxChunk) : FirstChunk,
-                         N);
+  size_t Size = std::max(Head ? std::min(2 * Head->Size, MaxChunk) : First, N);
   void *Mem = Size == MaxChunk ? ChunkPool::get().take() : nullptr;
   if (!Mem)
     Mem = ::operator new(sizeof(Header) + Size);

@@ -2,9 +2,9 @@
 ///
 /// \file
 /// One list of chunks that objects are bump-allocated from. The first
-/// chunk is 1 KiB and each next one doubles, up to 64 KiB, which keeps
-/// chunks below the allocator's mmap threshold; a request larger than
-/// that gets a chunk of its own size. Objects never move, so a list that
+/// chunk is 1 KiB unless the owner knows better, and each next one
+/// doubles, up to 64 KiB, which keeps chunks below the allocator's mmap
+/// threshold; a request larger than that gets a chunk of its own size. Objects never move, so a list that
 /// moves keeps them where they are. The list frees its chunks without
 /// destroying what they hold; an owner whose objects need destroying
 /// visits them with forEach. A freed list's 64 KiB chunks go to a
@@ -24,8 +24,11 @@ namespace cerb {
 
 class ChunkList {
 public:
-  ChunkList() = default;
-  ChunkList(ChunkList &&O) noexcept : Head(O.Head) { O.Head = nullptr; }
+  /// \p FirstChunk: the usable bytes of the first chunk.
+  explicit ChunkList(size_t FirstChunk = 1024) : First(FirstChunk) {}
+  ChunkList(ChunkList &&O) noexcept : Head(O.Head), First(O.First) {
+    O.Head = nullptr;
+  }
   ChunkList &operator=(ChunkList &&O) noexcept;
   ChunkList(const ChunkList &) = delete;
   ChunkList &operator=(const ChunkList &) = delete;
@@ -55,6 +58,7 @@ private:
     size_t Used;
   };
   Header *Head = nullptr;
+  size_t First;
   void release();
 };
 
