@@ -34,7 +34,7 @@ namespace cerb::ail {
 
 /// The standard integer types of our fragment (ISO 6.2.5). Enums are
 /// desugared to Int; fixed-width typedef names resolve to these.
-enum class IntKind : uint8_t {
+enum class IntKind {
   Bool,
   Char, // "plain" char; signedness is implementation-defined (signed here)
   SChar,
@@ -71,12 +71,12 @@ class CType;
 /// Internal node. Users hold CType handles; a TagTable or the static
 /// builtins own the nodes.
 struct CTypeNode {
-  CTypeKind Kind = CTypeKind::Void;
   IntKind Int = IntKind::Int;       ///< Integer
-  bool Sized = false;               ///< Array: ArraySize is given
-  bool Variadic = false;            ///< Function
   unsigned Tag = 0;                 ///< Struct/Union tag id
   uint32_t NumParams = 0;           ///< Function
+  CTypeKind Kind = CTypeKind::Void;
+  bool Sized = false;               ///< Array: ArraySize is given
+  bool Variadic = false;            ///< Function
   const CTypeNode *Inner = nullptr; ///< Pointer pointee / Array elem /
                                     ///< Function return
   uint64_t ArraySize = 0;           ///< Array, if Sized

@@ -252,16 +252,16 @@ void Desugarer::declareBuiltins() {
                  Prog.Tags.functionType(VoidTy, {VoidPtr}, false));
   declareBuiltin("memcpy", Builtin::Memcpy,
                  Prog.Tags.functionType(VoidPtr, {VoidPtr, VoidPtr, SizeTy},
-                                     false));
+                                        false));
   declareBuiltin("memmove", Builtin::Memmove,
                  Prog.Tags.functionType(VoidPtr, {VoidPtr, VoidPtr, SizeTy},
-                                     false));
+                                        false));
   declareBuiltin("memset", Builtin::Memset,
                  Prog.Tags.functionType(VoidPtr, {VoidPtr, IntTy, SizeTy},
-                                     false));
+                                        false));
   declareBuiltin("memcmp", Builtin::Memcmp,
                  Prog.Tags.functionType(IntTy, {VoidPtr, VoidPtr, SizeTy},
-                                     false));
+                                        false));
   declareBuiltin("strlen", Builtin::Strlen,
                  Prog.Tags.functionType(SizeTy, {CharPtr}, false));
   declareBuiltin("strcpy", Builtin::Strcpy,

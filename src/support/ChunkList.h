@@ -1,17 +1,17 @@
-//===-- support/ChunkList.h - Bump allocation from growing chunks -*- C++ -*-===//
+//===-- support/ChunkList.h - Bump allocation from chunks -------*- C++ -*-===//
 ///
 /// \file
 /// One list of chunks that objects are bump-allocated from. The first
 /// chunk is 1 KiB unless the owner knows better, and each next one
 /// doubles, up to 64 KiB, which keeps chunks below the allocator's mmap
-/// threshold; a request larger than that gets a chunk of its own size. Objects never move, so a list that
-/// moves keeps them where they are. The list frees its chunks without
-/// destroying what they hold; an owner whose objects need destroying
-/// visits them with forEach. A freed list's 64 KiB chunks go to a
-/// process-wide pool of at most 64 that the next list draws on: given
-/// back to malloc, a large program's chunks coalesce at the top of the
-/// heap and are trimmed back to the kernel, and the next compile faults
-/// every page in again.
+/// threshold; a request larger than that gets a chunk of its own size.
+/// Objects never move, so a list that moves keeps them where they are.
+/// The list frees its chunks without destroying what they hold; an owner
+/// whose objects need destroying visits them with forEach. A freed list's
+/// 64 KiB chunks go to a process-wide pool of at most 64 that the next
+/// list draws on: given back to malloc, a large program's chunks coalesce
+/// at the top of the heap and are trimmed back to the kernel, and the next
+/// compile faults every page in again.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef CERB_SUPPORT_CHUNKLIST_H
